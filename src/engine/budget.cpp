@@ -23,8 +23,6 @@ const char* to_string(StopReason reason) noexcept {
       return "injected-fault";
     case StopReason::EpisodeCap:
       return "episode-cap";
-    case StopReason::WorkerLost:
-      return "worker-lost";
   }
   return "unknown";
 }
@@ -33,8 +31,7 @@ StopReason stop_reason_from_string(std::string_view name) {
   for (StopReason r :
        {StopReason::Complete, StopReason::StateCap, StopReason::MemCap,
         StopReason::Deadline, StopReason::Interrupted,
-        StopReason::InjectedFault, StopReason::EpisodeCap,
-        StopReason::WorkerLost}) {
+        StopReason::InjectedFault, StopReason::EpisodeCap}) {
     if (name == to_string(r)) return r;
   }
   support::fail("unknown stop reason '", std::string(name), "'");
@@ -62,32 +59,21 @@ std::uint64_t parse_count(std::string_view text, std::string_view what,
 
 }  // namespace
 
-namespace {
-
-// Parses one comma-free spec into `plan`, rejecting duplicate kinds and a
-// second state-level spec.
-void parse_one(FaultPlan& plan, std::string_view spec) {
+FaultPlan FaultPlan::parse(std::string_view spec) {
   using Kind = FaultPlan::Kind;
   const std::size_t colon = spec.find(':');
   support::require(colon != std::string_view::npos,
                    "RC11_FAULT '", std::string(spec),
-                   "': expected insert:N, stall:N:MS, mem:N, crash:N[:K], "
-                   "hang:N[:K] or corrupt:N[:K]");
+                   "': expected insert:N, stall:N:MS or mem:N");
   const std::string_view kind = spec.substr(0, colon);
-  std::string_view rest = spec.substr(colon + 1);
+  const std::string_view rest = spec.substr(colon + 1);
 
-  const auto take_state_slot = [&](Kind k) {
-    support::require(plan.kind == Kind::None,
-                     "RC11_FAULT '", std::string(spec),
-                     "': only one state-level fault (insert/stall/mem) may "
-                     "be armed per plan");
-    plan.kind = k;
-  };
+  FaultPlan plan;
   if (kind == "insert") {
-    take_state_slot(Kind::FailInsert);
+    plan.kind = Kind::FailInsert;
     plan.at_state = parse_count(rest, "state index", spec);
   } else if (kind == "mem") {
-    take_state_slot(Kind::TripMem);
+    plan.kind = Kind::TripMem;
     plan.at_state = parse_count(rest, "state index", spec);
   } else if (kind == "stall") {
     const std::size_t colon2 = rest.find(':');
@@ -95,54 +81,14 @@ void parse_one(FaultPlan& plan, std::string_view spec) {
                      "RC11_FAULT '", std::string(spec),
                      "': stall needs both a state index and a duration "
                      "(stall:N:MS)");
-    take_state_slot(Kind::Stall);
+    plan.kind = Kind::Stall;
     plan.at_state = parse_count(rest.substr(0, colon2), "state index", spec);
     plan.stall_ms =
         parse_count(rest.substr(colon2 + 1), "stall duration (ms)", spec);
-  } else if (kind == "crash" || kind == "hang" || kind == "corrupt") {
-    FaultPlan::ProcessFault pf;
-    pf.kind = kind == "crash"  ? Kind::Crash
-              : kind == "hang" ? Kind::Hang
-                               : Kind::Corrupt;
-    for (const auto& existing : plan.process) {
-      support::require(existing.kind != pf.kind,
-                       "RC11_FAULT '", std::string(spec), "': duplicate '",
-                       std::string(kind), "' fault");
-    }
-    const std::size_t colon2 = rest.find(':');
-    if (colon2 == std::string_view::npos) {
-      pf.at_batch = parse_count(rest, "batch index", spec);
-    } else {
-      pf.at_batch = parse_count(rest.substr(0, colon2), "batch index", spec);
-      pf.count = parse_count(rest.substr(colon2 + 1), "repeat count", spec);
-    }
-    plan.process.push_back(pf);
   } else {
     support::fail("RC11_FAULT '", std::string(spec), "': unknown fault kind '",
-                  std::string(kind),
-                  "' (expected insert, stall, mem, crash, hang or corrupt)");
+                  std::string(kind), "' (expected insert, stall or mem)");
   }
-}
-
-}  // namespace
-
-FaultPlan FaultPlan::parse(std::string_view spec) {
-  FaultPlan plan;
-  std::size_t start = 0;
-  bool any = false;
-  while (true) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string_view part =
-        spec.substr(start, comma == std::string_view::npos ? std::string_view::npos
-                                                           : comma - start);
-    support::require(!part.empty(), "RC11_FAULT '", std::string(spec),
-                     "': empty fault spec in comma-separated list");
-    parse_one(plan, part);
-    any = true;
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  support::require(any, "RC11_FAULT '", std::string(spec), "': empty spec");
   return plan;
 }
 

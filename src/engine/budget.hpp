@@ -34,7 +34,6 @@
 #include <functional>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 namespace rc11::engine {
 
@@ -54,12 +53,6 @@ enum class StopReason : std::uint8_t {
   /// This is how every sampling run that finds no violation ends: the
   /// coverage is a sample, so results are a lower bound by construction.
   EpisodeCap,
-  /// A distributed run (engine/supervise.hpp) lost a worker process for
-  /// good: the per-worker restart/retry budget was exhausted (repeated
-  /// crashes, hangs or corrupt batches), survivors were drained, and the
-  /// report covers only the states whose results arrived.  Like every other
-  /// truncation the verdict is a lower bound, never a lie.
-  WorkerLost,
 };
 
 /// Stable lower-case names ("complete", "state-cap", ...) for reports,
@@ -95,12 +88,10 @@ class CancelToken {
 };
 
 /// A deterministic fault to inject into the driver, for tests and the CI
-/// robustness matrix.  Parsed from the RC11_FAULT environment variable as a
-/// comma-separated list of specs (at most one state-level spec and at most
-/// one spec per process-level kind):
+/// robustness matrix.  Parsed from the RC11_FAULT environment variable as
+/// exactly one spec, firing at the Nth visited-state claim (1-based, global
+/// across worker threads):
 ///
-///   state-level (fire at the Nth visited-state claim, 1-based, global
-///   across worker threads):
 ///   RC11_FAULT=insert:N     fail the Nth visited-state claim (the insert
 ///                           that would admit the Nth state) -> InjectedFault
 ///   RC11_FAULT=stall:N:MS   stall the worker claiming the Nth state for MS
@@ -108,58 +99,14 @@ class CancelToken {
 ///                           later stop still terminates cleanly)
 ///   RC11_FAULT=mem:N        behave as if the memory budget tripped at the
 ///                           Nth claim -> MemCap
-///
-///   process-level (fire in the worker *process* handling the batch with
-///   the Nth global dispatch index, 1-based; engine/supervise.hpp — no
-///   effect on single-process runs; ":K" repeats the fault for K
-///   consecutive dispatches, default 1, so small K exercises
-///   crash->restart->replay recovery and a large K exhausts the retry
-///   budget into StopReason::WorkerLost):
-///   RC11_FAULT=crash:N[:K]    _exit(2) mid-batch
-///   RC11_FAULT=hang:N[:K]     stop reading/acking (supervisor hang timeout)
-///   RC11_FAULT=corrupt:N[:K]  flip bytes in the outbound ack frame so CRC
-///                             validation rejects it
-///
-///   e.g. RC11_FAULT=crash:3,stall:200:50
 struct FaultPlan {
-  enum class Kind : std::uint8_t {
-    None, FailInsert, Stall, TripMem, Crash, Hang, Corrupt
-  };
-  Kind kind = Kind::None;      ///< state-level fault (FailInsert/Stall/TripMem)
+  enum class Kind : std::uint8_t { None, FailInsert, Stall, TripMem };
+  Kind kind = Kind::None;
   std::uint64_t at_state = 0;  ///< 1-based claim index the fault fires at
   std::uint64_t stall_ms = 0;  ///< Stall only
 
-  /// One process-level fault (Crash/Hang/Corrupt), armed for the batches
-  /// with global dispatch index in [at_batch, at_batch + count).
-  struct ProcessFault {
-    Kind kind = Kind::None;
-    std::uint64_t at_batch = 0;  ///< 1-based dispatch index
-    std::uint64_t count = 1;     ///< consecutive dispatches affected
-  };
-  std::vector<ProcessFault> process;  ///< at most one entry per kind
-
-  [[nodiscard]] bool armed() const noexcept {
-    return kind != Kind::None || !process.empty();
-  }
-
-  /// The process-level fault armed for dispatch index `dispatch`, or
-  /// nullptr.  Dispatch indices count every send, including resends after a
-  /// restart — a recovered batch arrives under a fresh (higher) index, so a
-  /// single-shot fault fires exactly once.
-  [[nodiscard]] const ProcessFault* process_fault_at(
-      std::uint64_t dispatch) const noexcept {
-    for (const auto& pf : process) {
-      if (dispatch >= pf.at_batch && dispatch < pf.at_batch + pf.count) {
-        return &pf;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Parses a comma-separated fault list ("insert:N" / "stall:N:MS" /
-  /// "mem:N" / "crash:N[:K]" / "hang:N[:K]" / "corrupt:N[:K]"); throws
-  /// support::Error on malformed input (including N == 0), on a duplicated
-  /// kind and on a second state-level spec.
+  /// Parses one fault spec ("insert:N" / "stall:N:MS" / "mem:N"); throws
+  /// support::Error on malformed input (including N == 0).
   [[nodiscard]] static FaultPlan parse(std::string_view spec);
 
   /// FaultPlan::parse(getenv("RC11_FAULT")), or an unarmed plan when the
@@ -246,10 +193,6 @@ class BudgetEnforcer {
           break;
         }
         case FaultPlan::Kind::None:
-        case FaultPlan::Kind::Crash:
-        case FaultPlan::Kind::Hang:
-        case FaultPlan::Kind::Corrupt:
-          // Process-level kinds never occupy the state-level slot.
           break;
       }
     }

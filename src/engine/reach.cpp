@@ -147,13 +147,13 @@ void seed_from_checkpoint(const TransitionSystem& ts, const Checkpoint& ckpt,
 
 // --- POR chain collapse ------------------------------------------------------
 
-}  // namespace
-
-// Declared in reach.hpp: chain collapse must be a pure function of `cfg` so
-// every worker, strategy, trace mode *and process* (the supervised driver's
-// workers, engine/supervise.cpp) collapses identically.  Chains terminate
-// because every chain step strictly increases the acting thread's pc (the
-// ample proviso) and touches no other thread's pc.
+/// The thread whose single deterministic local step chain collapse
+/// fast-forwards at `cfg`: the ample thread, when its next instruction is
+/// local (Assign / Branch / Jump — exactly one successor, no memory effect);
+/// nullopt when no chain starts.  A pure function of `cfg`, so every worker,
+/// strategy and trace mode collapses identically.  Chains terminate because
+/// every chain step strictly increases the acting thread's pc (the ample
+/// proviso) and touches no other thread's pc.
 std::optional<lang::ThreadId> chain_thread(const TransitionSystem& ts,
                                            const Config& cfg) {
   const auto t = ts.ample_thread(cfg);
@@ -167,8 +167,6 @@ std::optional<lang::ThreadId> chain_thread(const TransitionSystem& ts,
       return std::nullopt;
   }
 }
-
-namespace {
 
 /// Fast-forwards `cfg` through its deterministic local ample chain without
 /// recording the intermediate states; bumps `chained` once per skipped step.

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 
 #include "engine/abstraction.hpp"
@@ -203,15 +202,6 @@ struct ReachResult {
 bool expand_steps(const TransitionSystem& ts, const Config& cfg,
                   const ReachOptions& options, StepBuffer& out,
                   bool want_labels);
-
-/// The thread whose single deterministic local step POR chain collapse
-/// fast-forwards at `cfg`: the ample thread, when its next instruction is
-/// local (Assign / Branch / Jump — exactly one successor, no memory effect).
-/// A pure function of `cfg`, exposed so off-process mirrors of the reduced
-/// edge relation (the supervised driver's workers, engine/supervise.cpp)
-/// collapse exactly like this driver; returns nullopt when no chain starts.
-[[nodiscard]] std::optional<lang::ThreadId> chain_thread(
-    const TransitionSystem& ts, const Config& cfg);
 
 /// Enumerates reachable configurations under `options`, invoking `visitor`
 /// once per configuration.  Deduplication uses canonical encodings with

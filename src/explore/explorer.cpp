@@ -49,148 +49,6 @@ void sort_violations(std::vector<Violation>& violations) {
             });
 }
 
-/// The explorer's two halves of a supervised run (engine/supervise.hpp):
-/// evaluate() reproduces the visitor's per-state logic in the worker process
-/// as serialisable events; absorb() rebuilds violations (with traces and
-/// witnesses from the shared sink) and final configurations (re-executed via
-/// ConfigMaterializer) in the supervisor, in deterministic state order.
-class ExploreDelegate final : public engine::DistDelegate {
- public:
-  ExploreDelegate(const System& sys, const ExploreOptions& options,
-                  const Invariant& invariant,
-                  engine::ConfigMaterializer& materializer)
-      : sys_(sys),
-        options_(options),
-        invariant_(invariant),
-        materializer_(materializer),
-        init_digest_(options.track_traces
-                         ? witness::config_digest(lang::initial_config(sys))
-                         : 0) {}
-
-  bool evaluate(const Config& cfg, std::span<const Step> steps,
-                std::vector<witness::Json>& events) override {
-    bool keep = true;
-    if (invariant_) {
-      if (auto what = invariant_(sys_, cfg)) {
-        witness::Json e = witness::Json::object();
-        e.set("kind", witness::Json::string("violation"));
-        e.set("what", witness::Json::string(std::move(*what)));
-        e.set("dump", witness::Json::string(cfg.to_string(sys_)));
-        events.push_back(std::move(e));
-        if (options_.stop_on_violation) keep = false;
-      }
-    }
-    if (options_.collect_finals && steps.empty() && cfg.all_done(sys_)) {
-      witness::Json e = witness::Json::object();
-      e.set("kind", witness::Json::string("final"));
-      events.push_back(std::move(e));
-    }
-    return keep;
-  }
-
-  bool absorb(const witness::Json& event, std::uint64_t id,
-              const ShardedVisitedSet& sink) override {
-    const std::string& kind = event.at("kind").as_string();
-    if (kind == "violation") {
-      Violation v;
-      v.what = event.at("what").as_string();
-      v.state_dump = event.at("dump").as_string();
-      if (options_.track_traces) {
-        const auto edges = sink.path_to(id);
-        v.trace.reserve(edges.size() + 1);
-        v.trace.emplace_back("init");
-        witness::Witness w;
-        w.kind = "invariant";
-        w.source = "explore";
-        w.what = v.what;
-        w.state_dump = v.state_dump;
-        w.initial_digest = init_digest_;
-        w.steps.reserve(edges.size());
-        std::vector<std::uint64_t> enc;
-        for (const auto& e : edges) {
-          v.trace.push_back(e.label);
-          enc.clear();
-          sink.decode_state(e.state, enc);
-          w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-        }
-        v.witness = std::move(w);
-      }
-      violations.push_back(std::move(v));
-      return !options_.stop_on_violation;
-    }
-    if (kind == "final" && options_.collect_finals) {
-      const Config& done = materializer_.at(id);
-      std::vector<std::uint64_t> enc;
-      enc.reserve(64);
-      done.encode_into(enc);
-      if (final_dedup_.insert(enc)) finals.emplace_back(std::move(enc), done);
-    }
-    return true;
-  }
-
-  std::vector<KeyedConfig> finals;
-  std::vector<Violation> violations;
-
- private:
-  const System& sys_;
-  const ExploreOptions& options_;
-  const Invariant& invariant_;
-  engine::ConfigMaterializer& materializer_;
-  const std::uint64_t init_digest_;
-  ShardedVisitedSet final_dedup_;
-};
-
-/// The --workers path: same verdict logic as the in-process explorer, run
-/// through the supervised multi-process driver.
-ExploreResult explore_dist(const System& sys, const ExploreOptions& options,
-                           const Invariant& invariant) {
-  support::require(!options.symmetry,
-                   "--workers cannot be combined with --symmetry");
-  support::require(options.mode != Strategy::Sample,
-                   "--workers cannot be combined with --strategy sample");
-  support::require(options.num_threads <= 1,
-                   "--workers runs worker processes; combine with --threads 1");
-  support::require(options.resume == nullptr,
-                   "--workers cannot resume a checkpoint; resume runs "
-                   "single-process (the checkpoint it writes is compatible)");
-
-  engine::SystemTransitions ts(sys);
-  engine::ShardedVisitedSet sink;
-  engine::ConfigMaterializer materializer(ts, sink);
-  ExploreDelegate delegate(sys, options, invariant, materializer);
-
-  engine::DistOptions dopts;
-  dopts.workers = options.workers;
-  dopts.budget.max_states = options.max_states;
-  dopts.budget.max_visited_bytes = options.max_visited_bytes;
-  dopts.budget.deadline_ms = options.deadline_ms;
-  dopts.por = options.por || options.mode == Strategy::Por;
-  dopts.fuse_local_steps = options.fuse_local_steps;
-  dopts.rf_quotient = options.rf_quotient;
-  dopts.rf_pins = options.rf_pins;
-  dopts.cancel = options.cancel;
-  dopts.fault = options.fault;
-
-  const auto dres = engine::supervise_reach(ts, dopts, delegate, sink);
-
-  ExploreResult result;
-  result.stats = dres.stats;
-  result.stop = dres.stop;
-  result.truncated = dres.truncated();
-  result.dist = dres.telemetry;
-  if (!options.checkpoint_path.empty() && dres.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(sink, dres.stats, dres.stop,
-                                dopts.por, /*symmetry=*/false,
-                                options.rf_quotient),
-        options.checkpoint_path);
-  }
-  result.final_configs = sort_keyed_configs(delegate.finals);
-  result.violations = std::move(delegate.violations);
-  sort_violations(result.violations);
-  return result;
-}
-
 }  // namespace
 
 ExploreResult explore(const System& sys, const ExploreOptions& options,
@@ -201,7 +59,6 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   // trace sink's parent links.  The mutexes are uncontended in sequential
   // runs and cold in parallel ones (finals and violations are rare events
   // next to state expansion).
-  if (options.workers > 0) return explore_dist(sys, options, invariant);
   ExploreResult result;
   // A sampling run has no frontier to checkpoint or resume; reject here so
   // the caller hears about it before any exploration work happens (the

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "engine/reach.hpp"
-#include "engine/supervise.hpp"
 #include "lang/config.hpp"
 #include "witness/witness.hpp"
 
@@ -84,8 +83,8 @@ struct ExploreOptions {
   /// are evaluated on the reduced state set: violations found are real, and
   /// violations occurring at final/blocked states are never missed, but a
   /// violation confined to a pruned intermediate interleaving may be (the
-  /// RC11_POR_CROSSCHECK test suite checks exact agreement on the corpus —
-  /// see docs/SEMANTICS.md §9).  Default off.
+  /// PorCrosscheck test checks exact agreement on the corpus — see
+  /// docs/SEMANTICS.md §9).  Default off.
   bool por = false;
   /// Thread-symmetry reduction (engine/symmetry.hpp): quotient the visited
   /// set by thread permutations of provably interchangeable threads
@@ -157,16 +156,6 @@ struct ExploreOptions {
   /// checkpoint is built from the trace sink), so violations carry witnesses
   /// as under track_traces.
   std::string checkpoint_path;
-  /// Supervised multi-process exploration (engine/supervise.hpp): fork this
-  /// many worker processes, partition the frontier by state hash and merge
-  /// results deterministically — verdicts, stats, finals and violations are
-  /// byte-identical for every worker count, and a crashed/hung worker is
-  /// restarted with only its unacknowledged batch replayed.  0 (default)
-  /// stays in-process.  Rejected with symmetry, Strategy::Sample,
-  /// num_threads > 1 and resume; composes with por, rf_quotient, budgets,
-  /// cancellation and checkpoint_path (the sink is checkpointed on
-  /// truncation, resumable by single-process runs).
-  unsigned workers = 0;
 };
 
 /// An invariant violation with an optional counterexample trace.
@@ -191,12 +180,6 @@ struct ExploreResult {
   /// stop_on_violation stop is Complete — stopping was the caller's choice).
   engine::StopReason stop = engine::StopReason::Complete;
   bool truncated = false;  ///< stop != Complete: results are a lower bound
-  /// Robustness counters of a supervised run (all zero when workers == 0 or
-  /// the run was undisturbed).  Deliberately *not* part of `stats`: a
-  /// recovered run must stay byte-identical to an undisturbed one in every
-  /// verdict-bearing output, so these are surfaced in human-readable stats
-  /// blocks only.
-  engine::DistTelemetry dist;
 
   [[nodiscard]] bool ok() const { return violations.empty() && !truncated; }
 };

@@ -124,8 +124,8 @@ std::vector<CausalityTest> all_causality_tests();
 /// accesses whose racy/race-free verdict is known by construction.  Checked
 /// by race::check (src/race/race.hpp); `racy` is the expected verdict, and
 /// the verdict must be identical under every engine configuration (worker
-/// counts, POR, symmetry, sampling) — the RC11_RACE_CROSSCHECK suites
-/// assert set-level agreement, not just the boolean.
+/// counts, POR, symmetry, sampling) — the race crosscheck tests assert
+/// set-level agreement, not just the boolean.
 struct RaceTest {
   std::string name;
   std::string description;

@@ -105,8 +105,7 @@ std::uint64_t evaluate_obligations(const System& sys,
 
 /// Pins every annotation's view footprint into the rf-quotient key so each
 /// obligation is a function of the key and verdicts are class-invariant;
-/// rejects assertions with unknown footprints.  Shared by the in-process and
-/// supervised checkers.
+/// rejects assertions with unknown footprints.
 void collect_rf_pins(const System& sys, const ProofOutline& outline,
                      engine::RfPins& pins) {
   const auto collect = [&](const Assertion& a) {
@@ -126,144 +125,10 @@ void collect_rf_pins(const System& sys, const ProofOutline& outline,
   }
 }
 
-/// The outline checker's two supervised halves: evaluate() runs the full
-/// obligation set in the worker and ships failures (plus the obligation
-/// count) as events; absorb() rebuilds ObligationFailures with traces and
-/// witnesses from the shared sink, in deterministic state order.
-class OutlineDelegate final : public engine::DistDelegate {
- public:
-  OutlineDelegate(const System& sys, const ProofOutline& outline,
-                  const OutlineCheckOptions& options)
-      : sys_(sys),
-        outline_(outline),
-        options_(options),
-        init_digest_(options.track_traces
-                         ? witness::config_digest(lang::initial_config(sys))
-                         : 0) {}
-
-  bool evaluate(const Config& cfg, std::span<const Step> steps,
-                std::vector<witness::Json>& events) override {
-    std::vector<std::string> local_failures;
-    const std::uint64_t checked = evaluate_obligations(
-        sys_, outline_, options_, cfg, steps, [&](std::string obligation) {
-          local_failures.push_back(std::move(obligation));
-        });
-    witness::Json obls = witness::Json::object();
-    obls.set("kind", witness::Json::string("obls"));
-    obls.set("n", witness::Json::integer(static_cast<std::int64_t>(checked)));
-    events.push_back(std::move(obls));
-    if (local_failures.empty()) return true;
-    const std::string dump = cfg.to_string(sys_);
-    for (std::string& obligation : local_failures) {
-      witness::Json e = witness::Json::object();
-      e.set("kind", witness::Json::string("fail"));
-      e.set("obligation", witness::Json::string(std::move(obligation)));
-      e.set("dump", witness::Json::string(dump));
-      events.push_back(std::move(e));
-    }
-    return !options_.stop_at_first_failure;
-  }
-
-  bool absorb(const witness::Json& event, std::uint64_t id,
-              const explore::ShardedVisitedSet& sink) override {
-    const std::string& kind = event.at("kind").as_string();
-    if (kind == "obls") {
-      obligations += static_cast<std::uint64_t>(event.at("n").as_int());
-      return true;
-    }
-    if (kind != "fail") return true;
-    valid = false;
-    ObligationFailure failure;
-    failure.obligation = event.at("obligation").as_string();
-    failure.state_dump = event.at("dump").as_string();
-    if (options_.track_traces) {
-      const auto edges = sink.path_to(id);
-      failure.trace.reserve(edges.size() + 1);
-      failure.trace.emplace_back("init");
-      witness::Witness w;
-      w.kind = "outline";
-      w.source = "og::check_outline";
-      w.what = failure.obligation;
-      w.state_dump = failure.state_dump;
-      w.initial_digest = init_digest_;
-      w.steps.reserve(edges.size());
-      std::vector<std::uint64_t> enc;
-      for (const auto& e : edges) {
-        failure.trace.push_back(e.label);
-        enc.clear();
-        sink.decode_state(e.state, enc);
-        w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-      }
-      failure.witness = std::move(w);
-    }
-    failures.push_back(std::move(failure));
-    return !options_.stop_at_first_failure;
-  }
-
-  std::vector<ObligationFailure> failures;
-  std::uint64_t obligations = 0;
-  bool valid = true;
-
- private:
-  const System& sys_;
-  const ProofOutline& outline_;
-  const OutlineCheckOptions& options_;
-  const std::uint64_t init_digest_;
-};
-
-/// The --workers path of check_outline: identical obligation logic, run
-/// through the supervised multi-process driver.
-OutlineCheckResult check_outline_dist(const System& sys,
-                                      const ProofOutline& outline,
-                                      const OutlineCheckOptions& options) {
-  support::require(!options.symmetry,
-                   "--workers cannot be combined with --symmetry");
-  support::require(options.mode != engine::Strategy::Sample,
-                   "--workers cannot be combined with --strategy sample");
-  support::require(options.num_threads <= 1,
-                   "--workers runs worker processes; combine with --threads 1");
-  support::require(options.resume == nullptr,
-                   "--workers cannot resume a checkpoint; resume runs "
-                   "single-process (the checkpoint it writes is compatible)");
-
-  engine::SystemTransitions ts(sys);
-  engine::ShardedVisitedSet sink;
-  OutlineDelegate delegate(sys, outline, options);
-
-  engine::DistOptions dopts;
-  dopts.workers = options.workers;
-  dopts.budget.max_states = options.max_states;
-  dopts.budget.max_visited_bytes = options.max_visited_bytes;
-  dopts.budget.deadline_ms = options.deadline_ms;
-  dopts.por = options.por;
-  dopts.rf_quotient = options.rf_quotient;
-  if (options.rf_quotient) collect_rf_pins(sys, outline, dopts.rf_pins);
-  dopts.cancel = options.cancel;
-  dopts.fault = options.fault;
-
-  const auto dres = engine::supervise_reach(ts, dopts, delegate, sink);
-
-  OutlineCheckResult result;
-  result.valid = delegate.valid;
-  result.failures = std::move(delegate.failures);
-  result.stats = dres.stats;
-  result.stop = dres.stop;
-  result.obligations_checked = delegate.obligations;
-  result.dist = dres.telemetry;
-  if (!options.checkpoint_path.empty() && dres.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(sink, dres.stats, dres.stop, options.por,
-                                /*symmetry=*/false, options.rf_quotient),
-        options.checkpoint_path);
-  }
-  return result;
-}
-
 }  // namespace
 
 OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
                                  OutlineCheckOptions options) {
-  if (options.workers > 0) return check_outline_dist(sys, outline, options);
   // One implementation for every thread count, on the shared reachability
   // driver.  With track_traces the driver records parent links in the trace
   // sink, so failures carry traces and replayable witnesses even from a

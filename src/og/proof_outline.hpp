@@ -86,10 +86,6 @@ struct OutlineCheckResult {
   /// the state space was checked and `valid` is not a proof (a
   /// stop_at_first_failure stop is Complete — the verdict is definite).
   engine::StopReason stop = engine::StopReason::Complete;
-  /// Robustness counters of a supervised (--workers) run; all zero
-  /// otherwise.  Kept out of `stats` so recovered runs stay byte-identical
-  /// to undisturbed ones in verdict-bearing output.
-  engine::DistTelemetry dist;
   [[nodiscard]] bool truncated() const {
     return stop != engine::StopReason::Complete;
   }
@@ -116,8 +112,8 @@ struct OutlineCheckOptions {
   /// states (postconditions, deadlocks) are never missed, but an obligation
   /// violated only at a pruned intermediate interleaving may be — POR trades
   /// the full quantification of the Owicki–Gries side conditions for
-  /// outcome-level soundness.  The RC11_POR_CROSSCHECK suite checks exact
-  /// verdict agreement on the outline corpus.  Default off.
+  /// outcome-level soundness.  The PorCrosscheck test checks exact verdict
+  /// agreement on the outline corpus.  Default off.
   bool por = false;
   /// Thread-symmetry reduction (see explore::ExploreOptions::symmetry).
   /// Exactness is preserved: obligations are evaluated at every orbit member
@@ -157,10 +153,6 @@ struct OutlineCheckOptions {
   const engine::Checkpoint* resume = nullptr;
   /// Written when the run stops early; implies trace recording.
   std::string checkpoint_path;
-  /// Supervised multi-process checking (engine/supervise.hpp; same contract
-  /// as explore::ExploreOptions::workers): 0 stays in-process.  Rejected
-  /// with symmetry, Strategy::Sample, num_threads > 1 and resume.
-  unsigned workers = 0;
 };
 
 /// Checks outline validity (and, optionally, interference freedom) over the

@@ -59,159 +59,6 @@ std::string describe(const System& sys, const RaceRecord& r) {
   return os.str();
 }
 
-/// The race checker's two supervised halves (engine/supervise.hpp): workers
-/// ship one event per race record harvested from a step's post-state —
-/// numeric record fields plus the racing step's thread, label and post-state
-/// digest/dump, everything the supervisor cannot recompute — and the
-/// supervisor dedups into the canonical map and rebuilds witnesses from the
-/// shared sink, in deterministic state order.
-class RaceDelegate final : public engine::DistDelegate {
- public:
-  RaceDelegate(const System& traced, const RaceOptions& options)
-      : traced_(traced),
-        options_(options),
-        init_digest_(options.track_traces
-                         ? witness::config_digest(lang::initial_config(traced))
-                         : 0) {}
-
-  bool evaluate(const Config& cfg, std::span<const Step> steps,
-                std::vector<witness::Json>& events) override {
-    (void)cfg;
-    bool keep = true;
-    std::vector<std::uint64_t> enc;
-    for (const Step& step : steps) {
-      for (const RaceRecord& raw : step.after.mem.race_records()) {
-        const RaceRecord rec = canonical_pair(raw);
-        if (options_.stop_on_race) keep = false;
-        witness::Json e = witness::Json::object();
-        e.set("kind", witness::Json::string("race"));
-        const auto num = [](std::uint64_t v) {
-          return witness::Json::integer(static_cast<std::int64_t>(v));
-        };
-        e.set("loc", num(rec.loc));
-        e.set("pt", num(rec.prior.thread));
-        e.set("ppc", num(rec.prior.pc));
-        e.set("pcat", num(static_cast<std::uint64_t>(rec.prior.cat)));
-        e.set("ct", num(rec.current.thread));
-        e.set("cpc", num(rec.current.pc));
-        e.set("ccat", num(static_cast<std::uint64_t>(rec.current.cat)));
-        e.set("dump", witness::Json::string(step.after.to_string(traced_)));
-        e.set("st", num(step.thread));
-        e.set("sl", witness::Json::string(step.label));
-        enc.clear();
-        step.after.encode_into(enc);
-        e.set("sd", witness::Json::string(
-                        witness::digest_to_hex(support::hash_words(enc))));
-        events.push_back(std::move(e));
-      }
-    }
-    return keep;
-  }
-
-  bool absorb(const witness::Json& event, std::uint64_t id,
-              const ShardedVisitedSet& sink) override {
-    const auto num = [&](const char* field) {
-      return static_cast<std::uint64_t>(event.at(field).as_int());
-    };
-    RaceRecord rec;
-    rec.loc = static_cast<lang::LocId>(num("loc"));
-    rec.prior.thread = static_cast<lang::ThreadId>(num("pt"));
-    rec.prior.pc = static_cast<std::uint32_t>(num("ppc"));
-    rec.prior.cat = static_cast<RaceCat>(num("pcat"));
-    rec.current.thread = static_cast<lang::ThreadId>(num("ct"));
-    rec.current.pc = static_cast<std::uint32_t>(num("cpc"));
-    rec.current.cat = static_cast<RaceCat>(num("ccat"));
-    auto [it, inserted] = races.try_emplace(key_of(rec));
-    if (inserted) {
-      ReportedRace& out = it->second;
-      out.record = rec;
-      out.location = traced_.locations().name(rec.loc);
-      out.what = describe(traced_, rec);
-      out.state_dump = event.at("dump").as_string();
-      if (options_.track_traces) {
-        const auto edges = sink.path_to(id);
-        out.trace.reserve(edges.size() + 2);
-        out.trace.emplace_back("init");
-        witness::Witness w;
-        w.kind = "race";
-        w.source = "race";
-        w.what = out.what;
-        w.state_dump = out.state_dump;
-        w.initial_digest = init_digest_;
-        w.steps.reserve(edges.size() + 1);
-        std::vector<std::uint64_t> enc;
-        for (const auto& e : edges) {
-          out.trace.push_back(e.label);
-          enc.clear();
-          sink.decode_state(e.state, enc);
-          w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-        }
-        const std::string& step_label = event.at("sl").as_string();
-        out.trace.push_back(step_label);
-        w.steps.push_back(
-            {static_cast<lang::ThreadId>(num("st")), step_label,
-             witness::digest_from_hex(event.at("sd").as_string())});
-        out.witness = std::move(w);
-      }
-    }
-    return !options_.stop_on_race;
-  }
-
-  // An ordered map doubles as the dedup set and the canonical output order.
-  std::map<Key, ReportedRace> races;
-
- private:
-  const System& traced_;
-  const RaceOptions& options_;
-  const std::uint64_t init_digest_;
-};
-
-/// The --workers path of race::check: identical record harvesting and
-/// canonicalisation, run through the supervised multi-process driver.
-RaceResult check_dist(const System& traced, const RaceOptions& options) {
-  support::require(!options.symmetry,
-                   "--workers cannot be combined with --symmetry");
-  support::require(options.mode != engine::Strategy::Sample,
-                   "--workers cannot be combined with --strategy sample");
-  support::require(options.num_threads <= 1,
-                   "--workers runs worker processes; combine with --threads 1");
-  support::require(options.resume == nullptr,
-                   "--workers cannot resume a checkpoint; resume runs "
-                   "single-process (the checkpoint it writes is compatible)");
-
-  engine::SystemTransitions ts(traced);
-  ShardedVisitedSet sink;
-  RaceDelegate delegate(traced, options);
-
-  engine::DistOptions dopts;
-  dopts.workers = options.workers;
-  dopts.budget.max_states = options.max_states;
-  dopts.budget.max_visited_bytes = options.max_visited_bytes;
-  dopts.budget.deadline_ms = options.deadline_ms;
-  dopts.por = options.por;
-  dopts.fuse_local_steps = options.fuse_local_steps;
-  dopts.rf_quotient = options.rf_quotient;
-  dopts.cancel = options.cancel;
-  dopts.fault = options.fault;
-
-  const auto dres = engine::supervise_reach(ts, dopts, delegate, sink);
-
-  RaceResult result;
-  result.stats = dres.stats;
-  result.stop = dres.stop;
-  result.truncated = dres.truncated();
-  result.dist = dres.telemetry;
-  if (!options.checkpoint_path.empty() && dres.truncated()) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(sink, dres.stats, dres.stop, options.por,
-                                /*symmetry=*/false, options.rf_quotient),
-        options.checkpoint_path);
-  }
-  result.races.reserve(delegate.races.size());
-  for (auto& [key, r] : delegate.races) result.races.push_back(std::move(r));
-  return result;
-}
-
 }  // namespace
 
 const char* access_name(RaceCat cat) noexcept {
@@ -238,8 +85,6 @@ RaceResult check(const System& sys, const RaceOptions& options) {
     sem.race_detection = true;
     traced.set_options(sem);
   }
-
-  if (options.workers > 0) return check_dist(traced, options);
 
   if (options.mode == engine::Strategy::Sample) {
     support::require(options.checkpoint_path.empty(),

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "engine/reach.hpp"
-#include "engine/supervise.hpp"
 #include "lang/config.hpp"
 #include "memsem/state.hpp"
 #include "witness/witness.hpp"
@@ -94,10 +93,6 @@ struct RaceOptions {
   const engine::Checkpoint* resume = nullptr;
   /// Write a checkpoint here when the run stops early (implies traces).
   std::string checkpoint_path;
-  /// Supervised multi-process checking (engine/supervise.hpp; same contract
-  /// as explore::ExploreOptions::workers): 0 stays in-process.  Rejected
-  /// with symmetry, Strategy::Sample, num_threads > 1 and resume.
-  unsigned workers = 0;
 };
 
 /// One data race.  `record` is an *unordered* pair in canonical order (the
@@ -123,10 +118,6 @@ struct RaceResult {
   std::vector<ReportedRace> races;
   engine::StopReason stop = engine::StopReason::Complete;
   bool truncated = false;  ///< stop != Complete: the race set is a lower bound
-  /// Robustness counters of a supervised (--workers) run; all zero
-  /// otherwise.  Kept out of `stats` so recovered runs stay byte-identical
-  /// to undisturbed ones in verdict-bearing output.
-  engine::DistTelemetry dist;
 
   [[nodiscard]] bool racy() const { return !races.empty(); }
   /// Race-free and the search completed: a definitive clean verdict.

@@ -209,11 +209,6 @@ std::string truncation_diagnosis(const StateGraph& abs, const StateGraph& conc) 
             "is a sampled subgraph (episode budget exhausted); coverage is a "
             "lower bound — raise --strategy sample:N for more episodes";
         break;
-      case engine::StopReason::WorkerLost:
-        hint =
-            "lost a worker process for good (supervised run); rerun "
-            "single-process or raise RC11_DIST_RETRIES";
-        break;
     }
     return support::concat(which, " state graph ", hint);
   };
@@ -439,6 +434,7 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
     result.what = truncation_diagnosis(abs, conc);
     return result;
   }
+  result.played = true;
   result.truncated = sampled_concrete;
   // Pre-seed the diagnosis; a found violation overwrites it with specifics.
   if (sampled_concrete) result.what = truncation_diagnosis(abs, conc);

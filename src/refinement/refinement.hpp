@@ -148,7 +148,7 @@ struct SimulationOptions {
   unsigned num_threads = 1;
   /// Build both state graphs with client-invisible ample-set POR (see
   /// build_graph).  Verdicts agree with the unreduced check on the
-  /// RC11_POR_CROSSCHECK corpus; default off.
+  /// PorCrosscheck corpus; default off.
   bool por = false;
   /// Resource governance, applied to *each* graph build separately (a
   /// deadline therefore bounds each phase, not the whole check); the
@@ -190,6 +190,11 @@ struct SimulationResult {
   /// system into the diverging state (validate with witness::replay against
   /// concrete_sys).  Present iff counterexample is non-empty.
   std::optional<witness::Witness> witness;
+
+  /// The fixpoint ran and the initial pair did not survive: a definite
+  /// failure.  A truncated check never runs the fixpoint, so holds == false
+  /// there only means "not established".
+  [[nodiscard]] bool refuted() const { return !holds && !truncated; }
 };
 
 /// Decides whether a Definition 8 forward simulation exists between
@@ -208,7 +213,7 @@ struct TraceInclusionOptions {
   unsigned num_threads = 1;
   /// Build both state graphs with client-invisible ample-set POR (see
   /// build_graph).  Verdicts agree with the unreduced check on the
-  /// RC11_POR_CROSSCHECK corpus; default off.
+  /// PorCrosscheck corpus; default off.
   bool por = false;
   /// Resource governance for the graph builds (per build; see
   /// SimulationOptions for the sharing semantics).
@@ -243,12 +248,19 @@ struct TraceInclusionOptions {
 struct TraceInclusionResult {
   bool holds = false;
   bool truncated = false;
+  /// The game ran: both graphs were complete, or the concrete one was a
+  /// sample.  False when a graph build stopped early (holds is false then).
+  bool played = false;
   std::uint64_t product_nodes = 0;  ///< (concrete state, abstract set) nodes
   std::string what;  ///< description of an unmatchable concrete step
   /// Replayable concrete run ending in the unmatchable step (validate with
   /// witness::replay against concrete_sys).  Present iff holds is false and
   /// the game reached a genuinely unmatchable step (not on truncation).
   std::optional<witness::Witness> witness;
+
+  /// The game reached a concrete step no abstract run matches: a definite
+  /// violation, also over a sampled concrete graph.
+  [[nodiscard]] bool refuted() const { return played && !holds; }
 };
 
 /// Definitions 6/7 as a trace-inclusion game, decided by subset construction:

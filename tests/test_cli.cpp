@@ -1,11 +1,13 @@
-// End-to-end tests of the command-line tools (rc11-run, rc11-refine) against
-// the sample programs in tools/programs/, driven through std::system.  Paths
-// are injected by CMake compile definitions.
+// End-to-end tests of the command-line tools (rc11-run, rc11-verify,
+// rc11-race, rc11-refine) against the sample programs in tools/programs/,
+// driven through std::system.  Paths are injected by CMake compile
+// definitions.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -66,6 +68,21 @@ TEST(Cli, RunAblationChangesOutcomes) {
 TEST(Cli, RunRejectsBadUsage) {
   EXPECT_EQ(run(bin("rc11-run") + " --bogus-flag whatever"), 1);
   EXPECT_EQ(run(bin("rc11-run") + " /nonexistent/file.rc11"), 1);
+  // The retired multi-process flag is unknown to every tool; multi-core runs
+  // use --threads.
+  const std::string workers_flag = std::string("--") + "workers";
+  for (const std::string tool :
+       {"rc11-run", "rc11-race", "rc11-verify", "rc11-refine"}) {
+    std::string out;
+    const std::string programs =
+        tool == "rc11-refine" ? prog("lock_client_abstract.rc11") + " " +
+                                    prog("lock_client_seqlock.rc11")
+        : tool == "rc11-verify" ? prog("mp_verified.rc11")
+                                : prog("sb.rc11");
+    EXPECT_EQ(run(bin(tool) + " " + workers_flag + " 2 " + programs, &out), 1)
+        << tool;
+    EXPECT_NE(out.find("usage: " + tool), std::string::npos) << out;
+  }
 }
 
 TEST(Cli, RunWritesDotFile) {
@@ -93,6 +110,40 @@ TEST(Cli, RefineRejectsBrokenPair) {
                 &out),
             2);
   EXPECT_NE(out.find("DOES NOT REFINE"), std::string::npos);
+}
+
+// A check whose graph build hit the state cap never ran: it refutes
+// nothing, so the run is INCONCLUSIVE (exit 3), not DOES NOT REFINE.  The
+// --json verdict still reads refines=false, inconclusive=true.
+TEST(Cli, RefineCappedRunIsInconclusive) {
+  for (const std::string extra : {"", " --trace-only"}) {
+    std::string out;
+    const std::string json = tmp_path("capped_refine.json");
+    EXPECT_EQ(run(bin("rc11-refine") + " --max-states 1" + extra +
+                      " --json " + json + " " +
+                      prog("lock_client_abstract.rc11") + " " +
+                      prog("lock_client_seqlock.rc11"),
+                  &out),
+              3)
+        << extra << "\n" << out;
+    EXPECT_NE(out.find("INCONCLUSIVE"), std::string::npos) << out;
+    EXPECT_EQ(out.find("fails"), std::string::npos) << out;
+    EXPECT_EQ(out.find("DOES NOT REFINE"), std::string::npos) << out;
+    EXPECT_NE(out.find("trace inclusion  (Defs. 5-7): inconclusive"),
+              std::string::npos)
+        << out;
+    if (extra.empty()) {
+      EXPECT_NE(out.find("forward simulation (Def. 8):  inconclusive"),
+                std::string::npos)
+          << out;
+    }
+    const std::string summary = read_file(json);
+    EXPECT_NE(summary.find("\"refines\": false"), std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("\"inconclusive\": true"), std::string::npos)
+        << summary;
+    std::remove(json.c_str());
+  }
 }
 
 TEST(Cli, TicketLockSampleSerialises) {

@@ -1,21 +1,19 @@
 // Partial-order reduction: soundness, exactness and the reduction headline.
 //
-// The always-on tests check that POR preserves everything it promises to
-// preserve — final-configuration sets, litmus outcome sets, outline and
-// refinement verdicts, witness replayability — on representative systems,
-// at one worker and at four, and that it actually reduces the targeted
-// benchmark families by >= 2x.
+// The tests check that POR preserves everything it promises to preserve —
+// final-configuration sets, litmus outcome sets, outline and refinement
+// verdicts, witness replayability — on representative systems, at one
+// worker and at four, and that it actually reduces the targeted benchmark
+// families by >= 2x.
 //
-// Setting RC11_POR_CROSSCHECK=1 in the environment widens the comparison to
-// the complete corpus: every litmus test, every causality test, every case
-// study, every sample program and every lock-implementation/client pairing,
-// each checked for exact final-state agreement between the reduced and full
-// explorations (this is the CI "por" job's configuration).
+// PorCrosscheck widens the comparison to the complete corpus: every litmus
+// test, every causality test, every case study, every sample program and
+// every lock-implementation/client pairing, each checked for exact
+// final-state agreement between the reduced and full explorations.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,11 +32,6 @@ namespace {
 using namespace rc11;
 using explore::ExploreOptions;
 using lang::System;
-
-bool crosscheck_enabled() {
-  const char* v = std::getenv("RC11_POR_CROSSCHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 std::vector<std::vector<std::uint64_t>> final_encodings(
     const explore::ExploreResult& result) {
@@ -234,13 +227,9 @@ TEST(Por, ReducedGraphIdenticalAcrossWorkerCounts) {
   }
 }
 
-// --- the full-corpus cross-check (RC11_POR_CROSSCHECK=1; the CI por job) ----
+// --- the full-corpus cross-check --------------------------------------------
 
 TEST(PorCrosscheck, FullCorpusAgreement) {
-  if (!crosscheck_enabled()) {
-    GTEST_SKIP() << "set RC11_POR_CROSSCHECK=1 to run the full corpus";
-  }
-
   // Every litmus + causality test (again, for completeness of the corpus
   // under one roof), every sample program, every lock implementation under
   // every client.

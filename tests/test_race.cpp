@@ -4,15 +4,14 @@
 // through both access sites, and the zero-overhead guarantee for checkers
 // that leave race_detection off.
 //
-// Setting RC11_RACE_CROSSCHECK=1 widens the configuration matrix to the
-// on-disk sample programs and asserts that the pre-existing (all-atomic)
-// corpus is race-free (this is the CI race-detection job's configuration).
+// RaceCrosscheck widens the configuration matrix to the on-disk sample
+// programs and asserts that the pre-existing (all-atomic) corpus is
+// race-free.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -30,11 +29,6 @@ using namespace rc11;
 using lang::System;
 using race::RaceOptions;
 using race::RaceResult;
-
-bool crosscheck_enabled() {
-  const char* v = std::getenv("RC11_RACE_CROSSCHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 /// The run-independent identity of a race: location + both canonical sites.
 using RaceKey = std::array<std::uint64_t, 7>;
@@ -236,13 +230,9 @@ TEST(Race, TruncatedRunIsInconclusiveNotClean) {
   EXPECT_FALSE(result.clean());
 }
 
-// --- the full-corpus cross-check (RC11_RACE_CROSSCHECK=1; CI race job) ------
+// --- the full-corpus cross-check --------------------------------------------
 
 TEST(RaceCrosscheck, FullCorpusAgreement) {
-  if (!crosscheck_enabled()) {
-    GTEST_SKIP() << "set RC11_RACE_CROSSCHECK=1 to run the full corpus";
-  }
-
   // The on-disk race corpus: classification and configuration-independence.
   const std::pair<const char*, bool> programs[] = {
       {"mp_na_racy.rc11", true},    {"mp_na_release.rc11", false},

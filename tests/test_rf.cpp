@@ -2,8 +2,8 @@
 // reduction headline (see engine/abstraction.hpp for the key construction
 // and DESIGN.md for the bisimulation argument).
 //
-// The always-on tests check that the quotient preserves everything it
-// promises to preserve — litmus outcome sets, invariant-violation sets,
+// The tests check that the quotient preserves everything it promises to
+// preserve — litmus outcome sets, invariant-violation sets,
 // outline verdicts and failed-obligation sets, race sets, witness
 // replayability, checkpoint round-trips — on representative systems, at one
 // worker and at four, composed with POR, and that it actually reduces the
@@ -13,18 +13,15 @@
 // final-configuration encodings are expected to differ from an unreduced
 // run by design.
 //
-// Setting RC11_RF_CROSSCHECK=1 in the environment widens the comparison to
-// the complete corpus: every litmus test, every causality test, every race
-// test, every case study, every sample program and every
-// lock-implementation/client pairing (this is the CI "reduction" job's
-// configuration).
+// RfCrosscheck widens the comparison to the complete corpus: every litmus
+// test, every causality test, every race test, every case study, every
+// sample program and every lock-implementation/client pairing.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
@@ -50,11 +47,6 @@ using namespace rc11;
 using engine::StopReason;
 using explore::ExploreOptions;
 using lang::System;
-
-bool crosscheck_enabled() {
-  const char* v = std::getenv("RC11_RF_CROSSCHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 /// All registers of every thread — the full outcome tuple, the semantic
 /// observable the quotient must preserve exactly.
@@ -433,13 +425,9 @@ TEST(Rf, RaceSetsExact) {
   }
 }
 
-// --- the full-corpus cross-check (RC11_RF_CROSSCHECK=1; CI reduction job) ---
+// --- the full-corpus cross-check --------------------------------------------
 
 TEST(RfCrosscheck, FullCorpusAgreement) {
-  if (!crosscheck_enabled()) {
-    GTEST_SKIP() << "set RC11_RF_CROSSCHECK=1 to run the full corpus";
-  }
-
   for (const auto& test : litmus::all_tests()) {
     expect_rf_exact(test.sys, "litmus " + test.name);
   }

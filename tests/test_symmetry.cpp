@@ -2,25 +2,23 @@
 // headline (see engine/symmetry.hpp for the quotient construction and
 // DESIGN.md for the soundness argument).
 //
-// The always-on tests check that --symmetry preserves everything it
-// promises to preserve — final-configuration sets, litmus outcome sets,
+// The tests check that --symmetry preserves everything it promises to
+// preserve — final-configuration sets, litmus outcome sets,
 // invariant-violation sets, outline and refinement verdicts, witness
 // replayability, checkpoint round-trips — on representative systems, at one
 // worker and at four, composed with POR, and that it actually reduces the
 // symmetric workloads it targets.  Programs with no interchangeable threads
 // must come out bit-identical to an unreduced run (the sound-no-op claim).
 //
-// Setting RC11_SYM_CROSSCHECK=1 in the environment widens the comparison to
-// the complete corpus: every litmus test, every causality test, every case
-// study, every sample program and every lock-implementation/client pairing,
-// each checked for exact agreement between the quotiented and full
-// explorations (this is the CI "reduction" job's configuration).
+// SymCrosscheck widens the comparison to the complete corpus: every litmus
+// test, every causality test, every case study, every sample program and
+// every lock-implementation/client pairing, each checked for exact
+// agreement between the quotiented and full explorations.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -44,11 +42,6 @@ using namespace rc11;
 using engine::StopReason;
 using explore::ExploreOptions;
 using lang::System;
-
-bool crosscheck_enabled() {
-  const char* v = std::getenv("RC11_SYM_CROSSCHECK");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 std::vector<std::vector<std::uint64_t>> final_encodings(
     const explore::ExploreResult& result) {
@@ -421,13 +414,9 @@ TEST(Symmetry, RefinementSymmetricClientShrinksProduct) {
       << "a symmetric client must actually shrink the product";
 }
 
-// --- the full-corpus cross-check (RC11_SYM_CROSSCHECK=1; CI reduction job) --
+// --- the full-corpus cross-check --------------------------------------------
 
 TEST(SymCrosscheck, FullCorpusAgreement) {
-  if (!crosscheck_enabled()) {
-    GTEST_SKIP() << "set RC11_SYM_CROSSCHECK=1 to run the full corpus";
-  }
-
   for (const auto& test : litmus::all_tests()) {
     expect_sym_exact(test.sys, "litmus " + test.name);
   }

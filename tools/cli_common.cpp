@@ -81,9 +81,6 @@ std::string describe_stop(engine::StopReason stop) {
     case engine::StopReason::EpisodeCap:
       return "the sampling episode budget ran out (raise --strategy "
              "sample:N or vary --seed)";
-    case engine::StopReason::WorkerLost:
-      return "a worker process was lost for good (retry budget exhausted; "
-             "raise RC11_DIST_RETRIES or rerun with --workers 1)";
   }
   return "unknown stop reason";
 }
@@ -103,11 +100,6 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
   }
   if (arg == "--threads") {
     return ++i < argc && parse_num(argv[i], out.num_threads)
-               ? FlagStatus::Consumed
-               : FlagStatus::Error;
-  }
-  if (arg == "--workers") {
-    return ++i < argc && parse_num(argv[i], out.workers)
                ? FlagStatus::Consumed
                : FlagStatus::Error;
   }
@@ -266,17 +258,6 @@ void print_stats(const engine::ExploreStats& stats, bool por, bool symmetry,
     std::cout << "coverage:       " << stats.states
               << " distinct state(s) crossed (sampled lower bound)\n";
   }
-}
-
-void print_dist_stats(const engine::DistTelemetry& dist) {
-  std::cout << "restarts:       " << dist.worker_restarts
-            << " worker process(es) killed and re-forked\n"
-            << "retried:        " << dist.batches_retried
-            << " batch(es) resent after a recovery\n"
-            << "corrupt frames: " << dist.frames_corrupt
-            << " frame(s) rejected by CRC/schema validation\n"
-            << "orphaned:       " << dist.states_orphaned
-            << " state(s) quarantined after retry exhaustion\n";
 }
 
 witness::Json stats_json(const engine::ExploreStats& stats) {

@@ -1,10 +1,11 @@
 // tools/cli_common.hpp
 //
-// Flag parsing, exit-code conventions and output helpers shared by the three
-// command-line binaries (rc11-run, rc11-verify, rc11-refine).  Every flag
-// that means the same thing in more than one tool — --max-states, --threads,
-// --por, --stats, --json, --witness, --replay — is parsed here exactly once,
-// so the tools cannot drift apart in spelling, value handling or exit codes.
+// Flag parsing, exit-code conventions and output helpers shared by the four
+// command-line binaries (rc11-run, rc11-verify, rc11-race, rc11-refine).
+// Every flag that means the same thing in more than one tool — --max-states,
+// --threads, --por, --stats, --json, --witness, --replay — is parsed here
+// exactly once, so the tools cannot drift apart in spelling, value handling
+// or exit codes.
 
 #pragma once
 
@@ -14,14 +15,13 @@
 #include <string>
 
 #include "engine/reach.hpp"
-#include "engine/supervise.hpp"
 #include "lang/system.hpp"
 #include "witness/json.hpp"
 #include "witness/witness.hpp"
 
 namespace rc11::cli {
 
-// Exit-code conventions, uniform across the three tools:
+// Exit-code conventions, uniform across the four tools:
 //   0 success (outcomes printed / outline valid / refinement holds)
 //   1 usage or parse errors
 //   2 definite negative verdict (invariant violation, outline invalid,
@@ -73,19 +73,11 @@ struct CommonOptions {
   std::uint64_t deadline_ms = 0;        ///< --deadline-ms MS (wall clock)
   std::string checkpoint_path;  ///< --checkpoint FILE: save on early stop
   std::string resume_path;      ///< --resume FILE: continue a saved run
-  /// --workers N: crash-tolerant multi-process checking (engine/supervise
-  /// .hpp) — N forked worker processes, supervised and restarted on
-  /// crash/hang/corruption.  0 (the default) stays in-process.  Verdicts and
-  /// stats are byte-identical for every N; composes with --por,
-  /// --rf-quotient, budgets and --checkpoint; rejected with --symmetry,
-  /// --strategy sample, --threads > 1 and --resume.  A run that loses a
-  /// worker for good exits 3 with a partial report (StopReason::WorkerLost).
-  unsigned workers = 0;
 };
 
 /// Usage-line fragment for the shared flags (tools append their own).
 inline constexpr const char* kCommonUsage =
-    "[--max-states N] [--threads N] [--workers N] [--por] [--symmetry] "
+    "[--max-states N] [--threads N] [--por] [--symmetry] "
     "[--rf-quotient] [--strategy exhaustive|por|sample[:N]] [--seed S] "
     "[--stats] [--json FILE] [--witness FILE] [--replay FILE] "
     "[--deadline-ms MS] [--mem-budget BYTES[K|M|G]] [--checkpoint FILE] "
@@ -171,12 +163,6 @@ enum class FlagStatus : std::uint8_t {
 /// byte-compares JSON reports for seed determinism.
 void print_stats(const engine::ExploreStats& stats, bool por, bool symmetry,
                  bool rf_quotient, double wall_s = -1.0);
-
-/// The --stats lines of a supervised (--workers) run: restarts, retried
-/// batches, corrupt frames, orphaned states.  Human block only — telemetry
-/// never enters --json, so a recovered run's report stays byte-identical to
-/// an undisturbed one's.
-void print_dist_stats(const engine::DistTelemetry& dist);
 
 /// ExploreStats as a JSON object (states, transitions, finals, blocked, the
 /// POR, symmetry/sleep and rf-merge counters when non-zero, and `episodes`

@@ -8,15 +8,6 @@
 // Options (see tools/cli_common.hpp for the flags shared by every tool):
 //   --max-states N      exploration bound (default 1000000)
 //   --threads N         exploration workers (0 = hardware, default 1)
-//   --workers N         crash-tolerant multi-process checking: fork N
-//                       supervised worker processes (see rc11-run for the
-//                       full contract).  The race set and stats are
-//                       byte-identical for every N; composes with --por,
-//                       --rf-quotient, budgets and --checkpoint; rejected
-//                       with --symmetry, --strategy sample, --threads > 1
-//                       and --resume.  A worker lost for good exits 3 with
-//                       a partial report.  RC11_FAULT crash/hang/corrupt
-//                       kinds fire inside the workers
 //   --por               ample-set partial-order reduction; the reported race
 //                       set is identical to an unreduced run's (ample steps
 //                       neither synchronise nor conflict across threads)
@@ -171,7 +162,6 @@ int main(int argc, char** argv) {
     opts.fault = engine::FaultPlan::from_env();
     opts.resume = resume ? &*resume : nullptr;
     opts.checkpoint_path = common.checkpoint_path;
-    opts.workers = common.workers;
 
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = race::check(program.sys, opts);
@@ -184,7 +174,6 @@ int main(int argc, char** argv) {
     if (common.stats) {
       cli::print_stats(result.stats, common.por, common.symmetry,
                        common.rf_quotient, wall_s);
-      if (common.workers > 0) cli::print_dist_stats(result.dist);
     }
     if (result.truncated) {
       std::cout << "WARNING: exploration stopped early — "

@@ -68,6 +68,13 @@ int usage() {
   return rc11::cli::kExitUsage;
 }
 
+/// A check's stdout verdict.  A check that never ran (a graph build stopped
+/// early) neither holds nor fails.
+const char* verdict(bool holds, bool refuted) {
+  if (holds) return "holds";
+  return refuted ? "fails" : "inconclusive";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,14 +110,6 @@ int main(int argc, char** argv) {
   if (abs_path.empty() || conc_path.empty()) return usage();
   if (const std::string err = cli::resolve_strategy(common); !err.empty()) {
     std::cerr << "rc11-refine: " << err << "\n";
-    return cli::kExitUsage;
-  }
-  if (common.workers > 0) {
-    // The refinement fixpoint runs over a product of two prebuilt graphs,
-    // not over the frontier the supervisor partitions.
-    std::cerr << "rc11-refine: --workers is not supported here (supervised "
-                 "multi-process checking covers rc11-run, rc11-verify and "
-                 "rc11-race)\n";
     return cli::kExitUsage;
   }
   if (common.mode == engine::Strategy::Sample && !trace_only) {
@@ -180,6 +179,7 @@ int main(int argc, char** argv) {
     }
 
     bool refines = true;
+    bool refuted = false;
     bool inconclusive = false;
     std::optional<witness::Witness> counterexample;
     auto summary = witness::Json::object();
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
       const auto sim =
           refinement::check_forward_simulation(abs.sys, conc.sys, sim_opts);
       std::cout << "forward simulation (Def. 8):  "
-                << (sim.holds ? "holds" : "fails") << "  [abs "
+                << verdict(sim.holds, sim.refuted()) << "  [abs "
                 << sim.abstract_states << " states, conc "
                 << sim.concrete_states << " states, " << sim.surviving_pairs
                 << "/" << sim.candidate_pairs << " pairs survive]\n";
@@ -213,6 +213,7 @@ int main(int argc, char** argv) {
         if (sim.witness) counterexample = sim.witness;
       }
       refines = refines && sim.holds;
+      refuted = refuted || sim.refuted();
       inconclusive = inconclusive || sim.truncated;
 
       auto sim_json = witness::Json::object();
@@ -235,15 +236,17 @@ int main(int argc, char** argv) {
     const auto tr =
         refinement::check_trace_inclusion(abs.sys, conc.sys, trace_opts);
     std::cout << "trace inclusion  (Defs. 5-7): "
-              << (tr.holds ? "holds" : "fails") << "  [" << tr.product_nodes
+              << verdict(tr.holds, tr.refuted()) << "  [" << tr.product_nodes
               << " product nodes]\n";
     if (!tr.holds && !tr.what.empty()) {
-      std::cout << "  witness: " << tr.what << "\n";
+      std::cout << (tr.refuted() ? "  witness: " : "  diagnosis: ") << tr.what
+                << "\n";
     }
     if (!tr.holds && tr.witness && !counterexample) {
       counterexample = tr.witness;
     }
     refines = refines && tr.holds;
+    refuted = refuted || tr.refuted();
     inconclusive = inconclusive || tr.truncated;
 
     auto tr_json = witness::Json::object();
@@ -268,11 +271,12 @@ int main(int argc, char** argv) {
       cli::write_json_summary(summary, common.json_path);
     }
 
-    // A found violation is definite even when coverage was partial — every
-    // path to holds == false goes through a complete graph pair or a real
-    // sampled run — so DOES NOT REFINE wins over INCONCLUSIVE (mirroring
-    // rc11-verify's INVALID-beats-INCONCLUSIVE ordering).
-    if (!refines) {
+    // A found violation is definite even when coverage was partial — a check
+    // refutes only from a complete graph pair or a real sampled run — so
+    // DOES NOT REFINE wins over INCONCLUSIVE (mirroring rc11-verify's
+    // INVALID-beats-INCONCLUSIVE ordering).  A check that never ran leaves
+    // `refines` false in --json without refuting anything.
+    if (refuted) {
       std::cout << "DOES NOT REFINE\n";
       return cli::kExitFail;
     }

@@ -7,18 +7,6 @@
 // Options (see tools/cli_common.hpp for the flags shared by every tool):
 //   --max-states N      exploration bound (default 1000000)
 //   --threads N         exploration workers (0 = hardware, default 1)
-//   --workers N         crash-tolerant multi-process exploration: fork N
-//                       supervised worker processes, each owning a hash
-//                       partition of the state space; dead/hung/corrupted
-//                       workers are restarted and only unacknowledged work
-//                       is replayed.  Verdicts, outcomes and stats are
-//                       byte-identical for every N.  Composes with --por,
-//                       --rf-quotient, budgets and --checkpoint; rejected
-//                       with --symmetry, --strategy sample, --threads > 1
-//                       and --resume.  If a worker is lost for good (retry
-//                       budget exhausted) the run exits 3 with a partial
-//                       report.  Tuning: RC11_DIST_BATCH, RC11_DIST_HANG_MS,
-//                       RC11_DIST_BACKOFF_MS, RC11_DIST_RETRIES
 //   --por               ample-set partial-order reduction (sound for the
 //                       outcome set; composes with --threads and --witness)
 //   --symmetry          thread-symmetry quotient + sleep-set pruning for
@@ -65,10 +53,7 @@
 //
 // SIGINT/SIGTERM drain the workers: the tool still prints its partial
 // report, writes --json/--checkpoint files, and exits 3.  RC11_FAULT
-// (comma-separated insert:N | stall:N:MS | mem:N | crash:N[:C] | hang:N[:C]
-// | corrupt:N[:C]) injects faults for robustness testing; the process-level
-// kinds fire inside --workers worker processes at the N-th dispatched batch
-// and exercise the supervisor's recovery path.
+// (insert:N | stall:N:MS | mem:N) injects one fault for robustness testing.
 //
 // Exit status: 0 on success, 1 on usage/parse errors, 2 if an --invariant
 // violation was found or a --replay diverged, 3 if exploration stopped early
@@ -183,7 +168,6 @@ int main(int argc, char** argv) {
     opts.fault = engine::FaultPlan::from_env();
     opts.resume = resume ? &*resume : nullptr;
     opts.checkpoint_path = common.checkpoint_path;
-    opts.workers = common.workers;
 
     explore::Invariant invariant;
     if (!invariant_src.empty()) {
@@ -233,7 +217,6 @@ int main(int argc, char** argv) {
     if (common.stats) {
       cli::print_stats(result.stats, common.por, common.symmetry,
                        common.rf_quotient, wall_s);
-      if (common.workers > 0) cli::print_dist_stats(result.dist);
     }
     if (result.truncated) {
       std::cout << "WARNING: exploration stopped early — "

@@ -9,14 +9,6 @@
 //   --max-states N       exploration bound (default 1000000)
 //   --threads N          exploration workers (0 = hardware, default 1;
 //                        traces and witnesses work at every thread count)
-//   --workers N          crash-tolerant multi-process checking: fork N
-//                        supervised worker processes (see rc11-run for the
-//                        full contract).  Verdicts, failed-obligation sets
-//                        and stats are byte-identical for every N; composes
-//                        with --por, --rf-quotient, budgets and
-//                        --checkpoint; rejected with --symmetry, --strategy
-//                        sample, --threads > 1 and --resume.  A worker lost
-//                        for good exits 3 with a partial report
 //   --por                ample-set partial-order reduction (failures found
 //                        are real; see og/proof_outline.hpp for the caveat)
 //   --symmetry           thread-symmetry quotient + sleep-set pruning;
@@ -54,9 +46,7 @@
 //
 // SIGINT/SIGTERM drain the workers: the tool still prints its partial
 // report, writes --json/--checkpoint files, and exits 3.  RC11_FAULT
-// (comma-separated insert:N | stall:N:MS | mem:N | crash:N[:C] | hang:N[:C]
-// | corrupt:N[:C]) injects faults for robustness testing; the process-level
-// kinds fire inside --workers worker processes.
+// (insert:N | stall:N:MS | mem:N) injects one fault for robustness testing.
 //
 // Exit status: 0 valid, 1 usage/parse errors, 2 outline invalid (or --replay
 // diverged; failed obligations are definite even in a partial run), 3
@@ -131,7 +121,6 @@ int main(int argc, char** argv) {
   opts.max_visited_bytes = common.max_visited_bytes;
   opts.deadline_ms = common.deadline_ms;
   opts.checkpoint_path = common.checkpoint_path;
-  opts.workers = common.workers;
   if (!common.witness_path.empty()) {
     opts.track_traces = true;  // witnesses ride on the recorded parents
   }
@@ -166,7 +155,6 @@ int main(int argc, char** argv) {
     if (common.stats) {
       cli::print_stats(result.stats, common.por, common.symmetry,
                        common.rf_quotient, wall_s);
-      if (common.workers > 0) cli::print_dist_stats(result.dist);
     }
 
     // A failed obligation is a definite negative even when the enumeration

@@ -67,7 +67,6 @@ refresh baseline_budget.json  bench_budget
 refresh baseline_sym.json     bench_sym
 refresh baseline_race.json    bench_race
 refresh baseline_rf.json      bench_rf
-refresh baseline_dist.json    bench_dist
 
 echo
 echo "=== refresh summary ==="
@@ -88,6 +87,6 @@ echo "Refreshed baselines:"
 git diff --stat -- bench/baseline_explore.json bench/baseline_sample.json \
     bench/baseline_por.json bench/baseline_budget.json \
     bench/baseline_sym.json bench/baseline_race.json \
-    bench/baseline_rf.json bench/baseline_dist.json
+    bench/baseline_rf.json
 echo "Review the diff above, then commit the baselines with the change that" \
      "moved them."
