@@ -108,11 +108,11 @@ Assertion pred(std::string name, Assertion::Fn fn) {
 
 namespace {
 
-/// dview(view, ops, y) = v of Section 5.1: the view's entry for y is the last
-/// write to y, and that write wrote v.
-bool dview_is(const MemState& mem, const memsem::View& view, LocId y, Value v) {
+/// dview(mview_w, ops, y) = v of Section 5.1: w's modification view's entry
+/// for y is the last write to y, and that write wrote v.
+bool dview_is(const MemState& mem, OpId w, LocId y, Value v) {
   const OpId last = mem.last_op(y);
-  return view[y] == last && mem.op(last).value == v;
+  return mem.mview(w)[y] == last && mem.op(last).value == v;
 }
 
 bool is_var_write(const memsem::Op& op) {
@@ -161,7 +161,7 @@ Assertion cond_obs(ThreadId t, LocId x, Value u, LocId y, Value v) {
                        const auto& op = cfg.mem.op(w);
                        if (op.value != u) continue;
                        if (!op.releasing) return false;
-                       if (!dview_is(cfg.mem, op.mview, y, v)) return false;
+                       if (!dview_is(cfg.mem, w, y, v)) return false;
                      }
                      return true;
                    },
@@ -256,7 +256,7 @@ Assertion lock_cond_obs(ThreadId t, LocId l, Value u, LocId y, Value v) {
                        if (op.kind != OpKind::LockRelease || op.value != u) {
                          continue;
                        }
-                       if (!dview_is(cfg.mem, op.mview, y, v)) return false;
+                       if (!dview_is(cfg.mem, order[i], y, v)) return false;
                      }
                      return true;
                    },
@@ -352,7 +352,7 @@ Assertion stack_cond_obs(LocId s, Value v, LocId y, Value n) {
                      const auto top = top_of(cfg.mem, s);
                      if (!top || cfg.mem.op(*top).value != v) return true;
                      const auto& op = cfg.mem.op(*top);
-                     return op.releasing && dview_is(cfg.mem, op.mview, y, n);
+                     return op.releasing && dview_is(cfg.mem, *top, y, n);
                    },
                    ViewFootprint{}};
 }

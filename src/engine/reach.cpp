@@ -170,11 +170,13 @@ std::optional<lang::ThreadId> chain_thread(const TransitionSystem& ts,
 
 /// Fast-forwards `cfg` through its deterministic local ample chain without
 /// recording the intermediate states; bumps `chained` once per skipped step.
+/// Each chain step is swapped in, not moved, so both `cfg` (usually a pooled
+/// slot) and `buf` keep their capacity.
 void collapse_untraced(const TransitionSystem& ts, Config& cfg,
                        StepBuffer& buf, std::uint64_t& chained) {
   while (const auto t = chain_thread(ts, cfg)) {
     ts.thread_successors_into(cfg, *t, buf, /*want_labels=*/false);
-    cfg = std::move(buf.steps()[0].after);
+    std::swap(cfg, buf.steps()[0].after);
     chained += 1;
   }
 }
@@ -205,7 +207,7 @@ bool collapse_traced(const TransitionSystem& ts, ShardedVisitedSet& sink,
                            /*enqueued=*/!next.has_value());
     if (!ins.inserted) return false;
     id = ins.id;
-    cfg = std::move(step.after);
+    std::swap(cfg, step.after);
     chained += 1;
     t = next;
   }
@@ -307,7 +309,9 @@ void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
     }
     for (std::size_t k = i; k < j; ++k) {
       lang::Step& step = steps[k];
-      Config after = std::move(step.after);
+      // Keyed and interned in its pooled slot; moved out only to enter the
+      // frontier, so a duplicate leaves the slot's capacity for the refill.
+      Config& after = step.after;
       std::uint64_t concrete_id = ShardedVisitedSet::kNoState;
       bool concrete_new = false;
       if (trace != nullptr) {
@@ -326,7 +330,7 @@ void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
             ts.thread_successors_into(after, *ct, rs.chain_steps,
                                       /*want_labels=*/true);
             auto& cstep = rs.chain_steps.steps()[0];
-            after = std::move(cstep.after);
+            std::swap(after, cstep.after);
             acting = cstep.thread;
             label = std::move(cstep.label);
           }
@@ -556,7 +560,9 @@ ReachResult parallel_reach(const TransitionSystem& ts,
               [&](Frontier&& f) { discovered.push_back(std::move(f)); });
         } else {
           for (auto& step : steps.steps()) {
-            Config after = std::move(step.after);
+            // Interned in its pooled slot; moved out only when new (see the
+            // sequential driver).
+            Config& after = step.after;
             if (options.trace) {
               // A successor that opens a deterministic chain is itself
               // chain-internal: collapse will fast-forward through it and
@@ -750,7 +756,11 @@ ReachResult sequential_reach(const TransitionSystem& ts,
           [&](Frontier&& f) { frontier.push_back(std::move(f)); });
     } else {
       for (auto& step : steps.steps()) {
-        Config after = std::move(step.after);
+        // Encoded and interned in its pooled slot: only a state that enters
+        // the frontier is moved out, so a duplicate keeps the slot's
+        // capacity and the next StepBuffer::push refills it without
+        // allocating.
+        Config& after = step.after;
         if (options.trace) {
           // Same chain-start rule as the parallel driver: see above.
           const bool chain_start =

@@ -100,9 +100,8 @@ void encode_permuted_into(const Config& cfg,
   }
   for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
     for (const memsem::OpId id : mem.mo(loc)) {
-      const memsem::View& mview = mem.op(id).mview;
-      for (memsem::LocId l2 = 0; l2 < num_locs; ++l2) {
-        out.push_back(mem.op(mview[l2]).mo_pos);
+      for (const memsem::OpId v : mem.mview(id)) {
+        out.push_back(mem.op(v).mo_pos);
       }
     }
   }

@@ -51,8 +51,6 @@ struct Config {
   /// convention; encode() above is a convenience wrapper.
   void encode_into(std::vector<std::uint64_t>& out) const;
 
-  [[nodiscard]] std::uint64_t hash() const;
-
   [[nodiscard]] std::string to_string(const System& sys) const;
 };
 
@@ -82,11 +80,13 @@ struct Step {
 
 /// A reusable pool of successor Steps.  clear() resets the logical size but
 /// keeps every Step object (and, transitively, the heap capacity of its
-/// Config's pc/regs/ops/mo/tview vectors) alive, so refilling the buffer for
-/// the next base state copy-assigns into existing storage instead of
-/// allocating a fresh Config per transition.  Steps whose `after` the caller
-/// moves out (genuinely new states entering the frontier) simply rebuild
-/// their capacity on the next reuse.
+/// Config's arrays: pc, registers and MemState's flat op, mview, mo and tview
+/// arrays) alive, so refilling the buffer for the next base state
+/// copy-assigns into existing storage and allocates nothing once a slot has
+/// held a state of the same size.  Callers must keep that capacity: encode,
+/// key and intern a successor in its slot, and move `after` out only for a
+/// state that is new (it enters the frontier).  Only such a slot is rebuilt
+/// from scratch on its next reuse; a duplicate costs no allocation.
 class StepBuffer {
  public:
   void clear() noexcept { size_ = 0; }

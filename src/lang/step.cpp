@@ -8,7 +8,6 @@
 #include "objects/queue.hpp"
 #include "objects/stack.hpp"
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::lang {
 
@@ -30,15 +29,6 @@ void Config::encode_into(std::vector<std::uint64_t>& out) const {
     for (const auto v : file) out.push_back(static_cast<std::uint64_t>(v));
   }
   mem.encode(out);
-}
-
-std::uint64_t Config::hash() const {
-  std::vector<std::uint64_t> words;
-  words.reserve(64);
-  encode_into(words);
-  support::WordHasher h;
-  for (const auto w : words) h.add(w);
-  return h.digest();
 }
 
 std::string Config::to_string(const System& sys) const {
@@ -125,9 +115,10 @@ std::string describe(const System& sys, ThreadId t, const Instr& in,
 }
 
 /// Appends a successor built from `cfg` by `mutate`, advancing t's pc.  The
-/// pooled Step slot is copy-assigned, so the Config vectors (pc, regs, ops,
-/// mo, tview and every mview) reuse whatever heap capacity the slot already
-/// holds from earlier states.
+/// pooled Step slot is copy-assigned, so the Config's arrays (pc, registers
+/// and MemState's flat op, mview, mo and tview arrays) reuse whatever heap
+/// capacity the slot already holds from earlier states: no allocation at all
+/// unless the slot's previous state was moved out or was smaller.
 template <typename Mutate>
 void add_step(StepBuffer& out, const System& sys, const Config& cfg,
               ThreadId t, const Instr& in, bool want_labels,

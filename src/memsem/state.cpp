@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::memsem {
 
@@ -16,7 +15,6 @@ MemState::MemState(const LocationTable& locs, ThreadId num_threads,
     : locs_(&locs), num_threads_(num_threads), options_(options) {
   support::require(num_threads > 0, "a system needs at least one thread");
   const auto num_locs = locs.size();
-  mo_.resize(num_locs);
   ops_.reserve(num_locs);
 
   // One initialising operation per location, all at timestamp 0.  Object
@@ -24,7 +22,7 @@ MemState::MemState(const LocationTable& locs, ThreadId num_threads,
   // operation it observes, which may be l.init_0.  Plain-variable
   // initialisation is a relaxed write (as in the paper's examples, where
   // message passing cannot be established through initialisation alone).
-  View init_view(num_locs, kNoOp);
+  std::vector<OpId> init_view(num_locs, kNoOp);
   for (LocId loc = 0; loc < num_locs; ++loc) {
     Op op;
     op.loc = loc;
@@ -36,15 +34,19 @@ MemState::MemState(const LocationTable& locs, ThreadId num_threads,
     op.ts = Rational{0};
     const auto id = static_cast<OpId>(ops_.size());
     ops_.push_back(std::move(op));
-    mo_[loc].push_back(id);
+    mo_start_.push_back(static_cast<std::uint32_t>(mo_.size()));
+    mo_.push_back(id);
     init_view[loc] = id;
   }
+  mo_start_.push_back(static_cast<std::uint32_t>(mo_.size()));
   // mview of every init operation is the full initial viewfront
-  // (γ_Init.mview = γ_Init.tview ∪ β_Init.tview in §3.3).
-  for (LocId loc = 0; loc < num_locs; ++loc) {
-    ops_[mo_[loc][0]].mview = init_view;
+  // (mview of γ_Init = γ_Init.tview ∪ β_Init.tview in §3.3).
+  for (std::size_t id = 0; id < ops_.size(); ++id) {
+    mviews_.insert(mviews_.end(), init_view.begin(), init_view.end());
   }
-  tview_.assign(num_threads, init_view);
+  for (ThreadId t = 0; t < num_threads; ++t) {
+    tview_.insert(tview_.end(), init_view.begin(), init_view.end());
+  }
 
   if (options_.race_detection) {
     race_.emplace();
@@ -75,14 +77,14 @@ void MemState::race_join(ThreadId t, OpId w) {
 
 void MemState::race_attach(ThreadId t, OpId id) {
   if (!race_) return;
-  const std::size_t row = static_cast<std::size_t>(t) * num_threads_;
+  const auto row = static_cast<std::ptrdiff_t>(t) * num_threads_;
   race_->msg[id].assign(race_->vc.begin() + row,
                         race_->vc.begin() + row + num_threads_);
   // Advance t's epoch *after* publishing the message: the acquirer of this
   // operation synchronises with the operation itself, so accesses recorded
   // at the pre-increment epoch are ordered before the acquirer and accesses
   // after the release are not.
-  race_->vc[row + t] += 1;
+  race_->vc[static_cast<std::size_t>(row) + t] += 1;
 }
 
 namespace {
@@ -149,17 +151,13 @@ std::vector<OpId> MemState::observable_uncovered(ThreadId t, LocId loc) const {
 void MemState::observable_into(ThreadId t, LocId loc,
                                std::vector<OpId>& out) const {
   out.clear();
+  const auto order = mo(loc);
   if (options_.model == MemoryModel::SC) {
     // Under the SC baseline only the mo-maximal write is readable.
-    out.push_back(mo_[loc].back());
+    out.push_back(order.back());
     return;
   }
-  const OpId front = tview_[t][loc];
-  const auto& order = mo_[loc];
-  out.reserve(order.size() - ops_[front].mo_pos);
-  for (std::size_t i = ops_[front].mo_pos; i < order.size(); ++i) {
-    out.push_back(order[i]);
-  }
+  out.assign(order.begin() + ops_[view_front(t, loc)].mo_pos, order.end());
 }
 
 void MemState::observable_uncovered_into(ThreadId t, LocId loc,
@@ -171,18 +169,33 @@ void MemState::observable_uncovered_into(ThreadId t, LocId loc,
 }
 
 OpId MemState::last_op(LocId loc) const {
-  RC11_REQUIRE(!mo_[loc].empty(), "location without operations");
-  return mo_[loc].back();
+  const auto order = mo(loc);
+  RC11_REQUIRE(!order.empty(), "location without operations");
+  return order.back();
 }
 
-void MemState::merge_view_into(View& target, const View& source,
+void MemState::merge_view_into(OpId* target, std::span<const OpId> source,
                                std::optional<Component> only) const {
-  for (LocId loc = 0; loc < target.size(); ++loc) {
+  for (LocId loc = 0; loc < source.size(); ++loc) {
     if (only && locs_->component(loc) != *only) continue;
     if (ops_[source[loc]].mo_pos > ops_[target[loc]].mo_pos) {
       target[loc] = source[loc];
     }
   }
+}
+
+void MemState::synchronise(ThreadId t, LocId loc, OpId w) {
+  // tview' = tview ⊗ mview_w and ctview' = ctview ⊗ mview_w of Fig. 5,
+  // realised as one merge over all locations (or, under the A1 ablation,
+  // over the executing component's locations only).  The two rows live in
+  // different arrays, so they never alias.
+  const std::optional<Component> only =
+      options_.cross_component_view_transfer
+          ? std::nullopt
+          : std::optional<Component>{locs_->component(loc)};
+  merge_view_into(tview_row(t), mview(w), only);
+  // hb gains the release/acquire edge exactly where the views merge.
+  race_join(t, w);
 }
 
 Value MemState::read(ThreadId t, LocId loc, OpId w, MemOrder order,
@@ -192,26 +205,14 @@ Value MemState::read(ThreadId t, LocId loc, OpId w, MemOrder order,
                "read order must be relaxed, acquire or non-atomic");
   RC11_REQUIRE(ops_[w].loc == loc, "read target on wrong location");
   RC11_REQUIRE(options_.model == MemoryModel::SC ||
-                   ops_[w].mo_pos >= ops_[tview_[t][loc]].mo_pos,
+                   ops_[w].mo_pos >= ops_[view_front(t, loc)].mo_pos,
                "read target not observable");
   const bool sync = (ops_[w].releasing && order == MemOrder::Acquire) ||
                     options_.model == MemoryModel::SC;
-  if (sync) {
-    // tview' = tview ⊗ mview_w and ctview' = ctview ⊗ mview_w of Fig. 5,
-    // realised as one merge over all locations (or, under the A1 ablation,
-    // over the executing component's locations only).
-    const std::optional<Component> only =
-        options_.cross_component_view_transfer
-            ? std::nullopt
-            : std::optional<Component>{locs_->component(loc)};
-    merge_view_into(tview_[t], ops_[w].mview, only);
-    // hb gains the release/acquire edge exactly where the views merge; a
-    // relaxed or non-atomic read establishes no order (rf alone is not hb).
-    race_join(t, w);
-  }
-  if (ops_[w].mo_pos > ops_[tview_[t][loc]].mo_pos) {
-    tview_[t][loc] = w;
-  }
+  // A relaxed or non-atomic read establishes no order (rf alone is not hb).
+  if (sync) synchronise(t, loc, w);
+  OpId& front = tview_row(t)[loc];
+  if (ops_[w].mo_pos > ops_[front].mo_pos) front = w;
   if (race_ && site_pc != kNoSite && locs_->is_var(loc)) {
     race_access(t, loc,
                 order == MemOrder::NonAtomic ? RaceCat::NaRead
@@ -221,21 +222,41 @@ Value MemState::read(ThreadId t, LocId loc, OpId w, MemOrder order,
   return ops_[w].value;
 }
 
+OpId MemState::append_op(Op op) {
+  const auto id = static_cast<OpId>(ops_.size());
+  ops_.push_back(std::move(op));
+  // The row is set by snapshot_mview once the writer's view is final.
+  mviews_.resize(mviews_.size() + num_locs(), kNoOp);
+  if (race_) race_->msg.emplace_back();  // msg slot; filled iff releasing
+  return id;
+}
+
+void MemState::snapshot_mview(OpId id, ThreadId t) {
+  const std::size_t n = num_locs();
+  std::copy_n(tview_.begin() + static_cast<std::ptrdiff_t>(t * n), n,
+              mviews_.begin() + static_cast<std::ptrdiff_t>(id * n));
+}
+
+void MemState::mo_insert(LocId loc, std::size_t at, OpId id) {
+  mo_.insert(mo_.begin() + static_cast<std::ptrdiff_t>(at), id);
+  for (std::size_t l = loc + 1; l < mo_start_.size(); ++l) mo_start_[l] += 1;
+}
+
 OpId MemState::insert_after(LocId loc, Op op, OpId after) {
-  auto& order = mo_[loc];
+  const auto order = mo(loc);
   const std::uint32_t pos = ops_[after].mo_pos;
-  RC11_REQUIRE(order[pos] == after, "modification order rank out of sync");
+  RC11_REQUIRE(pos < order.size() && order[pos] == after,
+               "modification order rank out of sync");
   // fresh_γ(q, q'): q < q' and q' precedes every existing timestamp after q.
   op.ts = (pos + 1 == order.size())
               ? ops_[after].ts.successor()
               : Rational::midpoint(ops_[after].ts, ops_[order[pos + 1]].ts);
   op.mo_pos = pos + 1;
-  const auto id = static_cast<OpId>(ops_.size());
-  ops_.push_back(std::move(op));
-  if (race_) race_->msg.emplace_back();  // msg slot; filled iff releasing
-  order.insert(order.begin() + pos + 1, id);
-  for (std::size_t i = pos + 2; i < order.size(); ++i) {
-    ops_[order[i]].mo_pos = static_cast<std::uint32_t>(i);
+  const OpId id = append_op(std::move(op));
+  mo_insert(loc, mo_start_[loc] + pos + 1, id);
+  const auto shifted = mo(loc);
+  for (std::size_t i = pos + 2; i < shifted.size(); ++i) {
+    ops_[shifted[i]].mo_pos = static_cast<std::uint32_t>(i);
   }
   return id;
 }
@@ -258,9 +279,8 @@ OpId MemState::write(ThreadId t, LocId loc, Value v, MemOrder order, OpId after,
   op.releasing =
       order == MemOrder::Release || options_.model == MemoryModel::SC;
   const OpId id = insert_after(loc, std::move(op), after);
-  tview_[t][loc] = id;
-  // mview' = tview' ∪ β.tview_t: the writer's full (both-component) view.
-  ops_[id].mview = tview_[t];
+  tview_row(t)[loc] = id;
+  snapshot_mview(id, t);
   if (race_) {
     // Check and record at the pre-increment epoch, then (for a releasing
     // write) publish the message and advance: the write itself must be
@@ -291,16 +311,9 @@ OpId MemState::update(ThreadId t, LocId loc, OpId w, Value v,
   op.releasing = true;  // upd^RA is a releasing write
   const OpId id = insert_after(loc, std::move(op), w);
   ops_[w].covered = true;
-  if (sync) {
-    const std::optional<Component> only =
-        options_.cross_component_view_transfer
-            ? std::nullopt
-            : std::optional<Component>{locs_->component(loc)};
-    merge_view_into(tview_[t], ops_[w].mview, only);
-    race_join(t, w);
-  }
-  tview_[t][loc] = id;
-  ops_[id].mview = tview_[t];
+  if (sync) synchronise(t, loc, w);
+  tview_row(t)[loc] = id;
+  snapshot_mview(id, t);
   if (race_) {
     if (site_pc != kNoSite) {
       race_access(t, loc, RaceCat::AtomicWrite, site_pc);
@@ -320,26 +333,20 @@ OpId MemState::object_op(ThreadId t, LocId loc, OpKind kind, Value value,
   op.kind = kind;
   op.value = value;
   op.releasing = releasing;
-  op.mo_pos = static_cast<std::uint32_t>(mo_[loc].size());
-  op.ts = ops_[mo_[loc].back()].ts.successor();
+  const auto order = mo(loc);
+  op.mo_pos = static_cast<std::uint32_t>(order.size());
+  op.ts = ops_[order.back()].ts.successor();
   const bool attach = op.releasing;
-  const auto id = static_cast<OpId>(ops_.size());
-  ops_.push_back(std::move(op));
-  if (race_) race_->msg.emplace_back();
-  mo_[loc].push_back(id);
+  const OpId id = append_op(std::move(op));
+  mo_insert(loc, mo_start_[loc + 1], id);
   if (sync_with) {
     if (cover) {
       ops_[*sync_with].covered = true;
     }
-    const std::optional<Component> only =
-        options_.cross_component_view_transfer
-            ? std::nullopt
-            : std::optional<Component>{locs_->component(loc)};
-    merge_view_into(tview_[t], ops_[*sync_with].mview, only);
-    race_join(t, *sync_with);
+    synchronise(t, loc, *sync_with);
   }
-  tview_[t][loc] = id;
-  ops_[id].mview = tview_[t];
+  tview_row(t)[loc] = id;
+  snapshot_mview(id, t);
   if (race_ && attach) race_attach(t, id);
   return id;
 }
@@ -347,17 +354,9 @@ OpId MemState::object_op(ThreadId t, LocId loc, OpKind kind, Value value,
 void MemState::consume(ThreadId t, LocId loc, OpId w, bool sync) {
   RC11_REQUIRE(ops_[w].loc == loc, "consume target on wrong location");
   ops_[w].covered = true;
-  if (sync) {
-    const std::optional<Component> only =
-        options_.cross_component_view_transfer
-            ? std::nullopt
-            : std::optional<Component>{locs_->component(loc)};
-    merge_view_into(tview_[t], ops_[w].mview, only);
-    race_join(t, w);
-  }
-  if (ops_[w].mo_pos > ops_[tview_[t][loc]].mo_pos) {
-    tview_[t][loc] = w;
-  }
+  if (sync) synchronise(t, loc, w);
+  OpId& front = tview_row(t)[loc];
+  if (ops_[w].mo_pos > ops_[front].mo_pos) front = w;
 }
 
 void MemState::permute_threads(const std::vector<ThreadId>& slot_of) {
@@ -368,9 +367,11 @@ void MemState::permute_threads(const std::vector<ThreadId>& slot_of) {
     if (op.kind == OpKind::Init) continue;
     op.thread = slot_of[op.thread];
   }
-  std::vector<View> permuted(num_threads_);
+  const std::size_t n = num_locs();
+  std::vector<OpId> permuted(tview_.size());
   for (ThreadId t = 0; t < num_threads_; ++t) {
-    permuted[slot_of[t]] = std::move(tview_[t]);
+    std::copy_n(tview_.begin() + static_cast<std::ptrdiff_t>(t * n), n,
+                permuted.begin() + static_cast<std::ptrdiff_t>(slot_of[t] * n));
   }
   tview_ = std::move(permuted);
 
@@ -413,7 +414,7 @@ void MemState::permute_threads(const std::vector<ThreadId>& slot_of) {
 void MemState::encode(std::vector<std::uint64_t>& out) const {
   const auto num_locs = locs_->size();
   for (LocId loc = 0; loc < num_locs; ++loc) {
-    const auto& order = mo_[loc];
+    const auto order = mo(loc);
     out.push_back(order.size());
     for (const OpId id : order) {
       const Op& op = ops_[id];
@@ -430,16 +431,11 @@ void MemState::encode(std::vector<std::uint64_t>& out) const {
       }
     }
   }
-  for (ThreadId t = 0; t < num_threads_; ++t) {
-    for (LocId loc = 0; loc < num_locs; ++loc) {
-      out.push_back(ops_[tview_[t][loc]].mo_pos);
-    }
-  }
+  // Thread viewfronts, thread-major (tview_ is laid out that way).
+  for (const OpId front : tview_) out.push_back(ops_[front].mo_pos);
   for (LocId loc = 0; loc < num_locs; ++loc) {
-    for (const OpId id : mo_[loc]) {
-      for (LocId l2 = 0; l2 < num_locs; ++l2) {
-        out.push_back(ops_[ops_[id].mview[l2]].mo_pos);
-      }
+    for (const OpId id : mo(loc)) {
+      for (const OpId v : mview(id)) out.push_back(ops_[v].mo_pos);
     }
   }
   if (race_) {
@@ -451,7 +447,7 @@ void MemState::encode(std::vector<std::uint64_t>& out) const {
     const auto& rc = *race_;
     for (const auto w : rc.vc) out.push_back(w);
     for (LocId loc = 0; loc < num_locs; ++loc) {
-      for (const OpId id : mo_[loc]) {
+      for (const OpId id : mo(loc)) {
         for (const auto w : rc.msg[id]) out.push_back(w);
       }
     }
@@ -467,7 +463,7 @@ void MemState::encode_quotient(std::vector<std::uint64_t>& out,
   // Modification-order block: identical to encode() — rf, mo, values,
   // covered and releasing are exactly what the quotient must preserve.
   for (LocId loc = 0; loc < num_locs; ++loc) {
-    const auto& order = mo_[loc];
+    const auto order = mo(loc);
     out.push_back(order.size());
     for (const OpId id : order) {
       const Op& op = ops_[id];
@@ -492,7 +488,7 @@ void MemState::encode_quotient(std::vector<std::uint64_t>& out,
     const std::uint8_t* row =
         tview_keep + static_cast<std::size_t>(t) * num_locs;
     for (LocId loc = 0; loc < num_locs; ++loc) {
-      if (row[loc] != 0) out.push_back(ops_[tview_[t][loc]].mo_pos);
+      if (row[loc] != 0) out.push_back(ops_[view_front(t, loc)].mo_pos);
     }
   }
   // Modification views of operations that can still synchronise someone.
@@ -500,11 +496,9 @@ void MemState::encode_quotient(std::vector<std::uint64_t>& out,
   // both pinned by the modification-order block above.
   for (LocId loc = 0; loc < num_locs; ++loc) {
     const bool is_var = locs_->is_var(loc);
-    for (const OpId id : mo_[loc]) {
+    for (const OpId id : mo(loc)) {
       if (is_var && !ops_[id].releasing) continue;
-      for (LocId l2 = 0; l2 < num_locs; ++l2) {
-        out.push_back(ops_[ops_[id].mview[l2]].mo_pos);
-      }
+      for (const OpId v : mview(id)) out.push_back(ops_[v].mo_pos);
     }
   }
   if (race_) {
@@ -514,7 +508,7 @@ void MemState::encode_quotient(std::vector<std::uint64_t>& out,
     const auto& rc = *race_;
     for (const auto w : rc.vc) out.push_back(w);
     for (LocId loc = 0; loc < num_locs; ++loc) {
-      for (const OpId id : mo_[loc]) {
+      for (const OpId id : mo(loc)) {
         for (const auto w : rc.msg[id]) out.push_back(w);
       }
     }
@@ -524,15 +518,6 @@ void MemState::encode_quotient(std::vector<std::uint64_t>& out,
   }
 }
 
-std::uint64_t MemState::hash() const {
-  std::vector<std::uint64_t> words;
-  words.reserve(64);
-  encode(words);
-  support::WordHasher h;
-  for (const auto w : words) h.add(w);
-  return h.digest();
-}
-
 std::string MemState::to_string() const {
   std::ostringstream os;
   const auto num_locs = locs_->size();
@@ -540,7 +525,7 @@ std::string MemState::to_string() const {
     os << locs_->name(loc) << " ["
        << (locs_->component(loc) == Component::Client ? "client" : "library")
        << "]: ";
-    for (const OpId id : mo_[loc]) {
+    for (const OpId id : mo(loc)) {
       const Op& op = ops_[id];
       switch (op.kind) {
         case OpKind::Init: os << "init(" << op.value << ")"; break;
@@ -561,7 +546,7 @@ std::string MemState::to_string() const {
     }
     os << "| views:";
     for (ThreadId t = 0; t < num_threads_; ++t) {
-      os << " t" << t << "->" << ops_[tview_[t][loc]].mo_pos;
+      os << " t" << t << "->" << ops_[view_front(t, loc)].mo_pos;
     }
     os << "\n";
   }

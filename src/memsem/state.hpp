@@ -20,11 +20,23 @@
 //   * The paper splits the state into a client state γ and a library state β
 //     whose tviews range over their own component's variables, while mviews
 //     range over *all* variables.  We store one operation arena and, per
-//     thread, one view vector over all locations; entries at client locations
-//     are exactly γ.tview_t and entries at library locations are β.tview_t.
-//     With that representation the paper's two-sided rules (tview' and
-//     ctview' computed separately) collapse into a single pointwise view
-//     merge, which is easy to see equivalent and much harder to get wrong.
+//     thread, one viewfront row over all locations; entries at client
+//     locations are exactly γ.tview_t and entries at library locations are
+//     β.tview_t.  With that representation the paper's two-sided rules
+//     (tview' and ctview' computed separately) collapse into a single
+//     pointwise view merge, which is easy to see equivalent and much harder
+//     to get wrong.
+//
+//   * Flat layout.  Every component lives in a fixed number of flat arrays,
+//     never one vector per operation, location or thread: the op arena; all
+//     mviews as one num_ops × num_locs OpId array (row = op id); all
+//     modification orders concatenated into one OpId array with per-location
+//     offsets; all tviews as one num_threads × num_locs array.  Copying a
+//     state therefore costs the same few allocations whatever its operation
+//     count, and copy-assigning into a state of the same size costs none —
+//     which is what lets lang::StepBuffer refill its pooled slots for free.
+//     Adding an operation grows the mview array, so a row pointer must be
+//     taken only after the growth.
 //
 //   * Timestamps.  Modification order per location is an explicit sequence
 //     (so the canonical "rank" of an operation is its position), and every
@@ -47,10 +59,6 @@
 #include "support/rational.hpp"
 
 namespace rc11::memsem {
-
-/// A view: one operation per location ("viewfront").  Used both for thread
-/// views (tview) and per-operation modification views (mview).
-using View = std::vector<OpId>;
 
 /// Sentinel "no program counter" for accesses performed outside a program
 /// step (tests driving MemState directly, object operations).  Accesses with
@@ -88,8 +96,8 @@ struct RaceRecord {
   friend bool operator==(const RaceRecord&, const RaceRecord&) = default;
 };
 
-/// One modifying operation: the paper's (action, timestamp) pair plus the
-/// modification view attached to it at creation time.
+/// One modifying operation: the paper's (action, timestamp) pair.  The
+/// modification view attached to it at creation time is MemState::mview(id).
 struct Op {
   LocId loc = 0;
   ThreadId thread = 0;     ///< executing thread (part of the action identity)
@@ -101,7 +109,6 @@ struct Op {
   bool covered = false;    ///< member of cvd
   std::uint32_t mo_pos = 0;  ///< current rank in the location's mo sequence
   support::Rational ts;      ///< faithful rational timestamp
-  View mview;                ///< viewfront of the writer just after this op
 };
 
 /// Which memory model the transitions implement.
@@ -173,12 +180,21 @@ class MemState {
   [[nodiscard]] std::size_t num_ops() const noexcept { return ops_.size(); }
 
   /// Modification order of a location, ascending by timestamp.
-  [[nodiscard]] std::span<const OpId> mo(LocId loc) const { return mo_[loc]; }
+  [[nodiscard]] std::span<const OpId> mo(LocId loc) const {
+    return {mo_.data() + mo_start_[loc], mo_start_[loc + 1] - mo_start_[loc]};
+  }
+
+  /// The modification view of an operation: the viewfront (one operation per
+  /// location, over all locations) of its writer just after it.
+  [[nodiscard]] std::span<const OpId> mview(OpId id) const {
+    return {mviews_.data() + static_cast<std::size_t>(id) * num_locs(),
+            num_locs()};
+  }
 
   /// The operation a thread's viewfront designates for a location
   /// (tview_t(x), resp. β.tview_t(y) — component determined by the location).
   [[nodiscard]] OpId view_front(ThreadId t, LocId loc) const {
-    return tview_[t][loc];
+    return tview_[static_cast<std::size_t>(t) * num_locs() + loc];
   }
 
   /// Obs(t, x): the operations on `loc` that thread `t` may read from — all
@@ -290,7 +306,7 @@ class MemState {
   void permute_threads(const std::vector<ThreadId>& slot_of);
 
   // ------------------------------------------------------------------
-  // Encoding, equality, hashing
+  // Encoding
   // ------------------------------------------------------------------
 
   /// Appends a canonical encoding of this state to `out`.  Two states have
@@ -324,8 +340,6 @@ class MemState {
   ///     states.
   void encode_quotient(std::vector<std::uint64_t>& out,
                        const std::uint8_t* tview_keep) const;
-
-  [[nodiscard]] std::uint64_t hash() const;
 
   /// Human-readable dump for diagnostics and counterexamples.
   [[nodiscard]] std::string to_string() const;
@@ -369,25 +383,51 @@ class MemState {
   /// records it there.  Called only for var locations with a real site.
   void race_access(ThreadId t, LocId loc, RaceCat cat, std::uint32_t pc);
 
+  [[nodiscard]] std::size_t num_locs() const noexcept { return locs_->size(); }
+
+  /// Thread t's viewfront row (num_locs entries).
+  [[nodiscard]] OpId* tview_row(ThreadId t) {
+    return tview_.data() + static_cast<std::size_t>(t) * num_locs();
+  }
+
   /// Pointwise-later merge: the paper's V1 ⊗ V2 (keeps the operation with the
   /// larger timestamp per location).  If `only` is set, locations of other
   /// components are skipped — this is the A1 ablation's crippled transfer
   /// that suppresses the paper's ctview update.
-  void merge_view_into(View& target, const View& source,
+  void merge_view_into(OpId* target, std::span<const OpId> source,
                        std::optional<Component> only) const;
+
+  /// The synchronisation of Fig. 5 / Fig. 6: thread `t` merges `w`'s mview
+  /// into its viewfront (across both components unless the A1 ablation
+  /// restricts it to `loc`'s) and joins `w`'s clock message.
+  void synchronise(ThreadId t, LocId loc, OpId w);
+
+  /// Appends `op` to the arena with an (unset) mview row and, under race
+  /// detection, an empty clock-message slot.  Does not touch mo.
+  OpId append_op(Op op);
+
+  /// Sets `id`'s mview to thread `t`'s current viewfront (mview' = tview' ∪
+  /// β.tview_t: the writer's full, both-component view).
+  void snapshot_mview(OpId id, ThreadId t);
 
   /// Inserts a fresh operation right after `after` in `loc`'s modification
   /// order, assigning a fresh rational timestamp per fresh_γ(q, q').
   OpId insert_after(LocId loc, Op op, OpId after);
 
+  /// Inserts `id` at flat mo index `at`, which lies in `loc`'s range or at
+  /// its end, and shifts the offsets of every later location.
+  void mo_insert(LocId loc, std::size_t at, OpId id);
+
   const LocationTable* locs_;
   ThreadId num_threads_;
   SemanticsOptions options_;
 
-  std::vector<Op> ops_;               // arena; OpId indexes this
-  std::vector<std::vector<OpId>> mo_;  // per location, ascending timestamp
-  std::vector<View> tview_;            // per thread, over all locations
-  std::optional<RaceClocks> race_;     // engaged iff options_.race_detection
+  std::vector<Op> ops_;         // arena; OpId indexes this
+  std::vector<OpId> mviews_;    // num_ops × num_locs; row = OpId
+  std::vector<OpId> mo_;        // every location's mo, ascending timestamp
+  std::vector<std::uint32_t> mo_start_;  // num_locs + 1 offsets into mo_
+  std::vector<OpId> tview_;     // num_threads × num_locs
+  std::optional<RaceClocks> race_;  // engaged iff options_.race_detection
 };
 
 }  // namespace rc11::memsem

@@ -44,17 +44,18 @@ std::optional<std::string> check_views(const MemState& m) {
   for (LocId loc = 0; loc < num_locs; ++loc) {
     for (const OpId id : m.mo(loc)) {
       const Op& op = m.op(id);
-      if (op.mview.size() != num_locs) {
-        return support::concat("op at loc ", loc, " rank ", op.mo_pos,
-                               ": mview has ", op.mview.size(), " entries");
-      }
+      const auto mview = m.mview(id);
       for (LocId l2 = 0; l2 < num_locs; ++l2) {
-        if (m.op(op.mview[l2]).loc != l2) {
+        if (mview[l2] >= m.num_ops()) {
+          return support::concat("op at loc ", loc, " rank ", op.mo_pos,
+                                 ": mview entry for loc ", l2, " is unset");
+        }
+        if (m.op(mview[l2]).loc != l2) {
           return support::concat("mview entry for loc ", l2,
                                  " points to the wrong location");
         }
       }
-      if (op.mview[loc] != id) {
+      if (mview[loc] != id) {
         return support::concat("op at loc ", loc, " rank ", op.mo_pos,
                                ": mview does not include the op itself");
       }
