@@ -1,6 +1,7 @@
 #include "assertions/assertions.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -19,7 +20,17 @@ struct Assertion::Impl {
 
 namespace {
 
-/// Union of two footprints (combinators may evaluate either operand).
+/// Sorted union of two sorted, duplicate-free vectors.
+template <typename T>
+std::vector<T> sorted_union(const std::vector<T>& a, const std::vector<T>& b) {
+  std::vector<T> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+/// Union of two read sets (combinators may evaluate either operand).
 ViewFootprint merge_footprints(const ViewFootprint& a, const ViewFootprint& b) {
   ViewFootprint out;
   out.everything = a.everything || b.everything;
@@ -31,14 +42,36 @@ ViewFootprint merge_footprints(const ViewFootprint& a, const ViewFootprint& b) {
       out.entries.push_back(e);
     }
   }
+  out.threads = sorted_union(a.threads, b.threads);
+  out.locations = sorted_union(a.locations, b.locations);
   return out;
 }
 
+/// Reads thread t's viewfront entry for l (and l's history).
 ViewFootprint view_of(ThreadId t, LocId l) {
-  return ViewFootprint{false, {{t, l}}};
+  return ViewFootprint{false, {{t, l}}, {t}, {l}};
+}
+
+/// Reads only the histories of `locs`.
+ViewFootprint locations_of(std::vector<LocId> locs) {
+  std::sort(locs.begin(), locs.end());
+  locs.erase(std::unique(locs.begin(), locs.end()), locs.end());
+  return ViewFootprint{false, {}, {}, std::move(locs)};
+}
+
+/// Reads only thread t's pc and registers.
+ViewFootprint thread_of(ThreadId t) {
+  return ViewFootprint{false, {}, {t}, {}};
 }
 
 }  // namespace
+
+bool ViewFootprint::meets(ThreadId u, std::optional<LocId> written) const {
+  if (everything) return true;
+  if (std::binary_search(threads.begin(), threads.end(), u)) return true;
+  return written &&
+         std::binary_search(locations.begin(), locations.end(), *written);
+}
 
 Assertion::Assertion()
     : impl_(std::make_shared<Impl>(
@@ -47,7 +80,7 @@ Assertion::Assertion()
 
 Assertion::Assertion(std::string name, Fn fn)
     : Assertion(std::move(name), std::move(fn),
-                ViewFootprint{/*everything=*/true, {}}) {}
+                ViewFootprint{/*everything=*/true, {}, {}, {}}) {}
 
 Assertion::Assertion(std::string name, Fn fn, ViewFootprint footprint)
     : impl_(std::make_shared<Impl>(
@@ -165,7 +198,7 @@ Assertion cond_obs(ThreadId t, LocId x, Value u, LocId y, Value v) {
                      }
                      return true;
                    },
-                   view_of(t, x)};
+                   merge_footprints(view_of(t, x), locations_of({y}))};
 }
 
 Assertion covered_var(LocId x, Value u) {
@@ -180,7 +213,7 @@ Assertion covered_var(LocId x, Value u) {
                      }
                      return true;
                    },
-                   ViewFootprint{}};
+                   locations_of({x})};
 }
 
 Assertion hidden_var(LocId x, Value u) {
@@ -196,7 +229,7 @@ Assertion hidden_var(LocId x, Value u) {
                      }
                      return exists;
                    },
-                   ViewFootprint{}};
+                   locations_of({x})};
 }
 
 // --- lock --------------------------------------------------------------------
@@ -260,7 +293,7 @@ Assertion lock_cond_obs(ThreadId t, LocId l, Value u, LocId y, Value v) {
                      }
                      return true;
                    },
-                   view_of(t, l)};
+                   merge_footprints(view_of(t, l), locations_of({y}))};
 }
 
 Assertion lock_covered(LocId l, OpKind kind, Value u) {
@@ -277,7 +310,7 @@ Assertion lock_covered(LocId l, OpKind kind, Value u) {
                      }
                      return true;
                    },
-                   ViewFootprint{}};
+                   locations_of({l})};
 }
 
 Assertion lock_hidden(LocId l, OpKind kind, Value u) {
@@ -293,7 +326,7 @@ Assertion lock_hidden(LocId l, OpKind kind, Value u) {
                      }
                      return exists;
                    },
-                   ViewFootprint{}};
+                   locations_of({l})};
 }
 
 Assertion lock_hidden_init(LocId l) {
@@ -307,7 +340,7 @@ Assertion lock_held_by(ThreadId t, LocId l) {
                      const auto& op = cfg.mem.op(cfg.mem.last_op(l));
                      return op.kind == OpKind::LockAcquire && op.thread == t;
                    },
-                   ViewFootprint{}};
+                   locations_of({l})};
 }
 
 // --- stack -------------------------------------------------------------------
@@ -332,7 +365,7 @@ Assertion stack_can_pop(LocId s, Value v) {
                      const auto top = top_of(cfg.mem, s);
                      return top && cfg.mem.op(*top).value == v;
                    },
-                   ViewFootprint{}};
+                   locations_of({s})};
 }
 
 Assertion stack_pop_empty_only(LocId s) {
@@ -341,7 +374,7 @@ Assertion stack_pop_empty_only(LocId s) {
                    [s](const System&, const Config& cfg) {
                      return !top_of(cfg.mem, s).has_value();
                    },
-                   ViewFootprint{}};
+                   locations_of({s})};
 }
 
 Assertion stack_cond_obs(LocId s, Value v, LocId y, Value n) {
@@ -354,7 +387,7 @@ Assertion stack_cond_obs(LocId s, Value v, LocId y, Value n) {
                      const auto& op = cfg.mem.op(*top);
                      return op.releasing && dview_is(cfg.mem, *top, y, n);
                    },
-                   ViewFootprint{}};
+                   locations_of({s, y})};
 }
 
 // --- program predicates --------------------------------------------------------
@@ -365,7 +398,7 @@ Assertion at_pc(ThreadId t, std::uint32_t pc) {
                    [t, pc](const System&, const Config& cfg) {
                      return cfg.pc[t] == pc;
                    },
-                   ViewFootprint{}};
+                   thread_of(t)};
 }
 
 Assertion pc_in(ThreadId t, std::set<std::uint32_t> pcs) {
@@ -377,7 +410,7 @@ Assertion pc_in(ThreadId t, std::set<std::uint32_t> pcs) {
                    [t, pcs = std::move(pcs)](const System&, const Config& cfg) {
                      return pcs.count(cfg.pc[t]) > 0;
                    },
-                   ViewFootprint{}};
+                   thread_of(t)};
 }
 
 Assertion thread_done(ThreadId t) {
@@ -386,7 +419,7 @@ Assertion thread_done(ThreadId t) {
                    [t](const System& sys, const Config& cfg) {
                      return cfg.thread_done(sys, t);
                    },
-                   ViewFootprint{}};
+                   thread_of(t)};
 }
 
 Assertion reg_eq(Reg r, Value v) {
@@ -395,7 +428,7 @@ Assertion reg_eq(Reg r, Value v) {
                    [r, v](const System&, const Config& cfg) {
                      return cfg.regs[r.thread][r.id] == v;
                    },
-                   ViewFootprint{}};
+                   thread_of(r.thread)};
 }
 
 Assertion reg_in(Reg r, std::set<Value> values) {
@@ -408,7 +441,7 @@ Assertion reg_in(Reg r, std::set<Value> values) {
                                                    const Config& cfg) {
                      return values.count(cfg.regs[r.thread][r.id]) > 0;
                    },
-                   ViewFootprint{}};
+                   thread_of(r.thread)};
 }
 
 }  // namespace assertions

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -42,17 +43,39 @@ using lang::ThreadId;
 using lang::Value;
 using memsem::OpKind;
 
-/// The viewfront entries an assertion's predicate may depend on, beyond the
-/// modification orders, covered bits, values, pcs and registers every
-/// predicate may read freely (all of those are part of every visited-set
-/// key).  Checkers running under the execution-graph quotient
-/// (--rf-quotient) pin these (thread, location) entries into the quotient
-/// key so the predicate stays a function of the key; `everything` marks a
-/// predicate with an unknown footprint (pred(), the generic constructor),
-/// which those checkers must reject instead of pinning.
+/// An assertion's read set: everything in a configuration its predicate may
+/// read.  Two uses:
+///
+///   * Owicki–Gries interference checking (og/proof_outline.hpp) skips an
+///     obligation when the step's write set misses the read set.  A step of
+///     thread u changes only u's pc, registers and viewfront row, plus — for
+///     a write, update or object call — the accessed location's operations,
+///     modification order and covered bits (og/proof_outline.hpp gives the
+///     argument).  So a predicate whose `threads` omit u and whose
+///     `locations` omit the written location keeps its value across the
+///     step.
+///   * Checkers running under the execution-graph quotient (--rf-quotient)
+///     pin the viewfront `entries` into the quotient key so the predicate
+///     stays a function of the key (modification orders, covered bits,
+///     values, pcs and registers are part of every key already).
+///
+/// `everything` marks a predicate with an unknown read set (pred(), the
+/// generic constructor): interference checking never skips it and the
+/// rf-quotient checkers reject it instead of pinning.  `threads` and
+/// `locations` are sorted and duplicate-free.
 struct ViewFootprint {
   bool everything = false;
+  /// (thread, location) viewfront entries read — the rf-quotient's pins.
   std::vector<std::pair<ThreadId, LocId>> entries;
+  /// Threads whose pc, registers or viewfront row the predicate reads.
+  std::vector<ThreadId> threads;
+  /// Locations whose operations, modification order or covered bits the
+  /// predicate reads.
+  std::vector<LocId> locations;
+
+  /// True iff a step of thread `u` that writes `written` (nullopt for a
+  /// step that writes no location) can change the predicate's value.
+  [[nodiscard]] bool meets(ThreadId u, std::optional<LocId> written) const;
 };
 
 /// A named boolean predicate over configurations.  Immutable and cheaply
@@ -63,14 +86,14 @@ class Assertion {
   using Fn = std::function<bool(const System&, const Config&)>;
 
   Assertion();  ///< `true`
-  /// Ad-hoc predicate: the footprint is unknown (ViewFootprint::everything).
+  /// Ad-hoc predicate: the read set is unknown (ViewFootprint::everything).
   Assertion(std::string name, Fn fn);
-  /// Predicate with a known view footprint (what the factories below use).
+  /// Predicate with a known read set (what the factories below use).
   Assertion(std::string name, Fn fn, ViewFootprint footprint);
 
   [[nodiscard]] bool eval(const System& sys, const Config& cfg) const;
   [[nodiscard]] const std::string& name() const;
-  /// The viewfront entries eval() may read (see ViewFootprint).
+  /// Everything eval() may read (see ViewFootprint).
   [[nodiscard]] const ViewFootprint& footprint() const;
 
   /// The constant-true assertion (annotation of uninteresting points).
@@ -86,7 +109,7 @@ Assertion operator||(Assertion a, Assertion b);
 Assertion operator!(Assertion a);
 /// a ⇒ b.
 Assertion implies(Assertion a, Assertion b);
-/// Escape hatch for ad-hoc predicates.
+/// Escape hatch for ad-hoc predicates; the read set is `everything`.
 Assertion pred(std::string name, Assertion::Fn fn);
 
 // --- variable observability (Section 5.1) -----------------------------------

@@ -21,6 +21,25 @@
 // the interference check is strictly stronger (it also tests annotations at
 // non-current program points) and corresponds to the actual OG obligations.
 //
+// Interference obligations are skipped by read set, never by guess.  A step
+// of thread u changes only u's pc, registers and viewfront row, plus — when
+// its instruction writes a location l (a store, RMW or object call;
+// memsem::writes_location) — l's operations, modification order and covered
+// bits; no step touches another thread's pc, registers or views, and an
+// operation never changes once added except for its rank and covered bit,
+// which only a write to its own location moves (docs/SEMANTICS.md §2, §4
+// and the independence argument of §9).  Every assertion carries its read set
+// (assertions::ViewFootprint: threads, locations, or "everything" for an
+// ad-hoc pred()).  When the step's write set {u} ∪ {l} misses annotation
+// A's read set, A has the same value before and after the step, so
+// {A ∧ pre(S)} S {A} holds without evaluating A.  The checker builds, once
+// per run, the list of annotations each write set meets (StepMeta is a pure
+// function of the instruction, so the write set is known statically) and
+// evaluates only those.  obligations_checked still counts every logical
+// obligation — skipped ones included, in the full loop's order, up to a
+// stop-at-first-failure break — so it is independent of the skipping;
+// obligations_evaluated counts the ones actually evaluated.
+//
 // The module also provides a Hoare-triple checker for single statements,
 // used to reproduce the per-rule properties of Lemma 3.
 
@@ -81,7 +100,13 @@ struct OutlineCheckResult {
   bool valid = true;
   std::vector<ObligationFailure> failures;
   explore::ExploreStats stats;  ///< size of the examined state space
+  /// Logical obligations, counted as if every interference obligation were
+  /// evaluated (see the read-set rule at the top of this file).
   std::uint64_t obligations_checked = 0;
+  /// Obligations whose assertions were actually evaluated: every validity
+  /// obligation, and the interference obligations the read sets could not
+  /// rule out.
+  std::uint64_t obligations_evaluated = 0;
   /// Why the enumeration ended; anything but Complete means only part of
   /// the state space was checked and `valid` is not a proof (a
   /// stop_at_first_failure stop is Complete — the verdict is definite).

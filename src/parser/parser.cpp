@@ -3,6 +3,7 @@
 #include "assertions/assertions.hpp"
 
 #include <cctype>
+#include <limits>
 #include <set>
 #include <fstream>
 #include <sstream>
@@ -94,13 +95,21 @@ class Lexer {
       return;
     }
     if (std::isdigit(static_cast<unsigned char>(ch))) {
+      constexpr long long kMax = std::numeric_limits<long long>::max();
       long long value = 0;
+      bool too_large = false;
       std::string text;
       while (pos_ < src_.size() &&
              std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        value = value * 10 + (src_[pos_] - '0');
+        const int digit = src_[pos_] - '0';
+        if (value > (kMax - digit) / 10) too_large = true;
+        if (!too_large) value = value * 10 + digit;
         text.push_back(src_[pos_]);
         bump();
+      }
+      if (too_large) {
+        support::fail("parse error at ", current_.line, ":", current_.col,
+                      ": integer literal ", text, " is too large");
       }
       current_.kind = Tok::Number;
       current_.number = value;
@@ -663,12 +672,11 @@ class Parser {
         out_.outline->invariant(std::move(a));
       } else if (accept_ident("at")) {
         const auto thread = thread_by_name(expect(Tok::Ident, "thread").text);
-        const auto pc_tok = expect(Tok::Number, "program counter");
+        const auto pc = parse_pc(thread, "program counter");
         if (!accept(Tok::Colon)) lex_.error("expected ':'");
         auto a = parse_assertion();
         expect(Tok::Semi, "';'");
-        out_.outline->annotate(thread, static_cast<std::uint32_t>(pc_tok.number),
-                               std::move(a));
+        out_.outline->annotate(thread, pc, std::move(a));
       } else if (accept_ident("post")) {
         const auto thread = thread_by_name(expect(Tok::Ident, "thread").text);
         if (!accept(Tok::Colon)) lex_.error("expected ':'");
@@ -794,11 +802,16 @@ class Parser {
       const auto t = thread_by_name(expect(Tok::Ident, "thread").text);
       expect(Tok::RParen, "')'");
       if (accept(Tok::EqEq)) {
-        const auto n = expect(Tok::Number, "pc value").number;
-        return assertions::at_pc(t, static_cast<std::uint32_t>(n));
+        return assertions::at_pc(t, parse_pc(t, "pc value"));
       }
       if (accept_ident("in")) {
-        return assertions::pc_in(t, parse_number_set<std::uint32_t>());
+        expect(Tok::LBrace, "'{'");
+        std::set<std::uint32_t> pcs;
+        do {
+          pcs.insert(parse_pc(t, "pc value"));
+        } while (accept(Tok::Comma));
+        expect(Tok::RBrace, "'}'");
+        return assertions::pc_in(t, std::move(pcs));
       }
       lex_.error("expected '==' or 'in' after pc(...)");
     }
@@ -808,23 +821,39 @@ class Parser {
       if (accept(Tok::EqEq)) return assertions::reg_eq(r, value_arg());
       if (accept(Tok::NotEq)) return !assertions::reg_eq(r, value_arg());
       if (accept_ident("in")) {
-        return assertions::reg_in(r, parse_number_set<lang::Value>());
+        return assertions::reg_in(r, parse_value_set());
       }
       lex_.error("expected '==', '!=' or 'in' after a register");
     }
     lex_.error("unknown assertion atom '" + word + "'");
   }
 
-  template <typename T>
-  std::set<T> parse_number_set() {
+  std::set<lang::Value> parse_value_set() {
     expect(Tok::LBrace, "'{'");
-    std::set<T> values;
-    for (;;) {
-      values.insert(static_cast<T>(parse_signed_literal()));
-      if (!accept(Tok::Comma)) break;
-    }
+    std::set<lang::Value> values;
+    do {
+      values.insert(parse_signed_literal());
+    } while (accept(Tok::Comma));
     expect(Tok::RBrace, "'}'");
     return values;
+  }
+
+  /// A program point of thread `t`: 0 up to its terminal pc (one past its
+  /// last instruction, where the thread ends).  Anything else — a negative
+  /// literal, or one that would wrap in 32 bits — is a positioned error,
+  /// never a silently different pc.
+  std::uint32_t parse_pc(lang::ThreadId t, const char* what) {
+    const Token first = lex_.peek();
+    const bool negative = accept(Tok::Minus);
+    const auto tok = expect(Tok::Number, what);
+    const auto terminal = out_.sys.code(t).size();
+    if (negative || static_cast<unsigned long long>(tok.number) > terminal) {
+      error_at(first, support::concat("pc ", negative ? "-" : "", tok.text,
+                                      " is out of range for thread '",
+                                      out_.thread_names[t], "' (pcs 0..",
+                                      terminal, ")"));
+    }
+    return static_cast<std::uint32_t>(tok.number);
   }
 
   // --- expressions (precedence climbing) ---

@@ -167,6 +167,19 @@ TEST(Cli, VerifyRejectsBrokenOutline) {
   EXPECT_NE(out.find("outline INVALID"), std::string::npos) << out;
 }
 
+TEST(Cli, VerifyStatsReportEvaluatedObligations) {
+  // --stats adds the evaluated count; the plain report leaves it out.
+  std::string plain, stats;
+  EXPECT_EQ(run(bin("rc11-verify") + " " + prog("mp_verified.rc11"), &plain),
+            0);
+  EXPECT_EQ(plain.find("obligations evaluated:"), std::string::npos) << plain;
+  EXPECT_EQ(run(bin("rc11-verify") + " --stats " + prog("mp_verified.rc11"),
+                &stats),
+            0);
+  EXPECT_NE(stats.find("obligations checked:"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("obligations evaluated:"), std::string::npos) << stats;
+}
+
 TEST(Cli, VerifyNeedsAnOutline) {
   EXPECT_EQ(run(bin("rc11-verify") + " " + prog("sb.rc11")), 1);
 }

@@ -30,82 +30,17 @@
 #include "lang/config.hpp"
 #include "memsem/validate.hpp"
 #include "race/race.hpp"
+#include "small_programs.hpp"
 
 namespace {
 
 using namespace rc11;
-using lang::c;
 using lang::Config;
-using lang::Reg;
 using lang::System;
-using lang::ThreadBuilder;
-using lang::Value;
-
-/// One instruction template; `emit` adds it to a thread.
-struct Vocab {
-  const char* name;
-  // var_idx selects x or y; uniq is a value unique to the (thread, slot).
-  std::function<void(ThreadBuilder&, lang::LocId, Reg, Value)> emit;
-};
-
-std::vector<Vocab> core_vocab() {
-  return {
-      {"st", [](ThreadBuilder& tb, lang::LocId v, Reg, Value u) {
-         tb.store(v, c(u));
-       }},
-      {"stR", [](ThreadBuilder& tb, lang::LocId v, Reg, Value u) {
-         tb.store_rel(v, c(u));
-       }},
-      {"ld", [](ThreadBuilder& tb, lang::LocId v, Reg r, Value) {
-         tb.load(r, v);
-       }},
-      {"ldA", [](ThreadBuilder& tb, lang::LocId v, Reg r, Value) {
-         tb.load_acq(r, v);
-       }},
-  };
-}
-
-std::vector<Vocab> rmw_vocab() {
-  auto vocab = core_vocab();
-  vocab.push_back({"cas", [](ThreadBuilder& tb, lang::LocId v, Reg r, Value u) {
-                     tb.cas(r, v, c(0), c(u));
-                   }});
-  vocab.push_back({"fai", [](ThreadBuilder& tb, lang::LocId v, Reg r, Value) {
-                     tb.fai(r, v);
-                   }});
-  return vocab;
-}
-
-struct Generated {
-  System sys;
-  std::vector<Reg> regs;
-  std::string description;
-};
-
-/// Builds the program where thread t executes the instruction templates
-/// selected by `choice[t][slot]` over variables selected by `var[t][slot]`.
-Generated build(const std::vector<Vocab>& vocab,
-                const std::array<std::array<int, 2>, 2>& choice,
-                const std::array<std::array<int, 2>, 2>& var) {
-  Generated g;
-  const auto x = g.sys.client_var("x", 0);
-  const auto y = g.sys.client_var("y", 0);
-  const lang::LocId vars[2] = {x, y};
-  for (int t = 0; t < 2; ++t) {
-    auto tb = g.sys.thread();
-    for (int s = 0; s < 2; ++s) {
-      auto r = tb.reg("r" + std::to_string(t) + std::to_string(s));
-      g.regs.push_back(r);
-      const auto& v = vocab[static_cast<std::size_t>(choice[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)])];
-      const Value uniq = 10 * (t + 1) + s + 1;
-      v.emit(tb, vars[var[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)]], r, uniq);
-      g.description += std::string(v.name) +
-                       (var[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)] ? "y " : "x ");
-    }
-    g.description += "| ";
-  }
-  return g;
-}
+using testgen::build;
+using testgen::core_vocab;
+using testgen::Generated;
+using testgen::Vocab;
 
 /// Runs all four property checks on one generated program.
 void check_program(const Generated& g) {
@@ -226,24 +161,12 @@ TEST(SmallProgramFuzz, CoreVocabularyExhaustive) {
 }
 
 TEST(SmallProgramFuzz, RmwVocabularyDiagonal) {
-  // With CAS/FAI included the full product is large; sweep the combinations
-  // where thread 1's slots mirror thread 0's choices shifted by one — this
-  // still hits every ordered pair of vocabulary entries across threads.
-  const auto vocab = rmw_vocab();
-  const int n = static_cast<int>(vocab.size());
   std::uint64_t programs = 0;
-  for (int a = 0; a < n; ++a)
-    for (int b = 0; b < n; ++b)
-      for (int vc = 0; vc < 4; ++vc) {
-        const std::array<std::array<int, 2>, 2> choice{
-            {{a, b}, {b, (a + 1) % n}}};
-        const std::array<std::array<int, 2>, 2> var{
-            {{0, vc & 1}, {1, (vc >> 1) & 1}}};
-        const auto g = build(vocab, choice, var);
-        check_program(g);
-        if (::testing::Test::HasFatalFailure()) return;
-        ++programs;
-      }
+  for (const auto& g : testgen::rmw_diagonal_programs()) {
+    check_program(g);
+    if (::testing::Test::HasFatalFailure()) return;
+    ++programs;
+  }
   SUCCEED() << programs << " programs checked";
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "explore/explorer.hpp"
 #include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
@@ -577,6 +579,99 @@ TEST(OutlineParser, Errors) {
     outline { at t 99: true; }
   )"),
                Error);
+}
+
+/// The message of the parse error `source` raises ("" if it parses).
+std::string parse_error(const std::string& source) {
+  try {
+    (void)parse_program(source);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Thread b has two instructions, so its program points are 0, 1 and the
+// terminal pc 2.
+constexpr const char* kTwoInstrB = R"(
+var x = 0;
+thread a { x := 1; }
+thread b { reg r; r <- x; r := 7; }
+outline {
+)";
+
+TEST(OutlineParser, PcLiteralsOutsideTheThreadArePositionedErrors) {
+  const std::string pre = kTwoInstrB;
+  struct Case {
+    std::string body;
+    std::string where;  // "parse error at L:C:"
+    std::string pc;
+  };
+  const std::vector<Case> cases{
+      // 2^32 used to wrap to pc 0 (annotating pc 0) ...
+      {"  at b 4294967296: r == 7;\n}", "parse error at 6:8:", "4294967296"},
+      // ... and to make pc(b) == 2^32 mean pc(b) == 0.
+      {"  invariant pc(b) == 4294967296 ==> false;\n}",
+       "parse error at 6:22:", "4294967296"},
+      {"  invariant !(pc(b) in {0, 4294967297});\n}", "parse error at 6:28:",
+       "4294967297"},
+      {"  invariant !(pc(b) in {0, -1});\n}", "parse error at 6:28:", "-1"},
+      // Past the terminal pc: used to be an unpositioned annotate() error.
+      {"  at b 7: r == 7;\n}", "parse error at 6:8:", "7"},
+      {"  at b 3: r == 7;\n}", "parse error at 6:8:", "3"},
+      {"  invariant pc(b) == 3;\n}", "parse error at 6:22:", "3"},
+  };
+  for (const auto& c : cases) {
+    const auto msg = parse_error(pre + c.body);
+    EXPECT_EQ(msg.rfind(c.where, 0), 0u) << c.body << " -> " << msg;
+    EXPECT_NE(msg.find("pc " + c.pc + " is out of range for thread 'b' "
+                       "(pcs 0..2)"),
+              std::string::npos)
+        << c.body << " -> " << msg;
+  }
+}
+
+TEST(OutlineParser, TerminalPcIsAProgramPoint) {
+  auto p = parse_program(std::string(kTwoInstrB) + R"(
+  at b 2: r == 7;
+  invariant pc(b) == 2 ==> r == 7;
+  invariant pc(b) in {0, 1, 2};
+}
+)");
+  ASSERT_TRUE(p.outline.has_value());
+  EXPECT_EQ(p.outline->at(1, 2).name(), "r0@t1=7");
+  const auto result = og::check_outline(p.sys, *p.outline);
+  EXPECT_TRUE(result.valid);
+}
+
+TEST(Parser, IntegerLiteralsThatOverflowArePositionedErrors) {
+  const auto msg = parse_error(R"(var x = 0;
+thread a { x := 99999999999999999999; }
+)");
+  EXPECT_EQ(msg.rfind("parse error at 2:17:", 0), 0u) << msg;
+  EXPECT_NE(msg.find("integer literal 99999999999999999999 is too large"),
+            std::string::npos)
+      << msg;
+  // The largest literal still lexes.
+  EXPECT_NO_THROW(parse_program(R"(var x = 0;
+thread a { x := 9223372036854775807; }
+)"));
+}
+
+TEST(OutlineParser, EveryShippedOutlineParses) {
+  // The corpus and benchmark programs with an outline block, checked against
+  // the pc range rule above.
+  namespace fs = std::filesystem;
+  int outlines = 0;
+  for (const char* dir : {"/tools/programs", "/perfbench/programs"}) {
+    const std::string path = std::string(RC11_SRC_DIR) + dir;
+    for (const auto& entry : fs::directory_iterator(path)) {
+      if (entry.path().extension() != ".rc11") continue;
+      const auto p = parser::parse_file(entry.path().string());
+      if (p.outline) ++outlines;
+    }
+  }
+  EXPECT_GE(outlines, 3);
 }
 
 }  // namespace
