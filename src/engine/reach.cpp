@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,19 +16,11 @@
 #include "engine/abstraction.hpp"
 #include "engine/checkpoint.hpp"
 #include "support/diagnostics.hpp"
-#include "support/intern.hpp"
 #include "support/parallel.hpp"
 
 namespace rc11::engine {
 
 namespace {
-
-/// Sequential visited set: one interned word set (open-addressing
-/// fingerprint table over a varint arena — see support/intern.hpp), kept
-/// lock-free for the num_threads == 1 paths.  Exact for the same reason as
-/// ShardedVisitedSet: fingerprint hits are confirmed against the full
-/// stored encoding.
-using VisitedSet = support::InternedWordSet;
 
 /// A frontier entry: the configuration plus its id in the trace sink (the
 /// id stays kNoState when no sink is attached).
@@ -36,7 +28,7 @@ struct Frontier {
   Config cfg;
   std::uint64_t id = ShardedVisitedSet::kNoState;
   /// Sleeping-thread mask in this configuration's concrete thread
-  /// coordinates (reduction paths only; 0 otherwise).
+  /// coordinates (sleep-set runs only; 0 otherwise).
   std::uint64_t sleep = 0;
   /// Re-expansion of an already-visited state whose stored sleep mask
   /// strictly shrank (Godefroid's revisit rule): successors are reprocessed
@@ -45,79 +37,77 @@ struct Frontier {
   bool revisit = false;
 };
 
-/// Sequential counterpart of ShardedVisitedSet::insert_masked: one interned
-/// word set plus a dense per-id mask array, lock-free for the single-thread
-/// driver.  Same meet semantics, so both drivers share the revisit rule
-/// documented on MaskedInsert.  With all-zero masks this is an exact
-/// insert() with ids — the degenerate form the symmetry quotient uses when
-/// sleep sets are off.
-class SeqMaskedSet {
- public:
-  ShardedVisitedSet::MaskedInsert insert_masked(
-      std::span<const std::uint64_t> encoding, std::uint64_t mask) {
-    const auto ided = set_.resolve_ided(encoding);
-    if (ided.inserted) {
-      masks_.push_back(mask);
-      return {true, true, mask};
-    }
-    std::uint64_t& stored = masks_[ided.id];
-    const std::uint64_t meet = stored & mask;
-    if (meet == stored) return {false, false, stored};
-    stored = meet;
-    return {false, true, meet};
-  }
-
-  [[nodiscard]] std::size_t bytes() const noexcept {
-    return set_.bytes() + masks_.capacity() * sizeof(std::uint64_t);
-  }
-
- private:
-  support::InternedWordSet set_;
-  std::vector<std::uint64_t> masks_;
-};
-
-/// Builds the run's state abstraction from the reduction options: the
-/// symmetry orbit quotient, the execution-graph quotient, or — when neither
-/// applies but the sleep-set path still needs masked keying — the concrete
-/// identity abstraction.  Returns null when no reduced path is needed at
-/// all.  visit_reachable has already rejected symmetry+rf_quotient.
-std::unique_ptr<StateAbstraction> make_abstraction(const System& sys,
-                                                   const ReachOptions& options,
-                                                   bool sleep) {
+/// Builds the run's state abstraction: the symmetry orbit quotient, the
+/// execution-graph quotient, or the concrete identity — which is also what
+/// a symmetry request gets on a system with no interchangeable threads.
+/// visit_reachable has already rejected symmetry+rf_quotient.
+std::unique_ptr<StateAbstraction> make_abstraction(
+    const System& sys, const ReachOptions& options) {
   if (options.symmetry) {
     auto abs = make_symmetry_abstraction(sys);
     if (abs->nontrivial()) return abs;
-    // No interchangeable threads: the orbit quotient is the identity, so
-    // fall through to the cheaper paths.
   } else if (options.rf_quotient) {
     return make_rf_quotient_abstraction(sys, options.rf_pins);
   }
-  if (sleep) return make_concrete_abstraction();
-  return nullptr;
+  return make_concrete_abstraction();
 }
+
+/// How a run decides whether a successor is new.
+enum class Membership : std::uint8_t {
+  /// Traced identity runs: the trace sink's own insert_traced.  The sink is
+  /// the visited set, so recording the parent link and the once-only insert
+  /// decision are one atomic step.
+  Sink,
+  /// Untraced identity runs: a plain insert() into the run's own set, with
+  /// no ids and no masks.
+  Plain,
+  /// A quotient or sleep sets: insert_masked() on the abstract key, into the
+  /// run's own set.  A trace sink, if attached, stays concrete and records
+  /// every really-taken step; the masked set decides expansion ownership.
+  Masked,
+};
+
+/// What every worker of one run shares.
+struct Run {
+  const TransitionSystem& ts;
+  ShardedVisitedSet* trace;    ///< caller's trace sink, or null
+  ShardedVisitedSet& visited;  ///< the run's own set; unused under Sink
+  Membership membership;
+  bool collapse;  ///< POR chain collapse (TransitionSystem::collapse_chains)
+  bool sleep;     ///< sleep-set pruning (at most 64 threads)
+};
+
+/// One worker's state: its abstraction instance (key() reuses mutable
+/// scratch), pooled step buffers, and its share of the run's statistics,
+/// summed after the join.  Cache-line aligned so neighbouring workers'
+/// counters never share a line.
+struct alignas(64) Worker {
+  std::unique_ptr<StateAbstraction> abs;
+  ExploreStats stats;
+  lang::StepBuffer steps;        // pooled successor storage
+  lang::StepBuffer chain_steps;  // separate pool: collapse runs mid-expansion
+  std::vector<std::uint64_t> scratch;  // reusable encoding buffer
+  AbstractKey key;
+  std::array<lang::StepMeta, 64> meta{};  // per-thread run metadata (sleep)
+  std::vector<Frontier> batch;       // items taken from the frontier
+  std::vector<Frontier> discovered;  // successors bound for the frontier
+};
 
 /// Seeds a run from a checkpoint (ReachOptions::resume): every checkpointed
 /// state enters the trace sink when one is attached (with its recorded
 /// parent link and enqueued flag, so a later checkpoint of the resumed run
-/// is still faithful), and every *enqueued* state goes on the frontier for
-/// (re-)expansion.  Chain-internal POR states are interned but never
-/// enqueued, exactly as the original run left them.  The two callbacks
-/// adapt the visited-set shape per driver mode: `untraced(encoding)` seeds
-/// the plain untraced set (a no-op in reduced modes, whose visited set is
-/// the masked canonical one), `canon_seed(cfg)` seeds the canonical set
-/// (a no-op in plain modes).  Canonical masks restart empty: resume
-/// re-expands every enqueued state anyway, and the empty mask skips nothing
-/// — sound, only pruning is lost.
-template <typename UntracedInsert, typename CanonSeed>
+/// is still faithful), and every *enqueued* state goes into the run's own
+/// set through `seed` and onto the frontier for (re-)expansion.
+/// Chain-internal POR states are interned in the sink but never enqueued,
+/// exactly as the original run left them; untraced runs never intern them.
+/// Sleep masks restart empty: resume re-expands every enqueued state anyway,
+/// and the empty mask skips nothing — sound, only pruning is lost.
+template <typename Seed>
 void seed_from_checkpoint(const TransitionSystem& ts, const Checkpoint& ckpt,
-                          ShardedVisitedSet* trace, UntracedInsert&& untraced,
-                          CanonSeed&& canon_seed,
+                          ShardedVisitedSet* trace, Seed&& seed,
                           std::deque<Frontier>& frontier) {
   std::vector<Config> configs = restore_states(ts, ckpt);
-  std::vector<std::uint64_t> ids;
-  if (trace != nullptr) {
-    ids.assign(configs.size(), ShardedVisitedSet::kNoState);
-  }
+  std::vector<std::uint64_t> ids(configs.size(), ShardedVisitedSet::kNoState);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const Checkpoint::State& state = ckpt.states[i];
     if (trace != nullptr) {
@@ -131,16 +121,10 @@ void seed_from_checkpoint(const TransitionSystem& ts, const Checkpoint& ckpt,
                    "resume requires an empty trace sink and a duplicate-free "
                    "checkpoint");
       ids[i] = ins.id;
-      if (state.enqueued) {
-        canon_seed(configs[i]);
-        frontier.push_back({std::move(configs[i]), ins.id});
-      }
-    } else if (state.enqueued) {
-      // Untraced runs never intern chain-internal states; seeding only the
-      // enqueued ones reproduces an uninterrupted untraced visited set.
-      untraced(std::span<const std::uint64_t>(state.encoding));
-      canon_seed(configs[i]);
-      frontier.push_back({std::move(configs[i]), ShardedVisitedSet::kNoState});
+    }
+    if (state.enqueued) {
+      seed(configs[i]);
+      frontier.push_back({std::move(configs[i]), ids[i]});
     }
   }
 }
@@ -181,70 +165,64 @@ void collapse_untraced(const TransitionSystem& ts, Config& cfg,
   }
 }
 
-/// Traced variant: interns every intermediate chain state into the sink as a
-/// real single-step edge (so path_to / witness replay see ordinary
-/// transitions) and advances `cfg` / `id` to the chain's stable end.
-/// Returns false when an intermediate state was already interned — whichever
-/// expansion interned it first also interned and enqueued the same
-/// deterministic suffix, so the caller drops this duplicate branch.
-bool collapse_traced(const TransitionSystem& ts, ShardedVisitedSet& sink,
-                     Config& cfg, std::uint64_t& id, StepBuffer& buf,
-                     std::vector<std::uint64_t>& scratch,
-                     std::uint64_t& chained) {
-  auto t = chain_thread(ts, cfg);
-  while (t) {
-    ts.thread_successors_into(cfg, *t, buf, /*want_labels=*/true);
-    auto& step = buf.steps()[0];
-    // Chain-internal states are interned (witnesses need the edges) but
-    // never enqueued — a checkpoint must not resurrect them as frontier
-    // work.  Only the chain's stable end, which the caller pushes onto the
-    // frontier, is marked enqueued.
-    const auto next = chain_thread(ts, step.after);
-    scratch.clear();
-    step.after.encode_into(scratch);
+/// Interns `step`'s target into the trace sink and, under chain collapse,
+/// every state of its deterministic local chain, each as a real single-step
+/// edge (so path_to / witness replay see ordinary transitions), leaving
+/// `step.after` at the chain's stable end.  Returns the chain end's sink id
+/// and whether the sink had never seen it.  A label is consumed only when
+/// the sink inserts its state: a duplicate leaves it, and its capacity, in
+/// the pooled slot.
+///
+/// Under Sink membership the walk stops at the first already-interned state
+/// and the successor is dropped (returns nullopt): whichever expansion
+/// interned that state first also interned and enqueued the same
+/// deterministic suffix.  Chain-internal states are never enqueued — a
+/// checkpoint must not resurrect them as frontier work — so only the
+/// chain's stable end is marked enqueued.  Under Masked membership the walk
+/// goes *through* interned states with enqueued=false, because the chain
+/// end's mask meet in the masked set must happen even when the concrete
+/// chain was walked before; process_steps marks the end enqueued when it
+/// wins the masked set.  A chain step counts in por_chained when the walk
+/// takes it.
+std::optional<ShardedVisitedSet::TracedInsert> intern_traced(
+    const Run& run, Worker& w, std::uint64_t parent, lang::Step& step,
+    bool count_stats) {
+  const bool sink_decides = run.membership == Membership::Sink;
+  Config& after = step.after;
+  memsem::ThreadId acting = step.thread;
+  std::string* label = &step.label;
+  for (bool chain_step = false;; chain_step = true) {
+    const auto next =
+        run.collapse ? chain_thread(run.ts, after) : std::nullopt;
+    w.scratch.clear();
+    after.encode_into(w.scratch);
     const auto ins =
-        sink.insert_traced(scratch, id, step.thread, std::move(step.label),
-                           /*enqueued=*/!next.has_value());
-    if (!ins.inserted) return false;
-    id = ins.id;
-    std::swap(cfg, step.after);
-    chained += 1;
-    t = next;
+        sink_decides
+            ? run.trace->insert_traced(w.scratch, parent, acting,
+                                       std::move(*label),
+                                       /*enqueued=*/!next.has_value())
+            : run.trace->resolve_traced(w.scratch, parent, acting,
+                                        std::move(*label), /*enqueued=*/false);
+    if (sink_decides && !ins.inserted) return std::nullopt;
+    if (chain_step && count_stats) w.stats.por_chained += 1;
+    if (!next) return ins;
+    run.ts.thread_successors_into(after, *next, w.chain_steps,
+                                  /*want_labels=*/true);
+    lang::Step& cstep = w.chain_steps.steps()[0];
+    std::swap(after, cstep.after);
+    parent = ins.id;
+    acting = cstep.thread;
+    label = &cstep.label;
   }
-  return true;
 }
 
-// --- reduction successor path ------------------------------------------------
+// --- successor processing ----------------------------------------------------
 
-/// Per-worker scratch for the reduction successor path: chain-walk step
-/// buffer, encoding buffer, abstract-key result, and the per-thread run
-/// metadata of the expansion in flight (valid only under sleep sets, which
-/// require <= 64 threads).
-struct ReduceScratch {
-  lang::StepBuffer chain_steps;
-  std::vector<std::uint64_t> scratch;
-  AbstractKey key;
-  std::array<lang::StepMeta, 64> meta{};
-};
-
-/// The successor-processing path both drivers share when any reduction —
-/// a state abstraction (symmetry orbit or execution-graph quotient) and/or
-/// sleep sets — is active.  Differences from the plain path:
-///
-///   * Membership is decided in `canon_set` (SeqMaskedSet sequentially, a
-///     dedicated ShardedVisitedSet in parallel), keyed by the abstraction's
-///     abstract key (the concrete encoding for the identity abstraction of
-///     the sleep-only path), with per-state sleep masks (all zero when
-///     sleep sets are off).
-///   * With a trace sink, every concrete successor is interned with
-///     enqueued=false via resolve_traced, and the *canonical-set winner*
-///     flips the flag via mark_enqueued: the expansion race between orbit
-///     mates is decided in the canonical set, while the sink stays a
-///     faithful forest of really-taken steps (witnesses and checkpoints are
-///     concrete, so replay needs no permutation arithmetic).
-///   * Traced chain collapse walks *through* already-interned intermediates
-///     instead of early-dropping: under sleep sets the chain end's canonical
-///     mask meet must happen even when the concrete chain was walked before.
+/// Decides, for every step in `w.steps` (the expansion of `item`), whether
+/// its target is new, and hands each new one — or each masked revisit — to
+/// `push`.  Membership is the run's (see Membership).  `count_stats` is
+/// false on mask-shrink revisits, which count no chain steps, sleep skips
+/// or rf merges.
 ///
 /// Sleep-set bookkeeping (Godefroid, adapted to thread-level masks over
 /// meta-homogeneous runs — a thread's enabled steps at one configuration
@@ -261,21 +239,17 @@ struct ReduceScratch {
 /// reported permutation, never the larger concrete child mask: the stored
 /// mask is what later arrivals are judged against.  DESIGN.md (symmetry +
 /// sleep section) gives the full argument.
-template <typename CanonSet, typename Push>
-void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
-                           bool collapse, const StateAbstraction& abs,
-                           bool sleep, const Frontier& item,
-                           std::span<lang::Step> steps, CanonSet& canon_set,
-                           ReduceScratch& rs, bool count_stats,
-                           std::uint64_t& chained, std::uint64_t& sym_hits,
-                           std::uint64_t& rf_merges, std::uint64_t& sleep_skips,
-                           Push&& push) {
+template <typename Push>
+void process_steps(const Run& run, Worker& w, const Frontier& item,
+                   bool count_stats, Push&& push) {
+  const std::span<lang::Step> steps = w.steps.steps();
+  const StateAbstraction& abs = *w.abs;
   std::uint64_t mask = 0;
-  if (sleep) {
+  if (run.sleep) {
     std::uint64_t enabled = 0;
     for (const auto& step : steps) {
       if ((enabled >> step.thread & 1ULL) == 0) {
-        rs.meta[step.thread] = step.meta;
+        w.meta[step.thread] = step.meta;
         enabled |= 1ULL << step.thread;
       }
     }
@@ -289,19 +263,19 @@ void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
     const ThreadId t = steps[i].thread;
     std::size_t j = i;
     while (j < steps.size() && steps[j].thread == t) ++j;
-    if (sleep && (mask >> t & 1ULL) != 0) {
+    if (run.sleep && (mask >> t & 1ULL) != 0) {
       // The run is asleep: a commuted exploration order covers it.
-      if (count_stats) sleep_skips += j - i;
+      if (count_stats) w.stats.sleep_set_skips += j - i;
       i = j;
       continue;
     }
     std::uint64_t child_sleep = 0;
-    if (sleep) {
+    if (run.sleep) {
       std::uint64_t base = (mask | earlier) & ~(1ULL << t);
       while (base != 0) {
         const auto u = static_cast<unsigned>(std::countr_zero(base));
         base &= base - 1;
-        if (steps_independent(rs.meta[u], rs.meta[t])) {
+        if (steps_independent(w.meta[u], w.meta[t])) {
           child_sleep |= 1ULL << u;
         }
       }
@@ -312,75 +286,62 @@ void process_steps_reduced(const TransitionSystem& ts, ShardedVisitedSet* trace,
       // Keyed and interned in its pooled slot; moved out only to enter the
       // frontier, so a duplicate leaves the slot's capacity for the refill.
       Config& after = step.after;
-      std::uint64_t concrete_id = ShardedVisitedSet::kNoState;
+      std::uint64_t id = ShardedVisitedSet::kNoState;
       bool concrete_new = false;
-      if (trace != nullptr) {
-        std::uint64_t parent = item.id;
-        memsem::ThreadId acting = step.thread;
-        std::string label = std::move(step.label);
-        if (collapse) {
-          while (const auto ct = chain_thread(ts, after)) {
-            rs.scratch.clear();
-            after.encode_into(rs.scratch);
-            parent = trace
-                         ->resolve_traced(rs.scratch, parent, acting,
-                                          std::move(label), /*enqueued=*/false)
-                         .id;
-            if (count_stats) chained += 1;
-            ts.thread_successors_into(after, *ct, rs.chain_steps,
-                                      /*want_labels=*/true);
-            auto& cstep = rs.chain_steps.steps()[0];
-            std::swap(after, cstep.after);
-            acting = cstep.thread;
-            label = std::move(cstep.label);
-          }
+      if (run.trace != nullptr) {
+        const auto ins = intern_traced(run, w, item.id, step, count_stats);
+        if (!ins) continue;
+        id = ins->id;
+        concrete_new = ins->inserted;
+        if (run.membership == Membership::Sink) {
+          push(Frontier{std::move(after), id});
+          continue;
         }
-        rs.scratch.clear();
-        after.encode_into(rs.scratch);
-        const auto cins = trace->resolve_traced(
-            rs.scratch, parent, acting, std::move(label), /*enqueued=*/false);
-        concrete_id = cins.id;
-        concrete_new = cins.inserted;
-      } else if (collapse) {
+      } else if (run.collapse) {
         std::uint64_t walked = 0;
-        collapse_untraced(ts, after, rs.chain_steps, walked);
-        if (count_stats) chained += walked;
+        collapse_untraced(run.ts, after, w.chain_steps, walked);
+        if (count_stats) w.stats.por_chained += walked;
       }
-      abs.key(after, rs.key);
+      abs.key(after, w.key);
+      if (run.membership == Membership::Plain) {
+        if (run.visited.insert(w.key.encoding)) {
+          push(Frontier{std::move(after), ShardedVisitedSet::kNoState});
+        }
+        continue;
+      }
       std::uint64_t cmask = 0;
-      if (sleep) {
-        cmask = rs.key.complete ? mask_to_abstract(child_sleep, rs.key) : 0;
+      if (run.sleep) {
+        cmask = w.key.complete ? mask_to_abstract(child_sleep, w.key) : 0;
       }
-      const auto r = canon_set.insert_masked(rs.key.encoding, cmask);
+      const auto r = run.visited.insert_masked(w.key.encoding, cmask);
       if (!r.inserted) {
         if (abs.kind() == StateAbstraction::Kind::Symmetry &&
-            !key_is_identity(rs.key)) {
-          sym_hits += 1;
+            !key_is_identity(w.key)) {
+          w.stats.symmetry_hits += 1;
         } else if (abs.kind() == StateAbstraction::Kind::RfQuotient &&
                    count_stats && concrete_new) {
           // A concrete state the sink had never seen folded into a visited
           // quotient class.  Only a trace sink can tell a genuinely new
           // concrete state from a re-arrival, so untraced runs report 0.
-          rf_merges += 1;
+          w.stats.rf_merges += 1;
         }
       }
       if (!r.inserted && !r.expand) continue;
       std::uint64_t fmask = 0;
-      if (sleep) fmask = mask_from_abstract(r.mask, rs.key);
-      if (trace != nullptr && r.inserted) trace->mark_enqueued(concrete_id);
-      push(Frontier{std::move(after), concrete_id, fmask,
-                    /*revisit=*/!r.inserted});
+      if (run.sleep) fmask = mask_from_abstract(r.mask, w.key);
+      if (run.trace != nullptr && r.inserted) run.trace->mark_enqueued(id);
+      push(Frontier{std::move(after), id, fmask, /*revisit=*/!r.inserted});
     }
     i = j;
   }
 }
 
-// --- parallel reachability engine -------------------------------------------
+// --- the driver --------------------------------------------------------------
 
-/// Shared frontier of the worker pool.  A single deque behind one mutex is
-/// deliberately simple: state *expansion* (successor computation + canonical
-/// encoding) dominates queue traffic by orders of magnitude, and workers pop
-/// and push in batches, so the lock is cold.  The visited set, where every
+/// The shared frontier.  A single deque behind one mutex is deliberately
+/// simple: state *expansion* (successor computation + canonical encoding)
+/// dominates queue traffic by orders of magnitude, and a pool's workers
+/// pop in batches, so the lock is cold.  The visited set, where every
 /// generated successor lands, is the contended structure — and that one is
 /// sharded (see sharded_visited.hpp).
 struct SharedFrontier {
@@ -388,106 +349,101 @@ struct SharedFrontier {
   std::condition_variable cv;
   std::deque<Frontier> items;
   unsigned working = 0;  ///< workers currently expanding a batch
-  bool stop = false;     ///< cooperative stop (visitor veto or truncation)
-  std::uint64_t max_size = 0;
+  bool stop = false;     ///< cooperative stop (visitor veto or budget)
 };
 
-ReachResult parallel_reach(const TransitionSystem& ts,
-                           const ReachOptions& options,
-                           const StateVisitor& visitor, unsigned workers) {
+/// The most items a worker of a multi-worker pool takes per turn.
+constexpr std::size_t kMaxBatch = 32;
+
+/// Shards of the run's own set in a multi-worker pool (one otherwise).
+constexpr unsigned kPoolShards = 64;
+
+void add_stats(ExploreStats& total, const ExploreStats& part) {
+  total.states += part.states;
+  total.transitions += part.transitions;
+  total.finals += part.finals;
+  total.blocked += part.blocked;
+  total.peak_frontier = std::max(total.peak_frontier, part.peak_frontier);
+  total.por_reduced += part.por_reduced;
+  total.por_chained += part.por_chained;
+  total.symmetry_hits += part.symmetry_hits;
+  total.sleep_set_skips += part.sleep_set_skips;
+  total.rf_merges += part.rf_merges;
+}
+
+ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,
+                  const StateVisitor& visitor, unsigned num_workers) {
   const System& sys = ts.system();
-  ReachResult result;
-  ShardedVisitedSet local_visited;
-  // With a trace sink the sink doubles as the visited set, so parent
-  // recording and the once-only insert decision are one atomic step.
-  ShardedVisitedSet& visited = options.trace ? *options.trace : local_visited;
-  const bool want_labels = options.want_labels || options.trace != nullptr;
-  const bool collapse = options.por && ts.collapse_chains();
-  // Reduction configuration.  Abstract keys are a pure function of the
-  // system, so the driver-level abstraction (used for seeding) and its
-  // per-worker clones (key() reuses mutable scratch, so one instance per
-  // worker) always agree.
   const bool sleep = options.sleep_sets && sys.num_threads() <= 64;
-  const std::unique_ptr<StateAbstraction> seed_abs =
-      make_abstraction(sys, options, sleep);
-  const bool reduced = seed_abs != nullptr;
-  // The reduced paths' visited set: canonical orbit encodings (or masked
-  // concrete ones under sleep-only) with per-state sleep masks.  Doubles as
-  // *the* visited set in untraced reduced runs; traced runs keep the sink
-  // concrete and use this as the expansion-ownership side set.
-  ShardedVisitedSet canon_shared;
-  SharedFrontier frontier;
-  // Every popped state claims one index from the budget enforcer; claims
-  // beyond a limit mark the stop reason instead of being expanded.  This is
-  // the cooperative-parallel analogue of the sequential pre-pop bound check.
-  BudgetEnforcer enforcer(options.budget, options.cancel, options.fault,
-                          [&]() -> std::uint64_t {
-                            std::uint64_t b =
-                                reduced ? canon_shared.bytes() : 0;
-                            if (options.trace != nullptr || !reduced) {
-                              b += visited.bytes();
-                            }
-                            return b;
-                          });
-  std::atomic<std::uint64_t> states{0};
-  std::atomic<std::uint64_t> transitions{0};
-  std::atomic<std::uint64_t> finals{0};
-  std::atomic<std::uint64_t> blocked{0};
-  std::atomic<std::uint64_t> por_reduced{0};
-  std::atomic<std::uint64_t> por_chained{0};
-  std::atomic<std::uint64_t> symmetry_hits{0};
-  std::atomic<std::uint64_t> rf_merges{0};
-  std::atomic<std::uint64_t> sleep_skips{0};
-
-  AbstractKey seed_key;
-  const auto canon_seed = [&](const Config& cfg) {
-    if (!reduced) return;
-    seed_abs->key(cfg, seed_key);
-    canon_shared.insert_masked(seed_key.encoding, 0);
+  // Abstract keys are a pure function of the system, so every worker's
+  // clone agrees with worker 0's instance, which also seeds the run.
+  std::vector<Worker> workers(num_workers);
+  workers[0].abs = make_abstraction(sys, options);
+  for (unsigned w = 1; w < num_workers; ++w) {
+    workers[w].abs = workers[0].abs->clone();
+  }
+  const bool identity =
+      !sleep && workers[0].abs->kind() == StateAbstraction::Kind::Concrete;
+  // A one-worker run's set is a single shard, byte for byte the interned
+  // word set it wraps.
+  ShardedVisitedSet visited(num_workers == 1 ? 1 : kPoolShards);
+  const Run run{ts,
+                options.trace,
+                visited,
+                !identity                 ? Membership::Masked
+                : options.trace != nullptr ? Membership::Sink
+                                           : Membership::Plain,
+                options.por && ts.collapse_chains(),
+                sleep};
+  const bool want_labels = options.want_labels || options.trace != nullptr;
+  // Only the sets the run uses count: an empty set still owns its table.
+  const auto visited_bytes = [&]() -> std::uint64_t {
+    std::uint64_t b = run.membership == Membership::Sink ? 0 : visited.bytes();
+    if (run.trace != nullptr) b += run.trace->bytes();
+    return b;
   };
+  // Every popped state claims one index from the budget enforcer; claims
+  // beyond a limit mark the stop reason instead of being expanded.
+  BudgetEnforcer enforcer(options.budget, options.cancel, options.fault,
+                          visited_bytes);
 
+  const auto seed = [&](const Config& cfg) {
+    if (run.membership == Membership::Sink) return;
+    Worker& w = workers[0];
+    w.abs->key(cfg, w.key);
+    if (run.membership == Membership::Plain) {
+      visited.insert(w.key.encoding);
+    } else {
+      visited.insert_masked(w.key.encoding, 0);
+    }
+  };
+  SharedFrontier frontier;
   if (options.resume != nullptr) {
-    seed_from_checkpoint(
-        ts, *options.resume, options.trace,
-        [&](std::span<const std::uint64_t> enc) {
-          if (!reduced) visited.insert(enc);
-        },
-        canon_seed, frontier.items);
-    frontier.max_size = frontier.items.size();
+    seed_from_checkpoint(ts, *options.resume, run.trace, seed, frontier.items);
   } else {
     Config init = ts.initial();
     std::uint64_t id = ShardedVisitedSet::kNoState;
-    if (options.trace) {
-      id = options.trace
+    if (run.trace != nullptr) {
+      id = run.trace
                ->insert_traced(init.encode(), ShardedVisitedSet::kNoState, 0,
                                "init")
                .id;
-    } else if (!reduced) {
-      visited.insert(init.encode());
     }
-    canon_seed(init);
+    seed(init);
     frontier.items.push_back({std::move(init), id});
-    frontier.max_size = 1;
   }
 
   const bool bfs = options.strategy == SearchStrategy::Bfs;
-  constexpr std::size_t kMaxBatch = 32;
+  // One worker takes one item per turn, so it expands in exact DFS (BFS)
+  // order — the order --json's peak_frontier and reduction counters pin.
+  // A pool's worker takes at most a 1/workers share, leaving work for idle
+  // peers.
+  const std::size_t max_batch = num_workers == 1 ? 1 : kMaxBatch;
 
-  const auto worker = [&] {
-    std::vector<Frontier> batch;
-    std::vector<Frontier> discovered;
-    lang::StepBuffer steps;                // pooled successor storage
-    lang::StepBuffer chain_steps;          // separate pool for chain collapse
-    std::vector<std::uint64_t> scratch;    // reusable encoding buffer
-    std::uint64_t chained = 0;             // batched into por_chained below
-    std::unique_ptr<StateAbstraction> wabs;
-    if (reduced) wabs = seed_abs->clone();
-    ReduceScratch rs;
-    std::uint64_t local_sym = 0;    // batched into symmetry_hits below
-    std::uint64_t local_rf = 0;     // batched into rf_merges below
-    std::uint64_t local_skips = 0;  // batched into sleep_skips below
+  const auto work = [&](Worker& w) {
     for (;;) {
-      batch.clear();
+      w.batch.clear();
+      std::size_t size_at_pop = 0;  // frontier size before the batch's pops
       {
         std::unique_lock<std::mutex> lock(frontier.mu);
         frontier.cv.wait(lock, [&] {
@@ -498,306 +454,86 @@ ReachResult parallel_reach(const TransitionSystem& ts,
           frontier.cv.notify_all();
           return;
         }
-        // Leave work for idle peers: take at most a 1/workers share.
+        size_at_pop = frontier.items.size();
         const std::size_t take = std::min(
-            kMaxBatch,
-            std::max<std::size_t>(1, frontier.items.size() / workers));
-        for (std::size_t i = 0; i < take && !frontier.items.empty(); ++i) {
+            max_batch, std::max<std::size_t>(1, size_at_pop / num_workers));
+        for (std::size_t i = 0; i < take; ++i) {
           if (bfs) {
-            batch.push_back(std::move(frontier.items.front()));
+            w.batch.push_back(std::move(frontier.items.front()));
             frontier.items.pop_front();
           } else {
-            batch.push_back(std::move(frontier.items.back()));
+            w.batch.push_back(std::move(frontier.items.back()));
             frontier.items.pop_back();
           }
         }
         frontier.working += 1;
       }
 
-      discovered.clear();
+      w.discovered.clear();
+      const auto push = [&](Frontier&& f) {
+        w.discovered.push_back(std::move(f));
+      };
       bool request_stop = false;
-      for (const Frontier& item : batch) {
-        const Config& cfg = item.cfg;
-        if (item.revisit) {
-          // Mask-shrink revisit: regenerate the same successor set
-          // (expansion is a pure function of the configuration) and
-          // reprocess it with the smaller mask.  No state claim, no stats,
-          // no visitor — the state was already visited once.
-          if (enforcer.probe() != StopReason::Complete) {
-            request_stop = true;
-            break;
-          }
-          (void)expand_steps(ts, cfg, options, steps, want_labels);
-          process_steps_reduced(
-              ts, options.trace, collapse, *wabs, sleep, item, steps.steps(),
-              canon_shared, rs, /*count_stats=*/false, chained, local_sym,
-              local_rf, local_skips,
-              [&](Frontier&& f) { discovered.push_back(std::move(f)); });
-          continue;
-        }
-        if (enforcer.claim() != StopReason::Complete) {
-          // Remaining batch items are dropped without being expanded; they
-          // stay recoverable through a checkpoint (they are interned and
-          // marked enqueued, and resume re-expands every enqueued state).
+      for (std::size_t i = 0; i < w.batch.size(); ++i) {
+        const Frontier& item = w.batch[i];
+        // A mask-shrink revisit regenerates the same successor set
+        // (expansion is a pure function of the configuration) and
+        // reprocesses it with the smaller mask: no state claim, no stats,
+        // no visitor — the state was already visited once.
+        if ((item.revisit ? enforcer.probe() : enforcer.claim()) !=
+            StopReason::Complete) {
+          // The rest of the batch is dropped unexpanded; it stays
+          // recoverable through a checkpoint (interned and marked enqueued,
+          // and resume re-expands every enqueued state).
           request_stop = true;
           break;
         }
-        states.fetch_add(1, std::memory_order_relaxed);
-        if (expand_steps(ts, cfg, options, steps, want_labels)) {
-          por_reduced.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (steps.empty()) {
-          (cfg.all_done(sys) ? finals : blocked)
-              .fetch_add(1, std::memory_order_relaxed);
-        }
-        transitions.fetch_add(steps.size(), std::memory_order_relaxed);
-        const bool keep_going = visitor(cfg, item.id, steps.steps());
-        if (reduced) {
-          process_steps_reduced(
-              ts, options.trace, collapse, *wabs, sleep, item, steps.steps(),
-              canon_shared, rs, /*count_stats=*/true, chained, local_sym,
-              local_rf, local_skips,
-              [&](Frontier&& f) { discovered.push_back(std::move(f)); });
-        } else {
-          for (auto& step : steps.steps()) {
-            // Interned in its pooled slot; moved out only when new (see the
-            // sequential driver).
-            Config& after = step.after;
-            if (options.trace) {
-              // A successor that opens a deterministic chain is itself
-              // chain-internal: collapse will fast-forward through it and
-              // enqueue the chain's end instead.
-              const bool chain_start =
-                  collapse && chain_thread(ts, after).has_value();
-              scratch.clear();
-              after.encode_into(scratch);
-              const auto ins = options.trace->insert_traced(
-                  scratch, item.id, step.thread, std::move(step.label),
-                  /*enqueued=*/!chain_start);
-              if (!ins.inserted) continue;
-              std::uint64_t id = ins.id;
-              if (collapse &&
-                  !collapse_traced(ts, *options.trace, after, id, chain_steps,
-                                   scratch, chained)) {
-                continue;
-              }
-              discovered.push_back({std::move(after), id});
-            } else {
-              if (collapse) collapse_untraced(ts, after, chain_steps, chained);
-              scratch.clear();
-              after.encode_into(scratch);
-              if (visited.insert(scratch)) {
-                discovered.push_back({std::move(after), ShardedVisitedSet::kNoState});
-              }
-            }
+        w.stats.peak_frontier =
+            std::max<std::uint64_t>(w.stats.peak_frontier, size_at_pop - i);
+        const Config& cfg = item.cfg;
+        const bool ample = expand_steps(ts, cfg, options, w.steps, want_labels);
+        bool keep_going = true;
+        if (!item.revisit) {
+          w.stats.states += 1;
+          if (ample) w.stats.por_reduced += 1;
+          if (w.steps.empty()) {
+            (cfg.all_done(sys) ? w.stats.finals : w.stats.blocked) += 1;
           }
+          w.stats.transitions += w.steps.size();
+          keep_going = visitor(cfg, item.id, w.steps.steps());
         }
+        process_steps(run, w, item, /*count_stats=*/!item.revisit, push);
         if (!keep_going) {
           request_stop = true;
           break;
         }
-      }
-      if (chained != 0) {
-        por_chained.fetch_add(chained, std::memory_order_relaxed);
-        chained = 0;
-      }
-      if (local_sym != 0) {
-        symmetry_hits.fetch_add(local_sym, std::memory_order_relaxed);
-        local_sym = 0;
-      }
-      if (local_rf != 0) {
-        rf_merges.fetch_add(local_rf, std::memory_order_relaxed);
-        local_rf = 0;
-      }
-      if (local_skips != 0) {
-        sleep_skips.fetch_add(local_skips, std::memory_order_relaxed);
-        local_skips = 0;
       }
 
       {
         std::lock_guard<std::mutex> lock(frontier.mu);
         frontier.working -= 1;
         if (request_stop) frontier.stop = true;
-        for (auto& item : discovered) {
+        for (auto& item : w.discovered) {
           frontier.items.push_back(std::move(item));
         }
-        frontier.max_size =
-            std::max<std::uint64_t>(frontier.max_size, frontier.items.size());
       }
       frontier.cv.notify_all();
     }
   };
 
+  // The calling thread is worker 0; a one-worker run starts no thread.
   std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) pool.emplace_back(worker);
-  worker();
+  pool.reserve(num_workers - 1);
+  for (unsigned w = 1; w < num_workers; ++w) {
+    pool.emplace_back(work, std::ref(workers[w]));
+  }
+  work(workers[0]);
   for (auto& t : pool) t.join();
 
-  result.stats.states = states.load();
-  result.stats.transitions = transitions.load();
-  result.stats.finals = finals.load();
-  result.stats.blocked = blocked.load();
-  result.stats.peak_frontier = frontier.max_size;
-  result.stats.visited_bytes = reduced ? canon_shared.bytes() : 0;
-  if (options.trace != nullptr || !reduced) {
-    result.stats.visited_bytes += visited.bytes();
-  }
-  result.stats.por_reduced = por_reduced.load();
-  result.stats.por_chained = por_chained.load();
-  result.stats.symmetry_hits = symmetry_hits.load();
-  result.stats.rf_merges = rf_merges.load();
-  result.stats.sleep_set_skips = sleep_skips.load();
-  result.stop = enforcer.reason();
-  return result;
-}
-
-ReachResult sequential_reach(const TransitionSystem& ts,
-                             const ReachOptions& options,
-                             const StateVisitor& visitor) {
-  const System& sys = ts.system();
   ReachResult result;
-  // Untraced runs keep the single lock-free interned set; a trace sink
-  // replaces it (insert_traced assigns ids and records parent links).
-  VisitedSet visited;
-  const bool want_labels = options.want_labels || options.trace != nullptr;
-  const bool collapse = options.por && ts.collapse_chains();
-  // Reduction configuration (mirrors parallel_reach).
-  const bool sleep = options.sleep_sets && sys.num_threads() <= 64;
-  const std::unique_ptr<StateAbstraction> abs =
-      make_abstraction(sys, options, sleep);
-  const bool reduced = abs != nullptr;
-  SeqMaskedSet canon;  // the reduced paths' (masked) visited set
-  ReduceScratch rs;
-  BudgetEnforcer enforcer(options.budget, options.cancel, options.fault,
-                          [&]() -> std::uint64_t {
-                            std::uint64_t b = reduced ? canon.bytes() : 0;
-                            if (options.trace) {
-                              b += options.trace->bytes();
-                            } else if (!reduced) {
-                              b += visited.bytes();
-                            }
-                            return b;
-                          });
-  std::deque<Frontier> frontier;
-  lang::StepBuffer steps;
-  lang::StepBuffer chain_steps;  // separate pool: collapse runs mid-iteration
-  std::vector<std::uint64_t> scratch;
-  const auto canon_seed = [&](const Config& cfg) {
-    if (!reduced) return;
-    abs->key(cfg, rs.key);
-    canon.insert_masked(rs.key.encoding, 0);
-  };
-  if (options.resume != nullptr) {
-    seed_from_checkpoint(
-        ts, *options.resume, options.trace,
-        [&](std::span<const std::uint64_t> enc) {
-          if (!reduced) visited.insert(enc);
-        },
-        canon_seed, frontier);
-  } else {
-    Config init = ts.initial();
-    std::uint64_t id = ShardedVisitedSet::kNoState;
-    if (options.trace) {
-      id = options.trace
-               ->insert_traced(init.encode(), ShardedVisitedSet::kNoState, 0,
-                               "init")
-               .id;
-    } else if (!reduced) {
-      visited.insert(init.encode());
-    }
-    canon_seed(init);
-    frontier.push_back({std::move(init), id});
-  }
-  const bool bfs = options.strategy == SearchStrategy::Bfs;
-  while (!frontier.empty()) {
-    const bool revisit =
-        bfs ? frontier.front().revisit : frontier.back().revisit;
-    if (const StopReason gate = revisit ? enforcer.probe() : enforcer.claim();
-        gate != StopReason::Complete) {
-      result.stop = gate;
-      break;
-    }
-    result.stats.peak_frontier =
-        std::max<std::uint64_t>(result.stats.peak_frontier, frontier.size());
-    Frontier item = bfs ? std::move(frontier.front()) : std::move(frontier.back());
-    if (bfs) {
-      frontier.pop_front();
-    } else {
-      frontier.pop_back();
-    }
-    const Config& cfg = item.cfg;
-    bool keep_going = true;
-    if (revisit) {
-      // Mask-shrink revisit (see the parallel driver): same successor set,
-      // smaller mask, no stats, no visitor, no state claim.
-      (void)expand_steps(ts, cfg, options, steps, want_labels);
-    } else {
-      result.stats.states += 1;
-      if (expand_steps(ts, cfg, options, steps, want_labels)) {
-        result.stats.por_reduced += 1;
-      }
-      if (steps.empty()) {
-        if (cfg.all_done(sys)) {
-          result.stats.finals += 1;
-        } else {
-          result.stats.blocked += 1;
-        }
-      }
-      result.stats.transitions += steps.size();
-      keep_going = visitor(cfg, item.id, steps.steps());
-    }
-    if (reduced) {
-      process_steps_reduced(
-          ts, options.trace, collapse, *abs, sleep, item, steps.steps(), canon,
-          rs, /*count_stats=*/!revisit, result.stats.por_chained,
-          result.stats.symmetry_hits, result.stats.rf_merges,
-          result.stats.sleep_set_skips,
-          [&](Frontier&& f) { frontier.push_back(std::move(f)); });
-    } else {
-      for (auto& step : steps.steps()) {
-        // Encoded and interned in its pooled slot: only a state that enters
-        // the frontier is moved out, so a duplicate keeps the slot's
-        // capacity and the next StepBuffer::push refills it without
-        // allocating.
-        Config& after = step.after;
-        if (options.trace) {
-          // Same chain-start rule as the parallel driver: see above.
-          const bool chain_start =
-              collapse && chain_thread(ts, after).has_value();
-          scratch.clear();
-          after.encode_into(scratch);
-          const auto ins = options.trace->insert_traced(
-              scratch, item.id, step.thread, std::move(step.label),
-              /*enqueued=*/!chain_start);
-          if (!ins.inserted) continue;
-          std::uint64_t id = ins.id;
-          if (collapse &&
-              !collapse_traced(ts, *options.trace, after, id, chain_steps,
-                               scratch, result.stats.por_chained)) {
-            continue;
-          }
-          frontier.push_back({std::move(after), id});
-        } else {
-          if (collapse) {
-            collapse_untraced(ts, after, chain_steps, result.stats.por_chained);
-          }
-          scratch.clear();
-          after.encode_into(scratch);
-          if (visited.insert(scratch)) {
-            frontier.push_back({std::move(after), ShardedVisitedSet::kNoState});
-          }
-        }
-      }
-    }
-    if (!keep_going) break;
-  }
-  result.stats.visited_bytes = reduced ? canon.bytes() : 0;
-  if (options.trace) {
-    result.stats.visited_bytes += options.trace->bytes();
-  } else if (!reduced) {
-    result.stats.visited_bytes += visited.bytes();
-  }
+  for (const Worker& w : workers) add_stats(result.stats, w.stats);
+  result.stats.visited_bytes = visited_bytes();
+  result.stop = enforcer.reason();
   return result;
 }
 
@@ -817,12 +553,6 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
       if (!out.empty()) return true;
     }
   }
-  if (options.fuse_local_steps) {
-    if (const auto t = ts.fusible_thread(cfg)) {
-      ts.thread_successors_into(cfg, *t, out, want_labels);
-      return false;
-    }
-  }
   ts.successors_into(cfg, out, want_labels);
   return false;
 }
@@ -830,17 +560,6 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
 ReachResult visit_reachable(const TransitionSystem& ts,
                             const ReachOptions& options,
                             const StateVisitor& visitor) {
-  // Strategy::Por and the historic `por` flag are one setting: normalise
-  // both ways so callers may set either and stats/report code can key off
-  // whichever it likes.
-  if (options.mode == Strategy::Por || options.por) {
-    ReachOptions normalised = options;
-    normalised.mode = Strategy::Por;
-    normalised.por = true;
-    if (normalised.mode != options.mode || normalised.por != options.por) {
-      return visit_reachable(ts, normalised, visitor);
-    }
-  }
   support::require(
       !(options.symmetry && options.rf_quotient),
       "--symmetry and --rf-quotient cannot be combined (v1): sleep masks "
@@ -854,6 +573,10 @@ ReachResult visit_reachable(const TransitionSystem& ts,
         "observable state (drop --rf-quotient or the SC model)");
   }
   if (options.mode == Strategy::Sample) {
+    support::require(
+        !options.por,
+        "--por requires exhaustive exploration: the sampling strategy "
+        "replays concrete schedules (drop --por or the sampling strategy)");
     support::require(
         !options.symmetry,
         "--symmetry requires exhaustive or POR exploration: the sampling "
@@ -894,14 +617,13 @@ ReachResult visit_reachable(const TransitionSystem& ts,
         options.rf_quotient ? "on" : "off",
         "; resume must use the same reduction setting");
   }
-  const unsigned workers = support::resolve_num_threads(options.num_threads);
-  if (workers <= 1) return sequential_reach(ts, options, visitor);
-  return parallel_reach(ts, options, visitor, workers);
+  return reach(ts, options, visitor,
+               support::resolve_num_threads(options.num_threads));
 }
 
 ReachResult visit_reachable(const System& sys, const ReachOptions& options,
                             const StateVisitor& visitor) {
-  const SystemTransitions ts(sys);
+  const TransitionSystem ts(sys);
   return visit_reachable(ts, options, visitor);
 }
 

@@ -1,15 +1,23 @@
 // rc11lib/engine/reach.hpp
 //
 // The generic reachability driver all four checkers run on: enumerate every
-// configuration reachable in a TransitionSystem exactly once — sequentially
-// or with a worker pool over a lock-striped visited set — and hand each one,
-// together with its enabled steps, to a visitor.  explore::explore,
+// configuration reachable in a TransitionSystem exactly once and hand each
+// one, together with its enabled steps, to a visitor.  explore::explore,
 // og::check_outline / check_triple and refinement::build_graph are all thin
 // visitors over this driver; none of them generates successors itself.
 //
+// There is one driver loop: a pool of workers over a shared frontier and a
+// lock-striped visited set.  `num_threads == 1` is the pool with one worker
+// on the calling thread and a one-shard set; that worker takes one frontier
+// item per turn (LIFO, FIFO under BFS), so a single-thread run expands in
+// exact DFS (BFS) order and its statistics are deterministic.  Larger pools
+// take batches and may interleave differently; they visit the same states.
+//
 // States are deduplicated by their canonical encoding (order-isomorphic
 // timestamp quotient — see memsem::SemanticsOptions::canonical_timestamps),
-// which is what keeps litmus-style programs finite-state.
+// which is what keeps litmus-style programs finite-state — or, under a state
+// abstraction (symmetry, rf quotient), by the abstraction's key.  The
+// identity abstraction is the plain path.
 //
 // Partial-order reduction (ReachOptions::por): when the transition system
 // reports an ample thread for a configuration, only that thread's steps are
@@ -98,19 +106,15 @@ struct ReachOptions {
   Budget budget;
   unsigned num_threads = 1;  ///< same convention as ExploreOptions
   SearchStrategy strategy = SearchStrategy::Dfs;
-  /// How to cover the state space: exhaustive enumeration (default), ample-
-  /// set POR enumeration, or seeded random sampling (engine/sample.hpp).
-  /// Strategy::Por and `por = true` are the same thing — visit_reachable
-  /// normalises them both ways, so callers may set either.  Under
-  /// Strategy::Sample the driver runs sample_reach: episodes are sequential
-  /// regardless of num_threads (seed determinism), `resume` is rejected, and
+  /// How to cover the state space: exhaustive enumeration (default) or
+  /// seeded random sampling (engine/sample.hpp).  Under Strategy::Sample the
+  /// driver runs sample_reach: episodes are sequential regardless of
+  /// num_threads (seed determinism), `resume` and `por` are rejected, and
   /// search `strategy` is ignored.
   Strategy mode = Strategy::Exhaustive;
   /// Tuning for Strategy::Sample (ignored otherwise).
   SampleOptions sample;
-  bool fuse_local_steps = false;
-  /// Ample-set partial-order reduction (see the header comment).  Subsumes
-  /// fuse_local_steps when on; checked before it.
+  /// Ample-set partial-order reduction (see the header comment).
   bool por = false;
   bool want_labels = false;  ///< fill Step::label for the visitor
   /// Thread-symmetry quotient (engine/symmetry.hpp): states are deduplicated
@@ -191,12 +195,10 @@ struct ReachResult {
   /// veto (stopping was the visitor's decision, not resource exhaustion);
   /// every other value means the enumeration is partial.
   StopReason stop = StopReason::Complete;
-  /// Compat accessor for the historic `truncated` flag.
-  [[nodiscard]] bool truncated() const { return stop != StopReason::Complete; }
 };
 
-/// The driver's per-state expansion policy — POR ample set, local fusion, or
-/// full successor relation — exposed so graph builders that must mirror the
+/// The driver's per-state expansion policy — POR ample set or full successor
+/// relation — exposed so graph builders that must mirror the
 /// reduced edge relation (refinement::build_graph phase 2) expand exactly
 /// like the driver.  Returns true iff a reduced (ample) set was produced.
 bool expand_steps(const TransitionSystem& ts, const Config& cfg,
@@ -206,12 +208,12 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
 /// Enumerates reachable configurations under `options`, invoking `visitor`
 /// once per configuration.  Deduplication uses canonical encodings with
 /// full-encoding confirmation (collision-sound), lock-striped across shards
-/// when parallel.
+/// when more than one worker runs.
 [[nodiscard]] ReachResult visit_reachable(const TransitionSystem& ts,
                                           const ReachOptions& options,
                                           const StateVisitor& visitor);
 
-/// Convenience overload over the standard SystemTransitions (FinalState
+/// Convenience overload over the standard TransitionSystem (FinalState
 /// ample policy — what the explorer and the outline checker use).
 [[nodiscard]] ReachResult visit_reachable(const System& sys,
                                           const ReachOptions& options,

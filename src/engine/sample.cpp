@@ -26,8 +26,6 @@ const char* to_string(Strategy strategy) noexcept {
   switch (strategy) {
     case Strategy::Exhaustive:
       return "exhaustive";
-    case Strategy::Por:
-      return "por";
     case Strategy::Sample:
       return "sample";
   }
@@ -35,13 +33,14 @@ const char* to_string(Strategy strategy) noexcept {
 }
 
 bool parse_strategy(std::string_view text, Strategy& strategy,
-                    std::uint64_t& sample_episodes) {
+                    std::uint64_t& sample_episodes, bool& por) {
   if (text == "exhaustive") {
     strategy = Strategy::Exhaustive;
     return true;
   }
   if (text == "por") {
-    strategy = Strategy::Por;
+    strategy = Strategy::Exhaustive;
+    por = true;
     return true;
   }
   if (text == "sample") {

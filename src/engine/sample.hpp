@@ -1,9 +1,9 @@
 // rc11lib/engine/sample.hpp
 //
-// The third exploration strategy next to exhaustive search and ample-set
-// POR: feedback-guided randomized *sampling* of whole schedules, in the
-// C11Tester style.  Instead of enumerating the reachable state space, the
-// sampling driver runs `episodes` complete executions of the semantics; at
+// The exploration strategy next to exhaustive search (with or without
+// ample-set POR): feedback-guided randomized *sampling* of whole schedules,
+// in the C11Tester style.  Instead of enumerating the reachable state space,
+// the sampling driver runs `episodes` complete executions of the semantics; at
 // every configuration it draws the next thread from a seeded weighted RNG
 // (and, because lang::successors enumerates memory nondeterminism as
 // separate steps, a second draw *within* the chosen thread's steps picks
@@ -52,17 +52,17 @@
 
 namespace rc11::engine {
 
-/// How the reachability driver covers the state space.  Exhaustive and Por
-/// enumerate every reachable state (Por over the ample-reduced relation);
-/// Sample draws random schedules instead and covers a subset.
+/// How the reachability driver covers the state space.  Exhaustive
+/// enumerates every reachable state (over the ample-reduced relation when
+/// ReachOptions::por is set); Sample draws random schedules instead and
+/// covers a subset.
 enum class Strategy : std::uint8_t {
   Exhaustive,  ///< full enumeration (the historic default)
-  Por,         ///< full enumeration over the ample-set reduced relation
   Sample,      ///< seeded weighted random schedules (episodes)
 };
 
-/// Stable lower-case names ("exhaustive", "por", "sample") for reports and
-/// JSON summaries.
+/// Stable lower-case names ("exhaustive", "sample") for reports and JSON
+/// summaries.
 [[nodiscard]] const char* to_string(Strategy strategy) noexcept;
 
 /// Tuning knobs for Strategy::Sample.
@@ -92,10 +92,12 @@ struct SampleOptions {
 inline constexpr std::uint64_t kDefaultEpisodeStepCap = 20'000;
 
 /// Parses a --strategy value: "exhaustive", "por", "sample" or "sample:N"
-/// (N = episode count, whole positive number).  Returns false on anything
-/// else; `strategy`/`sample_episodes` are only written on success
-/// (`sample_episodes` only by the sample:N form).
+/// (N = episode count, whole positive number).  "por" is exhaustive
+/// enumeration with ample-set POR: it sets `strategy` to Exhaustive and
+/// `por` to true.  Returns false on anything else; the outputs are only
+/// written on success (`sample_episodes` only by the sample forms, `por`
+/// only by "por").
 [[nodiscard]] bool parse_strategy(std::string_view text, Strategy& strategy,
-                                  std::uint64_t& sample_episodes);
+                                  std::uint64_t& sample_episodes, bool& por);
 
 }  // namespace rc11::engine

@@ -14,10 +14,10 @@
 // There is no per-state heap allocation: duplicates touch only the table,
 // and new states append their compressed encoding to the shard arena.
 //
-// Soundness: exactly like the sequential visited set, a fingerprint hit is
-// confirmed against the complete stored encoding before an insert is
-// refused — a digest collision can never make exploration drop a genuinely
-// new state, it only costs a memcmp.  Because each encoding maps to exactly
+// Soundness: exactly like the interned word set each shard wraps, a
+// fingerprint hit is confirmed against the complete stored encoding before
+// an insert is refused — a digest collision can never make exploration drop
+// a genuinely new state, it only costs a memcmp.  Because each encoding maps to exactly
 // one shard, the per-shard mutex makes insert() linearisable: of two racing
 // inserts of the same encoding exactly one returns true, which is the
 // property the exploration engine needs (every reachable state is expanded

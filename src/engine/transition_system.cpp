@@ -14,7 +14,7 @@ constexpr std::uint64_t bit(ThreadId t) noexcept { return 1ULL << t; }
 
 }  // namespace
 
-SystemTransitions::SystemTransitions(const System& sys, AmplePolicy policy)
+TransitionSystem::TransitionSystem(const System& sys, AmplePolicy policy)
     : sys_(&sys), policy_(policy) {
   masks_valid_ = sys.num_threads() <= 64;
   if (!masks_valid_) return;
@@ -31,20 +31,20 @@ SystemTransitions::SystemTransitions(const System& sys, AmplePolicy policy)
   }
 }
 
-Config SystemTransitions::initial() const { return lang::initial_config(*sys_); }
+Config TransitionSystem::initial() const { return lang::initial_config(*sys_); }
 
-void SystemTransitions::successors_into(const Config& cfg, StepBuffer& out,
-                                        bool want_labels) const {
+void TransitionSystem::successors_into(const Config& cfg, StepBuffer& out,
+                                       bool want_labels) const {
   lang::successors(*sys_, cfg, out, want_labels);
 }
 
-void SystemTransitions::thread_successors_into(const Config& cfg, ThreadId t,
-                                               StepBuffer& out,
-                                               bool want_labels) const {
+void TransitionSystem::thread_successors_into(const Config& cfg, ThreadId t,
+                                              StepBuffer& out,
+                                              bool want_labels) const {
   lang::thread_successors(*sys_, cfg, t, out, want_labels);
 }
 
-bool SystemTransitions::ample_eligible(const Config& cfg, ThreadId t) const {
+bool TransitionSystem::ample_eligible(const Config& cfg, ThreadId t) const {
   const System& sys = *sys_;
   const Instr& in = sys.code(t)[cfg.pc[t]];
   switch (in.kind) {
@@ -89,23 +89,13 @@ bool SystemTransitions::ample_eligible(const Config& cfg, ThreadId t) const {
   }
 }
 
-std::optional<ThreadId> SystemTransitions::ample_thread(const Config& cfg) const {
+std::optional<ThreadId> TransitionSystem::ample_thread(
+    const Config& cfg) const {
   // Lowest eligible thread id: deterministic, so the reduced graph is the
   // same for every worker count, search strategy and trace mode.
   for (ThreadId t = 0; t < sys_->num_threads(); ++t) {
     if (cfg.thread_done(*sys_, t)) continue;
     if (ample_eligible(cfg, t)) return t;
-  }
-  return std::nullopt;
-}
-
-std::optional<ThreadId> SystemTransitions::fusible_thread(const Config& cfg) const {
-  for (ThreadId t = 0; t < sys_->num_threads(); ++t) {
-    if (cfg.thread_done(*sys_, t)) continue;
-    const auto kind = sys_->code(t)[cfg.pc[t]].kind;
-    if (kind == IKind::Assign || kind == IKind::Branch || kind == IKind::Jump) {
-      return t;
-    }
   }
   return std::nullopt;
 }

@@ -4,16 +4,15 @@
 // TransitionSystem produces, for any configuration, the enabled steps of the
 // combined operational semantics — each tagged with independence metadata
 // (acting thread, accessed location, read/write/RMW/object kind, sync flag;
-// see lang::StepMeta) — plus the two state-local reductions the generic
-// reachability driver (engine/reach.hpp) can apply: local-step fusion and
-// ample-set partial-order reduction.
+// see lang::StepMeta) — plus the state-local reduction the generic
+// reachability driver (engine/reach.hpp) can apply: ample-set partial-order
+// reduction.
 //
-// SystemTransitions is the one implementation, covering client-only systems,
-// clients over abstract objects and clients over inlined library
-// implementations uniformly: lang::successors already dispatches on
-// instruction and location kinds, so the three system shapes differ only in
-// which instruction kinds their code contains, not in how successors are
-// produced or classified.
+// One concrete class covers client-only systems, clients over abstract
+// objects and clients over inlined library implementations uniformly:
+// lang::successors already dispatches on instruction and location kinds, so
+// the three system shapes differ only in which instruction kinds their code
+// contains, not in how successors are produced or classified.
 //
 // --- the independence relation -----------------------------------------------
 //
@@ -104,34 +103,28 @@ enum class AmplePolicy : std::uint8_t {
          !memsem::writes_location(b.access);
 }
 
-/// Successor production + reduction eligibility for one system.
-class TransitionSystem {
+/// Successor production + reduction eligibility for one lang::System.
+class TransitionSystem final {
  public:
-  virtual ~TransitionSystem() = default;
+  explicit TransitionSystem(const System& sys,
+                            AmplePolicy policy = AmplePolicy::FinalState);
 
-  [[nodiscard]] virtual const System& system() const = 0;
-  [[nodiscard]] virtual Config initial() const = 0;
+  [[nodiscard]] const System& system() const { return *sys_; }
+  [[nodiscard]] Config initial() const;
 
   /// Clears `out` and fills it with every enabled step of every thread,
   /// tagged with independence metadata (Step::meta).
-  virtual void successors_into(const Config& cfg, StepBuffer& out,
-                               bool want_labels) const = 0;
+  void successors_into(const Config& cfg, StepBuffer& out,
+                       bool want_labels) const;
 
   /// Clears `out` and fills it with thread t's enabled steps only.
-  virtual void thread_successors_into(const Config& cfg, ThreadId t,
-                                      StepBuffer& out,
-                                      bool want_labels) const = 0;
+  void thread_successors_into(const Config& cfg, ThreadId t, StepBuffer& out,
+                              bool want_labels) const;
 
   /// A thread whose enabled steps form a valid ample set at `cfg` (see the
-  /// header comment), or nullopt when only full expansion is sound.  Must be
-  /// a pure function of `cfg` and thread-safe.
-  [[nodiscard]] virtual std::optional<ThreadId> ample_thread(
-      const Config& cfg) const = 0;
-
-  /// The thread to expand exclusively under local-step fusion (the weaker,
-  /// historic reduction of ExploreOptions::fuse_local_steps), if any.
-  [[nodiscard]] virtual std::optional<ThreadId> fusible_thread(
-      const Config& cfg) const = 0;
+  /// header comment), or nullopt when only full expansion is sound.  A pure
+  /// function of `cfg` and thread-safe.
+  [[nodiscard]] std::optional<ThreadId> ample_thread(const Config& cfg) const;
 
   /// Whether the reachability driver may additionally *collapse*
   /// deterministic local ample chains under POR: when a state's ample thread
@@ -145,26 +138,7 @@ class TransitionSystem {
   /// states always have an enabled step, so no final or blocked state is
   /// ever skipped); off under ClientInvisible because graph builders need
   /// single-step edges between the states they collect.
-  [[nodiscard]] virtual bool collapse_chains() const = 0;
-};
-
-/// The lang::System-backed implementation (the only one; see header).
-class SystemTransitions final : public TransitionSystem {
- public:
-  explicit SystemTransitions(const System& sys,
-                             AmplePolicy policy = AmplePolicy::FinalState);
-
-  [[nodiscard]] const System& system() const override { return *sys_; }
-  [[nodiscard]] Config initial() const override;
-  void successors_into(const Config& cfg, StepBuffer& out,
-                       bool want_labels) const override;
-  void thread_successors_into(const Config& cfg, ThreadId t, StepBuffer& out,
-                              bool want_labels) const override;
-  [[nodiscard]] std::optional<ThreadId> ample_thread(
-      const Config& cfg) const override;
-  [[nodiscard]] std::optional<ThreadId> fusible_thread(
-      const Config& cfg) const override;
-  [[nodiscard]] bool collapse_chains() const override {
+  [[nodiscard]] bool collapse_chains() const {
     return policy_ == AmplePolicy::FinalState;
   }
 
@@ -181,5 +155,8 @@ class SystemTransitions final : public TransitionSystem {
   std::uint64_t sync_threads_ = 0;  ///< threads with any sync instruction
   bool masks_valid_ = false;
 };
+
+/// The class's earlier name, kept for perfbench/layers.cpp.
+using SystemTransitions = TransitionSystem;
 
 }  // namespace rc11::engine

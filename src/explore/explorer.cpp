@@ -94,7 +94,6 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   ropts.budget.deadline_ms = options.deadline_ms;
   ropts.num_threads = options.num_threads;
   ropts.strategy = options.strategy;
-  ropts.fuse_local_steps = options.fuse_local_steps;
   ropts.por = options.por;
   ropts.symmetry = options.symmetry;
   ropts.rf_quotient = options.rf_quotient;
@@ -205,8 +204,8 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
 
   result.stats = reach.stats;
   result.stop = reach.stop;
-  result.truncated = reach.truncated();
-  if (!options.checkpoint_path.empty() && reach.truncated()) {
+  result.truncated = reach.stop != engine::StopReason::Complete;
+  if (!options.checkpoint_path.empty() && result.truncated) {
     engine::save_checkpoint(
         engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
                                 options.por, options.symmetry,

@@ -7,11 +7,12 @@
 // configuration of the operational semantics.
 //
 // The enumeration itself lives in the shared engine layer — see
-// engine/reach.hpp (generic reachability driver, sequential and parallel)
-// and engine/transition_system.hpp (successor generation + independence
-// metadata + ample-set POR).  This header re-exports the driver types under
-// their historic explore:: names and adds the explorer proper: invariant
-// evaluation, final-configuration collection and witness construction.
+// engine/reach.hpp (generic reachability driver, one worker pool for every
+// thread count) and engine/transition_system.hpp (successor generation +
+// independence metadata + ample-set POR).  This header re-exports the
+// driver types under their historic explore:: names and adds the explorer
+// proper: invariant evaluation, final-configuration collection and witness
+// construction.
 
 #pragma once
 
@@ -50,33 +51,27 @@ struct ExploreOptions {
   /// Hard cap on distinct states; exploration reports truncation beyond it.
   std::uint64_t max_states = 1'000'000;
   SearchStrategy strategy = SearchStrategy::Dfs;
-  /// Worker threads expanding configurations: 1 (the default) runs the exact
-  /// sequential search — required for BFS shortest-trace guarantees and kept
-  /// as the default for Owicki–Gries outline checking; 0 resolves to
-  /// std::thread::hardware_concurrency(); N > 1 runs a shared-frontier pool
-  /// over a lock-striped visited set (engine/sharded_visited.hpp).  For
-  /// every thread count the *set* of visited states, final configurations,
-  /// outcomes and the presence of violations are identical (final configs
-  /// and violations are sorted canonically before returning); only per-run
-  /// orderings — which violation is reported first under stop_on_violation,
-  /// which states fall inside a max_states truncation — may differ.  The
-  /// invariant callback must be thread-safe when more than one worker
-  /// resolves.  track_traces composes with every thread count: parent links
+  /// Worker threads expanding configurations (engine/reach.hpp): 1 (the
+  /// default) is the driver's pool with one worker on the calling thread,
+  /// which expands in exact DFS (BFS) order — required for BFS
+  /// shortest-trace guarantees and kept as the default for Owicki–Gries
+  /// outline checking; 0 resolves to std::thread::hardware_concurrency();
+  /// N > 1 runs N workers over a lock-striped visited set
+  /// (engine/sharded_visited.hpp).  For every thread count the *set* of
+  /// visited states, final configurations, outcomes and the presence of
+  /// violations are identical (final configs and violations are sorted
+  /// canonically before returning); only per-run orderings — which
+  /// violation is reported first under stop_on_violation, which states fall
+  /// inside a max_states truncation — may differ.  The invariant callback
+  /// must be thread-safe when more than one worker resolves.  track_traces composes with every thread count: parent links
   /// are recorded per interned state under the visited-set shard lock, so a
-  /// parallel run's trace may differ from a sequential run's but is always a
-  /// real execution (and always replays — see witness::replay).
+  /// multi-worker run's trace may differ from a one-worker run's but is
+  /// always a real execution (and always replays — see witness::replay).
   unsigned num_threads = 1;
-  /// Sound reduction for outcome-set exploration: when some thread's next
-  /// instruction is *local* (Assign / Branch / Jump — deterministic, no
-  /// memory effect), expand only that thread.  Local steps commute with all
-  /// other transitions and can never be disabled, so reachable final states
-  /// and memory behaviours are preserved while intermediate interleavings of
-  /// program counters are pruned.  Leave off when checking proof outlines
-  /// (annotations quantify over the *full* interleaving set).
-  bool fuse_local_steps = false;
-  /// Ample-set partial-order reduction in the shared driver (subsumes
-  /// fuse_local_steps; adds the cycle proviso and private relaxed accesses —
-  /// see engine/transition_system.hpp).  Sound for final-register values,
+  /// Ample-set partial-order reduction in the shared driver: expand only
+  /// the ample thread when its next step is local (Assign / Branch / Jump)
+  /// or a private relaxed access, under the cycle proviso — see
+  /// engine/transition_system.hpp.  Sound for final-register values,
   /// reachable outcomes, deadlocks and the final/blocked state sets; the
   /// reduced graph is identical for every num_threads, and witnesses from
   /// reduced runs replay through the full semantics.  Per-state invariants
@@ -117,13 +112,13 @@ struct ExploreOptions {
   /// Viewfront entries to pin into the rf-quotient key (see above); ignored
   /// unless rf_quotient.
   engine::RfPins rf_pins;
-  /// Coverage mode (engine/sample.hpp): Exhaustive (default), Por — same
-  /// setting as `por` above, either spelling works — or Sample, which runs
-  /// `sample.episodes` seeded random schedules instead of enumerating and
-  /// reports StopReason::EpisodeCap unless something stopped it earlier.
-  /// Under Sample: checkpoint_path/resume are rejected loudly, violations
-  /// and finals are the ones the episodes covered (a lower bound), and the
-  /// exhaustive modes stay the oracle on small instances.
+  /// Coverage mode (engine/sample.hpp): Exhaustive (default) or Sample,
+  /// which runs `sample.episodes` seeded random schedules instead of
+  /// enumerating and reports StopReason::EpisodeCap unless something stopped
+  /// it earlier.  Under Sample: `por`, checkpoint_path and resume are
+  /// rejected loudly, violations and finals are the ones the episodes
+  /// covered (a lower bound), and the exhaustive modes stay the oracle on
+  /// small instances.
   Strategy mode = Strategy::Exhaustive;
   /// Tuning for mode == Strategy::Sample (episodes, seed, guided bias,
   /// episode step cap); ignored otherwise.

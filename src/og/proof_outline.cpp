@@ -396,7 +396,8 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   result.stop = reach.stop;
   result.obligations_checked = obligations.load();
   result.obligations_evaluated = evaluated.load();
-  if (!options.checkpoint_path.empty() && reach.truncated()) {
+  if (!options.checkpoint_path.empty() &&
+      reach.stop != engine::StopReason::Complete) {
     engine::save_checkpoint(
         engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
                                 options.por, options.symmetry,

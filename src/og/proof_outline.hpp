@@ -111,9 +111,6 @@ struct OutlineCheckResult {
   /// the state space was checked and `valid` is not a proof (a
   /// stop_at_first_failure stop is Complete — the verdict is definite).
   engine::StopReason stop = engine::StopReason::Complete;
-  [[nodiscard]] bool truncated() const {
-    return stop != engine::StopReason::Complete;
-  }
 };
 
 struct OutlineCheckOptions {
@@ -124,7 +121,7 @@ struct OutlineCheckOptions {
   /// Worker threads enumerating the reachable state space (same convention
   /// as explore::ExploreOptions::num_threads).  The default stays 1: outline
   /// checking is the substitution for the paper's Owicki–Gries proofs, and
-  /// the sequential DFS gives reproducible failure order.  With N > 1
+  /// a one-worker DFS gives reproducible failure order.  With N > 1
   /// validity/interference obligations are evaluated in parallel over the
   /// same state set — the verdict and the *set* of failed obligations are
   /// identical, but failures arrive unordered and the specific trace/witness
@@ -163,8 +160,8 @@ struct OutlineCheckOptions {
   /// Coverage mode (engine/sample.hpp).  Under Strategy::Sample the
   /// obligations are evaluated on the states `sample.episodes` seeded random
   /// schedules cross: failures found are real, but `valid` is never a proof
-  /// — the result stops with StopReason::EpisodeCap, so truncated() holds
-  /// and callers already treat the verdict as a lower bound.
+  /// — the result stops with StopReason::EpisodeCap, so callers reading
+  /// `stop` already treat the verdict as a lower bound.
   /// checkpoint_path/resume are rejected loudly under sampling.
   engine::Strategy mode = engine::Strategy::Exhaustive;
   /// Tuning for mode == Strategy::Sample; ignored otherwise.

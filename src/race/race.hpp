@@ -63,7 +63,6 @@ struct RaceOptions {
   unsigned num_threads = 1;
   /// Sound reductions, same semantics as the explorer's flags.  Race
   /// reports survive both: see the soundness note in the header comment.
-  bool fuse_local_steps = false;
   bool por = false;
   bool symmetry = false;
   /// Execution-graph quotient (see explore::ExploreOptions::rf_quotient).

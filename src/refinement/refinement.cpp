@@ -82,7 +82,7 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   // sorted encoding index by binary search: purely read-only lookups, so no
   // locking is needed.
   StateGraph graph;
-  const engine::SystemTransitions ts(sys, engine::AmplePolicy::ClientInvisible);
+  const engine::TransitionSystem ts(sys, engine::AmplePolicy::ClientInvisible);
   const bool want_labels = options.want_labels;
   const unsigned num_threads = options.num_threads;
 
@@ -112,7 +112,6 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
         return true;
       });
   graph.stop = reach.stop;
-  graph.truncated = reach.truncated();
 
   std::sort(collected.begin(), collected.end(),
             [](const Keyed& a, const Keyed& b) { return a.enc < b.enc; });
@@ -165,16 +164,6 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   });
 
   return graph;
-}
-
-StateGraph build_graph(const System& sys, std::uint64_t max_states,
-                       bool want_labels, unsigned num_threads, bool por) {
-  GraphOptions options;
-  options.max_states = max_states;
-  options.want_labels = want_labels;
-  options.num_threads = num_threads;
-  options.por = por;
-  return build_graph(sys, options);
 }
 
 namespace {
@@ -256,7 +245,8 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
       graph_options(options, /*want_labels=*/true, /*apply_sampling=*/true));
   result.abstract_states = abs.num_states();
   result.concrete_states = conc.num_states();
-  result.truncated = abs.truncated || conc.truncated;
+  result.truncated = abs.stop != engine::StopReason::Complete ||
+                     conc.stop != engine::StopReason::Complete;
   if (result.truncated) {
     result.diagnosis = truncation_diagnosis(abs, conc);
     return result;
@@ -427,9 +417,9 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
   // refinement violation.  The result stays marked truncated — "no
   // violation" on a sample is a lower bound, never a proof.  Any other
   // truncation (either graph) leaves the game meaningless, as before.
-  const bool sampled_concrete =
-      conc.truncated && conc.stop == engine::StopReason::EpisodeCap;
-  if (abs.truncated || (conc.truncated && !sampled_concrete)) {
+  const bool sampled_concrete = conc.stop == engine::StopReason::EpisodeCap;
+  if (abs.stop != engine::StopReason::Complete ||
+      (conc.stop != engine::StopReason::Complete && !sampled_concrete)) {
     result.truncated = true;
     result.what = truncation_diagnosis(abs, conc);
     return result;

@@ -78,7 +78,6 @@ struct StateGraph {
   /// Why the build's exploration ended; anything but Complete means the
   /// graph is missing states and downstream verdicts are unreliable.
   engine::StopReason stop = engine::StopReason::Complete;
-  bool truncated = false;  ///< stop != Complete (compat mirror)
 
   [[nodiscard]] std::size_t num_states() const { return states.size(); }
   [[nodiscard]] std::size_t num_edges() const {
@@ -92,7 +91,7 @@ struct StateGraph {
 /// edges carry step descriptions (costs time and memory; used for
 /// counterexample reporting and DOT export).
 ///
-/// num_threads follows the explore::ExploreOptions convention (1 sequential,
+/// num_threads follows the explore::ExploreOptions convention (1 one worker,
 /// 0 hardware concurrency).  The build runs in two phases for every thread
 /// count — collect all reachable states through the shared reachability
 /// driver, then resolve every state's successor edges against the index —
@@ -100,7 +99,7 @@ struct StateGraph {
 /// *identical for every thread count*.
 ///
 /// With `por`, both phases use the ClientInvisible ample policy of
-/// engine::SystemTransitions: states are collected over the reduced relation
+/// engine::TransitionSystem: states are collected over the reduced relation
 /// and every edge is a real single step of that same relation (no chain
 /// collapse — graph consumers need single-step edges), so counterexample
 /// runs over a reduced graph still replay through the full semantics.
@@ -132,14 +131,7 @@ struct GraphOptions {
 };
 
 [[nodiscard]] StateGraph build_graph(const System& sys,
-                                     const GraphOptions& options);
-
-/// Positional compat overload (historic signature).
-[[nodiscard]] StateGraph build_graph(const System& sys,
-                                     std::uint64_t max_states = 1'000'000,
-                                     bool want_labels = false,
-                                     unsigned num_threads = 1,
-                                     bool por = false);
+                                     const GraphOptions& options = {});
 
 struct SimulationOptions {
   std::uint64_t max_states = 1'000'000;  ///< per system

@@ -178,8 +178,7 @@ ReplayResult replay(const lang::System& sys, const Witness& w) {
 namespace {
 
 /// True iff thread t's next instruction is local (deterministic, no memory
-/// effect): the fuse_local_steps reduction used by minimize().  Mirrors the
-/// explorer's reduction; kept here so witness does not depend on explore.
+/// effect): the local-step fusion minimize() restricts its re-search with.
 bool next_instr_is_local(const lang::System& sys, const lang::Config& cfg,
                          lang::ThreadId t) {
   const auto& code = sys.code(t);
@@ -195,8 +194,8 @@ bool next_instr_is_local(const lang::System& sys, const lang::Config& cfg,
 }
 
 /// First thread whose next instruction is local, or nullopt.
-std::optional<lang::ThreadId> fusible_thread(const lang::System& sys,
-                                             const lang::Config& cfg) {
+std::optional<lang::ThreadId> local_step_thread(const lang::System& sys,
+                                                const lang::Config& cfg) {
   for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
     if (next_instr_is_local(sys, cfg, t)) return t;
   }
@@ -243,7 +242,7 @@ std::optional<std::vector<WitnessStep>> restricted_bfs(
     // Copy: nodes may reallocate while we push successors.
     const lang::Config cur = nodes[idx].cfg;
     const std::optional<lang::ThreadId> fused =
-        fuse ? fusible_thread(sys, cur) : std::nullopt;
+        fuse ? local_step_thread(sys, cur) : std::nullopt;
     const std::vector<lang::Step> succs =
         fused ? lang::thread_successors(sys, cur, *fused, /*want_labels=*/true)
               : lang::successors(sys, cur, /*want_labels=*/true);

@@ -19,8 +19,8 @@
 //   * Minimization: minimize() shrinks a trace before a human sees it — a
 //     BFS re-search restricted to the witness's touched states finds a
 //     shortest path through them (parallel DFS traces are rarely shortest),
-//     optionally under the fuse_local_steps reduction (local steps commute
-//     with every other transition, so forcing them to fire eagerly prunes
+//     optionally under local-step fusion (local steps commute with every
+//     other transition, so forcing them to fire eagerly prunes
 //     interleavings without losing the target).
 //
 // Witnesses are produced by the explorer (invariant violations), the
@@ -129,8 +129,9 @@ struct ReplayResult {
 struct MinimizeOptions {
   /// BFS shortest path through the witness's touched states.
   bool shortest_path = true;
-  /// Additionally restrict the re-search with the fuse_local_steps
-  /// reduction (sound: local steps commute and cannot be disabled).  Falls
+  /// Additionally restrict the re-search with local-step fusion: expand
+  /// only the first thread whose next instruction is local (sound: local
+  /// steps commute and cannot be disabled).  Falls
   /// back to the unfused search when the fused graph cannot reach the
   /// target inside the touched set.
   bool elide_local_steps = true;

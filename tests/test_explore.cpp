@@ -11,8 +11,6 @@
 #include "explore/explorer.hpp"
 #include "refinement/refinement.hpp"
 #include "litmus/litmus.hpp"
-#include "locks/clients.hpp"
-#include "locks/lock_objects.hpp"
 
 namespace {
 
@@ -279,8 +277,8 @@ TEST(Explorer, BfsAndDfsVisitTheSameStates) {
 
 TEST(DotExport, ProducesWellFormedGraph) {
   auto t = litmus::mp_release_acquire();
-  const auto graph =
-      refinement::build_graph(t.sys, 100000, /*want_labels=*/true);
+  const auto graph = refinement::build_graph(
+      t.sys, {.max_states = 100000, .want_labels = true});
   const auto dot = explore::to_dot(t.sys, graph);
   EXPECT_NE(dot.find("digraph rc11 {"), std::string::npos);
   EXPECT_NE(dot.find("s0"), std::string::npos);
@@ -298,7 +296,8 @@ TEST(DotExport, EscapesQuotes) {
   const auto x = sys.client_var("x", 0);
   auto t0 = sys.thread();
   t0.store(x, lang::c(1), "say \"hi\"");
-  const auto graph = refinement::build_graph(sys, 1000, true);
+  const auto graph = refinement::build_graph(
+      sys, {.max_states = 1000, .want_labels = true});
   const auto dot = explore::to_dot(sys, graph);
   EXPECT_EQ(dot.find("\"hi\""), std::string::npos)
       << "raw quotes must not appear unescaped";
@@ -341,40 +340,6 @@ TEST(Explorer, ConsistentLockOrderHasNoDeadlock) {
   const auto result = explore(sys);
   EXPECT_EQ(result.stats.blocked, 0u);
   EXPECT_GT(result.stats.finals, 0u);
-}
-
-
-TEST(Reduction, LocalStepFusionPreservesOutcomes) {
-  for (auto& t : litmus::all_tests()) {
-    const auto full = explore(t.sys);
-    ExploreOptions opts;
-    opts.fuse_local_steps = true;
-    const auto fused = explore(t.sys, opts);
-    EXPECT_EQ(explore::final_register_values(t.sys, fused, t.observed),
-              t.allowed)
-        << t.name;
-    EXPECT_LE(fused.stats.states, full.stats.states) << t.name;
-    EXPECT_EQ(fused.stats.finals > 0, full.stats.finals > 0) << t.name;
-  }
-}
-
-TEST(Reduction, FusionShrinksLoopHeavyStateSpaces) {
-  // The seqlock client is full of Branch/Assign steps: fusion must prune a
-  // meaningful fraction of intermediate interleavings.
-  rc11::locks::SeqLock lock;
-  const auto sys =
-      rc11::locks::instantiate(rc11::locks::fig7_client(), lock);
-  const auto full = explore(sys);
-  ExploreOptions opts;
-  opts.fuse_local_steps = true;
-  const auto fused = explore(sys, opts);
-  EXPECT_LT(fused.stats.states, full.stats.states);
-  // Outcomes (via final configs) must agree.
-  const auto x1 = explore::final_register_values(
-      sys, full, {lang::Reg{1, 1}, lang::Reg{1, 2}});
-  const auto x2 = explore::final_register_values(
-      sys, fused, {lang::Reg{1, 1}, lang::Reg{1, 2}});
-  EXPECT_EQ(x1, x2);
 }
 
 }  // namespace

@@ -107,20 +107,6 @@ TEST(ParallelExplore, LitmusSuiteOutcomeSetsIdentical) {
   }
 }
 
-TEST(ParallelExplore, FuseLocalStepsMatchesToo) {
-  const auto program = parser::parse_file(prog("ticket_lock.rc11"));
-  const auto regs = all_regs(program.sys);
-  ExploreOptions opts;
-  opts.fuse_local_steps = true;
-  opts.num_threads = 1;
-  const auto baseline = explore::explore(program.sys, opts);
-  opts.num_threads = 8;
-  const auto parallel = explore::explore(program.sys, opts);
-  EXPECT_EQ(parallel.stats.states, baseline.stats.states);
-  EXPECT_EQ(explore::final_register_values(program.sys, parallel, regs),
-            explore::final_register_values(program.sys, baseline, regs));
-}
-
 TEST(ParallelExplore, BfsStrategyMatchesToo) {
   const auto program = parser::parse_file(prog("mp_stack.rc11"));
   ExploreOptions opts;

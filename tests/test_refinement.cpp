@@ -103,15 +103,15 @@ TEST(StateGraph, MatchesExplorerStateCount) {
   const auto result = explore::explore(sys);
   EXPECT_EQ(graph.num_states(), result.stats.states);
   EXPECT_EQ(graph.num_edges(), result.stats.transitions);
-  EXPECT_FALSE(graph.truncated);
+  EXPECT_EQ(graph.stop, engine::StopReason::Complete);
 }
 
 TEST(StateGraph, TruncationFlag) {
   locks::ClientArtifacts art;
   SeqLock lock;
   const auto sys = instantiate(locks::fig7_client(&art), lock);
-  const auto graph = build_graph(sys, /*max_states=*/10);
-  EXPECT_TRUE(graph.truncated);
+  const auto graph = build_graph(sys, {.max_states = 10});
+  EXPECT_EQ(graph.stop, engine::StopReason::StateCap);
 }
 
 // --- Propositions 9 and 10 ------------------------------------------------------
@@ -313,7 +313,8 @@ TEST(Diagnostics, GraphLabelsOnDemand) {
   t0.store(x, c(1), "x := 1");
   const auto unlabelled = build_graph(sys);
   EXPECT_TRUE(unlabelled.labels.empty());
-  const auto labelled = build_graph(sys, 1000, /*want_labels=*/true);
+  const auto labelled =
+      build_graph(sys, {.max_states = 1000, .want_labels = true});
   ASSERT_EQ(labelled.labels.size(), labelled.num_states());
   ASSERT_FALSE(labelled.labels[0].empty());
   EXPECT_NE(labelled.labels[0][0].find("x := 1"), std::string::npos);

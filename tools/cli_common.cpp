@@ -142,7 +142,7 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
   if (arg == "--strategy") {
     return ++i < argc &&
                    engine::parse_strategy(argv[i], out.mode,
-                                          out.sample.episodes)
+                                          out.sample.episodes, out.por)
                ? FlagStatus::Consumed
                : FlagStatus::Error;
   }
@@ -156,7 +156,7 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
   return FlagStatus::NotMine;
 }
 
-std::string resolve_strategy(CommonOptions& opts) {
+std::string resolve_strategy(const CommonOptions& opts) {
   // Mutual exclusions between reductions hold under every strategy.
   for (const auto& rf : kReductionFlags) {
     if (rf.excludes == nullptr || !(opts.*rf.member)) continue;
@@ -189,10 +189,12 @@ std::string resolve_strategy(CommonOptions& opts) {
   if (opts.seed_set) {
     return "--seed only applies to --strategy sample";
   }
-  // --por and --strategy por are one setting; normalise both ways.
-  if (opts.mode == engine::Strategy::Por) opts.por = true;
-  if (opts.por) opts.mode = engine::Strategy::Por;
   return {};
+}
+
+const char* strategy_name(const CommonOptions& opts) {
+  if (opts.mode == engine::Strategy::Exhaustive && opts.por) return "por";
+  return engine::to_string(opts.mode);
 }
 
 int run_replay(const lang::System& sys, const CommonOptions& opts) {

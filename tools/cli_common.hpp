@@ -58,8 +58,7 @@ struct CommonOptions {
   /// --strategy sample and under the SC model.
   bool rf_quotient = false;
   /// --strategy exhaustive|por|sample[:N]: how the engine covers the state
-  /// space.  `por` above and `--strategy por` are the same setting;
-  /// resolve_strategy() normalises them and rejects conflicts.
+  /// space.  `--strategy por` is exhaustive with `por` above set.
   engine::Strategy mode = engine::Strategy::Exhaustive;
   /// Sampling knobs: --strategy sample:N sets episodes, --seed S the seed.
   engine::SampleOptions sample;
@@ -123,14 +122,17 @@ enum class FlagStatus : std::uint8_t {
 [[nodiscard]] FlagStatus parse_common_flag(int argc, char** argv, int& i,
                                            CommonOptions& out);
 
-/// Post-parse normalisation and conflict checking for the coverage-strategy
-/// flags: unifies --por with --strategy por (either spelling sets both
-/// fields) and rejects the combinations sampling cannot honour
-/// (--por + --strategy sample, --seed without sampling, and
+/// Post-parse conflict checking for the coverage-strategy flags: rejects
+/// mutually exclusive reductions and the combinations sampling cannot
+/// honour (--por + --strategy sample, --seed without sampling, and
 /// --checkpoint/--resume under sampling — a sampling run has no frontier).
 /// Returns an error message for the user, or an empty string when the
 /// options are consistent.
-[[nodiscard]] std::string resolve_strategy(CommonOptions& opts);
+[[nodiscard]] std::string resolve_strategy(const CommonOptions& opts);
+
+/// The `"strategy"` field of the tools' --json reports: "exhaustive",
+/// "por" (exhaustive with --por, however spelled) or "sample".
+[[nodiscard]] const char* strategy_name(const CommonOptions& opts);
 
 /// Installs SIGINT/SIGTERM handlers that trip a process-wide
 /// engine::CancelToken and returns that token, so a Ctrl-C drains the

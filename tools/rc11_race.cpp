@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
       summary.set("tool", witness::Json::string("rc11-race"));
       summary.set("program", witness::Json::string(path));
       summary.set("strategy",
-                  witness::Json::string(engine::to_string(common.mode)));
+                  witness::Json::string(cli::strategy_name(common)));
       if (common.mode == engine::Strategy::Sample) {
         summary.set("seed",
                     witness::Json::integer(

@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     summary.set("abstract", witness::Json::string(abs_path));
     summary.set("concrete", witness::Json::string(conc_path));
     summary.set("strategy",
-                witness::Json::string(engine::to_string(common.mode)));
+                witness::Json::string(cli::strategy_name(common)));
     if (common.mode == engine::Strategy::Sample) {
       summary.set("seed", witness::Json::integer(
                               static_cast<std::int64_t>(common.sample.seed)));

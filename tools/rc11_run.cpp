@@ -196,9 +196,10 @@ int main(int argc, char** argv) {
     }
 
     if (!dot_path.empty()) {
-      const auto graph =
-          refinement::build_graph(program.sys, opts.max_states,
-                                  /*want_labels=*/true, opts.num_threads);
+      const auto graph = refinement::build_graph(
+          program.sys, {.max_states = opts.max_states,
+                        .want_labels = true,
+                        .num_threads = opts.num_threads});
       std::ofstream out{dot_path};
       out << explore::to_dot(program.sys, graph);
       std::cout << "state graph (" << graph.num_states()
@@ -252,7 +253,7 @@ int main(int argc, char** argv) {
       summary.set("tool", witness::Json::string("rc11-run"));
       summary.set("program", witness::Json::string(path));
       summary.set("strategy",
-                  witness::Json::string(engine::to_string(common.mode)));
+                  witness::Json::string(cli::strategy_name(common)));
       if (common.mode == engine::Strategy::Sample) {
         summary.set("seed",
                     witness::Json::integer(

@@ -164,13 +164,13 @@ int main(int argc, char** argv) {
     // A failed obligation is a definite negative even when the enumeration
     // stopped early (the state it failed at is really reachable), so INVALID
     // wins over INCONCLUSIVE.
-    const bool inconclusive = result.truncated();
+    const bool inconclusive = result.stop != engine::StopReason::Complete;
     if (!common.json_path.empty()) {
       auto summary = witness::Json::object();
       summary.set("tool", witness::Json::string("rc11-verify"));
       summary.set("program", witness::Json::string(path));
       summary.set("strategy",
-                  witness::Json::string(engine::to_string(common.mode)));
+                  witness::Json::string(cli::strategy_name(common)));
       if (common.mode == engine::Strategy::Sample) {
         summary.set("seed",
                     witness::Json::integer(
