@@ -4,9 +4,9 @@
 // of the two older reductions (--por, --symmetry) on each family.
 //
 // The targeted families are store-heavy and deliberately asymmetric, so
-// neither older reduction bites: every location is shared (no private ample
-// steps) and no two threads run identical code (the symmetry quotient is a
-// sound no-op).  What does explode concretely is dead view metadata — each
+// neither older reduction bites: POR only prunes local steps, which these
+// threads barely have, and no two threads run identical code (the symmetry
+// quotient is a sound no-op).  What does explode concretely is dead view metadata — each
 // observation of the pump's generation variable survives only in a tview
 // entry the observer can neither use nor export, and in the mview snapshots
 // of its later relaxed stores.  The quotient drops both.

@@ -14,7 +14,7 @@ using witness::Json;
 
 Checkpoint make_checkpoint(const ShardedVisitedSet& sink,
                            const ExploreStats& stats, StopReason stop,
-                           bool por, bool symmetry, bool rf_quotient) {
+                           const Reduction& reduction) {
   const auto snap = sink.snapshot();
   support::require(!snap.empty(),
                    "cannot checkpoint a run with no interned states");
@@ -54,9 +54,7 @@ Checkpoint make_checkpoint(const ShardedVisitedSet& sink,
   for (std::size_t pos = 0; pos < order.size(); ++pos) position[order[pos]] = pos;
 
   Checkpoint ckpt;
-  ckpt.por = por;
-  ckpt.symmetry = symmetry;
-  ckpt.rf_quotient = rf_quotient;
+  ckpt.reduction = reduction;
   ckpt.stop = stop;
   ckpt.stats = stats;
   ckpt.states.reserve(snap.size());
@@ -139,9 +137,9 @@ std::string to_json(const Checkpoint& ckpt) {
   Json doc = Json::object();
   doc.set("format", Json::string("rc11-checkpoint"));
   doc.set("version", Json::integer(ckpt.version));
-  doc.set("por", Json::boolean(ckpt.por));
-  doc.set("symmetry", Json::boolean(ckpt.symmetry));
-  doc.set("rf_quotient", Json::boolean(ckpt.rf_quotient));
+  doc.set("por", Json::boolean(ckpt.reduction.por));
+  doc.set("symmetry", Json::boolean(ckpt.reduction.symmetry));
+  doc.set("rf_quotient", Json::boolean(ckpt.reduction.rf_quotient));
   doc.set("stop", Json::string(to_string(ckpt.stop)));
   doc.set("stats", stats_to_json(ckpt.stats));
   Json states = Json::array();
@@ -174,11 +172,12 @@ Checkpoint from_json(std::string_view text) {
                    "checkpoint: unsupported version ", ckpt.version,
                    " (this build reads version ", kCheckpointFormatVersion,
                    ")");
-  ckpt.por = doc.at("por").as_bool();
+  ckpt.reduction.por = doc.at("por").as_bool();
   // Absent in pre-symmetry version-1 files; those runs were unquotiented.
-  ckpt.symmetry = doc.has("symmetry") && doc.at("symmetry").as_bool();
+  ckpt.reduction.symmetry =
+      doc.has("symmetry") && doc.at("symmetry").as_bool();
   // Same back-compat rule for the execution-graph quotient.
-  ckpt.rf_quotient =
+  ckpt.reduction.rf_quotient =
       doc.has("rf_quotient") && doc.at("rf_quotient").as_bool();
   ckpt.stop = stop_reason_from_string(doc.at("stop").as_string());
   ckpt.stats = stats_from_json(doc.at("stats"));

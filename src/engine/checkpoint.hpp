@@ -27,9 +27,10 @@
 // is deliberately one-way — it quotients timestamps), so restore_states
 // reconstructs each Config by *re-executing* the recorded step from its
 // parent's Config and matching the stored encoding.  A checkpoint is
-// therefore self-validating: loaded against the wrong program, semantics
-// options or POR setting, reconstruction fails with a precise error instead
-// of silently exploring garbage.
+// therefore self-validating: loaded against the wrong program or semantics
+// options, reconstruction fails with a precise error instead of silently
+// exploring garbage (a different reduction setting is rejected before that,
+// by reduction_conflict).
 
 #pragma once
 
@@ -62,14 +63,12 @@ struct Checkpoint {
   };
 
   std::int64_t version = kCheckpointFormatVersion;
-  bool por = false;  ///< POR changes the enqueued set; resume must match
-  /// Symmetry quotient changes which orbit representatives were expanded;
-  /// resume must match (rejected loudly otherwise, like `por`).
-  bool symmetry = false;
-  /// Execution-graph quotient changes which class representatives were
-  /// expanded; resume must match (rejected loudly otherwise, like `por`).
-  /// Absent from pre-PR-9 checkpoints and defaults to off.
-  bool rf_quotient = false;
+  /// The run's reductions: they decide the enqueued set, so resume must
+  /// match (reduction_conflict).  Only `por`, `symmetry` and `rf_quotient`
+  /// are stored — a sampling run is never checkpointed.  Files without
+  /// `symmetry` or `rf_quotient` predate those reductions and load with
+  /// them off.
+  Reduction reduction;
   StopReason stop = StopReason::Complete;  ///< why the run stopped
   ExploreStats stats;                      ///< partial stats at the stop
   std::vector<State> states;
@@ -80,9 +79,8 @@ struct Checkpoint {
 /// exactly one root.
 [[nodiscard]] Checkpoint make_checkpoint(const ShardedVisitedSet& sink,
                                          const ExploreStats& stats,
-                                         StopReason stop, bool por,
-                                         bool symmetry = false,
-                                         bool rf_quotient = false);
+                                         StopReason stop,
+                                         const Reduction& reduction);
 
 /// Serialises to / parses from the versioned JSON schema (docs/FORMAT.md
 /// §Checkpoint files).  from_json throws support::Error on malformed input,

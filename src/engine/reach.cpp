@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,7 +41,7 @@ struct Frontier {
 /// Builds the run's state abstraction: the symmetry orbit quotient, the
 /// execution-graph quotient, or the concrete identity — which is also what
 /// a symmetry request gets on a system with no interchangeable threads.
-/// visit_reachable has already rejected symmetry+rf_quotient.
+/// reduction_conflict has already rejected symmetry+rf_quotient.
 std::unique_ptr<StateAbstraction> make_abstraction(
     const System& sys, const ReachOptions& options) {
   if (options.symmetry) {
@@ -374,7 +375,8 @@ void add_stats(ExploreStats& total, const ExploreStats& part) {
 ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,
                   const StateVisitor& visitor, unsigned num_workers) {
   const System& sys = ts.system();
-  const bool sleep = options.sleep_sets && sys.num_threads() <= 64;
+  const bool sleep =
+      (options.symmetry || options.rf_quotient) && sys.num_threads() <= 64;
   // Abstract keys are a pure function of the system, so every worker's
   // clone agrees with worker 0's instance, which also seeds the run.
   std::vector<Worker> workers(num_workers);
@@ -547,9 +549,8 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
       ts.thread_successors_into(cfg, *t, out, want_labels);
       // An empty ample set (the eligible thread's step turned out disabled)
       // must not hide the other threads' steps: fall through to full
-      // expansion.  Cannot happen for the current eligibility rules (local
-      // steps and plain accesses are always enabled), but stays sound if
-      // they ever widen.
+      // expansion.  Cannot happen for the current eligibility rule (local
+      // steps are always enabled), but stays sound if it ever widens.
       if (!out.empty()) return true;
     }
   }
@@ -560,62 +561,13 @@ bool expand_steps(const TransitionSystem& ts, const Config& cfg,
 ReachResult visit_reachable(const TransitionSystem& ts,
                             const ReachOptions& options,
                             const StateVisitor& visitor) {
-  support::require(
-      !(options.symmetry && options.rf_quotient),
-      "--symmetry and --rf-quotient cannot be combined (v1): sleep masks "
-      "cannot be transported through both quotients at once — pick one "
-      "reduction");
-  if (options.rf_quotient) {
-    support::require(
-        ts.system().options().model != memsem::MemoryModel::SC,
-        "--rf-quotient requires the RC11 RAR model: under SC every access "
-        "synchronises, so the quotient's view projection would drop "
-        "observable state (drop --rf-quotient or the SC model)");
-  }
+  const std::string conflict = reduction_conflict(
+      options, options.checkpoint, options.resume != nullptr,
+      options.resume != nullptr ? &options.resume->reduction : nullptr,
+      ts.system().options().model == memsem::MemoryModel::SC);
+  support::require(conflict.empty(), conflict);
   if (options.mode == Strategy::Sample) {
-    support::require(
-        !options.por,
-        "--por requires exhaustive exploration: the sampling strategy "
-        "replays concrete schedules (drop --por or the sampling strategy)");
-    support::require(
-        !options.symmetry,
-        "--symmetry requires exhaustive or POR exploration: the sampling "
-        "strategy replays concrete schedules and cannot quotient states "
-        "(drop --symmetry or the sampling strategy)");
-    support::require(
-        !options.rf_quotient,
-        "--rf-quotient requires exhaustive or POR exploration: the sampling "
-        "strategy replays concrete schedules and cannot quotient states "
-        "(drop --rf-quotient or the sampling strategy)");
     return sample_reach(ts, options, visitor);
-  }
-  if (options.resume != nullptr) {
-    // The enqueued set is a function of the reduction: a checkpoint taken
-    // under POR seeds a different frontier than a full run needs (and vice
-    // versa), so the settings must agree.  Thread count and strategy are
-    // free to change — they never affect which states are enqueued.
-    support::require(
-        options.resume->por == options.por,
-        "checkpoint was recorded with --por ",
-        options.resume->por ? "on" : "off", " but this run has it ",
-        options.por ? "on" : "off",
-        "; resume must use the same reduction setting");
-    // Same for the symmetry quotient: it decides which orbit representative
-    // was interned and enqueued, so the settings must agree.
-    support::require(
-        options.resume->symmetry == options.symmetry,
-        "checkpoint was recorded with --symmetry ",
-        options.resume->symmetry ? "on" : "off", " but this run has it ",
-        options.symmetry ? "on" : "off",
-        "; resume must use the same reduction setting");
-    // And for the execution-graph quotient, for the same reason: it decides
-    // which class representative was interned and enqueued.
-    support::require(
-        options.resume->rf_quotient == options.rf_quotient,
-        "checkpoint was recorded with --rf-quotient ",
-        options.resume->rf_quotient ? "on" : "off", " but this run has it ",
-        options.rf_quotient ? "on" : "off",
-        "; resume must use the same reduction setting");
   }
   return reach(ts, options, visitor,
                support::resolve_num_threads(options.num_threads));

@@ -33,6 +33,14 @@
 // of the full semantics, so recorded traces replay unchanged
 // (witness::replay).  Reduced and full runs visit the same final and blocked
 // states; docs/SEMANTICS.md §9 gives the soundness argument.
+//
+// Sleep-set pruning (Godefroid) runs exactly when a quotient (symmetry or
+// rf_quotient) is on — both already pay for the masked visited set it needs.
+// Each frontier entry carries the set of threads whose steps are provably
+// covered by a commuted exploration order; their successor steps are
+// skipped.  It prunes *transitions* only — every reachable state is still
+// visited, so finals, blocked states, invariants and graph builders are
+// exact.  Off when the system has more than 64 threads and under sampling.
 
 #pragma once
 
@@ -85,9 +93,9 @@ struct ExploreStats {
   /// the states the quotient saved: each hit is a concrete state a
   /// non-symmetric run would have visited separately.
   std::uint64_t symmetry_hits = 0;
-  /// Successor steps skipped because their acting thread was asleep
-  /// (ReachOptions::sleep_sets) — transitions pruned, never states: every
-  /// reachable state is still visited exactly once.
+  /// Successor steps skipped because their acting thread was asleep (sleep
+  /// sets run under either quotient) — transitions pruned, never states:
+  /// every reachable state is still visited exactly once.
   std::uint64_t sleep_set_skips = 0;
   /// Concrete states folded into an already-visited execution-graph class
   /// (ReachOptions::rf_quotient): arrivals whose concrete encoding was new
@@ -99,56 +107,24 @@ struct ExploreStats {
   std::uint64_t rf_merges = 0;
 };
 
-struct ReachOptions {
+/// The driver's options.  The Reduction base holds `mode`, `sample`, `por`,
+/// `symmetry` and `rf_quotient`; visit_reachable checks them with
+/// reduction_conflict before any work.
+struct ReachOptions : Reduction {
   /// Resource limits (state cap, memory cap, wall-clock deadline).  The
   /// historic max_states bound lives in budget.max_states; ReachResult::stop
   /// names whichever limit ended the run.
   Budget budget;
   unsigned num_threads = 1;  ///< same convention as ExploreOptions
   SearchStrategy strategy = SearchStrategy::Dfs;
-  /// How to cover the state space: exhaustive enumeration (default) or
-  /// seeded random sampling (engine/sample.hpp).  Under Strategy::Sample the
-  /// driver runs sample_reach: episodes are sequential regardless of
-  /// num_threads (seed determinism), `resume` and `por` are rejected, and
-  /// search `strategy` is ignored.
-  Strategy mode = Strategy::Exhaustive;
-  /// Tuning for Strategy::Sample (ignored otherwise).
-  SampleOptions sample;
-  /// Ample-set partial-order reduction (see the header comment).
-  bool por = false;
   bool want_labels = false;  ///< fill Step::label for the visitor
-  /// Thread-symmetry quotient (engine/symmetry.hpp): states are deduplicated
-  /// by a canonical representative of their thread-permutation orbit instead
-  /// of their concrete encoding, shrinking the visited set by up to |G| for
-  /// systems whose threads run identical program text.  A no-op (sound) when
-  /// the system has no interchangeable threads.  Composes with por, budgets,
-  /// trace sinks (witnesses record concrete states along really-taken paths)
-  /// and checkpoint/resume (`symmetry` must match the checkpoint's).
-  /// Rejected under Strategy::Sample.  Callers consuming per-state results
-  /// (finals, invariants, obligations) must orbit-close them — the driver
-  /// only visits one representative per orbit.
-  bool symmetry = false;
-  /// Execution-graph quotient (engine/abstraction.hpp, RfQuotient): states
-  /// are deduplicated by [pcs, registers, rf/mo projection] instead of their
-  /// concrete encoding, folding interleavings that built the same execution
-  /// graph and differ only in dead view history.  Composes with por,
-  /// budgets, trace sinks (concrete, as with symmetry) and checkpoint/resume
-  /// (`rf_quotient` pinned in the checkpoint).  Rejected in combination with
-  /// `symmetry` (v1), under Strategy::Sample, and under MemoryModel::SC
-  /// (every SC access synchronises, so the projection would drop observable
-  /// state).  Exact for finals, verdicts over `rf_pins` footprints and race
-  /// sets — see DESIGN.md's StateAbstraction section.
-  bool rf_quotient = false;
   /// Extra (thread, location) viewfront entries the rf-quotient key keeps
   /// beyond what liveness analysis retains — the view footprints of the
   /// assertions the caller evaluates per state.  Ignored unless rf_quotient.
   RfPins rf_pins;
-  /// Sleep-set pruning (Godefroid): each frontier entry carries the set of
-  /// threads whose steps are provably covered by a commuted exploration
-  /// order; their successor steps are skipped.  Prunes *transitions* only —
-  /// every reachable state is still visited, so finals, blocked states,
-  /// invariants and graph builders are exact.  Ignored when the system has
-  /// more than 64 threads or under Strategy::Sample.
+  /// Not read: the driver runs sleep-set pruning exactly when `symmetry ||
+  /// rf_quotient`.  Declared only because perfbench/layers.cpp assigns it
+  /// (with that same value); it goes with that mirror (ROADMAP item 6).
   bool sleep_sets = false;
   /// Caller-owned trace sink.  When set, the driver uses it as the visited
   /// set: every state is interned via insert_traced (recording parent id,
@@ -170,11 +146,14 @@ struct ReachOptions {
   /// set with every checkpointed state and its frontier with every enqueued
   /// one, then explores normally — the visitor observes exactly the state
   /// set of an uninterrupted run (see engine/checkpoint.hpp for the
-  /// argument).  `por` must match the checkpoint's, the trace sink (if any)
-  /// must be empty, and the checkpoint must fit the transition system
-  /// (validated by re-execution; support::Error otherwise).  Must outlive
-  /// the call.
+  /// argument).  `por`, `symmetry` and `rf_quotient` must match the
+  /// checkpoint's, the trace sink (if any) must be empty, and the checkpoint
+  /// must fit the transition system (validated by re-execution;
+  /// support::Error otherwise).  Must outlive the call.
   const Checkpoint* resume = nullptr;
+  /// The caller saves a checkpoint of `trace` if the run stops early; read
+  /// only by reduction_conflict (a sampling run has no frontier to save).
+  bool checkpoint = false;
 };
 
 /// Called exactly once per reachable configuration with its enabled steps

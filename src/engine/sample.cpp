@@ -8,6 +8,7 @@
 
 #include "engine/sample.hpp"
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "engine/reach.hpp"
-#include "support/diagnostics.hpp"
 #include "support/intern.hpp"
 
 namespace rc11::engine {
@@ -32,20 +32,81 @@ const char* to_string(Strategy strategy) noexcept {
   return "unknown";
 }
 
-bool parse_strategy(std::string_view text, Strategy& strategy,
-                    std::uint64_t& sample_episodes, bool& por) {
+namespace {
+
+/// The reductions of `r`, each with its command-line spelling.
+std::array<std::pair<bool, const char*>, 3> reductions(const Reduction& r) {
+  return {{{r.por, "--por"},
+           {r.symmetry, "--symmetry"},
+           {r.rf_quotient, "--rf-quotient"}}};
+}
+
+/// The reduction flags `r` sets, space-separated, or "no reduction".
+std::string spelled(const Reduction& r) {
+  std::string flags;
+  for (const auto& [on, flag] : reductions(r)) {
+    if (!on) continue;
+    if (!flags.empty()) flags += ' ';
+    flags += flag;
+  }
+  return flags.empty() ? "no reduction" : flags;
+}
+
+}  // namespace
+
+std::string reduction_conflict(const Reduction& r, bool checkpoint,
+                               bool resume, const Reduction* recorded,
+                               bool sc) {
+  if (r.symmetry && r.rf_quotient) {
+    return "--symmetry and --rf-quotient cannot be combined: sleep masks "
+           "cannot be transported through both quotients at once — pick one "
+           "reduction";
+  }
+  if (r.mode == Strategy::Sample) {
+    for (const auto& [on, flag] : reductions(r)) {
+      if (on) {
+        return std::string{flag} +
+               " cannot be combined with --strategy sample: a sampling run "
+               "replays concrete schedules, which no reduction can prune or "
+               "quotient (drop one of the two)";
+      }
+    }
+    for (const auto& [on, flag] : {std::pair{checkpoint, "--checkpoint"},
+                                   std::pair{resume, "--resume"}}) {
+      if (on) {
+        return std::string{flag} +
+               " cannot be combined with --strategy sample: a sampling run "
+               "has no frontier to continue from (re-run with a fresh "
+               "--seed instead)";
+      }
+    }
+  }
+  if (r.rf_quotient && sc) {
+    return "--rf-quotient requires the RC11 RAR model: under SC every access "
+           "synchronises, so the quotient's view projection would drop "
+           "observable state (drop --rf-quotient or the SC model)";
+  }
+  if (recorded != nullptr && spelled(*recorded) != spelled(r)) {
+    return "--resume: the checkpoint was recorded with " + spelled(*recorded) +
+           " but this run has " + spelled(r) +
+           "; resume with the same --por, --symmetry and --rf-quotient flags";
+  }
+  return {};
+}
+
+bool parse_strategy(std::string_view text, Reduction& out) {
   if (text == "exhaustive") {
-    strategy = Strategy::Exhaustive;
+    out.mode = Strategy::Exhaustive;
     return true;
   }
   if (text == "por") {
-    strategy = Strategy::Exhaustive;
-    por = true;
+    out.mode = Strategy::Exhaustive;
+    out.por = true;
     return true;
   }
   if (text == "sample") {
-    strategy = Strategy::Sample;
-    sample_episodes = SampleOptions{}.episodes;
+    out.mode = Strategy::Sample;
+    out.sample.episodes = SampleOptions{}.episodes;
     return true;
   }
   constexpr std::string_view kPrefix = "sample:";
@@ -59,8 +120,8 @@ bool parse_strategy(std::string_view text, Strategy& strategy,
       value = value * 10 + static_cast<std::uint64_t>(c - '0');
     }
     if (value == 0) return false;
-    strategy = Strategy::Sample;
-    sample_episodes = value;
+    out.mode = Strategy::Sample;
+    out.sample.episodes = value;
     return true;
   }
   return false;
@@ -108,14 +169,6 @@ struct ThreadRange {
 ReachResult sample_reach(const TransitionSystem& ts,
                          const ReachOptions& options,
                          const StateVisitor& visitor) {
-  // No meaningful frontier to resume: the coverage set plus the RNG/bias
-  // state is not a work list.  Reject loudly instead of silently producing
-  // a continuation that re-samples from scratch.
-  support::require(options.resume == nullptr,
-                   "--resume is not supported under --strategy sample: a "
-                   "sampling run has no frontier to continue from (re-run "
-                   "with a fresh seed instead)");
-
   const System& sys = ts.system();
   ReachResult result;
   // Untraced runs keep a lock-free interned set; a trace sink replaces it

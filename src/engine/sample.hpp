@@ -35,9 +35,9 @@
 //                   witness exactly like an exhaustive one;
 //   * checkpoints — there is no meaningful frontier to checkpoint (the
 //                   coverage set plus the RNG/bias state is not a resumable
-//                   work list), so ReachOptions::resume and checkpoint
-//                   requests are *rejected loudly* under sampling instead of
-//                   silently producing a wrong continuation.
+//                   work list), so resume and checkpoint requests are
+//                   *rejected loudly* under sampling (reduction_conflict)
+//                   instead of silently producing a wrong continuation.
 //
 // Episodes run sequentially regardless of ReachOptions::num_threads: the
 // guided bias makes episode e depend on every episode before it, so a
@@ -91,13 +91,76 @@ struct SampleOptions {
 /// still bounding a pathological all-spin schedule.
 inline constexpr std::uint64_t kDefaultEpisodeStepCap = 20'000;
 
+/// The reduction and coverage settings of one run, declared once.  Every
+/// options struct that offers them derives from this one — ReachOptions,
+/// the front ends' options, the refinement options and cli::CommonOptions —
+/// so each copy between layers is one slice assignment, and a Checkpoint
+/// records one.  reduction_conflict states every rule about combining the
+/// settings; the driver applies it to every run.  Sleep-set pruning is not
+/// a setting: the driver runs it exactly when a quotient (symmetry or
+/// rf_quotient) is on, since both already pay for the masked visited set.
+/// A new reduction needs one field here plus its rules in
+/// reduction_conflict.
+struct Reduction {
+  /// How to cover the state space: exhaustive enumeration (default) or
+  /// seeded random sampling.  Under Strategy::Sample the driver runs
+  /// sample_reach: episodes are sequential regardless of the worker count
+  /// (seed determinism), and the search order is ignored.
+  Strategy mode = Strategy::Exhaustive;
+  /// Tuning for Strategy::Sample (ignored otherwise).
+  SampleOptions sample;
+  /// Ample-set partial-order reduction (engine/transition_system.hpp):
+  /// expand only the ample thread when its next step is local, and collapse
+  /// deterministic local chains (engine/reach.hpp).
+  bool por = false;
+  /// Thread-symmetry quotient (engine/symmetry.hpp): deduplicate states by
+  /// a canonical representative of their thread-permutation orbit,
+  /// shrinking the visited set by up to |G| for systems whose threads run
+  /// identical program text.  A sound no-op when the system has no
+  /// interchangeable threads.  Callers that consume per-state results
+  /// (finals, invariants, obligations) must orbit-close them — the driver
+  /// visits one representative per orbit.
+  bool symmetry = false;
+  /// Execution-graph quotient (engine/abstraction.hpp, RfQuotient):
+  /// deduplicate states by [pcs, registers, rf/mo projection], folding
+  /// interleavings that built the same execution graph and differ only in
+  /// dead view history.  Exact for finals, verdicts over the pinned view
+  /// footprints (ReachOptions::rf_pins) and race sets — see DESIGN.md's
+  /// StateAbstraction section.
+  ///
+  /// All three reductions compose with each other (except symmetry with
+  /// rf_quotient), with budgets, any worker count, trace sinks (witnesses
+  /// record concrete states along really-taken paths) and checkpoint/resume.
+  bool rf_quotient = false;
+};
+
+/// Every rule about a Reduction, one message per rule, each naming the
+/// flags it involves:
+///   * --symmetry with --rf-quotient (sleep masks cannot be transported
+///     through two quotients at once);
+///   * --strategy sample with any reduction, and with --checkpoint or
+///     --resume (a sampling run keeps no frontier);
+///   * --rf-quotient under the SC model;
+///   * a resumed checkpoint recorded under different reductions: they
+///     decide which states were interned and enqueued (the worker count and
+///     search order never do, so those may change).
+/// `checkpoint`: the run saves a checkpoint when it stops early.  `resume`:
+/// it continues one, whose recorded setting is `recorded` — null before the
+/// file is loaded, as when the tools check their flags.  `sc`: the system
+/// runs under memsem::MemoryModel::SC.  Returns the first violated rule's
+/// message, or an empty string when the run may go ahead.
+[[nodiscard]] std::string reduction_conflict(const Reduction& r,
+                                             bool checkpoint = false,
+                                             bool resume = false,
+                                             const Reduction* recorded = nullptr,
+                                             bool sc = false);
+
 /// Parses a --strategy value: "exhaustive", "por", "sample" or "sample:N"
-/// (N = episode count, whole positive number).  "por" is exhaustive
-/// enumeration with ample-set POR: it sets `strategy` to Exhaustive and
-/// `por` to true.  Returns false on anything else; the outputs are only
-/// written on success (`sample_episodes` only by the sample forms, `por`
+/// (N = episode count, whole positive number) into `out`.  "por" is
+/// exhaustive enumeration with ample-set POR: it sets `mode` to Exhaustive
+/// and `por` to true.  Returns false on anything else; `out` is only
+/// written on success (`sample.episodes` only by the sample forms, `por`
 /// only by "por").
-[[nodiscard]] bool parse_strategy(std::string_view text, Strategy& strategy,
-                                  std::uint64_t& sample_episodes, bool& por);
+[[nodiscard]] bool parse_strategy(std::string_view text, Reduction& out);
 
 }  // namespace rc11::engine

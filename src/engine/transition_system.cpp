@@ -4,32 +4,10 @@ namespace rc11::engine {
 
 using lang::IKind;
 using lang::Instr;
-using memsem::AccessKind;
 using memsem::Component;
-using memsem::MemOrder;
-
-namespace {
-
-constexpr std::uint64_t bit(ThreadId t) noexcept { return 1ULL << t; }
-
-}  // namespace
 
 TransitionSystem::TransitionSystem(const System& sys, AmplePolicy policy)
-    : sys_(&sys), policy_(policy) {
-  masks_valid_ = sys.num_threads() <= 64;
-  if (!masks_valid_) return;
-  loc_writers_.assign(sys.locations().size(), 0);
-  loc_accessors_.assign(sys.locations().size(), 0);
-  for (ThreadId t = 0; t < sys.num_threads(); ++t) {
-    for (const Instr& in : sys.code(t)) {
-      const auto meta = lang::access_footprint(in);
-      if (meta.access == AccessKind::Local) continue;
-      loc_accessors_[meta.loc] |= bit(t);
-      if (memsem::writes_location(meta.access)) loc_writers_[meta.loc] |= bit(t);
-      if (meta.sync) sync_threads_ |= bit(t);
-    }
-  }
-}
+    : sys_(&sys), policy_(policy) {}
 
 Config TransitionSystem::initial() const { return lang::initial_config(*sys_); }
 
@@ -61,30 +39,11 @@ bool TransitionSystem::ample_eligible(const Config& cfg, ThreadId t) const {
           in.e1.eval(cfg.regs[t]) != 0 ? in.target : cfg.pc[t] + 1;
       return next > cfg.pc[t];
     }
-    case IKind::Load:
-    case IKind::Store: {
-      // Private relaxed/non-atomic access: independent of every other-thread
-      // step iff no other thread conflicts on the location (writes it for a
-      // load; touches it at all for a store) and no other thread carries sync
-      // flags anywhere (clause (2) of the dependence relation).  A private
-      // access also never races (races need a conflicting other-thread
-      // access), so deferring it preserves race reports.
-      if (!masks_valid_ || (in.order != MemOrder::Relaxed &&
-                            in.order != MemOrder::NonAtomic)) {
-        return false;
-      }
-      if (policy_ == AmplePolicy::ClientInvisible &&
-          sys.locations().component(in.loc) != Component::Library) {
-        return false;
-      }
-      const std::uint64_t others = ~bit(t);
-      const std::uint64_t conflict = in.kind == IKind::Load
-                                         ? loc_writers_[in.loc]
-                                         : loc_accessors_[in.loc];
-      return (conflict & others) == 0 && (sync_threads_ & others) == 0;
-    }
     default:
-      // RMWs and object method calls always synchronise; never ample.
+      // Memory steps are never ample.  A relaxed access private to its
+      // thread would be independent of every other-thread step, but over
+      // the whole corpus that rule fired only on disjoint_na and saved four
+      // states there, so it was not worth its footprint masks.
       return false;
   }
 }

@@ -36,31 +36,26 @@
 // --- ample sets --------------------------------------------------------------
 //
 // ample_thread() returns a thread t whose full enabled-step set at cfg is a
-// *persistent* set under the relation above, subject to the cycle proviso
-// that every ample step strictly increases t's program counter:
+// *persistent* set under the relation above: t's next instruction is local
+// (modulo the policy below), subject to the cycle proviso that every ample
+// step strictly increases t's program counter.  Memory steps are never
+// ample: only a local step is independent of every other-thread step
+// whatever the other threads' code.
 //
-//   * t's next instruction is local (always, modulo policy/proviso below), or
-//   * t's next instruction is a relaxed plain access to a location no other
-//     thread ever conflicts with (no other writer for a load; no other
-//     accessor for a store) *and* no other thread's code contains any
-//     sync-flagged instruction (clause (2) makes sync steps dependent on
-//     everything, so their mere existence blocks non-local ample sets).
-//
-// Eligibility is decided from static per-location footprint masks computed
-// once per system, so ample selection is a pure function of the
-// configuration: the reduced state graph is identical for every worker count
-// and trace mode.  The pc-progress proviso makes a cycle consisting solely
-// of ample transitions impossible (the sum of pcs strictly increases along
-// ample edges and no ample step decreases any pc), which defuses the
-// ignoring problem.  Soundness: reduced and full exploration reach exactly
-// the same final and blocked states; see docs/SEMANTICS.md §9 for the
-// argument and the caveat on per-state invariants.
+// Eligibility reads only t's next instruction and registers, so ample
+// selection is a pure function of the configuration: the reduced state
+// graph is identical for every worker count and trace mode.  The
+// pc-progress proviso makes a cycle consisting solely of ample transitions
+// impossible (the sum of pcs strictly increases along ample edges and no
+// ample step decreases any pc), which defuses the ignoring problem.
+// Soundness: reduced and full exploration reach exactly the same final and
+// blocked states; see docs/SEMANTICS.md §9 for the argument and the caveat
+// on per-state invariants.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "lang/config.hpp"
 
@@ -74,12 +69,11 @@ using lang::ThreadId;
 /// Which steps an ample set may be built from.
 enum class AmplePolicy : std::uint8_t {
   /// Sound for final/blocked-state properties (outcome sets, deadlocks,
-  /// outline postconditions): any local step, any private relaxed access.
+  /// outline postconditions): any local step.
   FinalState,
   /// Additionally requires ample steps to be invisible to the client
   /// projection of refinement.hpp (Branch/Jump; Assign only to
-  /// Library-component registers; private relaxed accesses only to
-  /// Library-component locations), so reduced state graphs preserve the
+  /// Library-component registers), so reduced state graphs preserve the
   /// stutter-reduced projection traces the refinement checkers compare.
   ClientInvisible,
 };
@@ -90,7 +84,7 @@ enum class AmplePolicy : std::uint8_t {
 /// independent of every other-thread step; otherwise either sync flag or a
 /// same-location conflict with at least one writer makes the pair dependent.
 /// Shared by ample-set eligibility reasoning and the driver's sleep-set
-/// pruning (ReachOptions::sleep_sets).
+/// pruning (engine/reach.hpp).
 [[nodiscard]] constexpr bool steps_independent(const lang::StepMeta& a,
                                                const lang::StepMeta& b) noexcept {
   if (a.access == memsem::AccessKind::Local ||
@@ -147,13 +141,6 @@ class TransitionSystem final {
 
   const System* sys_;
   AmplePolicy policy_;
-  // Static footprint masks (bit t set = thread t has such an instruction),
-  // valid only when num_threads <= 64 (masks_valid_); larger systems fall
-  // back to local-step ample sets only.
-  std::vector<std::uint64_t> loc_writers_;    ///< per loc: threads writing it
-  std::vector<std::uint64_t> loc_accessors_;  ///< per loc: threads touching it
-  std::uint64_t sync_threads_ = 0;  ///< threads with any sync instruction
-  bool masks_valid_ = false;
 };
 
 /// The class's earlier name, kept for perfbench/layers.cpp.

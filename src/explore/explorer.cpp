@@ -60,17 +60,6 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   // runs and cold in parallel ones (finals and violations are rare events
   // next to state expansion).
   ExploreResult result;
-  // A sampling run has no frontier to checkpoint or resume; reject here so
-  // the caller hears about it before any exploration work happens (the
-  // engine layer guards resume again for direct callers).
-  if (options.mode == Strategy::Sample) {
-    support::require(options.checkpoint_path.empty(),
-                     "--checkpoint is not supported under --strategy sample: "
-                     "a sampling run has no frontier to save");
-    support::require(options.resume == nullptr,
-                     "--resume is not supported under --strategy sample: a "
-                     "sampling run has no frontier to continue from");
-  }
   std::optional<ShardedVisitedSet> trace_store;
   // Checkpoints are built from the trace sink, so requesting one implies
   // trace recording.
@@ -89,24 +78,18 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
   ReachOptions ropts;
+  static_cast<engine::Reduction&>(ropts) = options;
   ropts.budget.max_states = options.max_states;
   ropts.budget.max_visited_bytes = options.max_visited_bytes;
   ropts.budget.deadline_ms = options.deadline_ms;
   ropts.num_threads = options.num_threads;
   ropts.strategy = options.strategy;
-  ropts.por = options.por;
-  ropts.symmetry = options.symmetry;
-  ropts.rf_quotient = options.rf_quotient;
   ropts.rf_pins = options.rf_pins;
-  // Both quotients pay the masked visited set already; sleep-set pruning
-  // rides along for free on that path.
-  ropts.sleep_sets = options.symmetry || options.rf_quotient;
-  ropts.mode = options.mode;
-  ropts.sample = options.sample;
   ropts.trace = trace_store ? &*trace_store : nullptr;
   ropts.cancel = options.cancel;
   ropts.fault = options.fault;
   ropts.resume = options.resume;
+  ropts.checkpoint = !options.checkpoint_path.empty();
 
   const std::uint64_t init_digest =
       options.track_traces ? witness::config_digest(lang::initial_config(sys))
@@ -208,8 +191,7 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   if (!options.checkpoint_path.empty() && result.truncated) {
     engine::save_checkpoint(
         engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options.por, options.symmetry,
-                                options.rf_quotient),
+                                options),
         options.checkpoint_path);
   }
   result.final_configs = sort_keyed_configs(finals);

@@ -47,7 +47,32 @@ using engine::StateVisitor;
 using engine::Strategy;
 using engine::visit_reachable;
 
-struct ExploreOptions {
+/// The explorer's options.  The engine::Reduction base holds `mode`,
+/// `sample`, `por`, `symmetry` and `rf_quotient`, all honoured:
+///   * por — per-state invariants are evaluated on the reduced state set:
+///     violations found are real, and violations at final/blocked states are
+///     never missed, but a violation confined to a pruned intermediate
+///     interleaving may be (the PorCrosscheck test checks exact agreement on
+///     the corpus — see docs/SEMANTICS.md §9).  Witnesses from reduced runs
+///     replay through the full semantics.
+///   * symmetry — exact for verdicts, outcomes, finals and invariant
+///     violations: the explorer orbit-closes final configurations and
+///     evaluates the invariant at every orbit member of each visited
+///     representative.  Violation *traces* lead to the visited
+///     representative (a real execution; a violation at a permuted
+///     configuration is flagged in the trace).
+///   * rf_quotient — exact for verdicts, outcome sets (final register
+///     values) and race sets; the *concrete* final_configs list holds one
+///     class representative per merged class, so callers comparing runs must
+///     compare outcomes, not raw final encodings.  Invariants are evaluated
+///     on class representatives: pass the invariant's view footprint in
+///     rf_pins (assertions::Assertion::footprint()), and reject
+///     footprint-less predicates before setting this.
+///   * mode == Strategy::Sample — runs `sample.episodes` seeded random
+///     schedules instead of enumerating and reports StopReason::EpisodeCap
+///     unless something stopped it earlier: violations and finals are the
+///     ones the episodes covered (a lower bound).
+struct ExploreOptions : engine::Reduction {
   /// Hard cap on distinct states; exploration reports truncation beyond it.
   std::uint64_t max_states = 1'000'000;
   SearchStrategy strategy = SearchStrategy::Dfs;
@@ -63,66 +88,15 @@ struct ExploreOptions {
   /// canonically before returning); only per-run orderings — which
   /// violation is reported first under stop_on_violation, which states fall
   /// inside a max_states truncation — may differ.  The invariant callback
-  /// must be thread-safe when more than one worker resolves.  track_traces composes with every thread count: parent links
-  /// are recorded per interned state under the visited-set shard lock, so a
-  /// multi-worker run's trace may differ from a one-worker run's but is
-  /// always a real execution (and always replays — see witness::replay).
+  /// must be thread-safe when more than one worker resolves.  track_traces
+  /// composes with every thread count: parent links are recorded per
+  /// interned state under the visited-set shard lock, so a multi-worker
+  /// run's trace may differ from a one-worker run's but is always a real
+  /// execution (and always replays — see witness::replay).
   unsigned num_threads = 1;
-  /// Ample-set partial-order reduction in the shared driver: expand only
-  /// the ample thread when its next step is local (Assign / Branch / Jump)
-  /// or a private relaxed access, under the cycle proviso — see
-  /// engine/transition_system.hpp.  Sound for final-register values,
-  /// reachable outcomes, deadlocks and the final/blocked state sets; the
-  /// reduced graph is identical for every num_threads, and witnesses from
-  /// reduced runs replay through the full semantics.  Per-state invariants
-  /// are evaluated on the reduced state set: violations found are real, and
-  /// violations occurring at final/blocked states are never missed, but a
-  /// violation confined to a pruned intermediate interleaving may be (the
-  /// PorCrosscheck test checks exact agreement on the corpus — see
-  /// docs/SEMANTICS.md §9).  Default off.
-  bool por = false;
-  /// Thread-symmetry reduction (engine/symmetry.hpp): quotient the visited
-  /// set by thread permutations of provably interchangeable threads
-  /// (identical program text modulo thread id) and layer sleep-set
-  /// transition pruning on top.  Exact for verdicts, outcomes, finals and
-  /// invariant violations: the explorer orbit-closes final configurations
-  /// and evaluates the invariant at every orbit member of each visited
-  /// representative, so nothing a full run reports is missed — violation
-  /// *traces* lead to the visited representative (a real execution; a
-  /// violation at a permuted configuration is flagged in the trace).  A
-  /// sound no-op on programs with no interchangeable threads.  Composes
-  /// with por, budgets, track_traces and checkpoint/resume (the checkpoint
-  /// records the setting; resume rejects a mismatch).  Rejected under
-  /// Strategy::Sample.
-  bool symmetry = false;
-  /// Execution-graph quotient (engine/abstraction.hpp): deduplicate states
-  /// by [pcs, registers, rf/mo projection] instead of the concrete encoding,
-  /// folding interleavings that built the same execution graph.  Exact for
-  /// verdicts, outcome sets (final register values) and race sets; the
-  /// *concrete* final_configs list holds one class representative per merged
-  /// class, so callers comparing runs must compare outcomes, not raw final
-  /// encodings.  Invariants are evaluated on class representatives: pass
-  /// the invariant's view footprint in rf_pins so the predicate is a
-  /// function of the quotient key (assertions::Assertion::footprint()), and
-  /// reject footprint-less predicates before setting this.  Composes with
-  /// por, budgets, track_traces and checkpoint/resume (setting pinned in
-  /// the checkpoint); rejected with --symmetry (v1), under Strategy::Sample
-  /// and under the SC memory model.
-  bool rf_quotient = false;
   /// Viewfront entries to pin into the rf-quotient key (see above); ignored
   /// unless rf_quotient.
   engine::RfPins rf_pins;
-  /// Coverage mode (engine/sample.hpp): Exhaustive (default) or Sample,
-  /// which runs `sample.episodes` seeded random schedules instead of
-  /// enumerating and reports StopReason::EpisodeCap unless something stopped
-  /// it earlier.  Under Sample: `por`, checkpoint_path and resume are
-  /// rejected loudly, violations and finals are the ones the episodes
-  /// covered (a lower bound), and the exhaustive modes stay the oracle on
-  /// small instances.
-  Strategy mode = Strategy::Exhaustive;
-  /// Tuning for mode == Strategy::Sample (episodes, seed, guided bias,
-  /// episode step cap); ignored otherwise.
-  SampleOptions sample;
   /// Stop at the first invariant violation (otherwise keep counting).
   bool stop_on_violation = true;
   /// Record parent links and step labels so violations come with a full
@@ -143,8 +117,9 @@ struct ExploreOptions {
   /// Deterministic fault injection (robustness tests; see engine::FaultPlan).
   engine::FaultPlan fault;
   /// Resume from a checkpoint of an earlier stopped run (must outlive the
-  /// call; `por` must match the checkpoint's).  Verdicts, states,
-  /// transitions, finals and blocked counts equal an uninterrupted run's.
+  /// call; `por`, `symmetry` and `rf_quotient` must match the
+  /// checkpoint's).  Verdicts, states, transitions, finals and blocked
+  /// counts equal an uninterrupted run's.
   const engine::Checkpoint* resume = nullptr;
   /// When non-empty and the run stops early (any StopReason other than
   /// Complete), write a checkpoint file here.  Implies trace recording (the

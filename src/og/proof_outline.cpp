@@ -234,14 +234,6 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   // worker pool; the verdict and the set of failed obligations are
   // thread-count-independent (failures arrive unordered when parallel).
   OutlineCheckResult result;
-  if (options.mode == engine::Strategy::Sample) {
-    support::require(options.checkpoint_path.empty(),
-                     "--checkpoint is not supported under --strategy sample: "
-                     "a sampling run has no frontier to save");
-    support::require(options.resume == nullptr,
-                     "--resume is not supported under --strategy sample: a "
-                     "sampling run has no frontier to continue from");
-  }
   std::optional<explore::ShardedVisitedSet> trace_store;
   // Checkpoints are built from the trace sink, so requesting one implies
   // trace recording.
@@ -263,23 +255,19 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
   explore::ReachOptions ropts;
+  static_cast<engine::Reduction&>(ropts) = options;
   ropts.budget.max_states = options.max_states;
   ropts.budget.max_visited_bytes = options.max_visited_bytes;
   ropts.budget.deadline_ms = options.deadline_ms;
   ropts.num_threads = options.num_threads;
-  ropts.por = options.por;
-  ropts.symmetry = options.symmetry;
-  ropts.rf_quotient = options.rf_quotient;
-  ropts.sleep_sets = options.symmetry || options.rf_quotient;
   if (options.rf_quotient) collect_rf_pins(sys, outline, ropts.rf_pins);
-  ropts.mode = options.mode;
-  ropts.sample = options.sample;
   // Steps carry labels only when the trace sink forces them; otherwise a
   // failure message regenerates the one label it cites (label_of below).
   ropts.trace = trace_store ? &*trace_store : nullptr;
   ropts.cancel = options.cancel;
   ropts.fault = options.fault;
   ropts.resume = options.resume;
+  ropts.checkpoint = !options.checkpoint_path.empty();
 
   const std::uint64_t init_digest =
       options.track_traces ? witness::config_digest(lang::initial_config(sys))
@@ -400,8 +388,7 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
       reach.stop != engine::StopReason::Complete) {
     engine::save_checkpoint(
         engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options.por, options.symmetry,
-                                options.rf_quotient),
+                                options),
         options.checkpoint_path);
   }
   return result;

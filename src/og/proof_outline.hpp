@@ -113,7 +113,35 @@ struct OutlineCheckResult {
   engine::StopReason stop = engine::StopReason::Complete;
 };
 
-struct OutlineCheckOptions {
+/// The outline checker's options.  The engine::Reduction base holds `mode`,
+/// `sample`, `por`, `symmetry` and `rf_quotient`, all honoured:
+///   * por — annotations and interference obligations are evaluated on the
+///     reduced state set: failures found are real, and failures at
+///     final/blocked states (postconditions, deadlocks) are never missed,
+///     but an obligation violated only at a pruned intermediate interleaving
+///     may be — POR trades the full quantification of the Owicki–Gries side
+///     conditions for outcome-level soundness.  The PorCrosscheck test
+///     checks exact verdict agreement on the outline corpus.
+///   * symmetry — exact: obligations are evaluated at every orbit member of
+///     each visited representative, with the member's enabled steps obtained
+///     by permuting the representative's (the group action commutes with the
+///     successor relation), so the verdict, the set of failed obligations and
+///     obligations_checked equal an unreduced run's.  Failure traces lead to
+///     the representative; a failure at a permuted member is flagged in its
+///     trace.
+///   * rf_quotient — check_outline pins the view footprint of every
+///     annotation and of the global invariant into the quotient key, which
+///     makes every obligation a function of the key: the verdict, the set of
+///     failed obligations and obligations-per-class equal an unreduced run's
+///     per merged class (the total obligations_checked count shrinks with
+///     the visited set).  Rejected loudly when any annotation has an unknown
+///     footprint (assertions::pred).
+///   * mode == Strategy::Sample — the obligations are evaluated on the
+///     states `sample.episodes` seeded random schedules cross: failures
+///     found are real, but `valid` is never a proof — the result stops with
+///     StopReason::EpisodeCap, so callers reading `stop` already treat the
+///     verdict as a lower bound.
+struct OutlineCheckOptions : engine::Reduction {
   std::uint64_t max_states = 1'000'000;
   bool check_interference = true;  ///< also run the pairwise OG side condition
   bool stop_at_first_failure = true;
@@ -128,44 +156,6 @@ struct OutlineCheckOptions {
   /// attached to each may differ run to run (every recorded trace is still a
   /// real execution and replays — see witness::replay).
   unsigned num_threads = 1;
-  /// Ample-set POR in the shared driver (see explore::ExploreOptions::por).
-  /// Annotations and interference obligations are evaluated on the reduced
-  /// state set: failures found are real, and failures at final/blocked
-  /// states (postconditions, deadlocks) are never missed, but an obligation
-  /// violated only at a pruned intermediate interleaving may be — POR trades
-  /// the full quantification of the Owicki–Gries side conditions for
-  /// outcome-level soundness.  The PorCrosscheck test checks exact verdict
-  /// agreement on the outline corpus.  Default off.
-  bool por = false;
-  /// Thread-symmetry reduction (see explore::ExploreOptions::symmetry).
-  /// Exactness is preserved: obligations are evaluated at every orbit member
-  /// of each visited representative, with the member's enabled steps
-  /// obtained by permuting the representative's (the group action commutes
-  /// with the successor relation), so the verdict, the set of failed
-  /// obligations and obligations_checked equal an unreduced run's.  Failure
-  /// traces lead to the representative; a failure at a permuted member is
-  /// flagged in its trace.  Sound no-op without interchangeable threads;
-  /// rejected under Strategy::Sample.  Default off.
-  bool symmetry = false;
-  /// Execution-graph quotient (see explore::ExploreOptions::rf_quotient).
-  /// check_outline pins the view footprint of every annotation and of the
-  /// global invariant into the quotient key, which makes every obligation a
-  /// function of the key — the verdict, the set of failed obligations and
-  /// obligations-per-class equal an unreduced run's per merged class (the
-  /// total obligations_checked count shrinks with the visited set).
-  /// Rejected loudly when any annotation has an unknown footprint
-  /// (assertions::pred), with --symmetry (v1), under Strategy::Sample and
-  /// under the SC model.  Default off.
-  bool rf_quotient = false;
-  /// Coverage mode (engine/sample.hpp).  Under Strategy::Sample the
-  /// obligations are evaluated on the states `sample.episodes` seeded random
-  /// schedules cross: failures found are real, but `valid` is never a proof
-  /// — the result stops with StopReason::EpisodeCap, so callers reading
-  /// `stop` already treat the verdict as a lower bound.
-  /// checkpoint_path/resume are rejected loudly under sampling.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  /// Tuning for mode == Strategy::Sample; ignored otherwise.
-  engine::SampleOptions sample;
   /// Resource governance and resumability — same semantics as the matching
   /// explore::ExploreOptions fields.
   std::uint64_t max_visited_bytes = 0;  ///< bytes; 0 = unlimited

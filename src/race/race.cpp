@@ -11,7 +11,6 @@
 
 #include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
-#include "support/diagnostics.hpp"
 #include "support/hash.hpp"
 
 namespace rc11::race {
@@ -86,15 +85,6 @@ RaceResult check(const System& sys, const RaceOptions& options) {
     traced.set_options(sem);
   }
 
-  if (options.mode == engine::Strategy::Sample) {
-    support::require(options.checkpoint_path.empty(),
-                     "--checkpoint is not supported under --strategy sample: "
-                     "a sampling run has no frontier to save");
-    support::require(options.resume == nullptr,
-                     "--resume is not supported under --strategy sample: a "
-                     "sampling run has no frontier to continue from");
-  }
-
   std::optional<ShardedVisitedSet> trace_store;
   if (options.track_traces || !options.checkpoint_path.empty()) {
     trace_store.emplace();
@@ -105,21 +95,17 @@ RaceResult check(const System& sys, const RaceOptions& options) {
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
   ReachOptions ropts;
+  static_cast<engine::Reduction&>(ropts) = options;
   ropts.budget.max_states = options.max_states;
   ropts.budget.max_visited_bytes = options.max_visited_bytes;
   ropts.budget.deadline_ms = options.deadline_ms;
   ropts.num_threads = options.num_threads;
   ropts.strategy = options.strategy;
-  ropts.por = options.por;
-  ropts.symmetry = options.symmetry;
-  ropts.rf_quotient = options.rf_quotient;
-  ropts.sleep_sets = options.symmetry || options.rf_quotient;
-  ropts.mode = options.mode;
-  ropts.sample = options.sample;
   ropts.trace = trace_store ? &*trace_store : nullptr;
   ropts.cancel = options.cancel;
   ropts.fault = options.fault;
   ropts.resume = options.resume;
+  ropts.checkpoint = !options.checkpoint_path.empty();
 
   const std::uint64_t init_digest =
       trace_store ? witness::config_digest(lang::initial_config(traced)) : 0;
@@ -229,8 +215,7 @@ RaceResult check(const System& sys, const RaceOptions& options) {
   if (!options.checkpoint_path.empty() && result.truncated) {
     engine::save_checkpoint(
         engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options.por, options.symmetry,
-                                options.rf_quotient),
+                                options),
         options.checkpoint_path);
   }
   result.races.reserve(races.size());

@@ -22,13 +22,12 @@
 // witnesses naming both access sites.
 //
 // Soundness under the reductions mirrors the other checkers (DESIGN.md):
-// ample steps are local or private relaxed/non-atomic accesses, which
-// neither synchronise nor conflict with another thread, so deferring them
-// changes no clock and no contested summary cell — the reduced graph
-// reports the same race set.  Under the symmetry quotient a permuted
-// execution reports the thread-permuted record, so the full set is restored
-// by closing each record under the group (a permuted execution of a racy
-// trace is itself a real racy execution).
+// ample steps are local, so they neither synchronise nor conflict with
+// another thread, and deferring them changes no clock and no contested
+// summary cell — the reduced graph reports the same race set.  Under the
+// symmetry quotient a permuted execution reports the thread-permuted record,
+// so the full set is restored by closing each record under the group (a
+// permuted execution of a racy trace is itself a real racy execution).
 
 #pragma once
 
@@ -53,7 +52,17 @@ using memsem::RaceRecord;
 /// Human name of an access category ("non-atomic write", …).
 [[nodiscard]] const char* access_name(RaceCat cat) noexcept;
 
-struct RaceOptions {
+/// The race checker's options.  The engine::Reduction base holds `mode`,
+/// `sample`, `por`, `symmetry` and `rf_quotient`, all honoured, with the
+/// explorer's semantics; the race set survives each (see the soundness note
+/// in the header comment):
+///   * rf_quotient — exact without any pinning: race clocks, summary cells
+///     and per-op messages are part of the quotient key whenever
+///     race_detection is on (memsem encodes them alongside the modification
+///     orders), and records surface on step post-states, which pair up
+///     class-by-class.
+///   * mode == Strategy::Sample — the race set is a lower bound.
+struct RaceOptions : engine::Reduction {
   /// Hard cap on distinct states; the check reports truncation beyond it.
   std::uint64_t max_states = 1'000'000;
   engine::SearchStrategy strategy = engine::SearchStrategy::Dfs;
@@ -61,22 +70,6 @@ struct RaceOptions {
   /// of reported races is identical for every thread count; only traces,
   /// state dumps and witness choice may differ between runs.
   unsigned num_threads = 1;
-  /// Sound reductions, same semantics as the explorer's flags.  Race
-  /// reports survive both: see the soundness note in the header comment.
-  bool por = false;
-  bool symmetry = false;
-  /// Execution-graph quotient (see explore::ExploreOptions::rf_quotient).
-  /// Exact for the race set without any pinning: race clocks, summary cells
-  /// and per-op messages are part of the quotient key whenever
-  /// race_detection is on (memsem encodes them alongside the modification
-  /// orders), and records surface on step post-states, which pair up
-  /// class-by-class.  Rejected with --symmetry (v1), under Strategy::Sample
-  /// and under the SC model.
-  bool rf_quotient = false;
-  /// Exhaustive (default) or Sample coverage; under Sample the race set is
-  /// a lower bound and checkpoint/resume are rejected.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  engine::SampleOptions sample;
   /// Stop at the first race (default off: cross-checks compare full sets).
   bool stop_on_race = false;
   /// Record parent links so each race carries a trace and a replayable

@@ -70,6 +70,29 @@ std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
   return h.digest();
 }
 
+/// Rejects what refinement does not honour of a Reduction (see
+/// GraphOptions): the rf-quotient everywhere, symmetry unless the caller
+/// quotients the trace-inclusion product with it.  The engine's own rules
+/// run first, so a sampled trace-inclusion check cannot drop its symmetry
+/// setting silently.
+void require_refinement_subset(const engine::Reduction& r,
+                               bool product_symmetry) {
+  const std::string conflict = engine::reduction_conflict(r);
+  support::require(conflict.empty(), conflict);
+  support::require(
+      !r.rf_quotient,
+      "--rf-quotient is not supported by the refinement checks: they compare "
+      "client projections across two systems, which the execution-graph "
+      "quotient does not relate (use --por or --symmetry to shrink the "
+      "graphs instead)");
+  support::require(
+      product_symmetry || !r.symmetry,
+      "--symmetry is not supported by state-graph builds or the Def. 8 "
+      "simulation: graph states must be concrete, and a quotiented fixpoint "
+      "would change which pairs its diagnosis can cite (the trace-inclusion "
+      "check quotients its product instead)");
+}
+
 }  // namespace
 
 StateGraph build_graph(const System& sys, const GraphOptions& options) {
@@ -81,6 +104,7 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   // POR-reduced) relation phase 1 explored — and resolves them against the
   // sorted encoding index by binary search: purely read-only lookups, so no
   // locking is needed.
+  require_refinement_subset(options, /*product_symmetry=*/false);
   StateGraph graph;
   const engine::TransitionSystem ts(sys, engine::AmplePolicy::ClientInvisible);
   const bool want_labels = options.want_labels;
@@ -93,13 +117,11 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   std::vector<Keyed> collected;
   std::mutex mu;
   engine::ReachOptions ropts;
+  static_cast<engine::Reduction&>(ropts) = options;
   ropts.budget.max_states = options.max_states;
   ropts.budget.max_visited_bytes = options.max_visited_bytes;
   ropts.budget.deadline_ms = options.deadline_ms;
   ropts.num_threads = num_threads;
-  ropts.por = options.por;
-  ropts.mode = options.mode;
-  ropts.sample = options.sample;
   ropts.cancel = options.cancel;
   ropts.fault = options.fault;
   const auto reach = engine::visit_reachable(
@@ -207,27 +229,27 @@ std::string truncation_diagnosis(const StateGraph& abs, const StateGraph& conc) 
   return msg + conc_msg;
 }
 
-/// Forwards the shared resource-governance knobs of the two checker option
-/// structs into a GraphOptions.  `apply_sampling` gates the coverage mode:
-/// only the concrete graph is ever sampled — the abstract graph is the
-/// specification, and a sampled (incomplete) spec would manufacture false
-/// violations, so the abstract build always enumerates exhaustively.
+/// Forwards the reduction and the shared resource-governance knobs of the
+/// two checker option structs into a GraphOptions.  Symmetry never reaches
+/// a graph build (trace inclusion spends it on the product).
+/// `apply_sampling` gates the coverage mode: only the concrete graph is ever
+/// sampled — the abstract graph is the specification, and a sampled
+/// (incomplete) spec would manufacture false violations, so the abstract
+/// build always enumerates exhaustively.
 template <typename CheckOptions>
 GraphOptions graph_options(const CheckOptions& options, bool want_labels,
                            bool apply_sampling) {
   GraphOptions gopts;
+  static_cast<engine::Reduction&>(gopts) = options;
+  gopts.symmetry = false;
+  if (!apply_sampling) gopts.mode = engine::Strategy::Exhaustive;
   gopts.max_states = options.max_states;
   gopts.want_labels = want_labels;
   gopts.num_threads = options.num_threads;
-  gopts.por = options.por;
   gopts.max_visited_bytes = options.max_visited_bytes;
   gopts.deadline_ms = options.deadline_ms;
   gopts.cancel = options.cancel;
   gopts.fault = options.fault;
-  if (apply_sampling) {
-    gopts.mode = options.mode;
-    gopts.sample = options.sample;
-  }
   return gopts;
 }
 
@@ -236,6 +258,7 @@ GraphOptions graph_options(const CheckOptions& options, bool want_labels,
 SimulationResult check_forward_simulation(const System& abstract_sys,
                                           const System& concrete_sys,
                                           const SimulationOptions& options) {
+  require_refinement_subset(options, /*product_symmetry=*/false);
   SimulationResult result;
   const StateGraph abs = build_graph(
       abstract_sys,
@@ -402,6 +425,7 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
 TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
                                            const System& concrete_sys,
                                            const TraceInclusionOptions& options) {
+  require_refinement_subset(options, /*product_symmetry=*/true);
   TraceInclusionResult result;
   const StateGraph abs = build_graph(
       abstract_sys,
@@ -445,7 +469,7 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
   // complete graph every image is present by equivariance).
   std::vector<engine::ThreadPerm> perms;  // non-identity group elements
   std::vector<std::vector<std::uint32_t>> abs_maps, conc_maps;  // per perm
-  if (options.symmetry && !sampled_concrete) {
+  if (options.symmetry) {
     const engine::SymmetryReducer abs_red(abstract_sys);
     const engine::SymmetryReducer conc_red(concrete_sys);
     if (abs_red.symmetric() && conc_red.symmetric() &&

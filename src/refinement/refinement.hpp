@@ -106,11 +106,25 @@ struct StateGraph {
 /// Reduced here means only projection-invisible steps are ever pruned, which
 /// preserves the stutter-closed projection traces the refinement checkers
 /// compare (docs/SEMANTICS.md §9).
-struct GraphOptions {
+///
+/// Refinement honours a subset of engine::Reduction, stated once here.  No
+/// entry point accepts `rf_quotient`: the checkers compare client
+/// projections across two systems, and the execution-graph quotient's keys
+/// are only comparable within one.  build_graph and the simulation reject
+/// `symmetry`: a graph's states and edges must be concrete, and quotienting
+/// the simulation fixpoint would change which pairs its diagnosis can cite.
+/// TraceInclusionOptions::symmetry quotients the product instead.
+///
+/// Under Strategy::Sample (`mode`, tuned by `sample`) phase 1 collects the
+/// states seeded random episodes cross and phase 2 resolves edges within
+/// that subset (edges to uncollected states are dropped — the same rule
+/// every truncated build already follows).  Every state and edge of a
+/// sampled graph is real; the graph is marked truncated
+/// (StopReason::EpisodeCap) because it may be missing states.
+struct GraphOptions : engine::Reduction {
   std::uint64_t max_states = 1'000'000;
   bool want_labels = false;
   unsigned num_threads = 1;
-  bool por = false;
   /// Resource governance (same semantics as explore::ExploreOptions):
   /// exceeding a budget stops the build with the matching StateGraph::stop.
   /// Checkpoint/resume is not offered for graph builds — refinement checks
@@ -119,29 +133,27 @@ struct GraphOptions {
   std::uint64_t deadline_ms = 0;        ///< wall clock; 0 = none
   const engine::CancelToken* cancel = nullptr;
   engine::FaultPlan fault;
-  /// Coverage mode (engine/sample.hpp).  Under Strategy::Sample phase 1
-  /// collects the states seeded random episodes cross and phase 2 resolves
-  /// edges within that subset (edges to uncollected states are dropped —
-  /// the same rule every truncated build already follows).  Every state and
-  /// edge of a sampled graph is real; the graph is marked truncated
-  /// (StopReason::EpisodeCap) because it may be missing states.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  /// Tuning for mode == Strategy::Sample; ignored otherwise.
-  engine::SampleOptions sample;
 };
 
 [[nodiscard]] StateGraph build_graph(const System& sys,
                                      const GraphOptions& options = {});
 
-struct SimulationOptions {
+/// The simulation check's options.  Of the engine::Reduction base it takes
+/// `por` — both state graphs are built with client-invisible ample-set POR
+/// (see build_graph); verdicts agree with the unreduced check on the
+/// PorCrosscheck corpus — and `mode`/`sample`: under Strategy::Sample only
+/// the *concrete* graph is sampled, since the abstract graph is the
+/// specification and must be complete for the game to be meaningful.  The
+/// simulation fixpoint needs the full concrete edge relation (missing edges
+/// would make pairs survive vacuously), so a sampled simulation check
+/// always reports truncated with a diagnosis; use check_trace_inclusion for
+/// definite sampled verdicts.  `symmetry` and `rf_quotient` are rejected
+/// (see GraphOptions).
+struct SimulationOptions : engine::Reduction {
   std::uint64_t max_states = 1'000'000;  ///< per system
   /// Workers for graph construction and client projection (the fixpoint
   /// itself stays sequential); same convention as ExploreOptions.
   unsigned num_threads = 1;
-  /// Build both state graphs with client-invisible ample-set POR (see
-  /// build_graph).  Verdicts agree with the unreduced check on the
-  /// PorCrosscheck corpus; default off.
-  bool por = false;
   /// Resource governance, applied to *each* graph build separately (a
   /// deadline therefore bounds each phase, not the whole check); the
   /// cancellation token is shared, so one Ctrl-C stops whichever phase is
@@ -150,19 +162,6 @@ struct SimulationOptions {
   std::uint64_t deadline_ms = 0;        ///< wall clock per graph; 0 = none
   const engine::CancelToken* cancel = nullptr;
   engine::FaultPlan fault;
-  /// Coverage mode.  Under Strategy::Sample only the *concrete* graph is
-  /// sampled — the abstract graph is the specification and must be complete
-  /// for the game to be meaningful.  The simulation fixpoint needs the full
-  /// concrete edge relation (missing edges would make pairs survive
-  /// vacuously), so a sampled simulation check always reports truncated with
-  /// a diagnosis; use check_trace_inclusion for definite sampled verdicts.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  engine::SampleOptions sample;  ///< tuning for Sample; ignored otherwise
-  // Thread-symmetry reduction is deliberately *not* offered here: the
-  // simulation fixpoint iterates over candidate pairs of the full graphs
-  // and quotienting it would change which pairs the diagnosis chain can
-  // cite.  rc11-refine rejects --symmetry for the simulation check and
-  // points at the trace-inclusion game, which supports it.
 };
 
 struct SimulationResult {
@@ -197,44 +196,41 @@ struct SimulationResult {
     const System& abstract_sys, const System& concrete_sys,
     const SimulationOptions& options = {});
 
-struct TraceInclusionOptions {
+/// The trace-inclusion check's options.  Of the engine::Reduction base it
+/// takes `por` (as SimulationOptions), `mode`/`sample` and `symmetry`, and
+/// rejects `rf_quotient` (see GraphOptions):
+///   * mode == Strategy::Sample — only the *concrete* graph is sampled (the
+///     abstract side is the specification and stays complete) and the game
+///     runs over the covered concrete subgraph: every sampled concrete run
+///     is a real execution, so a refinement violation found this way is
+///     *definite* — holds == false with a replayable witness — while "no
+///     violation" stays inconclusive (truncated == true, a lower bound).
+///   * symmetry — a thread-symmetry quotient of the *product* construction:
+///     when both systems have identical interchangeable-thread classes
+///     (engine::SymmetryReducer), product nodes (concrete state, abstract
+///     match set) are deduplicated modulo simultaneous thread permutation of
+///     both sides.  Client projections permute covariantly, so refinement of
+///     a node and of its permuted image coincide and an empty match set is
+///     reachable in the quotient iff it is in the full product — verdicts
+///     and witnesses are unchanged, only product_nodes shrinks (arena nodes
+///     stay concrete, so counterexample runs replay as before).  A sound
+///     no-op when either system has no interchangeable threads or the
+///     classes differ.  Composes with `por` under the same
+///     corpus-crosschecked caveat as por itself; rejected under sampling,
+///     like every reduction (the permuted image of a sampled state need not
+///     be covered).
+struct TraceInclusionOptions : engine::Reduction {
   std::uint64_t max_states = 200'000;       ///< per state graph
   std::uint64_t max_product_nodes = 500'000;  ///< subset-construction bound
   /// Workers for graph construction and client projection (the subset
   /// construction stays sequential); same convention as ExploreOptions.
   unsigned num_threads = 1;
-  /// Build both state graphs with client-invisible ample-set POR (see
-  /// build_graph).  Verdicts agree with the unreduced check on the
-  /// PorCrosscheck corpus; default off.
-  bool por = false;
   /// Resource governance for the graph builds (per build; see
   /// SimulationOptions for the sharing semantics).
   std::uint64_t max_visited_bytes = 0;  ///< bytes per graph; 0 = unlimited
   std::uint64_t deadline_ms = 0;        ///< wall clock per graph; 0 = none
   const engine::CancelToken* cancel = nullptr;
   engine::FaultPlan fault;
-  /// Coverage mode.  Under Strategy::Sample only the *concrete* graph is
-  /// sampled (the abstract side is the specification and stays complete) and
-  /// the game runs over the covered concrete subgraph: every sampled
-  /// concrete run is a real execution, so a refinement violation found this
-  /// way is *definite* — holds == false with a replayable witness — while
-  /// "no violation" stays inconclusive (truncated == true, a lower bound).
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  engine::SampleOptions sample;  ///< tuning for Sample; ignored otherwise
-  /// Thread-symmetry quotient of the *product* construction: when both
-  /// systems have identical interchangeable-thread classes
-  /// (engine::SymmetryReducer), product nodes (concrete state, abstract
-  /// match set) are deduplicated modulo simultaneous thread permutation of
-  /// both sides.  Client projections permute covariantly, so refinement of
-  /// a node and of its permuted image coincide and an empty match set is
-  /// reachable in the quotient iff it is in the full product — verdicts and
-  /// witnesses are unchanged, only product_nodes shrinks (arena nodes stay
-  /// concrete, so counterexample runs replay as before).  A sound no-op
-  /// when either system has no interchangeable threads or the classes
-  /// differ; ignored under a sampled concrete graph (the permuted image of
-  /// a sampled state need not be covered).  Composes with `por` under the
-  /// same corpus-crosschecked caveat as por itself.  Default off.
-  bool symmetry = false;
 };
 
 struct TraceInclusionResult {

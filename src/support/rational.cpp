@@ -8,7 +8,8 @@ namespace rc11::support {
 
 namespace {
 
-using Wide = __int128;
+// __int128 is a GCC/Clang extension; __extension__ keeps -Wpedantic quiet.
+__extension__ using Wide = __int128;
 
 std::int64_t narrow_checked(Wide v) {
   if (v > Wide(INT64_MAX) || v < Wide(INT64_MIN)) {

@@ -312,7 +312,7 @@ void roundtrip_case(const std::string& name, unsigned workers, bool por) {
 
   const auto ckpt = engine::load_checkpoint(ck.path);
   EXPECT_EQ(ckpt.stop, StopReason::StateCap);
-  EXPECT_EQ(ckpt.por, por);
+  EXPECT_EQ(ckpt.reduction.por, por);
   EXPECT_GE(ckpt.states.size(), truncated.stats.states);
 
   ExploreOptions resume_opts = full_opts;
@@ -388,7 +388,9 @@ TEST(Checkpoint, JsonRoundTripPreservesEverything) {
   const auto a = engine::load_checkpoint(ck.path);
   const auto b = engine::from_json(engine::to_json(a));
   EXPECT_EQ(b.version, a.version);
-  EXPECT_EQ(b.por, a.por);
+  EXPECT_EQ(b.reduction.por, a.reduction.por);
+  EXPECT_EQ(b.reduction.symmetry, a.reduction.symmetry);
+  EXPECT_EQ(b.reduction.rf_quotient, a.reduction.rf_quotient);
   EXPECT_EQ(b.stop, a.stop);
   EXPECT_EQ(b.stats.states, a.stats.states);
   EXPECT_EQ(b.stats.visited_bytes, a.stats.visited_bytes);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -47,6 +48,18 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Like run, but keeps stdout and stderr apart.
+int run_split(const std::string& cmd, std::string& out, std::string& err) {
+  const std::string out_path = tmp_path("split.out");
+  const std::string err_path = tmp_path("split.err");
+  const std::string redirected =
+      cmd + " > " + out_path + " 2> " + err_path;
+  const int status = std::system(redirected.c_str());
+  out = read_file(out_path);
+  err = read_file(err_path);
+  return WEXITSTATUS(status);
 }
 
 TEST(Cli, RunExploresSampleProgram) {
@@ -291,6 +304,65 @@ TEST(Cli, RefineCombinedPorSymmetryWitnessReplays) {
                 &out),
             0);
   EXPECT_NE(out.find("replay OK"), std::string::npos) << out;
+}
+
+// --- rejected flag combinations ---------------------------------------------
+
+TEST(Cli, RejectedReductionCombinations) {
+  // Every tool refuses these before it runs anything: exit 1, nothing on
+  // stdout, and a message naming each offending flag.  The checkpoint file
+  // is never read or written.
+  struct Case {
+    std::string tool;
+    std::string flags;
+    std::vector<std::string> names;
+  };
+  const std::string ckpt = tmp_path("never.ckpt");
+  const std::string sample = "--strategy sample:10";
+  std::vector<Case> cases;
+  for (const std::string tool : {"rc11-run", "rc11-race"}) {
+    for (const std::string flag :
+         {"--por", "--symmetry", "--rf-quotient", "--checkpoint", "--resume"}) {
+      const bool takes_file = flag == "--checkpoint" || flag == "--resume";
+      cases.push_back({tool,
+                       sample + " " + flag + (takes_file ? " " + ckpt : ""),
+                       {"--strategy sample", flag}});
+    }
+    cases.push_back(
+        {tool, "--symmetry --rf-quotient", {"--symmetry", "--rf-quotient"}});
+    cases.push_back({tool, "--seed 5", {"--seed"}});
+  }
+  cases.push_back(
+      {"rc11-verify", sample + " --por", {"--strategy sample", "--por"}});
+  cases.push_back({"rc11-verify", "--symmetry --rf-quotient",
+                   {"--symmetry", "--rf-quotient"}});
+  cases.push_back({"rc11-verify", sample + " --resume " + ckpt,
+                   {"--strategy sample", "--resume"}});
+  cases.push_back({"rc11-refine", "--rf-quotient", {"--rf-quotient"}});
+  cases.push_back(
+      {"rc11-refine", sample + " --por", {"--strategy sample", "--por"}});
+  cases.push_back({"rc11-refine", "--symmetry --rf-quotient",
+                   {"--symmetry", "--rf-quotient"}});
+  cases.push_back({"rc11-refine", "--checkpoint " + ckpt, {"--checkpoint"}});
+
+  for (const Case& c : cases) {
+    const std::string programs =
+        c.tool == "rc11-refine"
+            ? prog("lock_client_abstract.rc11") + " " +
+                  prog("lock_client_seqlock.rc11")
+        : c.tool == "rc11-verify" ? prog("mp_verified.rc11")
+                                  : prog("sb.rc11");
+    SCOPED_TRACE(c.tool + " " + c.flags);
+    std::string out;
+    std::string err;
+    EXPECT_EQ(
+        run_split(bin(c.tool) + " " + c.flags + " " + programs, out, err), 1);
+    EXPECT_EQ(out, "");
+    for (const auto& name : c.names) {
+      EXPECT_NE(err.find(name), std::string::npos) << err;
+    }
+  }
+  EXPECT_NE(access(ckpt.c_str(), F_OK), 0) << "no checkpoint is written";
 }
 
 // --- rc11-race ---------------------------------------------------------------

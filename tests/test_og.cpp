@@ -749,7 +749,6 @@ Report reference_check(const System& sys, const og::ProofOutline& outline,
   ropts.num_threads = o.num_threads;
   ropts.por = o.por;
   ropts.symmetry = o.symmetry;
-  ropts.sleep_sets = o.symmetry;
   ropts.want_labels = true;
   std::optional<engine::SymmetryReducer> reducer;
   if (o.symmetry) reducer.emplace(sys);

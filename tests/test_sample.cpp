@@ -2,12 +2,16 @@
 // count, honest stop reasons (EpisodeCap vs the resource budgets), witness
 // replay of sampled violations, guided-bias distribution shifts, loud
 // rejection of checkpoint/resume, and verdict agreement with the exhaustive
-// oracle on the small corpus.
+// oracle on the small corpus.  Also the one table of every rejected
+// engine::Reduction combination (reduction_conflict lives next to the
+// sampler), run through every library entry point.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,8 +20,10 @@
 #include "engine/checkpoint.hpp"
 #include "engine/sample.hpp"
 #include "explore/explorer.hpp"
+#include "og/catalog.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
+#include "race/race.hpp"
 #include "refinement/refinement.hpp"
 #include "support/diagnostics.hpp"
 
@@ -58,35 +64,35 @@ constexpr const char* kBuggyInvariant =
 // --- strategy parsing and names ---------------------------------------------
 
 TEST(Sample, ParseStrategy) {
-  Strategy mode = Strategy::Sample;
-  std::uint64_t episodes = 0;
-  bool por = false;
+  engine::Reduction r;
+  r.mode = Strategy::Sample;
+  r.sample.episodes = 0;
 
-  EXPECT_TRUE(engine::parse_strategy("exhaustive", mode, episodes, por));
-  EXPECT_EQ(mode, Strategy::Exhaustive);
-  EXPECT_FALSE(por);
+  EXPECT_TRUE(engine::parse_strategy("exhaustive", r));
+  EXPECT_EQ(r.mode, Strategy::Exhaustive);
+  EXPECT_FALSE(r.por);
 
-  mode = Strategy::Sample;
-  EXPECT_TRUE(engine::parse_strategy("por", mode, episodes, por));
-  EXPECT_EQ(mode, Strategy::Exhaustive);
-  EXPECT_TRUE(por);
+  r.mode = Strategy::Sample;
+  EXPECT_TRUE(engine::parse_strategy("por", r));
+  EXPECT_EQ(r.mode, Strategy::Exhaustive);
+  EXPECT_TRUE(r.por);
 
-  por = false;
-  EXPECT_TRUE(engine::parse_strategy("sample", mode, episodes, por));
-  EXPECT_EQ(mode, Strategy::Sample);
-  EXPECT_EQ(episodes, engine::SampleOptions{}.episodes);
+  r.por = false;
+  EXPECT_TRUE(engine::parse_strategy("sample", r));
+  EXPECT_EQ(r.mode, Strategy::Sample);
+  EXPECT_EQ(r.sample.episodes, engine::SampleOptions{}.episodes);
 
-  EXPECT_TRUE(engine::parse_strategy("sample:17", mode, episodes, por));
-  EXPECT_EQ(mode, Strategy::Sample);
-  EXPECT_EQ(episodes, 17u);
-  EXPECT_FALSE(por);
+  EXPECT_TRUE(engine::parse_strategy("sample:17", r));
+  EXPECT_EQ(r.mode, Strategy::Sample);
+  EXPECT_EQ(r.sample.episodes, 17u);
+  EXPECT_FALSE(r.por);
 
-  EXPECT_FALSE(engine::parse_strategy("", mode, episodes, por));
-  EXPECT_FALSE(engine::parse_strategy("bogus", mode, episodes, por));
-  EXPECT_FALSE(engine::parse_strategy("sample:", mode, episodes, por));
-  EXPECT_FALSE(engine::parse_strategy("sample:0", mode, episodes, por));
-  EXPECT_FALSE(engine::parse_strategy("sample:abc", mode, episodes, por));
-  EXPECT_FALSE(engine::parse_strategy("sample:12x", mode, episodes, por));
+  for (const char* bad :
+       {"", "bogus", "sample:", "sample:0", "sample:abc", "sample:12x"}) {
+    EXPECT_FALSE(engine::parse_strategy(bad, r)) << bad;
+  }
+  EXPECT_EQ(r.mode, Strategy::Sample) << "a failed parse writes nothing";
+  EXPECT_EQ(r.sample.episodes, 17u);
 }
 
 TEST(Sample, StrategyAndStopReasonNames) {
@@ -224,6 +230,141 @@ TEST(Sample, ResumeIsRejected) {
   ExploreOptions opts = sample_opts(5, 0);
   opts.resume = &ckpt;
   EXPECT_THROW((void)explore::explore(program.sys, opts), support::Error);
+}
+
+// --- every rejected reduction combination, at every entry point ------------
+
+/// The library entry points that take an engine::Reduction, as bits.
+enum EntryPoint : unsigned {
+  kExplore = 1U << 0,
+  kOutline = 1U << 1,
+  kRace = 1U << 2,
+  kGraph = 1U << 3,
+  kSimulation = 1U << 4,
+  kTraceInclusion = 1U << 5,
+  kCheckers = kExplore | kOutline | kRace,
+  kAll = kCheckers | kGraph | kSimulation | kTraceInclusion,
+};
+
+/// A Reduction with `flags` set, sampling 4 episodes when `sampled`.
+engine::Reduction reduction(bool sampled,
+                            std::initializer_list<bool engine::Reduction::*>
+                                flags) {
+  engine::Reduction r;
+  if (sampled) {
+    r.mode = Strategy::Sample;
+    r.sample.episodes = 4;
+  }
+  for (const auto flag : flags) r.*flag = true;
+  return r;
+}
+
+/// The support::Error message `run` throws, or "" when it throws none.
+std::string rejection(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const support::Error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Reduction, RejectedCombinations) {
+  using R = engine::Reduction;
+  struct Case {
+    const char* what;
+    R reduction;
+    bool sc = false;          ///< run the system under MemoryModel::SC
+    bool checkpoint = false;  ///< ask for a checkpoint file
+    bool resume = false;      ///< resume from a checkpoint
+    unsigned rejected_by = kAll;
+    std::vector<std::string> names;  ///< flags the message must name
+  };
+  const Case cases[] = {
+      {"sample+por", reduction(true, {&R::por}), false, false, false, kAll,
+       {"--strategy sample", "--por"}},
+      {"sample+symmetry", reduction(true, {&R::symmetry}), false, false,
+       false, kAll, {"--strategy sample", "--symmetry"}},
+      {"sample+rf", reduction(true, {&R::rf_quotient}), false, false, false,
+       kAll, {"--strategy sample", "--rf-quotient"}},
+      {"symmetry+rf", reduction(false, {&R::symmetry, &R::rf_quotient}),
+       false, false, false, kAll, {"--symmetry", "--rf-quotient"}},
+      {"rf under SC", reduction(false, {&R::rf_quotient}), true, false, false,
+       kAll, {"--rf-quotient"}},
+      {"sample+checkpoint", reduction(true, {}), false, true, false,
+       kCheckers, {"--strategy sample", "--checkpoint"}},
+      {"sample+resume", reduction(true, {}), false, false, true, kCheckers,
+       {"--strategy sample", "--resume"}},
+      // Refinement's own subset (refinement.hpp, GraphOptions).
+      {"rf in refinement", reduction(false, {&R::rf_quotient}), false, false,
+       false, kGraph | kSimulation | kTraceInclusion, {"--rf-quotient"}},
+      {"symmetry in a graph build", reduction(false, {&R::symmetry}), false,
+       false, false, kGraph | kSimulation, {"--symmetry"}},
+  };
+
+  const auto ex = og::make_fig3();
+  const std::string never_written = ::testing::TempDir() + "never.ckpt";
+  const engine::Checkpoint ckpt;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    lang::System sys = ex.sys;
+    if (c.sc) {
+      auto sem = sys.options();
+      sem.model = memsem::MemoryModel::SC;
+      sys.set_options(sem);
+    }
+    // The checkers' options also carry the checkpoint requests.
+    const auto checker = [&](auto opts) {
+      static_cast<R&>(opts) = c.reduction;
+      if (c.checkpoint) opts.checkpoint_path = never_written;
+      if (c.resume) opts.resume = &ckpt;
+      return opts;
+    };
+    const auto reduced = [&](auto opts) {
+      static_cast<R&>(opts) = c.reduction;
+      return opts;
+    };
+    struct Entry {
+      EntryPoint bit;
+      const char* name;
+      std::function<void()> run;
+    };
+    const Entry entry_points[] = {
+        {kExplore, "explore",
+         [&] { (void)explore::explore(sys, checker(ExploreOptions{})); }},
+        {kOutline, "check_outline",
+         [&] {
+           (void)og::check_outline(sys, ex.outline,
+                                   checker(og::OutlineCheckOptions{}));
+         }},
+        {kRace, "race::check",
+         [&] { (void)race::check(sys, checker(race::RaceOptions{})); }},
+        {kGraph, "build_graph",
+         [&] {
+           (void)refinement::build_graph(sys,
+                                         reduced(refinement::GraphOptions{}));
+         }},
+        {kSimulation, "check_forward_simulation",
+         [&] {
+           (void)refinement::check_forward_simulation(
+               sys, sys, reduced(refinement::SimulationOptions{}));
+         }},
+        {kTraceInclusion, "check_trace_inclusion",
+         [&] {
+           (void)refinement::check_trace_inclusion(
+               sys, sys, reduced(refinement::TraceInclusionOptions{}));
+         }},
+    };
+    for (const Entry& entry : entry_points) {
+      if ((c.rejected_by & entry.bit) == 0) continue;
+      const std::string message = rejection(entry.run);
+      ASSERT_FALSE(message.empty()) << entry.name << " accepted it";
+      for (const auto& name : c.names) {
+        EXPECT_NE(message.find(name), std::string::npos)
+            << entry.name << ": " << message;
+      }
+    }
+  }
 }
 
 // --- the exhaustive oracle --------------------------------------------------

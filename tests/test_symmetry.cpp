@@ -246,7 +246,8 @@ TEST(Symmetry, CheckpointRoundTripPreservesVerdicts) {
   ASSERT_EQ(truncated.stop, StopReason::StateCap);
 
   const auto ckpt = engine::load_checkpoint(ck.path);
-  EXPECT_TRUE(ckpt.symmetry) << "the checkpoint must record the setting";
+  EXPECT_TRUE(ckpt.reduction.symmetry)
+      << "the checkpoint must record the setting";
 
   ExploreOptions resume_opts = full_opts;
   resume_opts.resume = &ckpt;
@@ -297,19 +298,6 @@ TEST(Symmetry, ResumeRejectsMismatchedSymmetry) {
     EXPECT_THROW((void)explore::explore(sys, resume_opts),
                  std::runtime_error);
   }
-}
-
-TEST(Symmetry, RejectedUnderSampling) {
-  // Sampling replays concrete schedules and cannot quotient states; the
-  // combination is rejected loudly (the CLIs catch it in resolve_strategy,
-  // the engine backstops it for library users).
-  locks::TicketLock ticket;
-  const auto sys = locks::instantiate(locks::worker_client(2, 1, 2), ticket);
-  ExploreOptions opts;
-  opts.symmetry = true;
-  opts.mode = engine::Strategy::Sample;
-  opts.sample.episodes = 4;
-  EXPECT_THROW((void)explore::explore(sys, opts), std::runtime_error);
 }
 
 // --- outline checking under symmetry ----------------------------------------

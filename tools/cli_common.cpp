@@ -7,26 +7,6 @@
 
 namespace rc11::cli {
 
-// The single source of truth for the sound state-space reductions.  A new
-// reduction needs exactly one row here (plus its engine plumbing): parsing,
-// the sampling conflicts and the mutual exclusions all follow from the table.
-const ReductionFlag kReductionFlags[kNumReductionFlags] = {
-    {"--por", &CommonOptions::por, /*checkpoint_pinned=*/true,
-     "--por cannot be combined with --strategy sample; pick one coverage "
-     "strategy",
-     nullptr},
-    {"--symmetry", &CommonOptions::symmetry, /*checkpoint_pinned=*/true,
-     "--symmetry cannot be combined with --strategy sample: the sampling "
-     "strategy replays concrete schedules and cannot quotient states (drop "
-     "one of the two)",
-     nullptr},
-    {"--rf-quotient", &CommonOptions::rf_quotient, /*checkpoint_pinned=*/true,
-     "--rf-quotient cannot be combined with --strategy sample: the sampling "
-     "strategy replays concrete schedules and cannot quotient states (drop "
-     "one of the two)",
-     "--symmetry"},
-};
-
 namespace {
 
 /// The process-wide cancellation token tripped by SIGINT/SIGTERM.
@@ -103,11 +83,13 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
                ? FlagStatus::Consumed
                : FlagStatus::Error;
   }
-  for (const auto& rf : kReductionFlags) {
-    if (arg == rf.flag) {
-      out.*rf.member = true;
-      return FlagStatus::Consumed;
-    }
+  bool* const reduction = arg == "--por"           ? &out.por
+                          : arg == "--symmetry"    ? &out.symmetry
+                          : arg == "--rf-quotient" ? &out.rf_quotient
+                                                   : nullptr;
+  if (reduction != nullptr) {
+    *reduction = true;
+    return FlagStatus::Consumed;
   }
   if (arg == "--stats") {
     out.stats = true;
@@ -140,9 +122,7 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
     return value(out.resume_path) ? FlagStatus::Consumed : FlagStatus::Error;
   }
   if (arg == "--strategy") {
-    return ++i < argc &&
-                   engine::parse_strategy(argv[i], out.mode,
-                                          out.sample.episodes, out.por)
+    return ++i < argc && engine::parse_strategy(argv[i], out)
                ? FlagStatus::Consumed
                : FlagStatus::Error;
   }
@@ -157,39 +137,13 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
 }
 
 std::string resolve_strategy(const CommonOptions& opts) {
-  // Mutual exclusions between reductions hold under every strategy.
-  for (const auto& rf : kReductionFlags) {
-    if (rf.excludes == nullptr || !(opts.*rf.member)) continue;
-    for (const auto& other : kReductionFlags) {
-      if (std::string{rf.excludes} == other.flag && opts.*other.member) {
-        return std::string{other.flag} + " and " + rf.flag +
-               " cannot be combined: the engine cannot transport sleep "
-               "masks through two state quotients at once — pick one "
-               "reduction";
-      }
-    }
+  std::string conflict = engine::reduction_conflict(
+      opts, !opts.checkpoint_path.empty(), !opts.resume_path.empty());
+  if (conflict.empty() && opts.seed_set &&
+      opts.mode != engine::Strategy::Sample) {
+    conflict = "--seed only applies to --strategy sample";
   }
-  if (opts.mode == engine::Strategy::Sample) {
-    for (const auto& rf : kReductionFlags) {
-      if (opts.*rf.member && rf.sample_conflict != nullptr) {
-        return rf.sample_conflict;
-      }
-    }
-    if (!opts.checkpoint_path.empty()) {
-      return "--checkpoint is not supported under --strategy sample: a "
-             "sampling run has no frontier to save";
-    }
-    if (!opts.resume_path.empty()) {
-      return "--resume is not supported under --strategy sample: a sampling "
-             "run has no frontier to continue from (re-run with a fresh "
-             "--seed instead)";
-    }
-    return {};
-  }
-  if (opts.seed_set) {
-    return "--seed only applies to --strategy sample";
-  }
-  return {};
+  return conflict;
 }
 
 const char* strategy_name(const CommonOptions& opts) {
@@ -210,20 +164,20 @@ int run_replay(const lang::System& sys, const CommonOptions& opts) {
   return kExitFail;
 }
 
-void print_stats(const engine::ExploreStats& stats, bool por, bool symmetry,
-                 bool rf_quotient, double wall_s) {
+void print_stats(const engine::ExploreStats& stats,
+                 const engine::Reduction& reduction, double wall_s) {
   const auto per_state =
       stats.states ? stats.visited_bytes / stats.states : 0;
   std::cout << "peak frontier:  " << stats.peak_frontier << "\n"
             << "visited bytes:  " << stats.visited_bytes << " (" << per_state
             << " B/state)\n";
-  if (por) {
+  if (reduction.por) {
     std::cout << "por reduced:    " << stats.por_reduced
               << " state(s) expanded with an ample set\n"
               << "por chained:    " << stats.por_chained
               << " local step(s) collapsed (states never visited)\n";
   }
-  if (symmetry) {
+  if (reduction.symmetry) {
     std::cout << "symmetry hits:  " << stats.symmetry_hits
               << " orbit-duplicate arrival(s) merged\n"
               << "sleep skips:    " << stats.sleep_set_skips
@@ -239,7 +193,7 @@ void print_stats(const engine::ExploreStats& stats, bool por, bool symmetry,
                 << "x orbit arrivals per visited state (lower bound)\n";
     }
   }
-  if (rf_quotient) {
+  if (reduction.rf_quotient) {
     // rf_merges counts concrete arrivals absorbed into an already-visited
     // quotient class; the engine only tells concrete-new arrivals apart when
     // a trace sink is attached, so the counter reads 0 in trace-free runs

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <charconv>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -40,28 +39,15 @@ template <typename T>
   return ec == std::errc{} && ptr == end;
 }
 
-/// The flags every tool accepts, with their shared defaults.
-struct CommonOptions {
+/// The flags every tool accepts, with their shared defaults.  The
+/// engine::Reduction base takes --por, --symmetry, --rf-quotient and
+/// --strategy exhaustive|por|sample[:N] (`--strategy por` is exhaustive with
+/// `por` set; `sample:N` sets sample.episodes), and --seed S sets
+/// sample.seed.  The tools hand the base to their checker in one slice
+/// assignment.
+struct CommonOptions : engine::Reduction {
   std::uint64_t max_states = 1'000'000;
   unsigned num_threads = 1;  ///< 0 = hardware concurrency
-  bool por = false;          ///< ample-set partial-order reduction
-  /// --symmetry: thread-symmetry quotient + sleep-set pruning.  Composes
-  /// with --por, --threads, budgets and --checkpoint/--resume (the
-  /// checkpoint records the setting); rejected with --strategy sample.  A
-  /// sound no-op on programs with no interchangeable threads.
-  bool symmetry = false;
-  /// --rf-quotient: execution-graph quotient — states are keyed by their
-  /// canonical reads-from/modification-order data plus per-thread progress
-  /// instead of the full concrete encoding (engine/abstraction.hpp).
-  /// Composes with --por, --threads, budgets and --checkpoint/--resume (the
-  /// checkpoint records the setting); rejected with --symmetry (v1), with
-  /// --strategy sample and under the SC model.
-  bool rf_quotient = false;
-  /// --strategy exhaustive|por|sample[:N]: how the engine covers the state
-  /// space.  `--strategy por` is exhaustive with `por` above set.
-  engine::Strategy mode = engine::Strategy::Exhaustive;
-  /// Sampling knobs: --strategy sample:N sets episodes, --seed S the seed.
-  engine::SampleOptions sample;
   bool seed_set = false;  ///< --seed was given (only meaningful with sample)
   bool stats = false;        ///< print exploration statistics
   std::string witness_path;  ///< write first counterexample as JSON witness
@@ -82,31 +68,6 @@ inline constexpr const char* kCommonUsage =
     "[--deadline-ms MS] [--mem-budget BYTES[K|M|G]] [--checkpoint FILE] "
     "[--resume FILE]";
 
-/// One sound state-space reduction flag, with every cross-cutting rule the
-/// CLI layer enforces about it.  The three reductions used to be parsed and
-/// validated by hand-written per-flag branches that drifted as flags were
-/// added; this table is now the single source of truth — parse_common_flag
-/// consumes any entry's `flag`, and resolve_strategy applies the
-/// `sample_conflict` and `excludes` rules uniformly.  Engine-side rules the
-/// table documents but the engine enforces (with the same vocabulary):
-/// flags with `checkpoint_pinned` are recorded in every checkpoint and a
-/// --resume run must pass the identical setting.
-struct ReductionFlag {
-  const char* flag;             ///< the command-line spelling ("--por")
-  bool CommonOptions::*member;  ///< the option the flag sets
-  bool checkpoint_pinned;       ///< recorded in checkpoints; resume must match
-  /// Error message under --strategy sample, or nullptr when the reduction
-  /// composes with sampling.
-  const char* sample_conflict;
-  /// Spelling of a mutually exclusive reduction flag, or nullptr.  The
-  /// exclusion is symmetric; one direction in the table suffices.
-  const char* excludes;
-};
-
-/// The reduction-flag table: --por, --symmetry, --rf-quotient.
-inline constexpr std::size_t kNumReductionFlags = 3;
-extern const ReductionFlag kReductionFlags[kNumReductionFlags];
-
 /// Byte-count parse for --mem-budget: a whole number with an optional
 /// binary-unit suffix (K, M or G, case-insensitive).  Rejects overflow.
 [[nodiscard]] bool parse_bytes(const std::string& s, std::uint64_t& out);
@@ -122,12 +83,11 @@ enum class FlagStatus : std::uint8_t {
 [[nodiscard]] FlagStatus parse_common_flag(int argc, char** argv, int& i,
                                            CommonOptions& out);
 
-/// Post-parse conflict checking for the coverage-strategy flags: rejects
-/// mutually exclusive reductions and the combinations sampling cannot
-/// honour (--por + --strategy sample, --seed without sampling, and
-/// --checkpoint/--resume under sampling — a sampling run has no frontier).
-/// Returns an error message for the user, or an empty string when the
-/// options are consistent.
+/// Post-parse conflict checking, before any file is read: the engine's
+/// rules about the reduction flags (engine::reduction_conflict, with
+/// --checkpoint/--resume) and the CLI's own rule that --seed needs
+/// --strategy sample.  Returns an error message for the user, or an empty
+/// string when the options are consistent.
 [[nodiscard]] std::string resolve_strategy(const CommonOptions& opts);
 
 /// The `"strategy"` field of the tools' --json reports: "exhaustive",
@@ -163,8 +123,8 @@ enum class FlagStatus : std::uint8_t {
 /// time the run) and the distinct-state coverage estimate.  Rates and
 /// ratios go only to this human-readable block, never into --json: CI
 /// byte-compares JSON reports for seed determinism.
-void print_stats(const engine::ExploreStats& stats, bool por, bool symmetry,
-                 bool rf_quotient, double wall_s = -1.0);
+void print_stats(const engine::ExploreStats& stats,
+                 const engine::Reduction& reduction, double wall_s = -1.0);
 
 /// ExploreStats as a JSON object (states, transitions, finals, blocked, the
 /// POR, symmetry/sleep and rf-merge counters when non-zero, and `episodes`

@@ -12,9 +12,12 @@
 #                        --witness alone and with each reduction, and a
 #                        50-state cap alone and with --por --symmetry;
 #   rc11-verify          the outline programs, with and without --trace,
-#                        with no reduction, --por, --symmetry, --rf-quotient;
-#   rc11-refine          a refining pair, a refuted pair with a witness
-#                        under --por, and a capped (inconclusive) check.
+#                        with no reduction, --por, --symmetry, --rf-quotient,
+#                        and a seeded sample;
+#   rc11-refine          a refining pair with no flags, --por, --symmetry and
+#                        a seeded sample, a refuted pair with a witness under
+#                        --por and under --symmetry, and a capped
+#                        (inconclusive) check.
 #
 # For every run it writes into OUT_DIR:
 #
@@ -103,15 +106,24 @@ for prog in mp_verified mp_broken_outline; do
         $reduction $trace "tools/programs/$prog.rc11"
     done
   done
+  run "rc11-verify.$prog.sample" rc11-verify --strategy sample:200 --seed 7 \
+    "tools/programs/$prog.rc11"
 done
 
 abstract=tools/programs/lock_client_abstract.rc11
-run rc11-refine.seqlock rc11-refine "$abstract" \
-  tools/programs/lock_client_seqlock.rc11
+seqlock=tools/programs/lock_client_seqlock.rc11
+broken=tools/programs/lock_client_broken.rc11
+run rc11-refine.seqlock rc11-refine "$abstract" "$seqlock"
+run rc11-refine.seqlock-por rc11-refine --por "$abstract" "$seqlock"
+run rc11-refine.seqlock-symmetry rc11-refine --symmetry "$abstract" "$seqlock"
+run rc11-refine.seqlock-sample rc11-refine --strategy sample:200 --seed 7 \
+  "$abstract" "$seqlock"
 run rc11-refine.broken-witness-por rc11-refine --por --witness @W \
-  "$abstract" tools/programs/lock_client_broken.rc11
+  "$abstract" "$broken"
+run rc11-refine.broken-witness-symmetry rc11-refine --symmetry --witness @W \
+  "$abstract" "$broken"
 run rc11-refine.seqlock-cap1 rc11-refine --max-states 1 "$abstract" \
-  tools/programs/lock_client_seqlock.rc11
+  "$seqlock"
 
 echo "json_sweep: $runs runs into $OUT, $bad failed"
 [ "$bad" -eq 0 ]

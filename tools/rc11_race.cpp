@@ -147,13 +147,9 @@ int main(int argc, char** argv) {
     }
 
     race::RaceOptions opts;
+    static_cast<engine::Reduction&>(opts) = common;
     opts.max_states = common.max_states;
     opts.num_threads = common.num_threads;
-    opts.por = common.por;
-    opts.symmetry = common.symmetry;
-    opts.rf_quotient = common.rf_quotient;
-    opts.mode = common.mode;
-    opts.sample = common.sample;
     opts.stop_on_race = stop_on_race;
     opts.track_traces = !common.witness_path.empty();
     opts.max_visited_bytes = common.max_visited_bytes;
@@ -172,8 +168,7 @@ int main(int argc, char** argv) {
               << "transitions: " << result.stats.transitions << "\n"
               << "races:       " << result.races.size() << "\n";
     if (common.stats) {
-      cli::print_stats(result.stats, common.por, common.symmetry,
-                       common.rf_quotient, wall_s);
+      cli::print_stats(result.stats, common, wall_s);
     }
     if (result.truncated) {
       std::cout << "WARNING: exploration stopped early — "

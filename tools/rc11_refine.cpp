@@ -18,9 +18,9 @@
 //                     (the Def. 8 simulation fixpoint is not quotiented);
 //                     verdicts and witnesses are unchanged, only the
 //                     product-node count shrinks
-//   --rf-quotient     rejected: the refinement checkers compare client
-//                     projections across two systems, which the
-//                     execution-graph quotient does not relate
+//   --rf-quotient     rejected by the library: the refinement checkers
+//                     compare client projections across two systems, which
+//                     the execution-graph quotient does not relate
 //   --strategy S      coverage strategy: exhaustive (default), por, or
 //                     sample[:N].  Sampling covers only the *concrete*
 //                     graph with N seeded random schedules (the abstract
@@ -127,18 +127,6 @@ int main(int argc, char** argv) {
                  "simulation fixpoint is not quotiented)\n";
     trace_only = true;
   }
-  if (common.rf_quotient) {
-    // Neither the Def. 8 simulation fixpoint nor the trace-inclusion product
-    // is quotiented by reads-from: both compare *client-projected* states
-    // across two different systems, and the quotient keys are only
-    // comparable within one system.
-    std::cerr << "rc11-refine: --rf-quotient is not supported here (the "
-                 "refinement checkers compare client projections across two "
-                 "systems, which the execution-graph quotient does not "
-                 "relate); use --por or --symmetry to shrink the graphs "
-                 "instead\n";
-    return cli::kExitUsage;
-  }
   if (!common.checkpoint_path.empty() || !common.resume_path.empty()) {
     std::cerr << "rc11-refine: --checkpoint/--resume are not supported here "
                  "(a refinement check builds two state graphs per run, so a "
@@ -151,20 +139,17 @@ int main(int argc, char** argv) {
   const auto fault = rc11::engine::FaultPlan::from_env();
 
   refinement::SimulationOptions sim_opts;
+  static_cast<engine::Reduction&>(sim_opts) = common;
   sim_opts.max_states = common.max_states;
   sim_opts.num_threads = common.num_threads;
-  sim_opts.por = common.por;
   sim_opts.max_visited_bytes = common.max_visited_bytes;
   sim_opts.deadline_ms = common.deadline_ms;
   sim_opts.cancel = cancel;
   sim_opts.fault = fault;
   refinement::TraceInclusionOptions trace_opts;
+  static_cast<engine::Reduction&>(trace_opts) = common;
   trace_opts.max_states = common.max_states;
   trace_opts.num_threads = common.num_threads;
-  trace_opts.por = common.por;
-  trace_opts.symmetry = common.symmetry;
-  trace_opts.mode = common.mode;
-  trace_opts.sample = common.sample;
   trace_opts.max_visited_bytes = common.max_visited_bytes;
   trace_opts.deadline_ms = common.deadline_ms;
   trace_opts.cancel = cancel;

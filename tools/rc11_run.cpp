@@ -49,7 +49,8 @@
 //   --checkpoint FILE   if the run stops early (budget, Ctrl-C, fault),
 //                       save a resumable checkpoint here
 //   --resume FILE       seed the run from a checkpoint saved by --checkpoint
-//                       (--por must match the checkpointed run)
+//                       (--por, --symmetry and --rf-quotient must match the
+//                       checkpointed run)
 //
 // SIGINT/SIGTERM drain the workers: the tool still prints its partial
 // report, writes --json/--checkpoint files, and exits 3.  RC11_FAULT
@@ -155,13 +156,9 @@ int main(int argc, char** argv) {
     }
 
     explore::ExploreOptions opts;
+    static_cast<engine::Reduction&>(opts) = common;
     opts.max_states = common.max_states;
     opts.num_threads = common.num_threads;
-    opts.por = common.por;
-    opts.symmetry = common.symmetry;
-    opts.rf_quotient = common.rf_quotient;
-    opts.mode = common.mode;
-    opts.sample = common.sample;
     opts.max_visited_bytes = common.max_visited_bytes;
     opts.deadline_ms = common.deadline_ms;
     opts.cancel = cli::install_signal_cancel();
@@ -216,8 +213,7 @@ int main(int argc, char** argv) {
               << "finals:      " << result.stats.finals << "\n"
               << "blocked:     " << result.stats.blocked << "\n";
     if (common.stats) {
-      cli::print_stats(result.stats, common.por, common.symmetry,
-                       common.rf_quotient, wall_s);
+      cli::print_stats(result.stats, common, wall_s);
     }
     if (result.truncated) {
       std::cout << "WARNING: exploration stopped early — "

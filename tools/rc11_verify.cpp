@@ -42,8 +42,9 @@
 //   --deadline-ms MS     wall-clock budget (0 = none)
 //   --mem-budget BYTES   visited-set memory budget, optional K/M/G suffix
 //   --checkpoint FILE    save a resumable checkpoint when the run stops early
-//   --resume FILE        seed the run from a --checkpoint file (--por must
-//                        match the checkpointed run)
+//   --resume FILE        seed the run from a --checkpoint file (--por,
+//                        --symmetry and --rf-quotient must match the
+//                        checkpointed run)
 //
 // SIGINT/SIGTERM drain the workers: the tool still prints its partial
 // report, writes --json/--checkpoint files, and exits 3.  RC11_FAULT
@@ -112,13 +113,9 @@ int main(int argc, char** argv) {
     return cli::kExitUsage;
   }
 
+  static_cast<engine::Reduction&>(opts) = common;
   opts.max_states = common.max_states;
   opts.num_threads = common.num_threads;
-  opts.por = common.por;
-  opts.symmetry = common.symmetry;
-  opts.rf_quotient = common.rf_quotient;
-  opts.mode = common.mode;
-  opts.sample = common.sample;
   opts.max_visited_bytes = common.max_visited_bytes;
   opts.deadline_ms = common.deadline_ms;
   opts.checkpoint_path = common.checkpoint_path;
@@ -157,8 +154,7 @@ int main(int argc, char** argv) {
       // Text only: --json stays byte-identical whatever the checker skips.
       std::cout << "obligations evaluated: " << result.obligations_evaluated
                 << "\n";
-      cli::print_stats(result.stats, common.por, common.symmetry,
-                       common.rf_quotient, wall_s);
+      cli::print_stats(result.stats, common, wall_s);
     }
 
     // A failed obligation is a definite negative even when the enumeration
