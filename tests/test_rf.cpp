@@ -323,6 +323,43 @@ TEST(Rf, ResumeRejectsMismatchedRfQuotient) {
   }
 }
 
+// --- rejected combinations ---------------------------------------------------
+// Reduction.RejectedCombinations (test_sample.cpp) runs these rows at every
+// library entry point; these pin the explorer's own backstop.
+
+TEST(Rf, RejectedUnderSampling) {
+  const auto sys = litmus::mp_release_acquire().sys;
+  ExploreOptions opts;
+  opts.rf_quotient = true;
+  opts.mode = engine::Strategy::Sample;
+  opts.sample.episodes = 4;
+  EXPECT_THROW((void)explore::explore(sys, opts), std::runtime_error);
+}
+
+TEST(Rf, RejectedWithSymmetry) {
+  // v1 restriction: sleep masks cannot be transported through both
+  // quotients at once, so the combination is rejected loudly (the CLIs
+  // catch it in resolve_strategy, the engine backstops it here).
+  locks::TicketLock ticket;
+  const auto sys = locks::instantiate(locks::worker_client(2, 1, 2), ticket);
+  ExploreOptions opts;
+  opts.rf_quotient = true;
+  opts.symmetry = true;
+  EXPECT_THROW((void)explore::explore(sys, opts), std::runtime_error);
+}
+
+TEST(Rf, RejectedUnderSC) {
+  // Under SC every access synchronises, so the quotient's view projection
+  // would drop observable state; the engine must refuse.
+  auto sys = litmus::mp_release_acquire().sys;
+  auto sem = sys.options();
+  sem.model = memsem::MemoryModel::SC;
+  sys.set_options(sem);
+  ExploreOptions opts;
+  opts.rf_quotient = true;
+  EXPECT_THROW((void)explore::explore(sys, opts), std::runtime_error);
+}
+
 // --- outline checking under the quotient ------------------------------------
 
 TEST(Rf, OutlineVerdictsAgree) {

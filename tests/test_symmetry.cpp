@@ -300,6 +300,20 @@ TEST(Symmetry, ResumeRejectsMismatchedSymmetry) {
   }
 }
 
+TEST(Symmetry, RejectedUnderSampling) {
+  // Sampling replays concrete schedules and cannot quotient states; the
+  // combination is rejected loudly (the CLIs catch it in resolve_strategy,
+  // the engine backstops it for library users).  Reduction.RejectedCombinations
+  // (test_sample.cpp) runs the same row at every library entry point.
+  locks::TicketLock ticket;
+  const auto sys = locks::instantiate(locks::worker_client(2, 1, 2), ticket);
+  ExploreOptions opts;
+  opts.symmetry = true;
+  opts.mode = engine::Strategy::Sample;
+  opts.sample.episodes = 4;
+  EXPECT_THROW((void)explore::explore(sys, opts), std::runtime_error);
+}
+
 // --- outline checking under symmetry ----------------------------------------
 
 TEST(Symmetry, OutlineVerdictsAgree) {
