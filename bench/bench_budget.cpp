@@ -1,27 +1,27 @@
 // Experiment RG: resource-governance overhead — the per-state budget gate
-// (BudgetEnforcer::claim) runs on every expansion in both drivers, so it has
-// to be effectively free.  Each workload is explored twice: "plain" (default
+// (BudgetEnforcer::claim) runs on every expansion, so it has to be
+// effectively free.  Each workload is explored twice: "plain" (default
 // options: the gate only counts claims against the state cap) and
 // "governed" (a live cancel token, a huge memory budget and a far deadline,
 // i.e. every probe dimension armed but never tripping).  The verdict
 // asserts the governed run explores the identical state space and is at
 // most 3% slower than the plain run (plus an absolute floor for timer noise
-// on sub-millisecond workloads).
+// on sub-millisecond workloads).  The test
+// Budget.ArmedButUntrippedBudgetsExploreThePlainSpace pins the same state
+// counts.
 //
-// With --json the same numbers become BENCH_budget.json, diffed by CI
-// against bench/baseline_budget.json (state counts exact, throughput within
-// tolerance).
-
-#include <benchmark/benchmark.h>
+// Prints one "[RG] REPRODUCED|MISMATCH — ..." line per workload and exits 1
+// if any line is a MISMATCH.  Run it from a Release build:
+//   build/bench/bench_budget
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "engine/budget.hpp"
+#include "explore/explorer.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 
@@ -35,25 +35,24 @@ struct Workload {
 };
 
 std::vector<Workload> workloads() {
-  std::vector<Workload> w;
-  {
-    // Big enough (tens of milliseconds) that a 3% delta is measurable above
-    // timer jitter; the small mgc control exercises the absolute floor.
-    locks::TicketLock lock;
-    w.push_back({"budget_ticket_worker_3x2w4",
-                 locks::instantiate(locks::worker_client(3, 2, 4), lock)});
-    w.push_back({"budget_ticket_worker_2x4w8",
-                 locks::instantiate(locks::worker_client(2, 4, 8), lock)});
-    w.push_back({"budget_ticket_mgc_2x2",
-                 locks::instantiate(locks::mgc_client(2, 2), lock)});
-  }
-  return w;
+  // Big enough (tens of milliseconds) that a 3% delta is measurable above
+  // timer jitter; the small mgc control exercises the absolute floor.
+  locks::TicketLock lock;
+  return {
+      {"budget_ticket_worker_3x2w4",
+       locks::instantiate(locks::worker_client(3, 2, 4), lock)},
+      {"budget_ticket_worker_2x4w8",
+       locks::instantiate(locks::worker_client(2, 4, 8), lock)},
+      {"budget_ticket_mgc_2x2",
+       locks::instantiate(locks::mgc_client(2, 2), lock)},
+  };
 }
 
+/// Best of five timed explorations after one warm-up run.
 double timed_explore(const lang::System& sys,
                      const explore::ExploreOptions& opts,
                      explore::ExploreResult& result) {
-  result = explore::explore(sys, opts);  // warm-up
+  result = explore::explore(sys, opts);
   double best_s = 1e9;
   for (int i = 0; i < 5; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -64,8 +63,11 @@ double timed_explore(const lang::System& sys,
   return best_s;
 }
 
-void report_budget(rc11::bench::JsonReport& json) {
+}  // namespace
+
+int main() {
   engine::CancelToken token;  // live but never cancelled
+  bool all_ok = true;
   for (const auto& [name, sys] : workloads()) {
     explore::ExploreOptions plain_opts;
 
@@ -85,39 +87,16 @@ void report_budget(rc11::bench::JsonReport& json) {
         governed.stop == engine::StopReason::Complete;
     // <= 3% relative, with a 200us absolute floor so timer jitter on tiny
     // workloads cannot fail the gate.
-    const bool cheap =
-        overhead <= 0.03 || (governed_s - plain_s) <= 200e-6;
+    const bool cheap = overhead <= 0.03 || (governed_s - plain_s) <= 200e-6;
     const bool ok = same_space && cheap;
+    all_ok = all_ok && ok;
 
-    std::ostringstream detail;
-    detail << name << ": " << plain.stats.states << " states, plain "
-           << plain_s * 1e3 << " ms vs governed " << governed_s * 1e3
-           << " ms (" << overhead * 1e2 << "% overhead, target <= 3%), space "
-           << (same_space ? "identical" : "DIFFERS");
-    rc11::bench::verdict("RG", ok, detail.str());
-
-    json.add(name + "_plain",
-             {{"states", static_cast<double>(plain.stats.states)},
-              {"wall_ms", plain_s * 1e3},
-              {"states_per_s",
-               static_cast<double>(plain.stats.states) / plain_s}});
-    json.add(name + "_governed",
-             {{"states", static_cast<double>(governed.stats.states)},
-              {"wall_ms", governed_s * 1e3},
-              {"states_per_s",
-               static_cast<double>(governed.stats.states) / governed_s},
-              {"overhead_pct", overhead * 1e2}});
+    std::cout << "[RG] " << (ok ? "REPRODUCED" : "MISMATCH") << " — " << name
+              << ": " << plain.stats.states << " states, plain "
+              << plain_s * 1e3 << " ms vs governed " << governed_s * 1e3
+              << " ms (" << overhead * 1e2
+              << "% overhead, target <= 3%), space "
+              << (same_space ? "identical" : "DIFFERS") << "\n";
   }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  rc11::bench::JsonReport json;
-  json.parse_args(argc, argv);
-  report_budget(json);
-  if (!json.write("bench_budget")) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -82,10 +82,16 @@ std::string to_string_node(const ExprNode* n) {
   using Kind = ExprNode::Kind;
   switch (n->kind) {
     case Kind::Const: return std::to_string(n->value);
-    case Kind::Reg: return "r" + std::to_string(n->reg);
-    case Kind::Unary:
-      return std::string(n->un == UnOp::Neg ? "-" : "!") +
-             to_string_node(n->lhs.get());
+    case Kind::Reg: {
+      std::string s = "r";
+      s += std::to_string(n->reg);
+      return s;
+    }
+    case Kind::Unary: {
+      std::string s = n->un == UnOp::Neg ? "-" : "!";
+      s += to_string_node(n->lhs.get());
+      return s;
+    }
     case Kind::Binary: {
       const char* op = "?";
       switch (n->bin) {
@@ -102,8 +108,14 @@ std::string to_string_node(const ExprNode* n) {
         case BinOp::And: op = "&&"; break;
         case BinOp::Or: op = "||"; break;
       }
-      return "(" + to_string_node(n->lhs.get()) + " " + op + " " +
-             to_string_node(n->rhs.get()) + ")";
+      std::string s = "(";
+      s += to_string_node(n->lhs.get());
+      s += ' ';
+      s += op;
+      s += ' ';
+      s += to_string_node(n->rhs.get());
+      s += ')';
+      return s;
     }
   }
   return "?";

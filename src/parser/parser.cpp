@@ -314,11 +314,20 @@ class Parser {
     return it->second;
   }
 
-  Reg reg_lookup(const std::string& name) {
+  /// Resolves a register named by `tok` in the code of `tb`'s thread.
+  /// Registers are thread-local: only outline assertions may name another
+  /// thread's registers.
+  Reg reg_lookup(const Token& tok, const ThreadBuilder& tb) {
+    const auto& name = tok.text;
     const auto it = out_.registers.find(name);
     if (it == out_.registers.end()) {
       lex_.error("unknown register '" + name +
                  "' (declare it with 'reg " + name + ";')");
+    }
+    if (it->second.thread != tb.id()) {
+      error_at(tok, "register '" + name + "' belongs to thread '" +
+                        out_.thread_names.at(it->second.thread) +
+                        "'; registers are local to their thread");
     }
     return it->second;
   }
@@ -403,7 +412,8 @@ class Parser {
   // --- threads ---
   void parse_thread() {
     if (!accept_ident("thread")) lex_.error("expected 'thread'");
-    std::string name = "t" + std::to_string(out_.thread_names.size());
+    std::string name = "t";
+    name += std::to_string(out_.thread_names.size());
     if (lex_.peek().kind == Tok::Ident) name = lex_.take().text;
     out_.thread_names.push_back(name);
     expect(Tok::LBrace, "'{'");
@@ -425,7 +435,8 @@ class Parser {
     if (peek_ident("while")) return parse_while(tb);
     if (peek_ident("do")) return parse_do_until(tb);
 
-    const auto name = expect(Tok::Ident, "statement").text;
+    const Token name_tok = expect(Tok::Ident, "statement");
+    const auto& name = name_tok.text;
 
     // Object method call without destination: l.acquire(); l.release();
     // s.push(e); s.pushR(e);
@@ -489,7 +500,7 @@ class Parser {
                            "' needs a shared variable target (register "
                            "assignment takes no memory order)");
         }
-        tb.assign(reg_lookup(name), std::move(value));
+        tb.assign(reg_lookup(name_tok, tb), std::move(value));
       }
       return;
     }
@@ -499,7 +510,7 @@ class Parser {
     //   r <- l.acquire(); r <- s.pop(); r <-A s.pop();
     if (lex_.peek().kind == Tok::Arrow) {
       const Token op = lex_.take();
-      const auto dst = reg_lookup(name);
+      const auto dst = reg_lookup(name_tok, tb);
       const auto src = expect(Tok::Ident, "read source").text;
 
       if (lex_.peek().kind == Tok::Dot) {  // object method
@@ -924,7 +935,8 @@ class Parser {
       return inner;
     }
     if (lex_.peek().kind == Tok::Ident) {
-      const auto name = lex_.take().text;
+      const Token tok = lex_.take();
+      const auto& name = tok.text;
       if (name == "even") {
         expect(Tok::LParen, "'('");
         Expr inner = parse_expr(tb);
@@ -936,7 +948,7 @@ class Parser {
                    "' cannot appear in an expression; load it into a "
                    "register first (the paper's Exp_L restriction)");
       }
-      return Expr{reg_lookup(name)};
+      return Expr{reg_lookup(tok, tb)};
     }
     lex_.error("expected an expression");
   }

@@ -154,7 +154,9 @@ QueueClientProgram pipeline_client(unsigned count,
     auto t1 = sys.thread();
     if (artifacts != nullptr) artifacts->regs.clear();
     for (unsigned i = 0; i < count; ++i) {
-      auto r = t1.reg("d" + std::to_string(i));
+      std::string name = "d";
+      name += std::to_string(i);
+      auto r = t1.reg(name);
       queue.emit_dequeue(t1, r, /*acquiring=*/true);
       if (artifacts != nullptr) artifacts->regs.push_back(r);
     }

@@ -154,7 +154,9 @@ StackClientProgram producer_consumer_client(unsigned pushes,
     auto t1 = sys.thread();
     if (artifacts != nullptr) artifacts->regs.clear();
     for (unsigned i = 0; i < pushes; ++i) {
-      auto r = t1.reg("p" + std::to_string(i));
+      std::string name = "p";
+      name += std::to_string(i);
+      auto r = t1.reg(name);
       stack.emit_pop(t1, r, /*acquiring=*/true);
       if (artifacts != nullptr) artifacts->regs.push_back(r);
     }

@@ -16,6 +16,8 @@
 #include "engine/checkpoint.hpp"
 #include "engine/transition_system.hpp"
 #include "explore/explorer.hpp"
+#include "locks/clients.hpp"
+#include "locks/lock_objects.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
 #include "support/diagnostics.hpp"
@@ -146,6 +148,39 @@ TEST(Budget, MemCapIdenticalAcrossThreadsAndPor) {
       EXPECT_GE(result.stats.states, 1u);
       EXPECT_GT(result.stats.visited_bytes, opts.max_visited_bytes);
     }
+  }
+}
+
+// Every governance probe armed but never tripping — a live cancel token, a
+// huge memory budget, a far deadline — explores exactly the plain space.
+// bench/bench_budget times the same three pairs.
+TEST(Budget, ArmedButUntrippedBudgetsExploreThePlainSpace) {
+  struct Case {
+    const char* name;
+    lang::System sys;
+    std::uint64_t states;
+  };
+  locks::TicketLock lock;
+  const Case cases[] = {
+      {"ticket_worker_3x2w4",
+       locks::instantiate(locks::worker_client(3, 2, 4), lock), 25003},
+      {"ticket_worker_2x4w8",
+       locks::instantiate(locks::worker_client(2, 4, 8), lock), 10195},
+      {"ticket_mgc_2x2", locks::instantiate(locks::mgc_client(2, 2), lock),
+       331},
+  };
+  engine::CancelToken token;
+  for (const auto& c : cases) {
+    ExploreOptions governed;
+    governed.cancel = &token;
+    governed.max_visited_bytes = std::uint64_t{1} << 40;
+    governed.deadline_ms = 24ull * 60 * 60 * 1000;
+    const auto plain = explore::explore(c.sys);
+    const auto armed = explore::explore(c.sys, governed);
+    EXPECT_EQ(plain.stats.states, c.states) << c.name;
+    EXPECT_EQ(armed.stats.states, c.states) << c.name;
+    EXPECT_EQ(armed.stats.transitions, plain.stats.transitions) << c.name;
+    EXPECT_EQ(armed.stop, StopReason::Complete) << c.name;
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "explore/explorer.hpp"
 #include "litmus/case_studies.hpp"
 #include "locks/clients.hpp"
@@ -38,10 +40,19 @@ TEST_P(MutexStudy, CorrectUnderSCBaseline) {
 }
 
 TEST_P(MutexStudy, TerminatingRunsExist) {
+  // Reachable states under RC11 RAR and under SC: Peterson, then Dekker.
+  const std::uint64_t rc11_states[] = {617, 316};
+  const std::uint64_t sc_states[] = {262, 231};
   auto s = study(GetParam());
   const auto result = explore::explore(s.sys);
   EXPECT_GT(result.stats.finals, 0u);
   EXPECT_FALSE(result.truncated);
+  EXPECT_EQ(result.stats.states, rc11_states[GetParam()]) << s.name;
+  memsem::SemanticsOptions sc;
+  sc.model = memsem::MemoryModel::SC;
+  s.sys.set_options(sc);
+  EXPECT_EQ(explore::explore(s.sys).stats.states, sc_states[GetParam()])
+      << s.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, MutexStudy, ::testing::Range(0, 2),
@@ -100,6 +111,7 @@ TEST(Barrier, ExchangesDataUnderRC11RAR) {
   const auto result = explore::explore(study.sys);
   ASSERT_GT(result.stats.finals, 0u);
   EXPECT_EQ(result.stats.blocked, 0u);
+  EXPECT_EQ(result.stats.states, 64u);
   const auto outcomes = explore::final_register_values(
       study.sys, result, {study.r0, study.r1});
   const std::vector<std::vector<lang::Value>> expected{{1, 1}};

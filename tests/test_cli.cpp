@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "cli_common.hpp"
+
 namespace {
 
 std::string bin(const std::string& name) {
@@ -95,6 +97,30 @@ TEST(Cli, RunRejectsBadUsage) {
     EXPECT_EQ(run(bin(tool) + " " + workers_flag + " 2 " + programs, &out), 1)
         << tool;
     EXPECT_NE(out.find("usage: " + tool), std::string::npos) << out;
+  }
+}
+
+// Checked in-process on the flag parser: a tool that accepted a huge
+// --threads would start that many worker threads.
+TEST(Cli, ThreadsAboveTheLimitAreRejected) {
+  using rc11::cli::FlagStatus;
+  const auto parse = [](std::string value, std::string& err) {
+    std::string flag = "--threads";
+    char* argv[] = {flag.data(), flag.data(), value.data()};
+    int i = 1;
+    rc11::cli::CommonOptions opts;
+    ::testing::internal::CaptureStderr();
+    const auto status = rc11::cli::parse_common_flag(3, argv, i, opts);
+    err = ::testing::internal::GetCapturedStderr();
+    return status;
+  };
+  std::string err;
+  EXPECT_EQ(parse("1024", err), FlagStatus::Consumed);
+  EXPECT_EQ(err, "");
+  for (const char* value : {"1025", "100000", "4294967295"}) {
+    EXPECT_EQ(parse(value, err), FlagStatus::Error) << value;
+    EXPECT_NE(err.find("--threads"), std::string::npos) << value << ": " << err;
+    EXPECT_NE(err.find("1024"), std::string::npos) << value << ": " << err;
   }
 }
 

@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "explore/dot.hpp"
 #include "explore/explorer.hpp"
 #include "refinement/refinement.hpp"
 #include "litmus/litmus.hpp"
+#include "locks/clients.hpp"
+#include "locks/lock_objects.hpp"
 
 namespace {
 
@@ -38,11 +44,18 @@ std::string outcomes_to_string(const std::vector<std::vector<Value>>& v) {
 
 class LitmusSuite : public ::testing::TestWithParam<int> {};
 
+/// Reachable states of each litmus test, in all_tests() order (Fig1/Fig2
+/// are the paper's F1 and F2).
+const std::uint64_t kLitmusStates[] = {13, 14, 14, 13, 9, 19,
+                                       98, 5,  5,  35, 13, 12};
+
 TEST_P(LitmusSuite, OutcomeSetMatchesRC11Exactly) {
   auto tests = litmus::all_tests();
-  auto& t = tests.at(static_cast<std::size_t>(GetParam()));
+  const auto idx = static_cast<std::size_t>(GetParam());
+  auto& t = tests.at(idx);
   const auto result = explore(t.sys);
   ASSERT_FALSE(result.truncated);
+  EXPECT_EQ(result.stats.states, kLitmusStates[idx]) << t.name;
   const auto outcomes =
       explore::final_register_values(t.sys, result, t.observed);
   EXPECT_EQ(outcomes, t.allowed)
@@ -177,47 +190,88 @@ TEST(Explorer, OutcomeHelpersAgree) {
 // --- ablation A1: no cross-component transfer ⇒ Fig. 2 breaks ---------------
 
 TEST(AblationA1, SynchronisingStackStopsPassingMessages) {
-  auto t = litmus::fig2_stack_mp_sync();
-  rc11::memsem::SemanticsOptions opts;
-  opts.cross_component_view_transfer = false;
-  t.sys.set_options(opts);
-  const auto result = explore(t.sys);
-  // The forbidden stale outcome (r1 = 1, r2 = 0) becomes reachable.
-  EXPECT_TRUE(explore::outcome_reachable(t.sys, result, t.observed, {1, 0}))
-      << "without ctview transfer the library cannot publish client writes";
+  // With the transfer every outcome reads the published 5; without it
+  // exactly one stale outcome (r1 = 1, r2 = 0) becomes reachable.
+  for (const bool transfer : {true, false}) {
+    auto t = litmus::fig2_stack_mp_sync();
+    rc11::memsem::SemanticsOptions opts;
+    opts.cross_component_view_transfer = transfer;
+    t.sys.set_options(opts);
+    const auto result = explore(t.sys);
+    const auto outcomes =
+        explore::final_register_values(t.sys, result, t.observed);
+    const auto stale = std::count_if(
+        outcomes.begin(), outcomes.end(),
+        [](const std::vector<Value>& o) { return o[1] != 5; });
+    EXPECT_EQ(result.stats.states, transfer ? 12u : 13u);
+    EXPECT_EQ(stale, transfer ? 0 : 1);
+    EXPECT_EQ(explore::outcome_reachable(t.sys, result, t.observed, {1, 0}),
+              !transfer)
+        << "without ctview transfer the library cannot publish client writes";
+  }
 }
 
 // --- ablation A2: no covered-set enforcement ⇒ CAS atomicity breaks ----------
 
 TEST(AblationA2, CompetingCasBothSucceed) {
-  auto t = litmus::cas_agreement();
-  rc11::memsem::SemanticsOptions opts;
-  opts.enforce_covered = false;
-  t.sys.set_options(opts);
-  const auto result = explore(t.sys);
-  EXPECT_TRUE(explore::outcome_reachable(t.sys, result, t.observed, {1, 1}))
-      << "without cvd both CASes can read the same write and succeed";
+  for (const bool enforce : {true, false}) {
+    auto t = litmus::cas_agreement();
+    rc11::memsem::SemanticsOptions opts;
+    opts.enforce_covered = enforce;
+    t.sys.set_options(opts);
+    const auto result = explore(t.sys);
+    EXPECT_EQ(result.stats.states, enforce ? 5u : 7u);
+    EXPECT_EQ(explore::outcome_reachable(t.sys, result, t.observed, {1, 1}),
+              !enforce)
+        << "without cvd both CASes can read the same write and succeed";
+  }
+}
+
+TEST(AblationA2, LockProtectedCounterLosesUpdates) {
+  // Without cvd the CAS spinlock's mutual exclusion collapses: terminating
+  // runs of the two-increment counter client end with x != 2.
+  for (const bool enforce : {true, false}) {
+    rc11::memsem::SemanticsOptions opts;
+    opts.enforce_covered = enforce;
+    locks::CasSpinLock lock;
+    auto sys = locks::instantiate(locks::counter_client(2, 1), lock);
+    sys.set_options(opts);
+    ExploreOptions eopts;
+    eopts.stop_on_violation = false;
+    const auto result = explore(
+        sys, eopts,
+        [](const System& s, const Config& cfg) -> std::optional<std::string> {
+          if (!cfg.all_done(s)) return std::nullopt;
+          const auto x = s.locations().find("x");
+          if (cfg.mem.op(cfg.mem.last_op(x)).value != 2) return "lost update";
+          return std::nullopt;
+        });
+    EXPECT_EQ(result.stats.states, enforce ? 49u : 187u);
+    EXPECT_EQ(result.violations.size(), enforce ? 0u : 12u);
+  }
 }
 
 // --- ablation A3: raw timestamps inflate the state space --------------------
 
 TEST(AblationA3, NonCanonicalTimestampsInflateStateCount) {
-  // two_writers is the shape whose order-isomorphic states carry different
-  // raw timestamps depending on which writer inserted first.
-  auto canon = litmus::two_writers();
-  const auto canon_result = explore(canon.sys);
-
-  auto raw = litmus::two_writers();
-  rc11::memsem::SemanticsOptions opts;
-  opts.canonical_timestamps = false;
-  raw.sys.set_options(opts);
-  const auto raw_result = explore(raw.sys);
-
-  EXPECT_GT(raw_result.stats.states, canon_result.stats.states)
-      << "raw timestamps must strictly inflate the two-writer state space";
-  // Outcomes are unaffected — canonicalisation is a pure quotient.
-  EXPECT_EQ(explore::final_register_values(raw.sys, raw_result, raw.observed),
-            raw.allowed);
+  // Hashing raw rationals changes no litmus outcome set; it inflates the
+  // state count of 2W+reads, the shape whose order-isomorphic states carry
+  // different raw timestamps depending on which writer inserted first.
+  auto tests = litmus::all_tests();
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    auto& raw = tests[i];
+    rc11::memsem::SemanticsOptions opts;
+    opts.canonical_timestamps = false;
+    raw.sys.set_options(opts);
+    const auto raw_result = explore(raw.sys);
+    EXPECT_EQ(raw_result.stats.states,
+              raw.name == "2W+reads" ? 55u : kLitmusStates[i])
+        << raw.name;
+    EXPECT_EQ(
+        explore::final_register_values(raw.sys, raw_result, raw.observed),
+        raw.allowed)
+        << raw.name;
+  }
 }
 
 
@@ -226,10 +280,13 @@ TEST(AblationA3, NonCanonicalTimestampsInflateStateCount) {
 class CausalitySuite : public ::testing::TestWithParam<int> {};
 
 TEST_P(CausalitySuite, KeyOutcomesMatchRC11) {
+  const std::uint64_t states[] = {36, 37, 51, 21};
   auto tests = litmus::all_causality_tests();
-  auto& t = tests.at(static_cast<std::size_t>(GetParam()));
+  const auto idx = static_cast<std::size_t>(GetParam());
+  auto& t = tests.at(idx);
   const auto result = explore(t.sys);
   ASSERT_FALSE(result.truncated);
+  EXPECT_EQ(result.stats.states, states[idx]) << t.name;
   for (const auto& outcome : t.must_allow) {
     EXPECT_TRUE(explore::outcome_reachable(t.sys, result, t.observed, outcome))
         << t.name << ": outcome " << outcomes_to_string({outcome})

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <utility>
 
 #include "explore/explorer.hpp"
 #include "litmus/litmus.hpp"
@@ -231,6 +233,38 @@ TEST(Parser, CommentsAreIgnored) {
 
 TEST(ParserErrors, UnknownRegister) {
   EXPECT_THROW(parse_program("var x = 0; thread t { r <- x; }"), Error);
+}
+
+// Registers are thread-local: naming another thread's register is a
+// positioned parse error that names the owning thread, whether it is read,
+// assigned, loaded into or the destination of an RMW.
+TEST(ParserErrors, ForeignRegister) {
+  const std::string owner = "var x = 0; thread t1 { reg a; a := 7; }\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"read", "thread t2 { reg b; b := a + 1; }"},
+      {"assignment", "thread t2 { reg b; a := 1; }"},
+      {"load destination", "thread t2 { reg b; a <- x; }"},
+      {"RMW destination", "thread t2 { reg b; a <- FAI(x); }"},
+      {"CAS destination", "thread t2 { reg b; a <- CAS(x, 0, 1); }"},
+  };
+  for (const auto& [what, thread] : cases) {
+    try {
+      (void)parse_program(owner + thread);
+      ADD_FAILURE() << what << ": foreign register accepted";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("parse error at 2:"), std::string::npos)
+          << what << ": " << msg;
+      EXPECT_NE(msg.find("register 'a' belongs to thread 't1'"),
+                std::string::npos)
+          << what << ": " << msg;
+    }
+  }
+  // Outline assertions may still name any thread's registers.
+  const auto p = parse_program(owner + R"(thread t2 { reg b; b <- x; }
+    outline { post t2: done(t1) ==> a == 7; })");
+  ASSERT_TRUE(p.outline.has_value());
+  EXPECT_TRUE(og::check_outline(p.sys, *p.outline).valid);
 }
 
 TEST(ParserErrors, UnknownLocation) {

@@ -63,17 +63,6 @@ void expect_por_exact(const System& sys, const std::string& what) {
   }
 }
 
-double reduction_factor(const System& sys) {
-  ExploreOptions full;
-  ExploreOptions reduced;
-  reduced.por = true;
-  const auto a = explore::explore(sys, full);
-  const auto b = explore::explore(sys, reduced);
-  EXPECT_EQ(final_encodings(a), final_encodings(b));
-  return static_cast<double>(a.stats.states) /
-         static_cast<double>(b.stats.states);
-}
-
 TEST(Por, LitmusOutcomeSetsExact) {
   for (const auto& test : litmus::all_tests()) {
     expect_por_exact(test.sys, test.name);
@@ -195,21 +184,49 @@ TEST(Por, WitnessesFromReducedRunsReplay) {
 }
 
 TEST(Por, ReductionHeadlineOnTargetFamilies) {
-  // The tentpole's perf criterion: >= 2x fewer visited states on the
-  // ticket-lock and message-passing benchmark families.
-  locks::TicketLock t1, t2;
-  EXPECT_GE(reduction_factor(
-                locks::instantiate(locks::worker_client(2, 2, 4), t1)),
-            2.0)
-      << "ticket-lock family (worker 2x2, work 4)";
-  EXPECT_GE(reduction_factor(
-                locks::instantiate(locks::worker_client(3, 1, 3), t2)),
-            2.0)
-      << "ticket-lock family (worker 3x1, work 3)";
-  EXPECT_GE(reduction_factor(litmus::mp_compute(4)), 2.0)
-      << "message-passing family (mp_compute, work 4)";
-  EXPECT_GE(reduction_factor(litmus::mp_spin_compute(3)), 2.0)
-      << "message-passing family (mp_spin_compute, work 3)";
+  // Experiment F7: the ticket-lock and message-passing families with POR
+  // off and on.  The exact sizes pin both paths; the targeted families
+  // shrink by >= 2x in visited states, the two controls (almost no local
+  // steps) need not, and every final configuration is kept.
+  struct Case {
+    const char* name;
+    System sys;
+    bool targeted;
+    std::uint64_t full_states, full_transitions;
+    std::uint64_t por_states, por_transitions, por_chained;
+  };
+  locks::TicketLock lock;
+  const Case cases[] = {
+      {"ticket_worker_2x2w4",
+       locks::instantiate(locks::worker_client(2, 2, 4), lock), true, 515,
+       954, 239, 450, 304},
+      {"ticket_worker_3x1w3",
+       locks::instantiate(locks::worker_client(3, 1, 3), lock), true, 739,
+       1848, 364, 903, 387},
+      {"ticket_mgc_2x2", locks::instantiate(locks::mgc_client(2, 2), lock),
+       false, 331, 618, 239, 450, 120},
+      {"mp_compute_w4", litmus::mp_compute(4), true, 65, 105, 14, 18, 27},
+      {"mp_spin_w3", litmus::mp_spin_compute(3), true, 18, 28, 9, 13, 6},
+      {"mp_litmus", litmus::mp_release_acquire().sys, false, 13, 17, 13, 17,
+       0},
+  };
+  for (const auto& c : cases) {
+    ExploreOptions por;
+    por.por = true;
+    const auto full = explore::explore(c.sys);
+    const auto reduced = explore::explore(c.sys, por);
+    EXPECT_EQ(full.stats.states, c.full_states) << c.name;
+    EXPECT_EQ(full.stats.transitions, c.full_transitions) << c.name;
+    EXPECT_EQ(reduced.stats.states, c.por_states) << c.name;
+    EXPECT_EQ(reduced.stats.transitions, c.por_transitions) << c.name;
+    EXPECT_EQ(reduced.stats.por_chained, c.por_chained) << c.name;
+    EXPECT_EQ(final_encodings(reduced), final_encodings(full)) << c.name;
+    if (c.targeted) {
+      EXPECT_GE(static_cast<double>(full.stats.states),
+                2.0 * static_cast<double>(reduced.stats.states))
+          << c.name;
+    }
+  }
 }
 
 TEST(Por, ReducedGraphIdenticalAcrossWorkerCounts) {

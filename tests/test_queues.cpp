@@ -125,6 +125,8 @@ TEST(QueueRefinement, ForwardSimulationHolds) {
       queues::instantiate(queues::publication_client(), conc);
   const auto result = refinement::check_forward_simulation(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.diagnosis;
+  EXPECT_EQ(result.abstract_states, 13u);
+  EXPECT_EQ(result.concrete_states, 100u);
 }
 
 TEST(QueueRefinement, PipelineSimulationHoldsAcrossCapacities) {
@@ -149,6 +151,8 @@ TEST(QueueRefinement, BrokenUnlockFailsSimulation) {
   const auto result = refinement::check_forward_simulation(abs_sys, conc_sys);
   EXPECT_FALSE(result.holds);
   EXPECT_FALSE(result.counterexample.empty());
+  EXPECT_EQ(result.abstract_states, 13u);
+  EXPECT_EQ(result.concrete_states, 114u);
 }
 
 // --- parser round trip ------------------------------------------------------------

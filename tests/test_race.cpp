@@ -79,10 +79,43 @@ void expect_race_exact(const System& sys, const std::string& what) {
 }
 
 TEST(Race, ClassifiesTheCorpus) {
-  for (const auto& test : litmus::all_race_tests()) {
+  // Experiment RD: per program, the races found and the states of the plain
+  // checker, of the reduced one (--por --symmetry, which must report the
+  // same races) and of a detection-off exploration.
+  struct Expected {
+    const char* name;
+    std::size_t races;
+    std::uint64_t plain_states, reduced_states, off_states;
+  };
+  const Expected expected[] = {
+      {"Race-MP+na+rlx", 1, 13, 12, 10},
+      {"Race-MP+na+rel+acq", 0, 12, 11, 9},
+      {"Race-DCL+broken", 3, 79, 33, 79},
+      {"Race-DCL+cas+rel+acq", 0, 95, 22, 81},
+      {"Race-flag-spin+na", 1, 13, 12, 10},
+      {"Race-disjoint+na", 0, 9, 9, 9},
+      {"Race-lock+na", 0, 17, 9, 17},
+      {"Race-atomic-only", 0, 14, 14, 14},
+  };
+  const auto tests = litmus::all_race_tests();
+  ASSERT_EQ(tests.size(), std::size(expected));
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    const auto& test = tests[i];
+    const auto& want = expected[i];
+    ASSERT_EQ(test.name, want.name);
     const auto result = race::check(test.sys, {});
     ASSERT_FALSE(result.truncated) << test.name;
     EXPECT_EQ(result.racy(), test.racy) << test.name << ": " << test.description;
+    EXPECT_EQ(result.races.size(), want.races) << test.name;
+    EXPECT_EQ(result.stats.states, want.plain_states) << test.name;
+    RaceOptions reduced_opts;
+    reduced_opts.por = true;
+    reduced_opts.symmetry = true;
+    const auto reduced = race::check(test.sys, reduced_opts);
+    EXPECT_EQ(reduced.stats.states, want.reduced_states) << test.name;
+    EXPECT_EQ(race_keys(reduced), race_keys(result)) << test.name;
+    EXPECT_EQ(explore::explore(test.sys).stats.states, want.off_states)
+        << test.name;
     if (test.racy) {
       // Every report names both sites on a real location.
       for (const auto& r : result.races) {

@@ -134,7 +134,13 @@ class LockSimulation : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(LockSimulation, Fig7ClientForwardSimulatesAbstractLock) {
-  const auto impl = impls()[static_cast<std::size_t>(GetParam())];
+  // Props. 9 (seqlock) and 10 (ticket lock), plus the CAS spinlock against
+  // the same specification: concrete states and surviving candidate pairs,
+  // in impls() order.
+  const std::uint64_t concrete_states[] = {113, 55, 49, 109};
+  const std::uint64_t surviving_pairs[] = {232, 102, 95, 219};
+  const auto idx = static_cast<std::size_t>(GetParam());
+  const auto impl = impls()[idx];
   AbstractLock abs;
   const auto abs_sys = instantiate(locks::fig7_client(), abs);
   auto conc_lock = impl.make();
@@ -142,8 +148,9 @@ TEST_P(LockSimulation, Fig7ClientForwardSimulatesAbstractLock) {
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << impl.label << ": " << result.diagnosis;
   EXPECT_FALSE(result.truncated);
-  EXPECT_GT(result.concrete_states, result.abstract_states)
-      << "implementations have strictly richer state spaces";
+  EXPECT_EQ(result.abstract_states, 17u);
+  EXPECT_EQ(result.concrete_states, concrete_states[idx]) << impl.label;
+  EXPECT_EQ(result.surviving_pairs, surviving_pairs[idx]) << impl.label;
 }
 
 TEST_P(LockSimulation, MgcClientForwardSimulatesAbstractLock) {
@@ -189,6 +196,8 @@ TEST(BrokenLocks, SeqLockWithRelaxedReleaseFailsSimulation) {
   EXPECT_FALSE(result.holds)
       << "a relaxed release breaks the specification's publication guarantee";
   EXPECT_FALSE(result.diagnosis.empty());
+  EXPECT_EQ(result.abstract_states, 17u);
+  EXPECT_EQ(result.concrete_states, 120u);
 }
 
 TEST(BrokenLocks, TicketLockWithRelaxedReleaseFailsSimulation) {
@@ -198,6 +207,8 @@ TEST(BrokenLocks, TicketLockWithRelaxedReleaseFailsSimulation) {
   const auto conc_sys = instantiate(locks::fig7_client(), broken);
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_FALSE(result.holds);
+  EXPECT_EQ(result.abstract_states, 17u);
+  EXPECT_EQ(result.concrete_states, 62u);
 }
 
 TEST(BrokenLocks, BrokenSeqLockExhibitsStaleClientRead) {
@@ -244,7 +255,7 @@ TEST(TraceInclusion, SeqLockRefinesAbstractOnFig7Client) {
   const auto result = check_trace_inclusion(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.what;
   EXPECT_FALSE(result.truncated);
-  EXPECT_GT(result.product_nodes, 0u);
+  EXPECT_EQ(result.product_nodes, 151u);
 }
 
 TEST(TraceInclusion, BrokenSeqLockViolatesInclusion) {
@@ -255,6 +266,7 @@ TEST(TraceInclusion, BrokenSeqLockViolatesInclusion) {
   const auto result = check_trace_inclusion(abs_sys, conc_sys);
   EXPECT_FALSE(result.holds);
   EXPECT_FALSE(result.what.empty());
+  EXPECT_EQ(result.product_nodes, 140u);
 }
 
 TEST(TraceInclusion, ReflexivityOnAbstractSystem) {
@@ -272,6 +284,7 @@ TEST(TraceInclusion, TicketLockAlsoPasses) {
   const auto conc_sys = instantiate(locks::fig7_client(), conc);
   const auto result = check_trace_inclusion(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.what;
+  EXPECT_EQ(result.product_nodes, 69u);
 }
 
 

@@ -109,6 +109,70 @@ void expect_rf_exact(const System& sys, const std::string& what) {
   }
 }
 
+/// Experiment RF's exact sizes: a --por, a --symmetry and an --rf-quotient
+/// run of one program, and the quotient run's sleep-set skips.
+struct RfCounts {
+  std::uint64_t por_states, por_transitions;
+  std::uint64_t sym_states, sym_transitions;
+  std::uint64_t rf_states, rf_transitions, sleep_skips;
+};
+
+/// Runs the three reductions on `sys`, checks their sizes against `want`
+/// and that the quotient keeps the --por run's outcome set, and returns the
+/// quotient's reduction over best-of(--por, --symmetry).
+double expect_rf_counts(const System& sys, const RfCounts& want,
+                        const std::string& what) {
+  ExploreOptions por_opts;
+  por_opts.por = true;
+  ExploreOptions sym_opts;
+  sym_opts.symmetry = true;
+  ExploreOptions rf_opts;
+  rf_opts.rf_quotient = true;
+  const auto por = explore::explore(sys, por_opts);
+  const auto sym = explore::explore(sys, sym_opts);
+  const auto rf = explore::explore(sys, rf_opts);
+  EXPECT_EQ(por.stats.states, want.por_states) << what;
+  EXPECT_EQ(por.stats.transitions, want.por_transitions) << what;
+  EXPECT_EQ(sym.stats.states, want.sym_states) << what;
+  EXPECT_EQ(sym.stats.transitions, want.sym_transitions) << what;
+  EXPECT_EQ(rf.stats.states, want.rf_states) << what;
+  EXPECT_EQ(rf.stats.transitions, want.rf_transitions) << what;
+  EXPECT_EQ(rf.stats.sleep_set_skips, want.sleep_skips) << what;
+  EXPECT_EQ(sym.stats.symmetry_hits, 0u)
+      << what << " is asymmetric by design; symmetry must be a no-op";
+  EXPECT_EQ(outcome_set(sys, rf), outcome_set(sys, por)) << what;
+  return static_cast<double>(std::min(por.stats.states, sym.stats.states)) /
+         static_cast<double>(rf.stats.states);
+}
+
+/// Two asymmetric writers interleaving observe-g / scrub / publish rounds
+/// (3 vs 2 rounds) and a generation pump reading the published locations:
+/// every publish snapshots a fresh dead view of g, so the concrete variant
+/// count is exponential in the round count.
+System view_churn(unsigned pump_stores) {
+  System sys;
+  const auto g = sys.client_var("g", 0);
+  const auto x = sys.client_var("x", 0);
+  const auto y = sys.client_var("y", 0);
+  for (const auto [loc, rounds] : {std::pair{x, 3u}, {y, 2u}}) {
+    auto tb = sys.thread();
+    const auto t = tb.reg("t");
+    for (unsigned i = 1; i <= rounds; ++i) {
+      tb.load(t, g);
+      tb.assign(t, lang::c(0));
+      tb.store(loc, lang::c(static_cast<lang::Value>(i)));
+    }
+  }
+  auto pump = sys.thread();
+  const auto r = pump.reg("r");
+  for (unsigned i = 1; i <= pump_stores; ++i) {
+    pump.store(g, lang::c(static_cast<lang::Value>(i)));
+  }
+  pump.load(r, x);
+  pump.load(r, y);
+  return sys;
+}
+
 System parse_program(const std::string& name) {
   return parser::parse_file(std::string(RC11_SRC_DIR) + "/tools/programs/" +
                             name)
@@ -139,29 +203,23 @@ TEST(Rf, StoreFanReducedAndExact) {
   // The motivating family: asymmetric writers whose observations of the
   // pump's generation variable survive only in dead view metadata.  The
   // quotient must agree on the outcome set and beat the better of the two
-  // older reductions by >= 5x visited states (the bench asserts the same
-  // headline on its programmatic twins).
+  // older reductions by >= 5x visited states.
   const auto sys = parse_program("store_fan.rc11");
   expect_rf_exact(sys, "store_fan");
+  EXPECT_GE(expect_rf_counts(sys,
+                             {58633, 185322, 109678, 361352, 4812, 22791,
+                              14376},
+                             "store_fan"),
+            5.0);
+}
 
-  ExploreOptions por_opts;
-  por_opts.por = true;
-  ExploreOptions sym_opts;
-  sym_opts.symmetry = true;
-  ExploreOptions rf_opts;
-  rf_opts.rf_quotient = true;
-  const auto por_res = explore::explore(sys, por_opts);
-  const auto sym_res = explore::explore(sys, sym_opts);
-  const auto rf_res = explore::explore(sys, rf_opts);
-  EXPECT_EQ(sym_res.stats.symmetry_hits, 0u)
-      << "store_fan is asymmetric by design; symmetry must be a no-op";
-  const auto best = std::min(por_res.stats.states, sym_res.stats.states);
-  EXPECT_GE(static_cast<double>(best) /
-                static_cast<double>(rf_res.stats.states),
-            5.0)
-      << "rf quotient must beat best-of(por " << por_res.stats.states
-      << ", sym " << sym_res.stats.states << ") by >= 5x, got "
-      << rf_res.stats.states << " states";
+TEST(Rf, ViewChurnReducedAndExact) {
+  const auto sys = view_churn(4);
+  EXPECT_GE(expect_rf_counts(sys,
+                             {51889, 135982, 105709, 285537, 5242, 21842,
+                              10124},
+                             "view_churn"),
+            5.0);
 }
 
 TEST(Rf, NoopOnReleaseHeavyPrograms) {
@@ -177,6 +235,7 @@ TEST(Rf, NoopOnReleaseHeavyPrograms) {
   EXPECT_EQ(r.stats.states, reference.stats.states);
   EXPECT_EQ(r.stats.blocked, reference.stats.blocked);
   EXPECT_EQ(outcome_set(sys, r), outcome_set(sys, reference));
+  EXPECT_EQ(expect_rf_counts(sys, {13, 17, 13, 17, 13, 17, 0}, "mp"), 1.0);
 }
 
 TEST(Rf, InvariantViolationSetsExact) {

@@ -20,6 +20,9 @@
 #include "engine/checkpoint.hpp"
 #include "engine/sample.hpp"
 #include "explore/explorer.hpp"
+#include "litmus/litmus.hpp"
+#include "locks/clients.hpp"
+#include "locks/lock_objects.hpp"
 #include "og/catalog.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
@@ -394,6 +397,43 @@ TEST(Sample, OutcomesAgreeWithExhaustiveOracle) {
     }
     EXPECT_EQ(sampled_outcomes, oracle_outcomes)
         << name << ": 400 episodes should saturate a litmus-sized program";
+  }
+}
+
+// Experiment RS: 256 seeded episodes over the ticket-worker and
+// message-passing families.  A sampled run is a pure function of (program,
+// episodes, seed), so its exact size doubles as a seed-determinism gate;
+// every sampled final configuration is an exhaustively reachable one.
+TEST(Sample, SeededCoverageOfTargetFamiliesPinned) {
+  struct Case {
+    const char* name;
+    lang::System sys;
+    std::uint64_t states, transitions, oracle_states;
+  };
+  locks::TicketLock lock;
+  const Case cases[] = {
+      {"ticket_worker_2x2w4",
+       locks::instantiate(locks::worker_client(2, 2, 4), lock), 246, 492,
+       515},
+      {"ticket_worker_3x1w3",
+       locks::instantiate(locks::worker_client(3, 1, 3), lock), 601, 1503,
+       739},
+      {"mp_compute_w4", litmus::mp_compute(4), 65, 105, 65},
+      {"mp_spin_w3", litmus::mp_spin_compute(3), 18, 28, 18},
+  };
+  for (const auto& c : cases) {
+    const auto oracle = explore::explore(c.sys);
+    const auto sampled = explore::explore(c.sys, sample_opts(256, 42));
+    EXPECT_EQ(oracle.stats.states, c.oracle_states) << c.name;
+    EXPECT_EQ(sampled.stats.states, c.states) << c.name;
+    EXPECT_EQ(sampled.stats.transitions, c.transitions) << c.name;
+    std::vector<std::vector<std::uint64_t>> pool;
+    for (const auto& cfg : oracle.final_configs) pool.push_back(cfg.encode());
+    std::sort(pool.begin(), pool.end());
+    for (const auto& cfg : sampled.final_configs) {
+      EXPECT_TRUE(std::binary_search(pool.begin(), pool.end(), cfg.encode()))
+          << c.name << ": sampled final configuration not reachable";
+    }
   }
 }
 

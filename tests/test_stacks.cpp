@@ -103,6 +103,8 @@ TEST(StackRefinement, PublicationClientForwardSimulation) {
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.diagnosis;
   EXPECT_FALSE(result.truncated);
+  EXPECT_EQ(result.abstract_states, 13u);
+  EXPECT_EQ(result.concrete_states, 95u);
 }
 
 TEST(StackRefinement, ProducerConsumerForwardSimulation) {
@@ -121,6 +123,8 @@ TEST(StackRefinement, BrokenUnlockFailsSimulation) {
   const auto conc_sys = instantiate(stacks::publication_client(), broken);
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_FALSE(result.holds);
+  EXPECT_EQ(result.abstract_states, 13u);
+  EXPECT_EQ(result.concrete_states, 109u);
 }
 
 TEST(StackRefinement, TraceInclusionAgreesWithSimulation) {

@@ -33,7 +33,9 @@
 #include "og/catalog.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
+#include "queues/queue_objects.hpp"
 #include "refinement/refinement.hpp"
+#include "stacks/stack_objects.hpp"
 #include "witness/witness.hpp"
 
 namespace {
@@ -129,8 +131,8 @@ TEST(Symmetry, SymmetricWorkloadsExactAndReduced) {
   // Identical worker threads are the archetype: the quotient must agree
   // with the unreduced run on everything observable and visit at least
   // |orbit|-ish fewer states (the test asserts a conservative >= 2x; the
-  // >= 10x headline is asserted on the larger benchmark instances in
-  // bench/bench_sym.cpp).
+  // >= 10x headline is asserted on the larger instances in
+  // Symmetry.ReductionHeadlineOnTargetFamilies).
   locks::TicketLock ticket;
   const auto sys =
       locks::instantiate(locks::worker_client(3, 1, 2), ticket);
@@ -138,6 +140,88 @@ TEST(Symmetry, SymmetricWorkloadsExactAndReduced) {
   EXPECT_GE(sym_reduction_factor(sys, /*por=*/false), 2.0);
   EXPECT_GE(sym_reduction_factor(sys, /*por=*/true), 2.0)
       << "symmetry must keep winning on top of POR";
+}
+
+/// N identical threads, each enqueue(1) then dequeue: fully
+/// interchangeable, so the quotient collapses the thread orbit.
+queues::QueueClientProgram sym_queue_client(unsigned threads) {
+  return [threads](System& sys, queues::QueueObject& q) {
+    for (unsigned t = 0; t < threads; ++t) {
+      auto tb = sys.thread();
+      auto r = tb.reg("r");
+      q.emit_enqueue(tb, lang::c(1), /*releasing=*/true);
+      q.emit_dequeue(tb, r, /*acquiring=*/true);
+    }
+  };
+}
+
+/// N identical threads, each push(1) then pop.
+stacks::StackClientProgram sym_stack_client(unsigned threads) {
+  return [threads](System& sys, stacks::StackObject& s) {
+    for (unsigned t = 0; t < threads; ++t) {
+      auto tb = sys.thread();
+      auto r = tb.reg("r");
+      s.emit_push(tb, lang::c(1), /*releasing=*/true);
+      s.emit_pop(tb, r, /*acquiring=*/true);
+    }
+  };
+}
+
+TEST(Symmetry, ReductionHeadlineOnTargetFamilies) {
+  // Experiment SR: --por against --por --symmetry on the ticket-worker,
+  // queue and stack families.  The exact sizes pin both paths; the
+  // four-thread families shrink by >= 10x in visited states, the
+  // three-thread ones (orbit 3! = 6) and the asymmetric MP control need
+  // not, and every final configuration is kept.
+  struct Case {
+    const char* name;
+    System sys;
+    bool targeted;
+    std::uint64_t por_states, por_transitions;
+    std::uint64_t sym_states, sym_transitions, symmetry_hits, sleep_skips;
+  };
+  locks::TicketLock ticket;
+  queues::AbstractQueue abstract_queue;
+  queues::LockedRingQueue ring_queue(4);
+  stacks::AbstractStack abstract_stack;
+  const Case cases[] = {
+      {"ticket_worker_4x1w2",
+       locks::instantiate(locks::worker_client(4, 1, 2), ticket), true, 5181,
+       17792, 228, 786, 691, 215},
+      {"ticket_worker_3x1w2",
+       locks::instantiate(locks::worker_client(3, 1, 2), ticket), false, 364,
+       903, 64, 160, 111, 25},
+      {"abstract_queue_4x",
+       queues::instantiate(sym_queue_client(4), abstract_queue), true, 1461,
+       2048, 66, 102, 34, 0},
+      {"ring_queue_3x", queues::instantiate(sym_queue_client(3), ring_queue),
+       false, 10912, 35307, 1842, 5969, 3527, 1044},
+      {"abstract_stack_4x",
+       stacks::instantiate(sym_stack_client(4), abstract_stack), true, 2865,
+       4556, 125, 208, 66, 0},
+      {"mp_litmus", litmus::mp_release_acquire().sys, false, 13, 17, 13, 17,
+       0, 0},
+  };
+  for (const auto& c : cases) {
+    ExploreOptions por;
+    por.por = true;
+    ExploreOptions sym = por;
+    sym.symmetry = true;
+    const auto baseline = explore::explore(c.sys, por);
+    const auto reduced = explore::explore(c.sys, sym);
+    EXPECT_EQ(baseline.stats.states, c.por_states) << c.name;
+    EXPECT_EQ(baseline.stats.transitions, c.por_transitions) << c.name;
+    EXPECT_EQ(reduced.stats.states, c.sym_states) << c.name;
+    EXPECT_EQ(reduced.stats.transitions, c.sym_transitions) << c.name;
+    EXPECT_EQ(reduced.stats.symmetry_hits, c.symmetry_hits) << c.name;
+    EXPECT_EQ(reduced.stats.sleep_set_skips, c.sleep_skips) << c.name;
+    EXPECT_EQ(final_encodings(reduced), final_encodings(baseline)) << c.name;
+    if (c.targeted) {
+      EXPECT_GE(static_cast<double>(baseline.stats.states),
+                10.0 * static_cast<double>(reduced.stats.states))
+          << c.name;
+    }
+  }
 }
 
 TEST(Symmetry, NoopOnAsymmetricPrograms) {

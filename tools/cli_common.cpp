@@ -79,9 +79,16 @@ FlagStatus parse_common_flag(int argc, char** argv, int& i,
                : FlagStatus::Error;
   }
   if (arg == "--threads") {
-    return ++i < argc && parse_num(argv[i], out.num_threads)
-               ? FlagStatus::Consumed
-               : FlagStatus::Error;
+    if (++i >= argc || !parse_num(argv[i], out.num_threads)) {
+      return FlagStatus::Error;
+    }
+    if (out.num_threads > kMaxThreads) {
+      std::cerr << "error: --threads " << out.num_threads
+                << " is above the limit of " << kMaxThreads
+                << " worker threads\n";
+      return FlagStatus::Error;
+    }
+    return FlagStatus::Consumed;
   }
   bool* const reduction = arg == "--por"           ? &out.por
                           : arg == "--symmetry"    ? &out.symmetry

@@ -72,6 +72,11 @@ inline constexpr const char* kCommonUsage =
 /// binary-unit suffix (K, M or G, case-insensitive).  Rejects overflow.
 [[nodiscard]] bool parse_bytes(const std::string& s, std::uint64_t& out);
 
+/// The largest --threads value the tools accept.  Each worker gets its own
+/// thread and abstraction state, so the bound turns an absurd request into
+/// a usage error instead of a failed thread start.
+inline constexpr unsigned kMaxThreads = 1024;
+
 enum class FlagStatus : std::uint8_t {
   Consumed,  ///< argv[i] (plus its value, if any) was a common flag
   NotMine,   ///< not a common flag; the tool should try its own
