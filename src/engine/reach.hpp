@@ -77,7 +77,8 @@ struct ExploreStats {
   /// States expanded with a reduced (ample) step set instead of the full
   /// successor relation.  Non-zero only under ReachOptions::por; the states
   /// and edges *saved* by the reduction are the difference against a full
-  /// run (reported by bench_por and the tools' --stats).
+  /// run (pinned by Por.ReductionHeadlineOnTargetFamilies; reported by the
+  /// tools' --stats).
   std::uint64_t por_reduced = 0;
   /// Deterministic local steps fast-forwarded by chain collapse — each one a
   /// state that exists in the full graph but was never visited here.
@@ -102,8 +103,8 @@ struct ExploreStats {
   /// but whose quotient key was not.  A lower bound on the states the
   /// quotient saved.  Counted only when a trace sink is attached (the sink
   /// is what distinguishes a genuinely new concrete state from a concrete
-  /// re-arrival); untraced runs report 0 and bench_rf compares visited
-  /// state counts instead.
+  /// re-arrival); untraced runs report 0 and Rf.StoreFanReducedAndExact
+  /// compares visited state counts instead.
   std::uint64_t rf_merges = 0;
 };
 
@@ -177,9 +178,10 @@ struct ReachResult {
 };
 
 /// The driver's per-state expansion policy — POR ample set or full successor
-/// relation — exposed so graph builders that must mirror the
-/// reduced edge relation (refinement::build_graph phase 2) expand exactly
-/// like the driver.  Returns true iff a reduced (ample) set was produced.
+/// relation — exposed so graph builders that must mirror the reduced edge
+/// relation (refinement::build_graph phase 2, and refinement::edge_label
+/// when it regenerates one edge's label) expand exactly like the driver.
+/// Returns true iff a reduced (ample) set was produced.
 bool expand_steps(const TransitionSystem& ts, const Config& cfg,
                   const ReachOptions& options, StepBuffer& out,
                   bool want_labels);

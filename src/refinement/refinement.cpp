@@ -1,10 +1,11 @@
 #include "refinement/refinement.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "engine/reach.hpp"
 #include "engine/symmetry.hpp"
@@ -63,6 +64,9 @@ bool client_refines(const ClientProjection& abs, const ClientProjection& conc) {
 }
 
 namespace {
+
+/// Backs graph_states_built().
+std::atomic<std::uint64_t> states_built{0};
 
 std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
   support::WordHasher h;
@@ -134,6 +138,8 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
         return true;
       });
   graph.stop = reach.stop;
+  graph.stats = reach.stats;
+  graph.por = options.por;
 
   std::sort(collected.begin(), collected.end(),
             [](const Keyed& a, const Keyed& b) { return a.enc < b.enc; });
@@ -142,10 +148,9 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   graph.states.reserve(n);
   for (auto& k : collected) graph.states.push_back(std::move(k.cfg));
   graph.succ.assign(n, {});
-  if (want_labels) {
-    graph.labels.assign(n, {});
-    graph.threads.assign(n, {});
-  }
+  graph.threads.assign(n, {});
+  graph.step_index.assign(n, {});
+  if (want_labels) graph.labels.assign(n, {});
 
   const auto index_of = [&](const std::vector<std::uint64_t>& enc)
       -> std::optional<std::uint32_t> {
@@ -170,22 +175,41 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
     thread_local lang::StepBuffer steps;
     thread_local std::vector<std::uint64_t> scratch;
     engine::expand_steps(ts, graph.states[i], ropts, steps, want_labels);
-    for (auto& step : steps.steps()) {
+    const auto out = steps.steps();
+    for (std::uint32_t k = 0; k < out.size(); ++k) {
       scratch.clear();
-      step.after.encode_into(scratch);
+      out[k].after.encode_into(scratch);
       const auto idx = index_of(scratch);
       // A missing successor can only happen on a truncated build (its target
       // was never claimed); the graph is already flagged unreliable then.
       if (!idx.has_value()) continue;
       graph.succ[i].push_back(*idx);
-      if (want_labels) {
-        graph.labels[i].push_back(std::move(step.label));
-        graph.threads[i].push_back(step.thread);
-      }
+      graph.threads[i].push_back(out[k].thread);
+      graph.step_index[i].push_back(k);
+      if (want_labels) graph.labels[i].push_back(std::move(out[k].label));
     }
   });
 
+  states_built.fetch_add(n, std::memory_order_relaxed);
   return graph;
+}
+
+EdgeLabel edge_label(const System& sys, const StateGraph& graph,
+                     std::uint32_t state, std::uint32_t edge) {
+  const engine::TransitionSystem ts(sys, engine::AmplePolicy::ClientInvisible);
+  engine::ReachOptions ropts;
+  ropts.por = graph.por;
+  lang::StepBuffer steps;
+  engine::expand_steps(ts, graph.states[state], ropts, steps,
+                       /*want_labels=*/true);
+  const auto k = graph.step_index[state][edge];
+  RC11_REQUIRE(k < steps.size(), "edge step index outside its expansion");
+  const lang::Step& step = steps.steps()[k];
+  return {step.thread, step.label};
+}
+
+std::uint64_t graph_states_built() {
+  return states_built.load(std::memory_order_relaxed);
 }
 
 namespace {
@@ -237,14 +261,12 @@ std::string truncation_diagnosis(const StateGraph& abs, const StateGraph& conc) 
 /// (incomplete) spec would manufacture false violations, so the abstract
 /// build always enumerates exhaustively.
 template <typename CheckOptions>
-GraphOptions graph_options(const CheckOptions& options, bool want_labels,
-                           bool apply_sampling) {
+GraphOptions graph_options(const CheckOptions& options, bool apply_sampling) {
   GraphOptions gopts;
   static_cast<engine::Reduction&>(gopts) = options;
   gopts.symmetry = false;
   if (!apply_sampling) gopts.mode = engine::Strategy::Exhaustive;
   gopts.max_states = options.max_states;
-  gopts.want_labels = want_labels;
   gopts.num_threads = options.num_threads;
   gopts.max_visited_bytes = options.max_visited_bytes;
   gopts.deadline_ms = options.deadline_ms;
@@ -253,19 +275,100 @@ GraphOptions graph_options(const CheckOptions& options, bool want_labels,
   return gopts;
 }
 
+constexpr std::uint32_t kNoPair = 0xffffffffu;
+
+/// Position of (a, c) in pair.compat, or kNoPair when concrete state c does
+/// not refine abstract state a.  Games keep per-pair data in arrays parallel
+/// to pair.compat.
+std::uint32_t pair_index(const GraphPair& pair, std::uint32_t a,
+                         std::uint32_t c) {
+  const auto first = pair.compat.begin() + pair.compat_begin[c];
+  const auto last = pair.compat.begin() + pair.compat_begin[c + 1];
+  const auto it = std::lower_bound(first, last, a);
+  if (it == last || *it != a) return kNoPair;
+  return static_cast<std::uint32_t>(it - pair.compat.begin());
+}
+
+/// Def. 5: does concrete state c refine abstract state a?
+bool refines(const GraphPair& pair, std::uint32_t a, std::uint32_t c) {
+  return pair_index(pair, a, c) != kNoPair;
+}
+
+/// Whether a game can run on the pair: the abstract graph is complete and
+/// the concrete one is complete or a sample.
+bool playable(const GraphPair& pair) {
+  return pair.abs.stop == engine::StopReason::Complete &&
+         (pair.conc.stop == engine::StopReason::Complete ||
+          pair.conc.stop == engine::StopReason::EpisodeCap);
+}
+
+template <typename CheckOptions>
+GraphPair build_pair(const System& abstract_sys, const System& concrete_sys,
+                     const CheckOptions& options, bool product_symmetry) {
+  require_refinement_subset(options, product_symmetry);
+  GraphPair pair;
+  pair.abstract_sys = &abstract_sys;
+  pair.concrete_sys = &concrete_sys;
+  pair.abs = build_graph(abstract_sys,
+                         graph_options(options, /*apply_sampling=*/false));
+  pair.conc = build_graph(concrete_sys,
+                          graph_options(options, /*apply_sampling=*/true));
+  if (!playable(pair)) return pair;
+
+  // Project every state once (embarrassingly parallel: one slot per state).
+  const auto project_all = [&](const System& sys, const StateGraph& g) {
+    std::vector<ClientProjection> proj(g.num_states());
+    support::parallel_for(g.num_states(), options.num_threads,
+                          [&](std::size_t i) {
+                            proj[i] = project_client(sys, g.states[i]);
+                          });
+    return proj;
+  };
+  const auto abs_proj = project_all(abstract_sys, pair.abs);
+  const auto conc_proj = project_all(concrete_sys, pair.conc);
+
+  // Group abstract states by the exact-match part so the relation costs
+  // time linear in matching states rather than quadratic overall.  Each
+  // group lists its states ascending, so every concrete state's list is
+  // sorted as built.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> abs_by_key;
+  for (std::uint32_t a = 0; a < abs_proj.size(); ++a) {
+    abs_by_key[hash_words(abs_proj[a].exact)].push_back(a);
+  }
+  pair.compat_begin.reserve(conc_proj.size() + 1);
+  pair.compat_begin.push_back(0);
+  for (std::uint32_t c = 0; c < conc_proj.size(); ++c) {
+    const auto it = abs_by_key.find(hash_words(conc_proj[c].exact));
+    if (it != abs_by_key.end()) {
+      for (const auto a : it->second) {
+        if (client_refines(abs_proj[a], conc_proj[c])) pair.compat.push_back(a);
+      }
+    }
+    pair.compat_begin.push_back(static_cast<std::uint32_t>(pair.compat.size()));
+  }
+  return pair;
+}
+
 }  // namespace
 
-SimulationResult check_forward_simulation(const System& abstract_sys,
-                                          const System& concrete_sys,
-                                          const SimulationOptions& options) {
-  require_refinement_subset(options, /*product_symmetry=*/false);
+GraphPair build_graph_pair(const System& abstract_sys,
+                           const System& concrete_sys,
+                           const SimulationOptions& options) {
+  return build_pair(abstract_sys, concrete_sys, options,
+                    /*product_symmetry=*/false);
+}
+
+GraphPair build_graph_pair(const System& abstract_sys,
+                           const System& concrete_sys,
+                           const TraceInclusionOptions& options) {
+  return build_pair(abstract_sys, concrete_sys, options,
+                    /*product_symmetry=*/true);
+}
+
+SimulationResult play_forward_simulation(const GraphPair& pair) {
   SimulationResult result;
-  const StateGraph abs = build_graph(
-      abstract_sys,
-      graph_options(options, /*want_labels=*/false, /*apply_sampling=*/false));
-  const StateGraph conc = build_graph(
-      concrete_sys,
-      graph_options(options, /*want_labels=*/true, /*apply_sampling=*/true));
+  const StateGraph& abs = pair.abs;
+  const StateGraph& conc = pair.conc;
   result.abstract_states = abs.num_states();
   result.concrete_states = conc.num_states();
   result.truncated = abs.stop != engine::StopReason::Complete ||
@@ -275,65 +378,68 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
     return result;
   }
 
-  // Project every state once (embarrassingly parallel: one slot per state).
-  std::vector<ClientProjection> abs_proj(abs.num_states());
-  support::parallel_for(abs.num_states(), options.num_threads, [&](std::size_t i) {
-    abs_proj[i] = project_client(abstract_sys, abs.states[i]);
-  });
-  std::vector<ClientProjection> conc_proj(conc.num_states());
-  support::parallel_for(conc.num_states(), options.num_threads, [&](std::size_t i) {
-    conc_proj[i] = project_client(concrete_sys, conc.states[i]);
-  });
-
-  // Group abstract states by the exact-match part so candidate generation is
-  // linear in matching states rather than quadratic overall.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> abs_by_key;
-  for (std::uint32_t a = 0; a < abs_proj.size(); ++a) {
-    abs_by_key[hash_words(abs_proj[a].exact)].push_back(a);
-  }
-
-  // Candidate pairs, stored per concrete state.
-  std::vector<std::vector<std::uint32_t>> pairs_of(conc.num_states());
-  const auto pair_key = [&](std::uint32_t a, std::uint32_t cidx) {
-    return static_cast<std::uint64_t>(a) * conc.num_states() + cidx;
+  // Candidate pairs are the compatibility relation.  Per-pair state lives
+  // in arrays parallel to pair.compat: whether the pair is still alive and,
+  // once eliminated, the concrete edge that killed it (so a failure can be
+  // replayed as a step chain from the initial pair).  Every candidate was
+  // once alive, so "ever a candidate" is membership in pair.compat.
+  const std::size_t num_pairs = pair.compat.size();
+  const std::uint32_t num_conc = static_cast<std::uint32_t>(conc.num_states());
+  result.candidate_pairs = num_pairs;
+  std::vector<std::uint8_t> alive(num_pairs, 1);
+  std::vector<std::uint32_t> killer_edge(num_pairs, 0);
+  const auto is_alive = [&](std::uint32_t a, std::uint32_t c) {
+    const auto k = pair_index(pair, a, c);
+    return k != kNoPair && alive[k] != 0;
   };
-  std::unordered_set<std::uint64_t> alive;
-  for (std::uint32_t cidx = 0; cidx < conc_proj.size(); ++cidx) {
-    const auto it = abs_by_key.find(hash_words(conc_proj[cidx].exact));
-    if (it == abs_by_key.end()) continue;
-    for (const auto a : it->second) {
-      if (client_refines(abs_proj[a], conc_proj[cidx])) {
-        pairs_of[cidx].push_back(a);
-        alive.insert(pair_key(a, cidx));
-      }
-    }
+  // Each concrete state's live candidates, as positions in pair.compat:
+  // order[compat_begin[c] .. compat_begin[c] + live[c]).  An eliminated
+  // candidate is swap-removed, so the sweep visits candidates in the same
+  // order as a per-state candidate vector would.
+  std::vector<std::uint32_t> order(num_pairs);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> live(num_conc);
+  for (std::uint32_t c = 0; c < num_conc; ++c) {
+    live[c] = pair.compat_begin[c + 1] - pair.compat_begin[c];
   }
-  result.candidate_pairs = alive.size();
 
   // Greatest fixpoint: repeatedly delete pairs with an unmatchable concrete
-  // step.  (Simple sweep iteration; graphs are small.)  For diagnosis, the
-  // concrete edge that killed each pair is recorded so a failure can be
-  // replayed as a step chain from the initial pair.
-  std::unordered_set<std::uint64_t> ever_candidate = alive;
-  std::unordered_map<std::uint64_t, std::uint32_t> killer_edge;
+  // step.  (Simple sweep iteration; graphs are small.)  A candidate's check
+  // reads only the pairs at its concrete successors, so a state none of
+  // whose successors lost a pair since its candidates were last checked
+  // would pass them all again: the sweep skips it.  Elimination order,
+  // killer edges and iteration count are those of the full sweep.
+  std::uint64_t eliminated = 0;
+  std::vector<std::uint64_t> lost_at(num_conc, 0);     // `eliminated` stamps
+  std::vector<std::uint64_t> checked_at(num_conc, 0);
+  const auto unchanged_since_check = [&](std::uint32_t c) {
+    for (const auto csucc : conc.succ[c]) {
+      if (lost_at[csucc] > checked_at[c]) return false;
+    }
+    return true;
+  };
   bool changed = true;
   while (changed) {
     changed = false;
+    const bool first_sweep = result.refinement_iterations == 0;
     result.refinement_iterations += 1;
-    for (std::uint32_t cidx = 0; cidx < conc_proj.size(); ++cidx) {
-      auto& candidates = pairs_of[cidx];
-      for (std::size_t i = 0; i < candidates.size();) {
-        const auto a = candidates[i];
+    for (std::uint32_t cidx = 0; cidx < num_conc; ++cidx) {
+      if (!first_sweep && unchanged_since_check(cidx)) continue;
+      checked_at[cidx] = eliminated;
+      std::uint32_t* const candidates = order.data() + pair.compat_begin[cidx];
+      for (std::uint32_t i = 0; i < live[cidx];) {
+        const auto k = candidates[i];
+        const auto a = pair.compat[k];
         bool ok = true;
         std::uint32_t offending_edge = 0;
         for (std::uint32_t e = 0; e < conc.succ[cidx].size(); ++e) {
           const auto csucc = conc.succ[cidx][e];
           // Stuttering: same abstract state still paired with the successor.
-          if (alive.count(pair_key(a, csucc)) > 0) continue;
+          if (is_alive(a, csucc)) continue;
           // Non-stuttering: one abstract step.
           bool matched = false;
           for (const auto asucc : abs.succ[a]) {
-            if (alive.count(pair_key(asucc, csucc)) > 0) {
+            if (is_alive(asucc, csucc)) {
               matched = true;
               break;
             }
@@ -347,18 +453,19 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
         if (ok) {
           ++i;
         } else {
-          alive.erase(pair_key(a, cidx));
-          killer_edge.emplace(pair_key(a, cidx), offending_edge);
-          candidates[i] = candidates.back();
-          candidates.pop_back();
+          alive[k] = 0;
+          killer_edge[k] = offending_edge;
+          candidates[i] = candidates[live[cidx] - 1];
+          live[cidx] -= 1;
+          lost_at[cidx] = ++eliminated;
           changed = true;
         }
       }
     }
   }
-  result.surviving_pairs = alive.size();
+  for (const auto flag : alive) result.surviving_pairs += flag;
 
-  result.holds = alive.count(pair_key(abs.initial, conc.initial)) > 0;
+  result.holds = is_alive(abs.initial, conc.initial);
   if (!result.holds) {
     result.diagnosis =
         result.candidate_pairs == 0
@@ -368,8 +475,10 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
     // Replay the elimination chain: each eliminated pair knows the concrete
     // step none of the abstract responses could match; following such steps
     // bottoms out at a concrete state that is client-incompatible with every
-    // abstract option — the real divergence.
-    if (ever_candidate.count(pair_key(abs.initial, conc.initial)) > 0) {
+    // abstract option — the real divergence.  Only the edges the chain
+    // cites get their labels regenerated.
+    if (refines(pair, abs.initial, conc.initial)) {
+      const System& concrete_sys = *pair.concrete_sys;
       std::uint32_t a = abs.initial;
       std::uint32_t cidx = conc.initial;
       std::uint32_t final_c = conc.initial;
@@ -378,23 +487,24 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
       w.source = "refinement::check_forward_simulation";
       w.initial_digest = witness::config_digest(conc.states[conc.initial]);
       for (int guard = 0; guard < 10000; ++guard) {
-        const auto it = killer_edge.find(pair_key(a, cidx));
-        if (it == killer_edge.end()) break;  // pair survived: chain complete
-        const auto edge = it->second;
+        const auto k = pair_index(pair, a, cidx);
+        if (alive[k] != 0) break;  // pair survived: chain complete
+        const auto edge = killer_edge[k];
         const auto csucc = conc.succ[cidx][edge];
-        result.counterexample.push_back(conc.labels[cidx][edge]);
-        w.steps.push_back({conc.threads[cidx][edge], conc.labels[cidx][edge],
+        EdgeLabel step = edge_label(concrete_sys, conc, cidx, edge);
+        result.counterexample.push_back(step.label);
+        w.steps.push_back({step.thread, std::move(step.label),
                            witness::config_digest(conc.states[csucc])});
         final_c = csucc;
         // Continue through an abstract response that was once a candidate
         // (its own elimination explains why the response fails), preferring
         // the stutter.
         std::int64_t next_a = -1;
-        if (ever_candidate.count(pair_key(a, csucc)) > 0) {
+        if (refines(pair, a, csucc)) {
           next_a = a;
         } else {
           for (const auto asucc : abs.succ[a]) {
-            if (ever_candidate.count(pair_key(asucc, csucc)) > 0) {
+            if (refines(pair, asucc, csucc)) {
               next_a = asucc;
               break;
             }
@@ -422,19 +532,20 @@ SimulationResult check_forward_simulation(const System& abstract_sys,
   return result;
 }
 
-TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
-                                           const System& concrete_sys,
-                                           const TraceInclusionOptions& options) {
-  require_refinement_subset(options, /*product_symmetry=*/true);
+SimulationResult check_forward_simulation(const System& abstract_sys,
+                                          const System& concrete_sys,
+                                          const SimulationOptions& options) {
+  return play_forward_simulation(
+      build_graph_pair(abstract_sys, concrete_sys, options));
+}
+
+TraceInclusionResult play_trace_inclusion(const GraphPair& pair,
+                                          const TraceInclusionOptions& options) {
   TraceInclusionResult result;
-  const StateGraph abs = build_graph(
-      abstract_sys,
-      graph_options(options, /*want_labels=*/false, /*apply_sampling=*/false));
-  // The concrete graph carries labels and threads so an unmatchable step can
-  // be reported as a replayable run, not just a state dump.
-  const StateGraph conc = build_graph(
-      concrete_sys,
-      graph_options(options, /*want_labels=*/true, /*apply_sampling=*/true));
+  const System& abstract_sys = *pair.abstract_sys;
+  const System& concrete_sys = *pair.concrete_sys;
+  const StateGraph& abs = pair.abs;
+  const StateGraph& conc = pair.conc;
   // A sampled concrete graph (EpisodeCap) still plays the game: every
   // covered concrete state and edge is a real execution and the abstract
   // graph is complete, so an empty match set found below is a *definite*
@@ -442,8 +553,7 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
   // violation" on a sample is a lower bound, never a proof.  Any other
   // truncation (either graph) leaves the game meaningless, as before.
   const bool sampled_concrete = conc.stop == engine::StopReason::EpisodeCap;
-  if (abs.stop != engine::StopReason::Complete ||
-      (conc.stop != engine::StopReason::Complete && !sampled_concrete)) {
+  if (!playable(pair)) {
     result.truncated = true;
     result.what = truncation_diagnosis(abs, conc);
     return result;
@@ -452,15 +562,6 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
   result.truncated = sampled_concrete;
   // Pre-seed the diagnosis; a found violation overwrites it with specifics.
   if (sampled_concrete) result.what = truncation_diagnosis(abs, conc);
-
-  std::vector<ClientProjection> abs_proj(abs.num_states());
-  support::parallel_for(abs.num_states(), options.num_threads, [&](std::size_t i) {
-    abs_proj[i] = project_client(abstract_sys, abs.states[i]);
-  });
-  std::vector<ClientProjection> conc_proj(conc.num_states());
-  support::parallel_for(conc.num_states(), options.num_threads, [&](std::size_t i) {
-    conc_proj[i] = project_client(concrete_sys, conc.states[i]);
-  });
 
   // Thread-symmetry quotient of the product (see TraceInclusionOptions):
   // enumerate the shared permutation group and precompute, per permutation,
@@ -540,27 +641,42 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
     std::uint32_t via_edge = 0;        // edge in conc.succ[nodes[parent].c]
   };
   std::vector<Node> nodes;
-  // Dedup is by *canonical form* under the symmetry quotient (the identity
-  // form otherwise); arena nodes keep the concrete successor actually
+  // Dedup is by *canonical form* under the symmetry quotient (a node is its
+  // own form otherwise); arena nodes keep the concrete successor actually
   // reached, so parent chains remain real runs and witnesses replay.
-  std::vector<NodeForm> forms;  // parallel to nodes
+  std::vector<NodeForm> forms;  // parallel to nodes, under the quotient only
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> visited;
-  const auto node_key = [](const NodeForm& form) {
+  const auto node_key = [](std::uint32_t c,
+                           const std::vector<std::uint32_t>& match) {
     support::WordHasher h;
-    h.add(form.first);
-    for (const auto a : form.second) h.add(a);
+    h.add(c);
+    for (const auto a : match) h.add(a);
     return h.digest();
   };
-  const auto visit = [&](Node n) -> bool {
-    NodeForm form =
-        quotient ? canonical_form(n.c, n.match) : NodeForm{n.c, n.match};
-    auto& bucket = visited[node_key(form)];
-    for (const auto existing : bucket) {
-      if (forms[existing] == form) return false;
+  // Adds the node (c, match) reached from `parent` over `via_edge` unless an
+  // equal (or, under the quotient, equivalent) node is already in the arena.
+  // `match` is the caller's scratch; only a new node copies it.
+  const auto visit = [&](std::uint32_t c,
+                         const std::vector<std::uint32_t>& match,
+                         std::size_t parent, std::uint32_t via_edge) -> bool {
+    if (quotient) {
+      NodeForm form = canonical_form(c, match);
+      auto& bucket = visited[node_key(form.first, form.second)];
+      for (const auto existing : bucket) {
+        if (forms[existing] == form) return false;
+      }
+      bucket.push_back(nodes.size());
+      forms.push_back(std::move(form));
+    } else {
+      auto& bucket = visited[node_key(c, match)];
+      for (const auto existing : bucket) {
+        if (nodes[existing].c == c && nodes[existing].match == match) {
+          return false;
+        }
+      }
+      bucket.push_back(nodes.size());
     }
-    bucket.push_back(nodes.size());
-    forms.push_back(std::move(form));
-    nodes.push_back(std::move(n));
+    nodes.push_back({c, match, parent, via_edge});
     return true;
   };
 
@@ -576,35 +692,31 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
       chain.push_back(n);
     }
     std::reverse(chain.begin(), chain.end());
-    for (const auto n : chain) {
-      const std::uint32_t from = nodes[nodes[n].parent].c;
-      const std::uint32_t e = nodes[n].via_edge;
-      w.steps.push_back({conc.threads[from][e], conc.labels[from][e],
-                         witness::config_digest(conc.states[nodes[n].c])});
-    }
+    const auto add_step = [&](std::uint32_t from, std::uint32_t e) {
+      EdgeLabel step = edge_label(concrete_sys, conc, from, e);
+      w.steps.push_back(
+          {step.thread, std::move(step.label),
+           witness::config_digest(conc.states[conc.succ[from][e]])});
+    };
+    for (const auto n : chain) add_step(nodes[nodes[n].parent].c, nodes[n].via_edge);
     const std::uint32_t from = nodes[node_idx].c;
     const std::uint32_t to = conc.succ[from][edge];
-    w.steps.push_back({conc.threads[from][edge], conc.labels[from][edge],
-                       witness::config_digest(conc.states[to])});
+    add_step(from, edge);
     w.state_dump = conc.states[to].to_string(concrete_sys);
     return w;
   };
 
   std::deque<std::size_t> work;
-  {
-    Node init{conc.initial, {}, 0, 0};
-    if (client_refines(abs_proj[abs.initial], conc_proj[conc.initial])) {
-      init.match.push_back(abs.initial);
-    }
-    if (init.match.empty()) {
-      result.what = "initial concrete state refines no abstract state";
-      return result;
-    }
-    visit(std::move(init));
-    work.push_back(0);
+  if (!refines(pair, abs.initial, conc.initial)) {
+    result.what = "initial concrete state refines no abstract state";
+    return result;
   }
+  visit(conc.initial, {abs.initial}, 0, 0);
+  work.push_back(0);
 
   result.holds = true;
+  std::vector<std::uint32_t> node_match;
+  std::vector<std::uint32_t> next_match;
   while (!work.empty()) {
     if (result.product_nodes >= options.max_product_nodes) {
       result.truncated = true;
@@ -616,27 +728,23 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
     result.product_nodes += 1;
     // Copy out: the arena may reallocate while successors are inserted.
     const std::uint32_t node_c = nodes[node_idx].c;
-    const std::vector<std::uint32_t> node_match = nodes[node_idx].match;
+    node_match = nodes[node_idx].match;
 
     for (std::uint32_t e = 0; e < conc.succ[node_c].size(); ++e) {
       const auto csucc = conc.succ[node_c][e];
-      Node next{csucc, {}, node_idx, e};
+      next_match.clear();
       for (const auto a : node_match) {
         // Abstract stutter.
-        if (client_refines(abs_proj[a], conc_proj[csucc])) {
-          next.match.push_back(a);
-        }
+        if (refines(pair, a, csucc)) next_match.push_back(a);
         // One abstract step.
         for (const auto asucc : abs.succ[a]) {
-          if (client_refines(abs_proj[asucc], conc_proj[csucc])) {
-            next.match.push_back(asucc);
-          }
+          if (refines(pair, asucc, csucc)) next_match.push_back(asucc);
         }
       }
-      std::sort(next.match.begin(), next.match.end());
-      next.match.erase(std::unique(next.match.begin(), next.match.end()),
-                       next.match.end());
-      if (next.match.empty()) {
+      std::sort(next_match.begin(), next_match.end());
+      next_match.erase(std::unique(next_match.begin(), next_match.end()),
+                       next_match.end());
+      if (next_match.empty()) {
         result.holds = false;
         result.what = support::concat(
             "concrete step into state ", csucc,
@@ -648,12 +756,19 @@ TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
         result.witness = std::move(w);
         return result;
       }
-      if (visit(std::move(next))) {
+      if (visit(csucc, next_match, node_idx, e)) {
         work.push_back(nodes.size() - 1);
       }
     }
   }
   return result;
+}
+
+TraceInclusionResult check_trace_inclusion(const System& abstract_sys,
+                                           const System& concrete_sys,
+                                           const TraceInclusionOptions& options) {
+  return play_trace_inclusion(
+      build_graph_pair(abstract_sys, concrete_sys, options), options);
 }
 
 }  // namespace rc11::refinement

@@ -23,6 +23,13 @@
 //
 // A bounded trace-inclusion checker for Definitions 6/7 (stutter-free client
 // traces) doubles as an independent oracle on small instances.
+//
+// Both games read the same inputs, so they share them: build_graph_pair
+// builds the abstract and the concrete graph once, projects every state
+// once and stores the compatibility relation; play_forward_simulation and
+// play_trace_inclusion then run on that one GraphPair (rc11-refine plays
+// both).  check_forward_simulation and check_trace_inclusion are the
+// build-then-play compositions for callers that want one game.
 
 #pragma once
 
@@ -32,6 +39,7 @@
 #include <vector>
 
 #include "engine/budget.hpp"
+#include "engine/reach.hpp"
 #include "engine/sample.hpp"
 #include "lang/config.hpp"
 #include "witness/witness.hpp"
@@ -68,16 +76,25 @@ struct ClientProjection {
 struct StateGraph {
   std::vector<Config> states;
   std::vector<std::vector<std::uint32_t>> succ;  ///< adjacency (state indices)
-  /// Per-edge human-readable step labels, parallel to `succ` (only when the
-  /// graph was built with want_labels; empty otherwise).
-  std::vector<std::vector<std::string>> labels;
-  /// Per-edge acting thread, parallel to `succ` (want_labels builds only);
-  /// lets counterexample runs over this graph become replayable witnesses.
+  /// Per-edge acting thread, parallel to `succ`.
   std::vector<std::vector<ThreadId>> threads;
+  /// Per-edge position of the step in engine::expand_steps' output for the
+  /// source state, parallel to `succ`: edge_label re-expands the source and
+  /// takes this step, so a counterexample renders only the labels it cites.
+  std::vector<std::vector<std::uint32_t>> step_index;
+  /// Per-edge step labels, parallel to `succ`, for DOT export
+  /// (explore::to_dot).  Filled only by a want_labels build; empty otherwise.
+  std::vector<std::vector<std::string>> labels;
   std::uint32_t initial = 0;
+  /// The edges are the client-invisible ample relation (GraphOptions::por);
+  /// edge_label expands under the same relation.
+  bool por = false;
   /// Why the build's exploration ended; anything but Complete means the
   /// graph is missing states and downstream verdicts are unreliable.
   engine::StopReason stop = engine::StopReason::Complete;
+  /// The statistics of the build's reachability pass (states, transitions,
+  /// por_reduced, ...), for rc11-refine --stats.
+  engine::ExploreStats stats;
 
   [[nodiscard]] std::size_t num_states() const { return states.size(); }
   [[nodiscard]] std::size_t num_edges() const {
@@ -87,9 +104,10 @@ struct StateGraph {
   }
 };
 
-/// Builds the full reachable graph (up to max_states).  With want_labels,
-/// edges carry step descriptions (costs time and memory; used for
-/// counterexample reporting and DOT export).
+/// Builds the full reachable graph (up to max_states).  Every edge records
+/// its acting thread and step index; with want_labels it also carries its
+/// step description, which only DOT export needs (it costs time and memory:
+/// refinement counterexamples regenerate their labels with edge_label).
 ///
 /// num_threads follows the explore::ExploreOptions convention (1 one worker,
 /// 0 hardware concurrency).  The build runs in two phases for every thread
@@ -123,7 +141,7 @@ struct StateGraph {
 /// (StopReason::EpisodeCap) because it may be missing states.
 struct GraphOptions : engine::Reduction {
   std::uint64_t max_states = 1'000'000;
-  bool want_labels = false;
+  bool want_labels = false;  ///< fill StateGraph::labels (DOT export)
   unsigned num_threads = 1;
   /// Resource governance (same semantics as explore::ExploreOptions):
   /// exceeding a budget stops the build with the matching StateGraph::stop.
@@ -137,6 +155,24 @@ struct GraphOptions : engine::Reduction {
 
 [[nodiscard]] StateGraph build_graph(const System& sys,
                                      const GraphOptions& options = {});
+
+/// The step behind edge `edge` of state `state`.
+struct EdgeLabel {
+  ThreadId thread = 0;
+  std::string label;
+};
+
+/// Regenerates an edge's label by re-expanding its source state exactly as
+/// build_graph did (engine::expand_steps under the graph's `por`) and taking
+/// the step at the edge's step_index.  Equals what a want_labels build
+/// stores for the same edge.
+[[nodiscard]] EdgeLabel edge_label(const System& sys, const StateGraph& graph,
+                                   std::uint32_t state, std::uint32_t edge);
+
+/// States put into StateGraphs by build_graph so far in this process, over
+/// every build: rc11-refine --stats prints it, so a run that builds a graph
+/// twice shows in the count.
+[[nodiscard]] std::uint64_t graph_states_built();
 
 /// The simulation check's options.  Of the engine::Reduction base it takes
 /// `por` — both state graphs are built with client-invisible ample-set POR
@@ -187,14 +223,6 @@ struct SimulationResult {
   /// there only means "not established".
   [[nodiscard]] bool refuted() const { return !holds && !truncated; }
 };
-
-/// Decides whether a Definition 8 forward simulation exists between
-/// `abstract_sys` (the client using AO) and `concrete_sys` (the same client
-/// using CO).  `holds == true` establishes C[AO] ⊑ C[CO] for this client
-/// (Theorem 8.1).
-[[nodiscard]] SimulationResult check_forward_simulation(
-    const System& abstract_sys, const System& concrete_sys,
-    const SimulationOptions& options = {});
 
 /// The trace-inclusion check's options.  Of the engine::Reduction base it
 /// takes `por` (as SimulationOptions), `mode`/`sample` and `symmetry`, and
@@ -251,6 +279,59 @@ struct TraceInclusionResult {
   [[nodiscard]] bool refuted() const { return played && !holds; }
 };
 
+/// The two state graphs of one refinement check and the Definition 5
+/// compatibility relation between their states: everything both games
+/// read.  Built once by build_graph_pair and shared by the simulation and
+/// trace inclusion.  Keeps pointers to the two systems, which must outlive
+/// it (counterexamples re-expand concrete states and dump them).
+struct GraphPair {
+  const System* abstract_sys = nullptr;
+  const System* concrete_sys = nullptr;
+  StateGraph abs;
+  StateGraph conc;
+  /// Def. 5 compatibility by concrete state, as flat arrays:
+  /// compat[compat_begin[c] .. compat_begin[c + 1]) lists, ascending, the
+  /// abstract states `a` with client_refines(project(a), project(c)).  Every
+  /// state is projected once, while the pair is built.  Filled only when a
+  /// game can run: the abstract graph is complete and the concrete one is
+  /// complete or a sample (empty otherwise).
+  std::vector<std::uint32_t> compat_begin;
+  std::vector<std::uint32_t> compat;
+};
+
+/// Builds a check's two graphs once, under the rules every check follows:
+/// symmetry never reaches a graph build (trace inclusion spends it on the
+/// product), only the concrete graph is ever sampled (the abstract graph is
+/// the specification, and a sampled spec would manufacture violations),
+/// and the reduction, bounds and governance of `options` apply to each
+/// build.  The SimulationOptions overload rejects `symmetry`, the
+/// TraceInclusionOptions overload accepts it; both reject `rf_quotient`.
+[[nodiscard]] GraphPair build_graph_pair(const System& abstract_sys,
+                                         const System& concrete_sys,
+                                         const SimulationOptions& options);
+[[nodiscard]] GraphPair build_graph_pair(const System& abstract_sys,
+                                         const System& concrete_sys,
+                                         const TraceInclusionOptions& options);
+
+/// Plays the Definition 8 simulation game on a built pair (see
+/// check_forward_simulation).  Truncated, with a diagnosis, when either
+/// graph is incomplete, a sample included.
+[[nodiscard]] SimulationResult play_forward_simulation(const GraphPair& pair);
+
+/// Plays the trace-inclusion game on a built pair (see
+/// check_trace_inclusion).  Of `options` it reads only the product's
+/// settings, `max_product_nodes` and `symmetry`; the graphs are the pair's.
+[[nodiscard]] TraceInclusionResult play_trace_inclusion(
+    const GraphPair& pair, const TraceInclusionOptions& options);
+
+/// Decides whether a Definition 8 forward simulation exists between
+/// `abstract_sys` (the client using AO) and `concrete_sys` (the same client
+/// using CO): build_graph_pair, then play_forward_simulation.
+/// `holds == true` establishes C[AO] ⊑ C[CO] for this client (Theorem 8.1).
+[[nodiscard]] SimulationResult check_forward_simulation(
+    const System& abstract_sys, const System& concrete_sys,
+    const SimulationOptions& options = {});
+
 /// Definitions 6/7 as a trace-inclusion game, decided by subset construction:
 /// for every concrete run there must exist an abstract run that pointwise
 /// refines it (Def. 5's ⊑ per state, with the abstract side free to stutter).
@@ -258,7 +339,8 @@ struct TraceInclusionResult {
 /// can match it; a reachable empty set is a refinement violation and its
 /// step is reported as the witness.  This is the direct (game) form of
 /// Definition 6; check_forward_simulation is the paper's sufficient
-/// condition (Def. 8 / Thm. 8.1) and implies it.
+/// condition (Def. 8 / Thm. 8.1) and implies it.  build_graph_pair, then
+/// play_trace_inclusion.
 [[nodiscard]] TraceInclusionResult check_trace_inclusion(
     const System& abstract_sys, const System& concrete_sys,
     const TraceInclusionOptions& options = {});

@@ -142,6 +142,23 @@ TEST(Cli, RefineAcceptsSeqlockPair) {
   EXPECT_NE(out.find("REFINES"), std::string::npos);
 }
 
+// --stats reports each graph of the one pair both games share: the counter
+// is summed inside the graph builds, so building a graph twice would show.
+TEST(Cli, RefineStatsReportEachGraphOnce) {
+  std::string out;
+  EXPECT_EQ(run(bin("rc11-refine") + " --stats " +
+                    prog("lock_client_abstract.rc11") + " " +
+                    prog("lock_client_seqlock.rc11"),
+                &out),
+            0);
+  EXPECT_NE(out.find("abstract graph: 17 states, "), std::string::npos) << out;
+  EXPECT_NE(out.find("concrete graph: 113 states, "), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("stop complete\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("graph states built: 130\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("REFINES"), std::string::npos) << out;
+}
+
 TEST(Cli, RefineRejectsBrokenPair) {
   std::string out;
   EXPECT_EQ(run(bin("rc11-refine") + " " + prog("lock_client_abstract.rc11") +

@@ -6,10 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <span>
+#include <string>
+
 #include "explore/explorer.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
+#include "queues/queue_objects.hpp"
 #include "refinement/refinement.hpp"
+#include "stacks/stack_objects.hpp"
+#include "support/diagnostics.hpp"
+#include "support/hash.hpp"
 
 namespace {
 
@@ -331,6 +340,174 @@ TEST(Diagnostics, GraphLabelsOnDemand) {
   ASSERT_EQ(labelled.labels.size(), labelled.num_states());
   ASSERT_FALSE(labelled.labels[0].empty());
   EXPECT_NE(labelled.labels[0][0].find("x := 1"), std::string::npos);
+}
+
+
+// --- labels regenerated on demand ---------------------------------------------
+
+/// A graph built without labels regenerates, edge by edge, exactly the label
+/// and thread a labelled build stores: over the lock, stack and queue
+/// refinement systems, with and without por, and on a seeded sample.
+TEST(StateGraph, RegeneratedLabelsMatchLabelledBuild) {
+  SeqLock seqlock;
+  stacks::LockedVectorStack stack;
+  queues::LockedRingQueue queue;
+  const System systems[] = {
+      instantiate(locks::fig7_client(), seqlock),
+      stacks::instantiate(stacks::publication_client(), stack),
+      queues::instantiate(queues::publication_client(), queue),
+  };
+  refinement::GraphOptions plain;
+  refinement::GraphOptions por;
+  por.por = true;
+  refinement::GraphOptions sampled;
+  sampled.mode = engine::Strategy::Sample;
+  sampled.sample.episodes = 40;
+  sampled.sample.seed = 3;
+  for (std::size_t s = 0; s < std::size(systems); ++s) {
+    const System& sys = systems[s];
+    for (const auto* options : {&plain, &por, &sampled}) {
+      SCOPED_TRACE(support::concat("system ", s, " por ", options->por,
+                                   " sampled ",
+                                   options->mode == engine::Strategy::Sample));
+      auto labelled_options = *options;
+      labelled_options.want_labels = true;
+      const auto labelled = build_graph(sys, labelled_options);
+      const auto graph = build_graph(sys, *options);
+      EXPECT_TRUE(graph.labels.empty());
+      ASSERT_EQ(graph.succ, labelled.succ);
+      ASSERT_EQ(graph.threads, labelled.threads);
+      ASSERT_EQ(graph.step_index, labelled.step_index);
+      std::size_t edges = 0;
+      for (std::uint32_t i = 0; i < graph.num_states(); ++i) {
+        for (std::uint32_t e = 0; e < graph.succ[i].size(); ++e) {
+          const auto step = refinement::edge_label(sys, graph, i, e);
+          EXPECT_EQ(step.label, labelled.labels[i][e]) << i << "/" << e;
+          EXPECT_EQ(step.thread, labelled.threads[i][e]) << i << "/" << e;
+          ++edges;
+        }
+      }
+      EXPECT_GT(edges, 0u);
+    }
+  }
+}
+
+// --- pinned counterexamples -------------------------------------------------------
+
+/// Everything a refuted check reports — its counters, diagnosis,
+/// counterexample lines, `what`, and the witness with each step's thread,
+/// label and digest — as one text, so a pin compares all of it at once.
+std::string witness_record(const std::optional<witness::Witness>& w) {
+  if (!w) return "no witness\n";
+  std::string out = support::concat(w->kind, " ", w->source, " init ",
+                                    w->initial_digest, "\nwhat ", w->what,
+                                    "\ndump ", w->state_dump, "\n");
+  for (const auto& s : w->steps) {
+    out += support::concat("step t", s.thread, " ", s.after_digest, " ",
+                           s.label, "\n");
+  }
+  return out;
+}
+
+std::string record(const refinement::SimulationResult& r) {
+  std::string out = support::concat(
+      "holds ", r.holds, " truncated ", r.truncated, " abs ", r.abstract_states,
+      " conc ", r.concrete_states, " candidates ", r.candidate_pairs,
+      " survivors ", r.surviving_pairs, " iterations ",
+      r.refinement_iterations, "\ndiagnosis ", r.diagnosis, "\n");
+  for (const auto& line : r.counterexample) out += "cx " + line + "\n";
+  return out + witness_record(r.witness);
+}
+
+std::string record(const refinement::TraceInclusionResult& r) {
+  return support::concat("holds ", r.holds, " truncated ", r.truncated,
+                         " played ", r.played, " nodes ", r.product_nodes,
+                         "\nwhat ", r.what, "\n") +
+         witness_record(r.witness);
+}
+
+std::uint64_t text_digest(const std::string& text) {
+  return support::fnv1a(std::as_bytes(std::span{text.data(), text.size()}));
+}
+
+/// The refuted pairs of the lock, stack and queue suites.  Each game's full
+/// report is pinned by its digest, with the witness length alongside for a
+/// readable failure; the same report must come out at 1 and 4 workers.  On
+/// a deliberate change the failure prints the new report and its digest.
+TEST(Counterexamples, PinnedAcrossWorkersAndPor) {
+  AbstractLock abs_lock;
+  SeqLock broken_seq{/*releasing_release=*/false};
+  TicketLock broken_ticket{/*releasing_release=*/false};
+  stacks::AbstractStack abs_stack;
+  stacks::LockedVectorStack broken_stack{2, /*releasing_unlock=*/false};
+  queues::AbstractQueue abs_queue;
+  queues::LockedRingQueue broken_queue{2, /*releasing_unlock=*/false};
+  struct Pair {
+    const char* name;
+    System abs, conc;
+  };
+  const Pair pairs[] = {
+      {"seqlock", instantiate(locks::fig7_client(), abs_lock),
+       instantiate(locks::fig7_client(), broken_seq)},
+      {"ticket", instantiate(locks::fig7_client(), abs_lock),
+       instantiate(locks::fig7_client(), broken_ticket)},
+      {"stack", stacks::instantiate(stacks::publication_client(), abs_stack),
+       stacks::instantiate(stacks::publication_client(), broken_stack)},
+      {"queue", queues::instantiate(queues::publication_client(), abs_queue),
+       queues::instantiate(queues::publication_client(), broken_queue)},
+  };
+  struct Pin {
+    const char* pair;
+    bool por;
+    std::uint64_t simulation;  ///< digest of the simulation's record
+    std::size_t simulation_steps;
+    std::uint64_t inclusion;  ///< digest of trace inclusion's record
+    std::size_t inclusion_steps;
+  };
+  const Pin pins[] = {
+      {"seqlock", false, 0x06e32f953fc5ca17, 13, 0xa9d9f5aa7c0e0d37, 13},
+      {"seqlock", true, 0x9d44d7a1a2808335, 13, 0xec9de8b0c5d27a29, 13},
+      {"ticket", false, 0xcfc0113b129827d8, 11, 0xb0973e49ed405c65, 11},
+      {"ticket", true, 0xcfc0113b129827d8, 11, 0xb0973e49ed405c65, 11},
+      {"stack", false, 0x2f651503166d089e, 15, 0x38cdbbddd152d2da, 15},
+      {"stack", true, 0xbf958cce84a49337, 15, 0xe6291742cae2006d, 15},
+      {"queue", false, 0x4e2f64c6c90d3d04, 16, 0xd5469e323080bdfa, 16},
+      {"queue", true, 0x0b9c34896bd424ad, 16, 0x927fd4695a698394, 16},
+  };
+  for (const auto& pin : pins) {
+    const auto& pair = *std::find_if(
+        std::begin(pairs), std::end(pairs),
+        [&](const Pair& p) { return std::string{p.name} == pin.pair; });
+    for (const unsigned workers : {1u, 4u}) {
+      const std::string where = support::concat(
+          pin.pair, " por ", pin.por, " workers ", workers);
+      refinement::SimulationOptions sim_opts;
+      sim_opts.por = pin.por;
+      sim_opts.num_threads = workers;
+      const auto sim = check_forward_simulation(pair.abs, pair.conc, sim_opts);
+      ASSERT_TRUE(sim.refuted()) << where;
+      ASSERT_TRUE(sim.witness.has_value()) << where;
+      const std::string sim_text = record(sim);
+      EXPECT_EQ(sim.witness->steps.size(), pin.simulation_steps) << where;
+      EXPECT_EQ(text_digest(sim_text), pin.simulation)
+          << where << " simulation, digest 0x" << std::hex
+          << text_digest(sim_text) << std::dec << ":\n"
+          << sim_text;
+
+      refinement::TraceInclusionOptions inc_opts;
+      inc_opts.por = pin.por;
+      inc_opts.num_threads = workers;
+      const auto inc = check_trace_inclusion(pair.abs, pair.conc, inc_opts);
+      ASSERT_TRUE(inc.refuted()) << where;
+      ASSERT_TRUE(inc.witness.has_value()) << where;
+      const std::string inc_text = record(inc);
+      EXPECT_EQ(inc.witness->steps.size(), pin.inclusion_steps) << where;
+      EXPECT_EQ(text_digest(inc_text), pin.inclusion)
+          << where << " trace inclusion, digest 0x" << std::hex
+          << text_digest(inc_text) << std::dec << ":\n"
+          << inc_text;
+    }
+  }
 }
 
 }  // namespace

@@ -15,9 +15,10 @@
 #                        with no reduction, --por, --symmetry, --rf-quotient,
 #                        and a seeded sample;
 #   rc11-refine          a refining pair with no flags, --por, --symmetry and
-#                        a seeded sample, a refuted pair with a witness under
-#                        --por and under --symmetry, and a capped
-#                        (inconclusive) check.
+#                        a seeded sample, a refuted pair with a witness with
+#                        no reduction (the simulation's counterexample), with
+#                        --trace-only (trace inclusion's), under --por and
+#                        under --symmetry, and a capped (inconclusive) check.
 #
 # For every run it writes into OUT_DIR:
 #
@@ -118,6 +119,9 @@ run rc11-refine.seqlock-por rc11-refine --por "$abstract" "$seqlock"
 run rc11-refine.seqlock-symmetry rc11-refine --symmetry "$abstract" "$seqlock"
 run rc11-refine.seqlock-sample rc11-refine --strategy sample:200 --seed 7 \
   "$abstract" "$seqlock"
+run rc11-refine.broken-witness rc11-refine --witness @W "$abstract" "$broken"
+run rc11-refine.broken-trace-only-witness rc11-refine --trace-only \
+  --witness @W "$abstract" "$broken"
 run rc11-refine.broken-witness-por rc11-refine --por --witness @W \
   "$abstract" "$broken"
 run rc11-refine.broken-witness-symmetry rc11-refine --symmetry --witness @W \

@@ -29,7 +29,9 @@
 //                     (exit 2, replayable witness); a clean run is a lower
 //                     bound (exit 3)
 //   --seed S          RNG seed for --strategy sample (default 0)
-//   --stats           also print the per-check size accounting
+//   --stats           also print each graph's size, reduction and stop
+//                     reason, the graph states built in the run, and the
+//                     simulation's fixpoint iterations
 //   --json FILE       write a machine-readable run summary
 //   --trace-only      skip the Def. 8 simulation, run only trace inclusion
 //   --witness FILE    write the counterexample run (a run of the *concrete*
@@ -73,6 +75,15 @@ int usage() {
 const char* verdict(bool holds, bool refuted) {
   if (holds) return "holds";
   return refuted ? "fails" : "inconclusive";
+}
+
+/// One --stats line for a graph: what its reachability pass reports.
+void print_graph_stats(const char* which, const rc11::refinement::StateGraph& g,
+                       bool por) {
+  std::cout << which << " graph: " << g.stats.states << " states, "
+            << g.stats.transitions << " transitions, ";
+  if (por) std::cout << g.stats.por_reduced << " por reduced, ";
+  std::cout << "stop " << rc11::engine::to_string(g.stop) << "\n";
 }
 
 }  // namespace
@@ -178,9 +189,21 @@ int main(int argc, char** argv) {
                               static_cast<std::int64_t>(common.sample.seed)));
     }
 
+    // Both games run on one graph pair, built under the options of the
+    // first game played (they agree on everything a build reads).
+    const auto pair =
+        trace_only
+            ? refinement::build_graph_pair(abs.sys, conc.sys, trace_opts)
+            : refinement::build_graph_pair(abs.sys, conc.sys, sim_opts);
+    if (common.stats) {
+      print_graph_stats("abstract", pair.abs, common.por);
+      print_graph_stats("concrete", pair.conc, common.por);
+      std::cout << "graph states built: " << refinement::graph_states_built()
+                << "\n";
+    }
+
     if (!trace_only) {
-      const auto sim =
-          refinement::check_forward_simulation(abs.sys, conc.sys, sim_opts);
+      const auto sim = refinement::play_forward_simulation(pair);
       std::cout << "forward simulation (Def. 8):  "
                 << verdict(sim.holds, sim.refuted()) << "  [abs "
                 << sim.abstract_states << " states, conc "
@@ -218,8 +241,7 @@ int main(int argc, char** argv) {
       summary.set("simulation", std::move(sim_json));
     }
 
-    const auto tr =
-        refinement::check_trace_inclusion(abs.sys, conc.sys, trace_opts);
+    const auto tr = refinement::play_trace_inclusion(pair, trace_opts);
     std::cout << "trace inclusion  (Defs. 5-7): "
               << verdict(tr.holds, tr.refuted()) << "  [" << tr.product_nodes
               << " product nodes]\n";
