@@ -1,14 +1,20 @@
 // Experiment RG: resource-governance overhead — the per-state budget gate
 // (BudgetEnforcer::claim) runs on every expansion, so it has to be
-// effectively free.  Each workload is explored twice: "plain" (default
-// options: the gate only counts claims against the state cap) and
-// "governed" (a live cancel token, a huge memory budget and a far deadline,
-// i.e. every probe dimension armed but never tripping).  The verdict
-// asserts the governed run explores the identical state space and is at
-// most 3% slower than the plain run (plus an absolute floor for timer noise
-// on sub-millisecond workloads).  The test
-// Budget.ArmedButUntrippedBudgetsExploreThePlainSpace pins the same state
-// counts.
+// effectively free.  Each workload is explored "plain" (default options:
+// the gate only counts claims against the state cap) and "governed" (a live
+// cancel token, a huge memory budget and a far deadline, i.e. every probe
+// dimension armed but never tripping).  The verdict asserts the governed
+// run explores the identical state space and is at most 3% slower than the
+// plain run (plus an absolute floor for timer noise on sub-millisecond
+// workloads).  The test Budget.ArmedButUntrippedBudgetsExploreThePlainSpace
+// pins the same state counts, and Budget.ExpensiveProbesStayOffTheHotPath
+// counts the probes that make the gate cheap.
+//
+// The timing is paired: plain and governed runs alternate, kPairs pairs per
+// workload (each pair's first side alternates too), and the gate reads the
+// median of the per-pair ratios governed/plain.  Host drift then moves both
+// sides of a pair together instead of reading as overhead, as it did when
+// all plain runs preceded all governed ones.
 //
 // Prints one "[RG] REPRODUCED|MISMATCH — ..." line per workload and exits 1
 // if any line is a MISMATCH.  Run it from a Release build:
@@ -29,6 +35,9 @@ namespace {
 
 using namespace rc11;
 
+/// Plain/governed pairs timed per workload (odd, so the median is a pair).
+constexpr int kPairs = 21;
+
 struct Workload {
   std::string name;
   lang::System sys;
@@ -48,19 +57,19 @@ std::vector<Workload> workloads() {
   };
 }
 
-/// Best of five timed explorations after one warm-up run.
+/// Wall time of one exploration.
 double timed_explore(const lang::System& sys,
                      const explore::ExploreOptions& opts,
                      explore::ExploreResult& result) {
+  const auto t0 = std::chrono::steady_clock::now();
   result = explore::explore(sys, opts);
-  double best_s = 1e9;
-  for (int i = 0; i < 5; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    result = explore::explore(sys, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    best_s = std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best_s;
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 }  // namespace
@@ -77,24 +86,41 @@ int main() {
     governed_opts.deadline_ms = 24ull * 60 * 60 * 1000;        // never trips
 
     explore::ExploreResult plain, governed;
-    const double plain_s = timed_explore(sys, plain_opts, plain);
-    const double governed_s = timed_explore(sys, governed_opts, governed);
+    (void)timed_explore(sys, plain_opts, plain);  // warm-up
+    (void)timed_explore(sys, governed_opts, governed);
+    std::vector<double> plain_s, governed_s, ratios, deltas;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      double p = 0;
+      double g = 0;
+      if (pair % 2 == 0) {
+        p = timed_explore(sys, plain_opts, plain);
+        g = timed_explore(sys, governed_opts, governed);
+      } else {
+        g = timed_explore(sys, governed_opts, governed);
+        p = timed_explore(sys, plain_opts, plain);
+      }
+      plain_s.push_back(p);
+      governed_s.push_back(g);
+      ratios.push_back(g / p);
+      deltas.push_back(g - p);
+    }
 
-    const double overhead = governed_s / plain_s - 1.0;
+    const double overhead = median(ratios) - 1.0;
     const bool same_space =
         governed.stats.states == plain.stats.states &&
         governed.stats.transitions == plain.stats.transitions &&
         governed.stop == engine::StopReason::Complete;
     // <= 3% relative, with a 200us absolute floor so timer jitter on tiny
     // workloads cannot fail the gate.
-    const bool cheap = overhead <= 0.03 || (governed_s - plain_s) <= 200e-6;
+    const bool cheap = overhead <= 0.03 || median(deltas) <= 200e-6;
     const bool ok = same_space && cheap;
     all_ok = all_ok && ok;
 
     std::cout << "[RG] " << (ok ? "REPRODUCED" : "MISMATCH") << " — " << name
               << ": " << plain.stats.states << " states, plain "
-              << plain_s * 1e3 << " ms vs governed " << governed_s * 1e3
-              << " ms (" << overhead * 1e2
+              << median(plain_s) * 1e3 << " ms vs governed "
+              << median(governed_s) * 1e3 << " ms (median of " << kPairs
+              << " pairs; " << overhead * 1e2
               << "% overhead, target <= 3%), space "
               << (same_space ? "identical" : "DIFFERS") << "\n";
   }

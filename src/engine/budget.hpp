@@ -5,7 +5,7 @@
 // builder — goes through one cooperative budget layer that can stop it
 // early, *honestly* (the result names exactly which limit was hit), and
 // without losing the work done so far (engine/checkpoint.hpp serialises a
-// stopped run; ReachOptions::resume continues it).
+// stopped run; RunControl::resume continues it).
 //
 //   * Budget      — the three exploration limits: distinct-state cap,
 //                   visited-set memory cap, wall-clock deadline.
@@ -61,13 +61,14 @@ enum class StopReason : std::uint8_t {
 /// Parses a to_string name back; throws support::Error on unknown input.
 [[nodiscard]] StopReason stop_reason_from_string(std::string_view name);
 
-/// The exploration limits.  max_states keeps its historic default; the two
-/// new dimensions default to "unlimited" (0) so existing callers are
-/// unaffected.
+/// The exploration limits; exceeding one stops the run with the matching
+/// StopReason (StateCap, MemCap, Deadline) and valid partial results.
+/// max_states keeps its historic default; the two other dimensions default
+/// to "unlimited" (0).
 struct Budget {
-  std::uint64_t max_states = 1'000'000;
-  std::uint64_t max_visited_bytes = 0;  ///< 0 = no memory budget
-  std::uint64_t deadline_ms = 0;        ///< 0 = no deadline
+  std::uint64_t max_states = 1'000'000;  ///< distinct states claimed
+  std::uint64_t max_visited_bytes = 0;   ///< visited-set bytes; 0 = none
+  std::uint64_t deadline_ms = 0;         ///< wall clock; 0 = no deadline
 };
 
 /// Cooperative cancellation flag.  cancel() is async-signal-safe (one
@@ -199,23 +200,7 @@ class BudgetEnforcer {
       return decide(StopReason::Interrupted);
     }
     if (n > budget_.max_states) return decide(StopReason::StateCap);
-    if (probe) {
-      if (budget_.deadline_ms != 0) {
-        const auto elapsed = std::chrono::steady_clock::now() - start_;
-        if (elapsed >= std::chrono::milliseconds(budget_.deadline_ms)) {
-          return decide(StopReason::Deadline);
-        }
-        if (elapsed + std::chrono::milliseconds(kDeadlineUrgentWindowMs) >=
-            std::chrono::milliseconds(budget_.deadline_ms)) {
-          urgent_.store(true, std::memory_order_relaxed);
-        }
-      }
-      if (budget_.max_visited_bytes != 0 &&
-          visited_bytes_() > budget_.max_visited_bytes) {
-        return decide(StopReason::MemCap);
-      }
-    }
-    return StopReason::Complete;
+    return probe ? check_limits() : StopReason::Complete;
   }
 
   /// Non-claiming gate for drivers whose progress is not measured in
@@ -230,6 +215,30 @@ class BudgetEnforcer {
     if (cancel_ != nullptr && cancel_->cancelled()) {
       return decide(StopReason::Interrupted);
     }
+    return check_limits();
+  }
+
+  /// The sticky decision (Complete while the run is still within budget).
+  [[nodiscard]] StopReason reason() const noexcept {
+    return reason_.load(std::memory_order_relaxed);
+  }
+
+  /// Expensive probes run so far: each reads the clock (under a deadline)
+  /// and the visited-set bytes (under a memory budget).  claim() runs at
+  /// most one per kBudgetCheckInterval claims, plus the first claim's and,
+  /// inside the deadline's urgent window, every claim's; the gate
+  /// Budget.ExpensiveProbesStayOffTheHotPath pins that cadence.
+  [[nodiscard]] std::uint64_t probes() const noexcept {
+    return probes_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  /// One expensive probe of the deadline and the memory budget.
+  StopReason check_limits() {
+    if (budget_.deadline_ms == 0 && budget_.max_visited_bytes == 0) {
+      return StopReason::Complete;
+    }
+    probes_.fetch_add(1, std::memory_order_relaxed);
     if (budget_.deadline_ms != 0) {
       const auto elapsed = std::chrono::steady_clock::now() - start_;
       if (elapsed >= std::chrono::milliseconds(budget_.deadline_ms)) {
@@ -247,12 +256,6 @@ class BudgetEnforcer {
     return StopReason::Complete;
   }
 
-  /// The sticky decision (Complete while the run is still within budget).
-  [[nodiscard]] StopReason reason() const noexcept {
-    return reason_.load(std::memory_order_relaxed);
-  }
-
- private:
   StopReason decide(StopReason reason) noexcept {
     StopReason expected = StopReason::Complete;
     // First decision wins; on a lost race return the winner so every worker
@@ -270,6 +273,7 @@ class BudgetEnforcer {
   std::function<std::uint64_t()> visited_bytes_;
   std::chrono::steady_clock::time_point start_;
   std::atomic<std::uint64_t> claimed_{0};
+  std::atomic<std::uint64_t> probes_{0};  ///< see probes()
   std::atomic<StopReason> reason_{StopReason::Complete};
   /// Set once a probe sees the deadline within kDeadlineUrgentWindowMs;
   /// from then on every claim probes the clock.

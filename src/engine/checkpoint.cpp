@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "support/diagnostics.hpp"
+#include "support/hash.hpp"
 #include "witness/json.hpp"
 #include "witness/witness.hpp"
 
@@ -72,6 +73,23 @@ Checkpoint make_checkpoint(const ShardedVisitedSet& sink,
     ckpt.states.push_back(std::move(state));
   }
   return ckpt;
+}
+
+void recorded_run(const ShardedVisitedSet& sink, std::uint64_t id,
+                  std::vector<std::string>& labels, witness::Witness& w) {
+  const auto edges = sink.path_to(id);
+  std::vector<std::uint64_t> enc;
+  sink.decode_state(edges.empty() ? id : edges.front().parent, enc);
+  w.initial_digest = support::hash_words(enc);
+  labels.reserve(labels.size() + edges.size() + 2);
+  labels.emplace_back("init");
+  w.steps.reserve(w.steps.size() + edges.size() + 1);
+  for (const auto& e : edges) {
+    labels.push_back(e.label);
+    enc.clear();
+    sink.decode_state(e.state, enc);
+    w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
+  }
 }
 
 namespace {

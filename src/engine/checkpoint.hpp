@@ -5,8 +5,10 @@
 // everything needed to continue later: every interned state's canonical
 // encoding, its parent link (thread + label of the step that first reached
 // it), and whether the driver enqueued it for expansion.  make_checkpoint
-// serialises that to a versioned JSON document; ReachOptions::resume seeds a
-// fresh run from it.
+// serialises that to a versioned JSON document, which the driver writes to
+// RunControl::checkpoint_path; RunControl::resume seeds a fresh run from
+// it.  The same parent links are the front ends' counterexamples:
+// recorded_run turns the path to one state into a witness.
 //
 // Resume semantics (the "re-expansion" design): the resumed run seeds its
 // visited set with *all* checkpointed states and its frontier with all
@@ -43,6 +45,7 @@
 #include "engine/reach.hpp"
 #include "engine/sharded_visited.hpp"
 #include "engine/transition_system.hpp"
+#include "witness/witness.hpp"
 
 namespace rc11::engine {
 
@@ -81,6 +84,15 @@ struct Checkpoint {
                                          const ExploreStats& stats,
                                          StopReason stop,
                                          const Reduction& reduction);
+
+/// The recorded run from the sink's root to state `id`, as counterexample
+/// evidence: appends "init" and each step's label to `labels`, and one
+/// witness::WitnessStep per step (acting thread, label, digest of the
+/// reached state) to `w.steps`; sets `w.initial_digest` to the digest of
+/// the root.  Safe mid-run from any worker, like
+/// ShardedVisitedSet::path_to.
+void recorded_run(const ShardedVisitedSet& sink, std::uint64_t id,
+                  std::vector<std::string>& labels, witness::Witness& w);
 
 /// Serialises to / parses from the versioned JSON schema (docs/FORMAT.md
 /// §Checkpoint files).  from_json throws support::Error on malformed input,

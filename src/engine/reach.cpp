@@ -94,7 +94,7 @@ struct alignas(64) Worker {
   std::vector<Frontier> discovered;  // successors bound for the frontier
 };
 
-/// Seeds a run from a checkpoint (ReachOptions::resume): every checkpointed
+/// Seeds a run from a checkpoint (RunControl::resume): every checkpointed
 /// state enters the trace sink when one is attached (with its recorded
 /// parent link and enqueued flag, so a later checkpoint of the resumed run
 /// is still faithful), and every *enqueued* state goes into the run's own
@@ -406,7 +406,7 @@ ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,
   };
   // Every popped state claims one index from the budget enforcer; claims
   // beyond a limit mark the stop reason instead of being expanded.
-  BudgetEnforcer enforcer(options.budget, options.cancel, options.fault,
+  BudgetEnforcer enforcer(options, options.cancel, options.fault,
                           visited_bytes);
 
   const auto seed = [&](const Config& cfg) {
@@ -562,15 +562,24 @@ ReachResult visit_reachable(const TransitionSystem& ts,
                             const ReachOptions& options,
                             const StateVisitor& visitor) {
   const std::string conflict = reduction_conflict(
-      options, options.checkpoint, options.resume != nullptr,
+      options, !options.checkpoint_path.empty(), options.resume != nullptr,
       options.resume != nullptr ? &options.resume->reduction : nullptr,
       ts.system().options().model == memsem::MemoryModel::SC);
   support::require(conflict.empty(), conflict);
   if (options.mode == Strategy::Sample) {
     return sample_reach(ts, options, visitor);
   }
-  return reach(ts, options, visitor,
-               support::resolve_num_threads(options.num_threads));
+  RC11_REQUIRE(options.checkpoint_path.empty() || options.trace != nullptr,
+               "a checkpointed run needs a trace sink");
+  const ReachResult result =
+      reach(ts, options, visitor,
+            support::resolve_num_threads(options.num_threads));
+  if (!options.checkpoint_path.empty() && result.stop != StopReason::Complete) {
+    save_checkpoint(
+        make_checkpoint(*options.trace, result.stats, result.stop, options),
+        options.checkpoint_path);
+  }
+  return result;
 }
 
 ReachResult visit_reachable(const System& sys, const ReachOptions& options,

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 
 #include "engine/abstraction.hpp"
 #include "engine/budget.hpp"
@@ -108,15 +109,59 @@ struct ExploreStats {
   std::uint64_t rf_merges = 0;
 };
 
-/// The driver's options.  The Reduction base holds `mode`, `sample`, `por`,
-/// `symmetry` and `rf_quotient`; visit_reachable checks them with
+/// The settings of one run, declared once: its reductions (the Reduction
+/// base: `mode`, `sample`, `por`, `symmetry`, `rf_quotient`), its limits
+/// (the Budget base: `max_states`, `max_visited_bytes`, `deadline_ms`) and
+/// the controls below.  Every options struct that runs the driver derives
+/// from it — ReachOptions, the front ends' options, the refinement options
+/// and cli::CommonOptions — so each hand-over between layers is one slice
+/// assignment.  ReachResult::stop names whichever limit ended a run.
+struct RunControl : Reduction, Budget {
+  /// Worker threads expanding configurations: 1 (the default) is the
+  /// driver's pool with one worker on the calling thread, which expands in
+  /// exact DFS (BFS) order — required for BFS shortest-trace guarantees and
+  /// for deterministic statistics; 0 resolves to
+  /// std::thread::hardware_concurrency(); N > 1 runs N workers over a
+  /// lock-striped visited set (engine/sharded_visited.hpp).  For every
+  /// thread count the *set* of visited states, final configurations and
+  /// verdicts is identical; only per-run orderings — which violation is
+  /// reported first, which states fall inside a max_states truncation —
+  /// may differ.  Recorded traces compose with every thread count: parent
+  /// links are recorded per interned state under the shard lock, so a
+  /// multi-worker run's trace may differ from a one-worker run's but is
+  /// always a real execution (and always replays — see witness::replay).
+  unsigned num_threads = 1;
+  /// Cooperative cancellation: when set, workers poll the token once per
+  /// claimed state and the run stops with StopReason::Interrupted once it
+  /// fires.  The token outlives the call; null disables the check.
+  const CancelToken* cancel = nullptr;
+  /// Deterministic fault injection for robustness tests (see
+  /// engine::FaultPlan); unarmed by default.
+  FaultPlan fault;
+  /// Resume a previous run from a checkpoint: the driver seeds its visited
+  /// set with every checkpointed state and its frontier with every enqueued
+  /// one, then explores normally — the visitor observes exactly the state
+  /// set of an uninterrupted run, so verdicts, states, transitions, finals
+  /// and blocked counts equal an uninterrupted run's (see
+  /// engine/checkpoint.hpp for the argument).  `por`, `symmetry` and
+  /// `rf_quotient` must match the checkpoint's, the trace sink (if any)
+  /// must be empty, and the checkpoint must fit the transition system
+  /// (validated by re-execution; support::Error otherwise).  Must outlive
+  /// the call.
+  const Checkpoint* resume = nullptr;
+  /// When non-empty and the run stops early (any StopReason other than
+  /// Complete), the driver writes a checkpoint of its trace sink to this
+  /// file.  A checkpointed run therefore needs a trace sink: the front ends
+  /// attach one whenever this is set, so their failures carry witnesses as
+  /// under track_traces.  Rejected under sampling (a sampling run keeps no
+  /// frontier).
+  std::string checkpoint_path;
+};
+
+/// The driver's options: the run's settings (RunControl) plus what only the
+/// driver reads.  visit_reachable checks the reductions with
 /// reduction_conflict before any work.
-struct ReachOptions : Reduction {
-  /// Resource limits (state cap, memory cap, wall-clock deadline).  The
-  /// historic max_states bound lives in budget.max_states; ReachResult::stop
-  /// names whichever limit ended the run.
-  Budget budget;
-  unsigned num_threads = 1;  ///< same convention as ExploreOptions
+struct ReachOptions : RunControl {
   SearchStrategy strategy = SearchStrategy::Dfs;
   bool want_labels = false;  ///< fill Step::label for the visitor
   /// Extra (thread, location) viewfront entries the rf-quotient key keeps
@@ -131,30 +176,12 @@ struct ReachOptions : Reduction {
   /// set: every state is interned via insert_traced (recording parent id,
   /// acting thread and step label under the shard lock), labels are forced
   /// on, and the visitor receives each state's id so it can reconstruct the
-  /// path to any state of interest with ShardedVisitedSet::path_to — safely
-  /// mid-run, from any worker.  Must be empty (freshly constructed) and must
-  /// outlive the call.  When null, ids passed to the visitor are
-  /// ShardedVisitedSet::kNoState and the driver owns its visited set.
+  /// run to any state of interest with engine::recorded_run — safely mid-run,
+  /// from any worker.  Must be empty (freshly constructed) and must outlive
+  /// the call; required when checkpoint_path is set.  When null, ids passed
+  /// to the visitor are ShardedVisitedSet::kNoState and the driver owns its
+  /// visited set.
   ShardedVisitedSet* trace = nullptr;
-  /// Cooperative cancellation: when set, workers poll the token once per
-  /// claimed state and the run stops with StopReason::Interrupted once it
-  /// fires.  The token outlives the call; null disables the check.
-  const CancelToken* cancel = nullptr;
-  /// Deterministic fault injection for robustness tests (see
-  /// engine::FaultPlan); unarmed by default.
-  FaultPlan fault;
-  /// Resume a previous run from a checkpoint: the driver seeds its visited
-  /// set with every checkpointed state and its frontier with every enqueued
-  /// one, then explores normally — the visitor observes exactly the state
-  /// set of an uninterrupted run (see engine/checkpoint.hpp for the
-  /// argument).  `por`, `symmetry` and `rf_quotient` must match the
-  /// checkpoint's, the trace sink (if any) must be empty, and the checkpoint
-  /// must fit the transition system (validated by re-execution;
-  /// support::Error otherwise).  Must outlive the call.
-  const Checkpoint* resume = nullptr;
-  /// The caller saves a checkpoint of `trace` if the run stops early; read
-  /// only by reduction_conflict (a sampling run has no frontier to save).
-  bool checkpoint = false;
 };
 
 /// Called exactly once per reachable configuration with its enabled steps

@@ -176,7 +176,7 @@ ReachResult sample_reach(const TransitionSystem& ts,
   // is what makes violating episodes replayable witnesses).
   support::InternedWordSet visited;
   const bool want_labels = options.want_labels || options.trace != nullptr;
-  BudgetEnforcer enforcer(options.budget, options.cancel, options.fault,
+  BudgetEnforcer enforcer(options, options.cancel, options.fault,
                           [&]() -> std::uint64_t {
                             return options.trace ? options.trace->bytes()
                                                  : visited.bytes();

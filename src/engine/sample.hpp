@@ -39,7 +39,7 @@
 //                   *rejected loudly* under sampling (reduction_conflict)
 //                   instead of silently producing a wrong continuation.
 //
-// Episodes run sequentially regardless of ReachOptions::num_threads: the
+// Episodes run sequentially regardless of RunControl::num_threads: the
 // guided bias makes episode e depend on every episode before it, so a
 // parallel schedule would break seed determinism — and same seed ==> same
 // run, byte for byte, is the property CI enforces.

@@ -8,7 +8,6 @@
 #include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::explore {
 
@@ -55,14 +54,14 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
                       const Invariant& invariant) {
   // One implementation for every thread count and trace mode, layered on
   // the generic reachability driver: final-config collection, invariant
-  // evaluation, and — when track_traces — witness construction from the
-  // trace sink's parent links.  The mutexes are uncontended in sequential
+  // evaluation, and — when a trace sink is kept — witness construction
+  // from its parent links.  The mutexes are uncontended in sequential
   // runs and cold in parallel ones (finals and violations are rare events
   // next to state expansion).
   ExploreResult result;
   std::optional<ShardedVisitedSet> trace_store;
-  // Checkpoints are built from the trace sink, so requesting one implies
-  // trace recording.
+  // The driver builds checkpoints from the trace sink, so requesting one
+  // implies trace recording.
   if (options.track_traces || !options.checkpoint_path.empty()) {
     trace_store.emplace();
   }
@@ -78,22 +77,10 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
   ReachOptions ropts;
-  static_cast<engine::Reduction&>(ropts) = options;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
-  ropts.num_threads = options.num_threads;
+  static_cast<engine::RunControl&>(ropts) = options;
   ropts.strategy = options.strategy;
   ropts.rf_pins = options.rf_pins;
   ropts.trace = trace_store ? &*trace_store : nullptr;
-  ropts.cancel = options.cancel;
-  ropts.fault = options.fault;
-  ropts.resume = options.resume;
-  ropts.checkpoint = !options.checkpoint_path.empty();
-
-  const std::uint64_t init_digest =
-      options.track_traces ? witness::config_digest(lang::initial_config(sys))
-                           : 0;
 
   ShardedVisitedSet final_dedup;
   std::mutex finals_mu;
@@ -114,29 +101,18 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
             v.what = std::move(*what);
             v.state_dump = member.to_string(sys);
             if (trace_store) {
-              // path_to is safe against concurrent inserts, so a violating
-              // state is reconstructed right here, mid-run.  Under the
+              // recorded_run is safe against concurrent inserts, so a
+              // violating state is reconstructed right here, mid-run.  Under the
               // quotient the recorded path leads to the orbit
               // *representative*; for a violation at a permuted member the
               // trace is still a real execution (witness digests replay to
               // the representative) and the permutation is flagged below.
-              const auto edges = trace_store->path_to(id);
-              v.trace.reserve(edges.size() + 2);
-              v.trace.emplace_back("init");
               witness::Witness w;
               w.kind = "invariant";
               w.source = "explore";
               w.what = v.what;
               w.state_dump = v.state_dump;
-              w.initial_digest = init_digest;
-              w.steps.reserve(edges.size());
-              std::vector<std::uint64_t> enc;
-              for (const auto& e : edges) {
-                v.trace.push_back(e.label);
-                enc.clear();
-                trace_store->decode_state(e.state, enc);
-                w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-              }
+              engine::recorded_run(*trace_store, id, v.trace, w);
               if (!is_rep) {
                 v.trace.emplace_back(
                     "(violating state is a thread permutation of the state "
@@ -188,12 +164,6 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   result.stats = reach.stats;
   result.stop = reach.stop;
   result.truncated = reach.stop != engine::StopReason::Complete;
-  if (!options.checkpoint_path.empty() && result.truncated) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options),
-        options.checkpoint_path);
-  }
   result.final_configs = sort_keyed_configs(finals);
   result.violations = std::move(violations);
   sort_violations(result.violations);

@@ -47,8 +47,9 @@ using engine::StateVisitor;
 using engine::Strategy;
 using engine::visit_reachable;
 
-/// The explorer's options.  The engine::Reduction base holds `mode`,
-/// `sample`, `por`, `symmetry` and `rf_quotient`, all honoured:
+/// The explorer's options.  The engine::RunControl base holds the run's
+/// reductions, limits and controls (engine/reach.hpp); of the reductions,
+/// all are honoured:
 ///   * por — per-state invariants are evaluated on the reduced state set:
 ///     violations found are real, and violations at final/blocked states are
 ///     never missed, but a violation confined to a pruned intermediate
@@ -72,28 +73,11 @@ using engine::visit_reachable;
 ///     schedules instead of enumerating and reports StopReason::EpisodeCap
 ///     unless something stopped it earlier: violations and finals are the
 ///     ones the episodes covered (a lower bound).
-struct ExploreOptions : engine::Reduction {
-  /// Hard cap on distinct states; exploration reports truncation beyond it.
-  std::uint64_t max_states = 1'000'000;
+/// Final configs and violations are sorted canonically before returning,
+/// so they compare equal across thread counts; the invariant callback must
+/// be thread-safe when more than one worker resolves.
+struct ExploreOptions : engine::RunControl {
   SearchStrategy strategy = SearchStrategy::Dfs;
-  /// Worker threads expanding configurations (engine/reach.hpp): 1 (the
-  /// default) is the driver's pool with one worker on the calling thread,
-  /// which expands in exact DFS (BFS) order — required for BFS
-  /// shortest-trace guarantees and kept as the default for Owicki–Gries
-  /// outline checking; 0 resolves to std::thread::hardware_concurrency();
-  /// N > 1 runs N workers over a lock-striped visited set
-  /// (engine/sharded_visited.hpp).  For every thread count the *set* of
-  /// visited states, final configurations, outcomes and the presence of
-  /// violations are identical (final configs and violations are sorted
-  /// canonically before returning); only per-run orderings — which
-  /// violation is reported first under stop_on_violation, which states fall
-  /// inside a max_states truncation — may differ.  The invariant callback
-  /// must be thread-safe when more than one worker resolves.  track_traces
-  /// composes with every thread count: parent links are recorded per
-  /// interned state under the visited-set shard lock, so a multi-worker
-  /// run's trace may differ from a one-worker run's but is always a real
-  /// execution (and always replays — see witness::replay).
-  unsigned num_threads = 1;
   /// Viewfront entries to pin into the rf-quotient key (see above); ignored
   /// unless rf_quotient.
   engine::RfPins rf_pins;
@@ -105,27 +89,6 @@ struct ExploreOptions : engine::Reduction {
   bool track_traces = false;
   /// Keep a copy of every final configuration (needed for outcome sets).
   bool collect_finals = true;
-  /// Memory budget for the visited set in bytes (0 = unlimited); exceeding
-  /// it stops the run with StopReason::MemCap and valid partial results.
-  std::uint64_t max_visited_bytes = 0;
-  /// Wall-clock deadline in milliseconds (0 = none); expiry stops the run
-  /// with StopReason::Deadline.
-  std::uint64_t deadline_ms = 0;
-  /// Cooperative cancellation token (see engine::CancelToken); polled once
-  /// per claimed state.  Must outlive the call; null disables the check.
-  const engine::CancelToken* cancel = nullptr;
-  /// Deterministic fault injection (robustness tests; see engine::FaultPlan).
-  engine::FaultPlan fault;
-  /// Resume from a checkpoint of an earlier stopped run (must outlive the
-  /// call; `por`, `symmetry` and `rf_quotient` must match the
-  /// checkpoint's).  Verdicts, states, transitions, finals and blocked
-  /// counts equal an uninterrupted run's.
-  const engine::Checkpoint* resume = nullptr;
-  /// When non-empty and the run stops early (any StopReason other than
-  /// Complete), write a checkpoint file here.  Implies trace recording (the
-  /// checkpoint is built from the trace sink), so violations carry witnesses
-  /// as under track_traces.
-  std::string checkpoint_path;
 };
 
 /// An invariant violation with an optional counterexample trace.
@@ -133,8 +96,9 @@ struct Violation {
   std::string what;              ///< description from the invariant callback
   std::string state_dump;        ///< pretty-printed violating configuration
   std::vector<std::string> trace;  ///< step labels from the initial state
-  /// Structured, replayable counterexample (present iff track_traces):
-  /// serialise with witness::to_json, validate with witness::replay.
+  /// Structured, replayable counterexample, present when the run kept a
+  /// trace sink (track_traces or checkpoint_path): serialise with
+  /// witness::to_json, validate with witness::replay.
   std::optional<witness::Witness> witness;
 };
 
@@ -156,7 +120,7 @@ struct ExploreResult {
 
 /// Invariant callback: return a description to report a violation at this
 /// reachable configuration, or std::nullopt if the configuration is fine.
-/// Must be thread-safe when ExploreOptions::num_threads resolves to > 1.
+/// Must be thread-safe when num_threads resolves to > 1.
 using Invariant =
     std::function<std::optional<std::string>(const System&, const Config&)>;
 

@@ -31,7 +31,7 @@ MutexCaseStudy dekker_counter();
 
 /// True iff some terminating run of the case study loses an increment
 /// (final x != 2) under the given semantics options.  `num_threads` follows
-/// the explore::ExploreOptions convention; the verdict is thread-count
+/// the engine::RunControl convention; the verdict is thread-count
 /// independent (exploration is exhaustive either way).
 bool increment_lost(const MutexCaseStudy& study,
                     const memsem::SemanticsOptions& options,

@@ -9,7 +9,6 @@
 #include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::og {
 
@@ -229,14 +228,14 @@ void collect_rf_pins(const System& sys, const ProofOutline& outline,
 OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
                                  OutlineCheckOptions options) {
   // One implementation for every thread count, on the shared reachability
-  // driver.  With track_traces the driver records parent links in the trace
-  // sink, so failures carry traces and replayable witnesses even from a
-  // worker pool; the verdict and the set of failed obligations are
-  // thread-count-independent (failures arrive unordered when parallel).
+  // driver.  With a trace sink the driver records parent links, so failures
+  // carry traces and replayable witnesses even from a worker pool; the
+  // verdict and the set of failed obligations are thread-count-independent
+  // (failures arrive unordered when parallel).
   OutlineCheckResult result;
   std::optional<explore::ShardedVisitedSet> trace_store;
-  // Checkpoints are built from the trace sink, so requesting one implies
-  // trace recording.
+  // The driver builds checkpoints from the trace sink, so requesting one
+  // implies trace recording.
   if (options.track_traces || !options.checkpoint_path.empty()) {
     trace_store.emplace();
   }
@@ -255,23 +254,12 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
   explore::ReachOptions ropts;
-  static_cast<engine::Reduction&>(ropts) = options;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
-  ropts.num_threads = options.num_threads;
+  static_cast<engine::RunControl&>(ropts) = options;
   if (options.rf_quotient) collect_rf_pins(sys, outline, ropts.rf_pins);
   // Steps carry labels only when the trace sink forces them; otherwise a
   // failure message regenerates the one label it cites (label_of below).
   ropts.trace = trace_store ? &*trace_store : nullptr;
-  ropts.cancel = options.cancel;
-  ropts.fault = options.fault;
-  ropts.resume = options.resume;
-  ropts.checkpoint = !options.checkpoint_path.empty();
 
-  const std::uint64_t init_digest =
-      options.track_traces ? witness::config_digest(lang::initial_config(sys))
-                           : 0;
   const InterferencePlan plan(sys, outline);
 
   const auto reach = explore::visit_reachable(
@@ -312,22 +300,11 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
           std::vector<std::string> trace;
           std::optional<witness::Witness> wit;
           if (trace_store) {
-            const auto edges = trace_store->path_to(id);
-            trace.reserve(edges.size() + 2);
-            trace.emplace_back("init");
             witness::Witness w;
             w.kind = "outline";
             w.source = "og::check_outline";
             w.state_dump = dump;
-            w.initial_digest = init_digest;
-            w.steps.reserve(edges.size());
-            std::vector<std::uint64_t> enc;
-            for (const auto& e : edges) {
-              trace.push_back(e.label);
-              enc.clear();
-              trace_store->decode_state(e.state, enc);
-              w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-            }
+            engine::recorded_run(*trace_store, id, trace, w);
             if (!is_rep) {
               trace.emplace_back(
                   "(failing state is a thread permutation of the state this "
@@ -384,13 +361,6 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   result.stop = reach.stop;
   result.obligations_checked = obligations.load();
   result.obligations_evaluated = evaluated.load();
-  if (!options.checkpoint_path.empty() &&
-      reach.stop != engine::StopReason::Complete) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options),
-        options.checkpoint_path);
-  }
   return result;
 }
 
@@ -403,7 +373,7 @@ TripleCheckResult check_triple(const System& sys, const Assertion& pre,
   // each one its enabled steps — no private successor loop.
   TripleCheckResult result;
   explore::ReachOptions ropts;
-  ropts.budget.max_states = max_states;
+  ropts.max_states = max_states;
   ropts.want_labels = true;  // failure messages cite the step label
   (void)explore::visit_reachable(
       sys, ropts,

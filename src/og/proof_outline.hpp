@@ -90,9 +90,10 @@ class ProofOutline {
 struct ObligationFailure {
   std::string obligation;  ///< which check failed, human-readable
   std::string state_dump;
-  std::vector<std::string> trace;  ///< when trace tracking is enabled
-  /// Structured, replayable counterexample (present iff track_traces):
-  /// serialise with witness::to_json, validate with witness::replay.
+  std::vector<std::string> trace;  ///< when the run kept a trace sink
+  /// Structured, replayable counterexample, present when the run kept a
+  /// trace sink (track_traces or checkpoint_path): serialise with
+  /// witness::to_json, validate with witness::replay.
   std::optional<witness::Witness> witness;
 };
 
@@ -113,8 +114,9 @@ struct OutlineCheckResult {
   engine::StopReason stop = engine::StopReason::Complete;
 };
 
-/// The outline checker's options.  The engine::Reduction base holds `mode`,
-/// `sample`, `por`, `symmetry` and `rf_quotient`, all honoured:
+/// The outline checker's options.  The engine::RunControl base holds the
+/// run's reductions, limits and controls (engine/reach.hpp); of the
+/// reductions, all are honoured:
 ///   * por — annotations and interference obligations are evaluated on the
 ///     reduced state set: failures found are real, and failures at
 ///     final/blocked states (postconditions, deadlocks) are never missed,
@@ -141,30 +143,15 @@ struct OutlineCheckResult {
 ///     found are real, but `valid` is never a proof — the result stops with
 ///     StopReason::EpisodeCap, so callers reading `stop` already treat the
 ///     verdict as a lower bound.
-struct OutlineCheckOptions : engine::Reduction {
-  std::uint64_t max_states = 1'000'000;
+/// The default of one worker suits the checker: outline checking is the
+/// substitution for the paper's Owicki–Gries proofs, and a one-worker DFS
+/// gives reproducible failure order.  With more workers the verdict and the
+/// *set* of failed obligations are identical, but failures arrive unordered
+/// and the trace/witness attached to each may differ run to run.
+struct OutlineCheckOptions : engine::RunControl {
   bool check_interference = true;  ///< also run the pairwise OG side condition
   bool stop_at_first_failure = true;
   bool track_traces = false;
-  /// Worker threads enumerating the reachable state space (same convention
-  /// as explore::ExploreOptions::num_threads).  The default stays 1: outline
-  /// checking is the substitution for the paper's Owicki–Gries proofs, and
-  /// a one-worker DFS gives reproducible failure order.  With N > 1
-  /// validity/interference obligations are evaluated in parallel over the
-  /// same state set — the verdict and the *set* of failed obligations are
-  /// identical, but failures arrive unordered and the specific trace/witness
-  /// attached to each may differ run to run (every recorded trace is still a
-  /// real execution and replays — see witness::replay).
-  unsigned num_threads = 1;
-  /// Resource governance and resumability — same semantics as the matching
-  /// explore::ExploreOptions fields.
-  std::uint64_t max_visited_bytes = 0;  ///< bytes; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-  const engine::Checkpoint* resume = nullptr;
-  /// Written when the run stops early; implies trace recording.
-  std::string checkpoint_path;
 };
 
 /// Checks outline validity (and, optionally, interference freedom) over the

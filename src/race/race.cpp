@@ -11,7 +11,6 @@
 
 #include "engine/checkpoint.hpp"
 #include "engine/symmetry.hpp"
-#include "support/hash.hpp"
 
 namespace rc11::race {
 
@@ -95,20 +94,9 @@ RaceResult check(const System& sys, const RaceOptions& options) {
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
   ReachOptions ropts;
-  static_cast<engine::Reduction&>(ropts) = options;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
-  ropts.num_threads = options.num_threads;
+  static_cast<engine::RunControl&>(ropts) = options;
   ropts.strategy = options.strategy;
   ropts.trace = trace_store ? &*trace_store : nullptr;
-  ropts.cancel = options.cancel;
-  ropts.fault = options.fault;
-  ropts.resume = options.resume;
-  ropts.checkpoint = !options.checkpoint_path.empty();
-
-  const std::uint64_t init_digest =
-      trace_store ? witness::config_digest(lang::initial_config(traced)) : 0;
 
   std::mutex mu;
   // An ordered map doubles as the dedup set and the canonical output order.
@@ -126,28 +114,16 @@ RaceResult check(const System& sys, const RaceOptions& options) {
     out.trace.clear();
     out.witness.reset();
     if (!trace_store) return;
-    // path_to is safe against concurrent inserts (see explore/explorer.cpp).
-    const auto edges = trace_store->path_to(id);
-    out.trace.reserve(edges.size() + 2);
-    out.trace.emplace_back("init");
+    // recorded_run is safe against concurrent inserts.
     witness::Witness w;
     w.kind = "race";
     w.source = "race";
     w.what = out.what;
     w.state_dump = out.state_dump;
-    w.initial_digest = init_digest;
-    w.steps.reserve(edges.size() + 1);
-    std::vector<std::uint64_t> enc;
-    for (const auto& e : edges) {
-      out.trace.push_back(e.label);
-      enc.clear();
-      trace_store->decode_state(e.state, enc);
-      w.steps.push_back({e.thread, e.label, support::hash_words(enc)});
-    }
-    enc.clear();
-    step.after.encode_into(enc);
+    engine::recorded_run(*trace_store, id, out.trace, w);
     out.trace.push_back(step.label);
-    w.steps.push_back({step.thread, step.label, support::hash_words(enc)});
+    w.steps.push_back(
+        {step.thread, step.label, witness::config_digest(step.after)});
     out.witness = std::move(w);
   };
 
@@ -212,12 +188,6 @@ RaceResult check(const System& sys, const RaceOptions& options) {
   result.stats = reach.stats;
   result.stop = reach.stop;
   result.truncated = reach.stop != engine::StopReason::Complete;
-  if (!options.checkpoint_path.empty() && result.truncated) {
-    engine::save_checkpoint(
-        engine::make_checkpoint(*trace_store, reach.stats, reach.stop,
-                                options),
-        options.checkpoint_path);
-  }
   result.races.reserve(races.size());
   for (auto& [key, r] : races) result.races.push_back(std::move(r));
   return result;

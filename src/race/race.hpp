@@ -52,24 +52,20 @@ using memsem::RaceRecord;
 /// Human name of an access category ("non-atomic write", …).
 [[nodiscard]] const char* access_name(RaceCat cat) noexcept;
 
-/// The race checker's options.  The engine::Reduction base holds `mode`,
-/// `sample`, `por`, `symmetry` and `rf_quotient`, all honoured, with the
-/// explorer's semantics; the race set survives each (see the soundness note
-/// in the header comment):
+/// The race checker's options.  The engine::RunControl base holds the run's
+/// reductions, limits and controls (engine/reach.hpp); of the reductions,
+/// all are honoured, with the explorer's semantics, and the race set
+/// survives each (see the soundness note in the header comment):
 ///   * rf_quotient — exact without any pinning: race clocks, summary cells
 ///     and per-op messages are part of the quotient key whenever
 ///     race_detection is on (memsem encodes them alongside the modification
 ///     orders), and records surface on step post-states, which pair up
 ///     class-by-class.
 ///   * mode == Strategy::Sample — the race set is a lower bound.
-struct RaceOptions : engine::Reduction {
-  /// Hard cap on distinct states; the check reports truncation beyond it.
-  std::uint64_t max_states = 1'000'000;
+/// The *set* of reported races is identical for every thread count; only
+/// traces, state dumps and witness choice may differ between runs.
+struct RaceOptions : engine::RunControl {
   engine::SearchStrategy strategy = engine::SearchStrategy::Dfs;
-  /// Worker threads (see explore::ExploreOptions::num_threads).  The *set*
-  /// of reported races is identical for every thread count; only traces,
-  /// state dumps and witness choice may differ between runs.
-  unsigned num_threads = 1;
   /// Stop at the first race (default off: cross-checks compare full sets).
   bool stop_on_race = false;
   /// Record parent links so each race carries a trace and a replayable
@@ -77,14 +73,6 @@ struct RaceOptions : engine::Reduction {
   /// replay only against a System whose SemanticsOptions::race_detection is
   /// true (the clocks are part of the state encoding the digests cover).
   bool track_traces = false;
-  std::uint64_t max_visited_bytes = 0;  ///< visited-set budget (0 = none)
-  std::uint64_t deadline_ms = 0;        ///< wall-clock budget (0 = none)
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-  /// Resume from a checkpoint of an earlier stopped race run.
-  const engine::Checkpoint* resume = nullptr;
-  /// Write a checkpoint here when the run stops early (implies traces).
-  std::string checkpoint_path;
 };
 
 /// One data race.  `record` is an *unordered* pair in canonical order (the
@@ -95,9 +83,10 @@ struct ReportedRace {
   std::string location;    ///< location name (record.loc resolved)
   std::string what;        ///< one-line description naming both sites
   std::string state_dump;  ///< configuration right after the racing step
-  std::vector<std::string> trace;  ///< step labels (iff track_traces)
+  std::vector<std::string> trace;  ///< step labels (with a trace sink)
   /// Replayable witness whose final step performs the racing access
-  /// (present iff track_traces and this record was directly observed —
+  /// (present when the run kept a trace sink — track_traces or
+  /// checkpoint_path — and this record was directly observed —
   /// symmetry-closed siblings reuse the representative's trace, flagged by
   /// a trailing note, and carry no witness of their own).
   std::optional<witness::Witness> witness;

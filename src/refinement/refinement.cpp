@@ -74,15 +74,21 @@ std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
   return h.digest();
 }
 
-/// Rejects what refinement does not honour of a Reduction (see
-/// GraphOptions): the rf-quotient everywhere, symmetry unless the caller
-/// quotients the trace-inclusion product with it.  The engine's own rules
-/// run first, so a sampled trace-inclusion check cannot drop its symmetry
-/// setting silently.
-void require_refinement_subset(const engine::Reduction& r,
+/// Rejects what refinement does not honour of a RunControl (see
+/// GraphOptions): the rf-quotient and checkpoint/resume everywhere,
+/// symmetry unless the caller quotients the trace-inclusion product with
+/// it.  The engine's own rules run first, so a sampled trace-inclusion
+/// check cannot drop its symmetry setting silently.
+void require_refinement_subset(const engine::RunControl& r,
                                bool product_symmetry) {
   const std::string conflict = engine::reduction_conflict(r);
   support::require(conflict.empty(), conflict);
+  support::require(
+      r.checkpoint_path.empty() && r.resume == nullptr,
+      "--checkpoint/--resume are not supported by the refinement checks: a "
+      "check builds two state graphs, so a single checkpoint file is "
+      "ambiguous (use --deadline-ms / --mem-budget to bound the run "
+      "instead)");
   support::require(
       !r.rf_quotient,
       "--rf-quotient is not supported by the refinement checks: they compare "
@@ -112,7 +118,6 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   StateGraph graph;
   const engine::TransitionSystem ts(sys, engine::AmplePolicy::ClientInvisible);
   const bool want_labels = options.want_labels;
-  const unsigned num_threads = options.num_threads;
 
   struct Keyed {
     std::vector<std::uint64_t> enc;
@@ -121,13 +126,7 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   std::vector<Keyed> collected;
   std::mutex mu;
   engine::ReachOptions ropts;
-  static_cast<engine::Reduction&>(ropts) = options;
-  ropts.budget.max_states = options.max_states;
-  ropts.budget.max_visited_bytes = options.max_visited_bytes;
-  ropts.budget.deadline_ms = options.deadline_ms;
-  ropts.num_threads = num_threads;
-  ropts.cancel = options.cancel;
-  ropts.fault = options.fault;
+  static_cast<engine::RunControl&>(ropts) = options;
   const auto reach = engine::visit_reachable(
       ts, ropts,
       [&](const Config& cfg, std::uint64_t /*id*/,
@@ -169,7 +168,7 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
     graph.initial = *init;
   }
 
-  support::parallel_for(n, num_threads, [&](std::size_t i) {
+  support::parallel_for(n, options.num_threads, [&](std::size_t i) {
     // Worker-local pooled buffers (parallel_for hands out bare indices, so
     // thread_local is the per-worker hook).
     thread_local lang::StepBuffer steps;
@@ -253,28 +252,6 @@ std::string truncation_diagnosis(const StateGraph& abs, const StateGraph& conc) 
   return msg + conc_msg;
 }
 
-/// Forwards the reduction and the shared resource-governance knobs of the
-/// two checker option structs into a GraphOptions.  Symmetry never reaches
-/// a graph build (trace inclusion spends it on the product).
-/// `apply_sampling` gates the coverage mode: only the concrete graph is ever
-/// sampled — the abstract graph is the specification, and a sampled
-/// (incomplete) spec would manufacture false violations, so the abstract
-/// build always enumerates exhaustively.
-template <typename CheckOptions>
-GraphOptions graph_options(const CheckOptions& options, bool apply_sampling) {
-  GraphOptions gopts;
-  static_cast<engine::Reduction&>(gopts) = options;
-  gopts.symmetry = false;
-  if (!apply_sampling) gopts.mode = engine::Strategy::Exhaustive;
-  gopts.max_states = options.max_states;
-  gopts.num_threads = options.num_threads;
-  gopts.max_visited_bytes = options.max_visited_bytes;
-  gopts.deadline_ms = options.deadline_ms;
-  gopts.cancel = options.cancel;
-  gopts.fault = options.fault;
-  return gopts;
-}
-
 constexpr std::uint32_t kNoPair = 0xffffffffu;
 
 /// Position of (a, c) in pair.compat, or kNoPair when concrete state c does
@@ -309,10 +286,18 @@ GraphPair build_pair(const System& abstract_sys, const System& concrete_sys,
   GraphPair pair;
   pair.abstract_sys = &abstract_sys;
   pair.concrete_sys = &concrete_sys;
-  pair.abs = build_graph(abstract_sys,
-                         graph_options(options, /*apply_sampling=*/false));
-  pair.conc = build_graph(concrete_sys,
-                          graph_options(options, /*apply_sampling=*/true));
+  // Both builds take the check's settings, except that symmetry never
+  // reaches a build (trace inclusion spends it on the product) and only the
+  // concrete graph is ever sampled: the abstract graph is the
+  // specification, and a sampled (incomplete) spec would manufacture false
+  // violations.
+  GraphOptions conc_opts;
+  static_cast<engine::RunControl&>(conc_opts) = options;
+  conc_opts.symmetry = false;
+  GraphOptions abs_opts = conc_opts;
+  abs_opts.mode = engine::Strategy::Exhaustive;
+  pair.abs = build_graph(abstract_sys, abs_opts);
+  pair.conc = build_graph(concrete_sys, conc_opts);
   if (!playable(pair)) return pair;
 
   // Project every state once (embarrassingly parallel: one slot per state).

@@ -109,7 +109,7 @@ struct StateGraph {
 /// step description, which only DOT export needs (it costs time and memory:
 /// refinement counterexamples regenerate their labels with edge_label).
 ///
-/// num_threads follows the explore::ExploreOptions convention (1 one worker,
+/// num_threads follows the engine::RunControl convention (1 one worker,
 /// 0 hardware concurrency).  The build runs in two phases for every thread
 /// count — collect all reachable states through the shared reachability
 /// driver, then resolve every state's successor edges against the index —
@@ -125,13 +125,17 @@ struct StateGraph {
 /// preserves the stutter-closed projection traces the refinement checkers
 /// compare (docs/SEMANTICS.md §9).
 ///
-/// Refinement honours a subset of engine::Reduction, stated once here.  No
+/// Refinement honours a subset of engine::RunControl, stated once here.  No
 /// entry point accepts `rf_quotient`: the checkers compare client
 /// projections across two systems, and the execution-graph quotient's keys
-/// are only comparable within one.  build_graph and the simulation reject
+/// are only comparable within one.  None accepts `resume` or
+/// `checkpoint_path` either: a check builds two graphs, so a single
+/// checkpoint file is ambiguous.  build_graph and the simulation reject
 /// `symmetry`: a graph's states and edges must be concrete, and quotienting
 /// the simulation fixpoint would change which pairs its diagnosis can cite.
-/// TraceInclusionOptions::symmetry quotients the product instead.
+/// TraceInclusionOptions::symmetry quotients the product instead.  The
+/// limits and controls apply to each build: exceeding a budget stops it
+/// with the matching StateGraph::stop.
 ///
 /// Under Strategy::Sample (`mode`, tuned by `sample`) phase 1 collects the
 /// states seeded random episodes cross and phase 2 resolves edges within
@@ -139,18 +143,8 @@ struct StateGraph {
 /// every truncated build already follows).  Every state and edge of a
 /// sampled graph is real; the graph is marked truncated
 /// (StopReason::EpisodeCap) because it may be missing states.
-struct GraphOptions : engine::Reduction {
-  std::uint64_t max_states = 1'000'000;
+struct GraphOptions : engine::RunControl {
   bool want_labels = false;  ///< fill StateGraph::labels (DOT export)
-  unsigned num_threads = 1;
-  /// Resource governance (same semantics as explore::ExploreOptions):
-  /// exceeding a budget stops the build with the matching StateGraph::stop.
-  /// Checkpoint/resume is not offered for graph builds — refinement checks
-  /// build two graphs per run, so a single checkpoint file is ambiguous.
-  std::uint64_t max_visited_bytes = 0;  ///< bytes; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
 };
 
 [[nodiscard]] StateGraph build_graph(const System& sys,
@@ -184,21 +178,12 @@ struct EdgeLabel {
 /// would make pairs survive vacuously), so a sampled simulation check
 /// always reports truncated with a diagnosis; use check_trace_inclusion for
 /// definite sampled verdicts.  `symmetry` and `rf_quotient` are rejected
-/// (see GraphOptions).
-struct SimulationOptions : engine::Reduction {
-  std::uint64_t max_states = 1'000'000;  ///< per system
-  /// Workers for graph construction and client projection (the fixpoint
-  /// itself stays sequential); same convention as ExploreOptions.
-  unsigned num_threads = 1;
-  /// Resource governance, applied to *each* graph build separately (a
-  /// deadline therefore bounds each phase, not the whole check); the
-  /// cancellation token is shared, so one Ctrl-C stops whichever phase is
-  /// running.
-  std::uint64_t max_visited_bytes = 0;  ///< bytes per graph; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock per graph; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
-};
+/// (see GraphOptions).  The limits apply to *each* graph build separately
+/// (`max_states` per system; a deadline bounds each phase, not the whole
+/// check); the cancellation token is shared, so one Ctrl-C stops whichever
+/// phase is running.  `num_threads` runs graph construction and client
+/// projection; the fixpoint itself stays sequential.
+struct SimulationOptions : engine::RunControl {};
 
 struct SimulationResult {
   bool holds = false;
@@ -247,18 +232,10 @@ struct SimulationResult {
 ///     corpus-crosschecked caveat as por itself; rejected under sampling,
 ///     like every reduction (the permuted image of a sampled state need not
 ///     be covered).
-struct TraceInclusionOptions : engine::Reduction {
-  std::uint64_t max_states = 200'000;       ///< per state graph
+/// The limits, controls and workers apply as in SimulationOptions; the
+/// subset construction stays sequential.
+struct TraceInclusionOptions : engine::RunControl {
   std::uint64_t max_product_nodes = 500'000;  ///< subset-construction bound
-  /// Workers for graph construction and client projection (the subset
-  /// construction stays sequential); same convention as ExploreOptions.
-  unsigned num_threads = 1;
-  /// Resource governance for the graph builds (per build; see
-  /// SimulationOptions for the sharing semantics).
-  std::uint64_t max_visited_bytes = 0;  ///< bytes per graph; 0 = unlimited
-  std::uint64_t deadline_ms = 0;        ///< wall clock per graph; 0 = none
-  const engine::CancelToken* cancel = nullptr;
-  engine::FaultPlan fault;
 };
 
 struct TraceInclusionResult {

@@ -260,9 +260,8 @@ std::optional<std::vector<WitnessStep>> restricted_bfs(
 
 }  // namespace
 
-Witness minimize(const lang::System& sys, const Witness& w,
-                 const MinimizeOptions& options) {
-  if (!options.shortest_path || w.steps.empty()) return w;
+Witness minimize(const lang::System& sys, const Witness& w) {
+  if (w.steps.empty()) return w;
   // The input must be a real run (it supplies the touched-state set).
   const ReplayResult check = replay(sys, w);
   if (!check.ok) return w;
@@ -271,10 +270,8 @@ Witness minimize(const lang::System& sys, const Witness& w,
   touched.insert(w.initial_digest);
   for (const WitnessStep& s : w.steps) touched.insert(s.after_digest);
 
-  std::optional<std::vector<WitnessStep>> best;
-  if (options.elide_local_steps) {
-    best = restricted_bfs(sys, touched, w.final_digest(), /*fuse=*/true);
-  }
+  std::optional<std::vector<WitnessStep>> best =
+      restricted_bfs(sys, touched, w.final_digest(), /*fuse=*/true);
   if (!best) {
     best = restricted_bfs(sys, touched, w.final_digest(), /*fuse=*/false);
   }

@@ -19,9 +19,9 @@
 //   * Minimization: minimize() shrinks a trace before a human sees it — a
 //     BFS re-search restricted to the witness's touched states finds a
 //     shortest path through them (parallel DFS traces are rarely shortest),
-//     optionally under local-step fusion (local steps commute with every
-//     other transition, so forcing them to fire eagerly prunes
-//     interleavings without losing the target).
+//     first under local-step fusion (local steps commute with every other
+//     transition, so forcing them to fire eagerly prunes interleavings
+//     without losing the target).
 //
 // Witnesses are produced by the explorer (invariant violations), the
 // Owicki-Gries outline checker (failed obligations) and the refinement
@@ -126,23 +126,15 @@ struct ReplayResult {
 
 // --- minimization -----------------------------------------------------------
 
-struct MinimizeOptions {
-  /// BFS shortest path through the witness's touched states.
-  bool shortest_path = true;
-  /// Additionally restrict the re-search with local-step fusion: expand
-  /// only the first thread whose next instruction is local (sound: local
-  /// steps commute and cannot be disabled).  Falls
-  /// back to the unfused search when the fused graph cannot reach the
-  /// target inside the touched set.
-  bool elide_local_steps = true;
-};
-
 /// Returns a witness for the same violating state with a minimal step
-/// sequence (never longer than the input).  The input must replay cleanly;
-/// otherwise it is returned unchanged.  The result replays cleanly by
-/// construction (the search runs on the real semantics).
-[[nodiscard]] Witness minimize(const lang::System& sys, const Witness& w,
-                               const MinimizeOptions& options = {});
+/// sequence (never longer than the input): a BFS shortest path through the
+/// witness's touched states, first under local-step fusion — expand only
+/// the first thread whose next instruction is local (sound: local steps
+/// commute and cannot be disabled) — and without fusion when the fused
+/// graph cannot reach the target inside the touched set.  The input must
+/// replay cleanly; otherwise it is returned unchanged.  The result replays
+/// cleanly by construction (the search runs on the real semantics).
+[[nodiscard]] Witness minimize(const lang::System& sys, const Witness& w);
 
 // --- rendering --------------------------------------------------------------
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -295,6 +296,38 @@ TEST(Budget, LongStallCannotOvershootDeadline) {
   EXPECT_LT(elapsed_ms, 5000);
 }
 
+// What makes the governor cheap, counted instead of timed: with every probe
+// dimension armed (bench/bench_budget's governed settings — a live token, a
+// 1 TiB memory budget, a 24 h deadline), claim() reads the clock and the
+// visited-set bytes once per kBudgetCheckInterval claims, plus once for the
+// first claim's deadline probe, from one worker or several.
+TEST(Budget, ExpensiveProbesStayOffTheHotPath) {
+  constexpr std::uint64_t kClaims = 100'000;
+  engine::Budget governed;
+  governed.max_visited_bytes = std::uint64_t{1} << 40;
+  governed.deadline_ms = 24ull * 60 * 60 * 1000;
+  engine::CancelToken token;
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    engine::BudgetEnforcer enforcer(governed, &token, engine::FaultPlan{},
+                                    [] { return std::uint64_t{0}; });
+    std::atomic<std::uint64_t> stops{0};
+    std::vector<std::thread> pool;
+    for (unsigned w = 0; w < workers; ++w) {
+      pool.emplace_back([&] {
+        for (std::uint64_t i = 0; i < kClaims / workers; ++i) {
+          if (enforcer.claim() != StopReason::Complete) stops.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : pool) t.join();
+    EXPECT_EQ(stops.load(), 0u);
+    EXPECT_LE(enforcer.probes(), kClaims / engine::kBudgetCheckInterval + 1);
+    // Not vacuous: the probes do run at their cadence.
+    EXPECT_GE(enforcer.probes(), kClaims / engine::kBudgetCheckInterval);
+  }
+}
+
 // Deadline escalation at claim granularity: with slow claims, the
 // every-32-claims cadence alone would overshoot a 30ms deadline by up to
 // 31 claim times.  The first claim probes, sees the deadline inside the
@@ -524,6 +557,42 @@ TEST(Checkpoint, ResumedRunViolationsCarryReplayableWitnesses) {
   for (const auto& v : resumed.violations) {
     ASSERT_TRUE(v.witness.has_value());
     const auto r = witness::replay(program.sys, *v.witness);
+    EXPECT_TRUE(r.ok) << r.error;
+  }
+}
+
+// A checkpointed run keeps a trace sink, so its failures carry witnesses
+// even with track_traces off; they replay like any other witness (the
+// initial digest is the sink root's).
+TEST(Checkpoint, CheckpointedRunWitnessesReplay) {
+  TempFile ck("budget_ckpt_witness.json");
+  const auto sb = parser::parse_file(prog("sb.rc11"));
+  ExploreOptions explore_opts;
+  explore_opts.checkpoint_path = ck.path;
+  const auto explored = explore::explore(
+      sb.sys, explore_opts,
+      [](const lang::System& sys,
+         const lang::Config& cfg) -> std::optional<std::string> {
+        if (cfg.all_done(sys)) return "final state reached";
+        return std::nullopt;
+      });
+  ASSERT_FALSE(explored.violations.empty());
+  for (const auto& v : explored.violations) {
+    ASSERT_TRUE(v.witness.has_value());
+    const auto r = witness::replay(sb.sys, *v.witness);
+    EXPECT_TRUE(r.ok) << r.error;
+  }
+
+  const auto broken = parser::parse_file(prog("mp_broken_outline.rc11"));
+  ASSERT_TRUE(broken.outline.has_value());
+  og::OutlineCheckOptions outline_opts;
+  outline_opts.checkpoint_path = ck.path;
+  const auto checked =
+      og::check_outline(broken.sys, *broken.outline, outline_opts);
+  ASSERT_FALSE(checked.failures.empty());
+  for (const auto& f : checked.failures) {
+    ASSERT_TRUE(f.witness.has_value());
+    const auto r = witness::replay(broken.sys, *f.witness);
     EXPECT_TRUE(r.ok) << r.error;
   }
 }

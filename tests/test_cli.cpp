@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_common.hpp"
@@ -387,6 +388,7 @@ TEST(Cli, RejectedReductionCombinations) {
   cases.push_back({"rc11-refine", "--symmetry --rf-quotient",
                    {"--symmetry", "--rf-quotient"}});
   cases.push_back({"rc11-refine", "--checkpoint " + ckpt, {"--checkpoint"}});
+  cases.push_back({"rc11-refine", "--resume " + ckpt, {"--resume"}});
 
   for (const Case& c : cases) {
     const std::string programs =
@@ -406,6 +408,28 @@ TEST(Cli, RejectedReductionCombinations) {
     }
   }
   EXPECT_NE(access(ckpt.c_str(), F_OK), 0) << "no checkpoint is written";
+}
+
+TEST(Cli, MalformedFaultSpecIsAUsageError) {
+  // RC11_FAULT is input like a flag: every tool rejects a malformed spec
+  // with exit 1, nothing on stdout, and a message naming the variable.
+  const std::string refine_pair = prog("lock_client_abstract.rc11") + " " +
+                                  prog("lock_client_seqlock.rc11");
+  for (const auto& [tool, programs] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"rc11-run", prog("sb.rc11")},
+           {"rc11-race", prog("sb.rc11")},
+           {"rc11-verify", prog("mp_verified.rc11")},
+           {"rc11-refine", refine_pair}}) {
+    SCOPED_TRACE(tool);
+    std::string out;
+    std::string err;
+    EXPECT_EQ(
+        run_split("RC11_FAULT=bogus " + bin(tool) + " " + programs, out, err),
+        1);
+    EXPECT_EQ(out, "");
+    EXPECT_NE(err.find("RC11_FAULT"), std::string::npos) << err;
+  }
 }
 
 // --- rc11-race ---------------------------------------------------------------

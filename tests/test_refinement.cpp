@@ -119,7 +119,9 @@ TEST(StateGraph, TruncationFlag) {
   locks::ClientArtifacts art;
   SeqLock lock;
   const auto sys = instantiate(locks::fig7_client(&art), lock);
-  const auto graph = build_graph(sys, {.max_states = 10});
+  refinement::GraphOptions capped;
+  capped.max_states = 10;
+  const auto graph = build_graph(sys, capped);
   EXPECT_EQ(graph.stop, engine::StopReason::StateCap);
 }
 
@@ -335,8 +337,10 @@ TEST(Diagnostics, GraphLabelsOnDemand) {
   t0.store(x, c(1), "x := 1");
   const auto unlabelled = build_graph(sys);
   EXPECT_TRUE(unlabelled.labels.empty());
-  const auto labelled =
-      build_graph(sys, {.max_states = 1000, .want_labels = true});
+  refinement::GraphOptions with_labels;
+  with_labels.max_states = 1000;
+  with_labels.want_labels = true;
+  const auto labelled = build_graph(sys, with_labels);
   ASSERT_EQ(labelled.labels.size(), labelled.num_states());
   ASSERT_FALSE(labelled.labels[0].empty());
   EXPECT_NE(labelled.labels[0][0].find("x := 1"), std::string::npos);

@@ -237,7 +237,7 @@ TEST(Sample, ResumeIsRejected) {
 
 // --- every rejected reduction combination, at every entry point ------------
 
-/// The library entry points that take an engine::Reduction, as bits.
+/// The library entry points that take an engine::RunControl, as bits.
 enum EntryPoint : unsigned {
   kExplore = 1U << 0,
   kOutline = 1U << 1,
@@ -303,6 +303,10 @@ TEST(Reduction, RejectedCombinations) {
        false, kGraph | kSimulation | kTraceInclusion, {"--rf-quotient"}},
       {"symmetry in a graph build", reduction(false, {&R::symmetry}), false,
        false, false, kGraph | kSimulation, {"--symmetry"}},
+      {"checkpoint in refinement", reduction(false, {}), false, true, false,
+       kGraph | kSimulation | kTraceInclusion, {"--checkpoint"}},
+      {"resume in refinement", reduction(false, {}), false, false, true,
+       kGraph | kSimulation | kTraceInclusion, {"--resume"}},
   };
 
   const auto ex = og::make_fig3();
@@ -316,15 +320,11 @@ TEST(Reduction, RejectedCombinations) {
       sem.model = memsem::MemoryModel::SC;
       sys.set_options(sem);
     }
-    // The checkers' options also carry the checkpoint requests.
+    // Every entry point's options also carry the checkpoint requests.
     const auto checker = [&](auto opts) {
       static_cast<R&>(opts) = c.reduction;
       if (c.checkpoint) opts.checkpoint_path = never_written;
       if (c.resume) opts.resume = &ckpt;
-      return opts;
-    };
-    const auto reduced = [&](auto opts) {
-      static_cast<R&>(opts) = c.reduction;
       return opts;
     };
     struct Entry {
@@ -345,17 +345,17 @@ TEST(Reduction, RejectedCombinations) {
         {kGraph, "build_graph",
          [&] {
            (void)refinement::build_graph(sys,
-                                         reduced(refinement::GraphOptions{}));
+                                         checker(refinement::GraphOptions{}));
          }},
         {kSimulation, "check_forward_simulation",
          [&] {
            (void)refinement::check_forward_simulation(
-               sys, sys, reduced(refinement::SimulationOptions{}));
+               sys, sys, checker(refinement::SimulationOptions{}));
          }},
         {kTraceInclusion, "check_trace_inclusion",
          [&] {
            (void)refinement::check_trace_inclusion(
-               sys, sys, reduced(refinement::TraceInclusionOptions{}));
+               sys, sys, checker(refinement::TraceInclusionOptions{}));
          }},
     };
     for (const Entry& entry : entry_points) {

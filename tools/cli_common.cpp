@@ -21,10 +21,25 @@ void handle_cancel_signal(int sig) {
 
 }  // namespace
 
-const engine::CancelToken* install_signal_cancel() {
+void arm_run_control(CommonOptions& opts,
+                     std::optional<engine::Checkpoint>& resumed) {
+  opts.fault = engine::FaultPlan::from_env();
   std::signal(SIGINT, &handle_cancel_signal);
   std::signal(SIGTERM, &handle_cancel_signal);
-  return &g_signal_cancel;
+  opts.cancel = &g_signal_cancel;
+  if (opts.resume_path.empty()) return;
+  resumed = engine::load_checkpoint(opts.resume_path);
+  std::cout << "resuming from " << opts.resume_path << " ("
+            << resumed->states.size()
+            << " state(s), stopped: " << engine::to_string(resumed->stop)
+            << ")\n";
+  opts.resume = &*resumed;
+}
+
+void print_checkpoint_written(const CommonOptions& opts) {
+  if (opts.checkpoint_path.empty()) return;
+  std::cout << "checkpoint written to " << opts.checkpoint_path
+            << " (continue with --resume)\n";
 }
 
 bool parse_bytes(const std::string& s, std::uint64_t& out) {

@@ -11,8 +11,10 @@
 
 #include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "engine/checkpoint.hpp"
 #include "engine/reach.hpp"
 #include "lang/system.hpp"
 #include "witness/json.hpp"
@@ -40,24 +42,20 @@ template <typename T>
 }
 
 /// The flags every tool accepts, with their shared defaults.  The
-/// engine::Reduction base takes --por, --symmetry, --rf-quotient and
+/// engine::RunControl base takes --por, --symmetry, --rf-quotient and
 /// --strategy exhaustive|por|sample[:N] (`--strategy por` is exhaustive with
-/// `por` set; `sample:N` sets sample.episodes), and --seed S sets
-/// sample.seed.  The tools hand the base to their checker in one slice
-/// assignment.
-struct CommonOptions : engine::Reduction {
-  std::uint64_t max_states = 1'000'000;
-  unsigned num_threads = 1;  ///< 0 = hardware concurrency
+/// `por` set; `sample:N` sets sample.episodes), --seed S (sample.seed),
+/// --max-states, --mem-budget (max_visited_bytes), --deadline-ms, --threads
+/// (num_threads) and --checkpoint (checkpoint_path); arm_run_control fills
+/// in `cancel`, `fault` and `resume`.  The tools hand the base to their
+/// checker in one slice assignment.
+struct CommonOptions : engine::RunControl {
   bool seed_set = false;  ///< --seed was given (only meaningful with sample)
   bool stats = false;        ///< print exploration statistics
   std::string witness_path;  ///< write first counterexample as JSON witness
   std::string replay_path;   ///< re-execute a JSON witness instead of checking
   std::string json_path;     ///< write a machine-readable run summary
-  // Resource governance (engine::Budget semantics; 0 = unlimited/none).
-  std::uint64_t max_visited_bytes = 0;  ///< --mem-budget BYTES[K|M|G]
-  std::uint64_t deadline_ms = 0;        ///< --deadline-ms MS (wall clock)
-  std::string checkpoint_path;  ///< --checkpoint FILE: save on early stop
-  std::string resume_path;      ///< --resume FILE: continue a saved run
+  std::string resume_path;   ///< --resume FILE: continue a saved run
 };
 
 /// Usage-line fragment for the shared flags (tools append their own).
@@ -99,14 +97,21 @@ enum class FlagStatus : std::uint8_t {
 /// "por" (exhaustive with --por, however spelled) or "sample".
 [[nodiscard]] const char* strategy_name(const CommonOptions& opts);
 
-/// Installs SIGINT/SIGTERM handlers that trip a process-wide
-/// engine::CancelToken and returns that token, so a Ctrl-C drains the
-/// exploration workers and the tool still emits its partial report (and a
-/// --checkpoint file) before exiting with kExitInconclusive.  The handler
-/// re-arms the default disposition, so a *second* signal kills the process
-/// the traditional way.  Async-signal-safe: the handler only performs a
-/// relaxed atomic store and a sigaction reset.
-[[nodiscard]] const engine::CancelToken* install_signal_cancel();
+/// Arms the run controls no flag sets, in `opts`: `cancel` becomes a
+/// process-wide token tripped by SIGINT/SIGTERM handlers installed here, so
+/// a Ctrl-C drains the exploration workers and the tool still emits its
+/// partial report (and a --checkpoint file) before exiting with
+/// kExitInconclusive — a *second* signal kills the process the traditional
+/// way; `fault` becomes the RC11_FAULT plan; and with --resume, the
+/// checkpoint is loaded into `resumed`, narrated with a "resuming from"
+/// line, and becomes `resume`.  Call it inside the tool's error handling:
+/// a malformed RC11_FAULT or checkpoint file throws support::Error.
+void arm_run_control(CommonOptions& opts,
+                     std::optional<engine::Checkpoint>& resumed);
+
+/// Narrates the --checkpoint file the driver wrote when the run stopped
+/// early; says nothing without --checkpoint.
+void print_checkpoint_written(const CommonOptions& opts);
 
 /// Human-readable phrase for why a run stopped, with the flag to raise,
 /// e.g. "the state cap was reached (raise --max-states)".

@@ -18,14 +18,20 @@
 #                        a seeded sample, a refuted pair with a witness with
 #                        no reduction (the simulation's counterexample), with
 #                        --trace-only (trace inclusion's), under --por and
-#                        under --symmetry, and a capped (inconclusive) check.
+#                        under --symmetry, and a capped (inconclusive) check;
+#   checkpoint/resume    with no reduction, --por, --symmetry and
+#                        --rf-quotient: rc11-run and rc11-race on
+#                        ticket_worker and dcl_broken capped at 50 states,
+#                        rc11-verify on mp_verified capped at 5, each with
+#                        --checkpoint, then resumed to completion.
 #
-# For every run it writes into OUT_DIR:
+# That is 475 runs.  For every run it writes into OUT_DIR:
 #
 #   NAME.json      the run's --json summary
 #   NAME.out       its stdout, with OUT_DIR replaced by "OUT"
 #   NAME.exit      its exit code
 #   NAME.witness   its --witness file, when it wrote one
+#   NAME.ckpt      its --checkpoint file, when it wrote one
 #
 # Single-thread reports carry no timing data, so two builds that keep the
 # report contract produce identical directories: compare a sweep of each
@@ -48,13 +54,16 @@ cd "$(dirname "$0")/.."
 runs=0
 bad=0
 
-# run NAME TOOL ARGS...  ("@W" in ARGS becomes the run's witness path)
+# run NAME TOOL ARGS...  ("@W" in ARGS becomes the run's witness path, "@C"
+# its checkpoint path; a run named X.resume-Y reads X.checkpoint-Y's file)
 run() {
   local name=$1 tool=$2
   shift 2
+  local ckpt=$OUT/${name/.resume-/.checkpoint-}.ckpt
   local args=() a
   for a in "$@"; do
-    args+=("${a/@W/$OUT/$name.witness}")
+    a=${a/@W/$OUT/$name.witness}
+    args+=("${a/@C/$ckpt}")
   done
   local rc=0
   "$BUILD/tools/$tool" --threads 1 --json "$OUT/$name.json" "${args[@]}" \
@@ -128,6 +137,28 @@ run rc11-refine.broken-witness-symmetry rc11-refine --symmetry --witness @W \
   "$abstract" "$broken"
 run rc11-refine.seqlock-cap1 rc11-refine --max-states 1 "$abstract" \
   "$seqlock"
+
+# A capped run that saves a checkpoint, then an uncapped run resuming it.
+for reduction in "" --por --symmetry --rf-quotient; do
+  label=${reduction#--}
+  label=${label:-default}
+  for tool in rc11-run rc11-race; do
+    for prog in ticket_worker dcl_broken; do
+      # shellcheck disable=SC2086
+      run "$tool.$prog.checkpoint-$label" "$tool" --max-states 50 \
+        $reduction --checkpoint @C "tools/programs/$prog.rc11"
+      # shellcheck disable=SC2086
+      run "$tool.$prog.resume-$label" "$tool" $reduction --resume @C \
+        "tools/programs/$prog.rc11"
+    done
+  done
+  # shellcheck disable=SC2086
+  run "rc11-verify.mp_verified.checkpoint-$label" rc11-verify \
+    --max-states 5 $reduction --checkpoint @C tools/programs/mp_verified.rc11
+  # shellcheck disable=SC2086
+  run "rc11-verify.mp_verified.resume-$label" rc11-verify $reduction \
+    --resume @C tools/programs/mp_verified.rc11
+done
 
 echo "json_sweep: $runs runs into $OUT, $bad failed"
 [ "$bad" -eq 0 ]

@@ -49,7 +49,6 @@
 #include <string>
 
 #include "cli_common.hpp"
-#include "engine/checkpoint.hpp"
 #include "parser/parser.hpp"
 #include "race/race.hpp"
 #include "witness/witness.hpp"
@@ -138,26 +137,12 @@ int main(int argc, char** argv) {
       std::cout << program.sys.disassemble() << "\n";
     }
 
-    std::optional<engine::Checkpoint> resume;
-    if (!common.resume_path.empty()) {
-      resume = engine::load_checkpoint(common.resume_path);
-      std::cout << "resuming from " << common.resume_path << " ("
-                << resume->states.size() << " state(s), stopped: "
-                << engine::to_string(resume->stop) << ")\n";
-    }
-
+    std::optional<engine::Checkpoint> resumed;
+    cli::arm_run_control(common, resumed);
     race::RaceOptions opts;
-    static_cast<engine::Reduction&>(opts) = common;
-    opts.max_states = common.max_states;
-    opts.num_threads = common.num_threads;
+    static_cast<engine::RunControl&>(opts) = common;
     opts.stop_on_race = stop_on_race;
     opts.track_traces = !common.witness_path.empty();
-    opts.max_visited_bytes = common.max_visited_bytes;
-    opts.deadline_ms = common.deadline_ms;
-    opts.cancel = cli::install_signal_cancel();
-    opts.fault = engine::FaultPlan::from_env();
-    opts.resume = resume ? &*resume : nullptr;
-    opts.checkpoint_path = common.checkpoint_path;
 
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = race::check(program.sys, opts);
@@ -174,10 +159,7 @@ int main(int argc, char** argv) {
       std::cout << "WARNING: exploration stopped early — "
                 << cli::describe_stop(result.stop)
                 << "; the race set is a lower bound\n";
-      if (!common.checkpoint_path.empty()) {
-        std::cout << "checkpoint written to " << common.checkpoint_path
-                  << " (continue with --resume)\n";
-      }
+      cli::print_checkpoint_written(common);
     }
 
     for (const auto& r : result.races) {

@@ -146,27 +146,14 @@ int main(int argc, char** argv) {
     return cli::kExitUsage;
   }
 
-  const auto* cancel = cli::install_signal_cancel();
-  const auto fault = rc11::engine::FaultPlan::from_env();
-
-  refinement::SimulationOptions sim_opts;
-  static_cast<engine::Reduction&>(sim_opts) = common;
-  sim_opts.max_states = common.max_states;
-  sim_opts.num_threads = common.num_threads;
-  sim_opts.max_visited_bytes = common.max_visited_bytes;
-  sim_opts.deadline_ms = common.deadline_ms;
-  sim_opts.cancel = cancel;
-  sim_opts.fault = fault;
-  refinement::TraceInclusionOptions trace_opts;
-  static_cast<engine::Reduction&>(trace_opts) = common;
-  trace_opts.max_states = common.max_states;
-  trace_opts.num_threads = common.num_threads;
-  trace_opts.max_visited_bytes = common.max_visited_bytes;
-  trace_opts.deadline_ms = common.deadline_ms;
-  trace_opts.cancel = cancel;
-  trace_opts.fault = fault;
-
   try {
+    std::optional<engine::Checkpoint> resumed;
+    cli::arm_run_control(common, resumed);
+    refinement::SimulationOptions sim_opts;
+    static_cast<engine::RunControl&>(sim_opts) = common;
+    refinement::TraceInclusionOptions trace_opts;
+    static_cast<engine::RunControl&>(trace_opts) = common;
+
     const auto abs = parser::parse_file(abs_path);
     const auto conc = parser::parse_file(conc_path);
 

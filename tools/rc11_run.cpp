@@ -68,7 +68,6 @@
 #include <string>
 
 #include "cli_common.hpp"
-#include "engine/checkpoint.hpp"
 #include "explore/dot.hpp"
 #include "explore/explorer.hpp"
 #include "parser/parser.hpp"
@@ -147,24 +146,10 @@ int main(int argc, char** argv) {
       std::cout << program.sys.disassemble() << "\n";
     }
 
-    std::optional<engine::Checkpoint> resume;
-    if (!common.resume_path.empty()) {
-      resume = engine::load_checkpoint(common.resume_path);
-      std::cout << "resuming from " << common.resume_path << " ("
-                << resume->states.size() << " state(s), stopped: "
-                << engine::to_string(resume->stop) << ")\n";
-    }
-
+    std::optional<engine::Checkpoint> resumed;
+    cli::arm_run_control(common, resumed);
     explore::ExploreOptions opts;
-    static_cast<engine::Reduction&>(opts) = common;
-    opts.max_states = common.max_states;
-    opts.num_threads = common.num_threads;
-    opts.max_visited_bytes = common.max_visited_bytes;
-    opts.deadline_ms = common.deadline_ms;
-    opts.cancel = cli::install_signal_cancel();
-    opts.fault = engine::FaultPlan::from_env();
-    opts.resume = resume ? &*resume : nullptr;
-    opts.checkpoint_path = common.checkpoint_path;
+    static_cast<engine::RunControl&>(opts) = common;
 
     explore::Invariant invariant;
     if (!invariant_src.empty()) {
@@ -193,10 +178,12 @@ int main(int argc, char** argv) {
     }
 
     if (!dot_path.empty()) {
-      const auto graph = refinement::build_graph(
-          program.sys, {.max_states = opts.max_states,
-                        .want_labels = true,
-                        .num_threads = opts.num_threads});
+      // The full graph, whatever the run's reductions and budgets.
+      refinement::GraphOptions full;
+      full.max_states = common.max_states;
+      full.num_threads = common.num_threads;
+      full.want_labels = true;
+      const auto graph = refinement::build_graph(program.sys, full);
       std::ofstream out{dot_path};
       out << explore::to_dot(program.sys, graph);
       std::cout << "state graph (" << graph.num_states()
@@ -219,10 +206,7 @@ int main(int argc, char** argv) {
       std::cout << "WARNING: exploration stopped early — "
                 << cli::describe_stop(result.stop)
                 << "; results are a lower bound\n";
-      if (!common.checkpoint_path.empty()) {
-        std::cout << "checkpoint written to " << common.checkpoint_path
-                  << " (continue with --resume)\n";
-      }
+      cli::print_checkpoint_written(common);
     }
 
     // Print the outcome set over all registers, in declaration order.

@@ -61,7 +61,6 @@
 #include <string>
 
 #include "cli_common.hpp"
-#include "engine/checkpoint.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
 #include "witness/witness.hpp"
@@ -113,12 +112,6 @@ int main(int argc, char** argv) {
     return cli::kExitUsage;
   }
 
-  static_cast<engine::Reduction&>(opts) = common;
-  opts.max_states = common.max_states;
-  opts.num_threads = common.num_threads;
-  opts.max_visited_bytes = common.max_visited_bytes;
-  opts.deadline_ms = common.deadline_ms;
-  opts.checkpoint_path = common.checkpoint_path;
   if (!common.witness_path.empty()) {
     opts.track_traces = true;  // witnesses ride on the recorded parents
   }
@@ -128,16 +121,9 @@ int main(int argc, char** argv) {
     if (!common.replay_path.empty()) {
       return cli::run_replay(program.sys, common);
     }
-    std::optional<engine::Checkpoint> resume;
-    if (!common.resume_path.empty()) {
-      resume = engine::load_checkpoint(common.resume_path);
-      std::cout << "resuming from " << common.resume_path << " ("
-                << resume->states.size() << " state(s), stopped: "
-                << engine::to_string(resume->stop) << ")\n";
-    }
-    opts.resume = resume ? &*resume : nullptr;
-    opts.cancel = cli::install_signal_cancel();
-    opts.fault = engine::FaultPlan::from_env();
+    std::optional<engine::Checkpoint> resumed;
+    cli::arm_run_control(common, resumed);
+    static_cast<engine::RunControl&>(opts) = common;
     if (!program.outline) {
       std::cerr << "rc11-verify: " << path << " has no outline { ... } block\n";
       return cli::kExitUsage;
@@ -191,10 +177,7 @@ int main(int argc, char** argv) {
       std::cout << "INCONCLUSIVE: outline check stopped early — "
                 << cli::describe_stop(result.stop)
                 << "; no failure found in the part examined\n";
-      if (!common.checkpoint_path.empty()) {
-        std::cout << "checkpoint written to " << common.checkpoint_path
-                  << " (continue with --resume)\n";
-      }
+      cli::print_checkpoint_written(common);
       return cli::kExitInconclusive;
     }
     if (result.valid) {
