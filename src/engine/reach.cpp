@@ -135,8 +135,8 @@ void seed_from_checkpoint(const TransitionSystem& ts, const Checkpoint& ckpt,
 /// The thread whose single deterministic local step chain collapse
 /// fast-forwards at `cfg`: the ample thread, when its next instruction is
 /// local (Assign / Branch / Jump — exactly one successor, no memory effect);
-/// nullopt when no chain starts.  A pure function of `cfg`, so every worker,
-/// strategy and trace mode collapses identically.  Chains terminate because
+/// nullopt when no chain starts.  A pure function of `cfg`, so every worker
+/// and trace mode collapses identically.  Chains terminate because
 /// every chain step strictly increases the acting thread's pc (the ample
 /// proviso) and touches no other thread's pc.
 std::optional<lang::ThreadId> chain_thread(const TransitionSystem& ts,
@@ -435,9 +435,8 @@ ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,
     frontier.items.push_back({std::move(init), id});
   }
 
-  const bool bfs = options.strategy == SearchStrategy::Bfs;
-  // One worker takes one item per turn, so it expands in exact DFS (BFS)
-  // order — the order --json's peak_frontier and reduction counters pin.
+  // One worker takes one item per turn, so it expands in exact DFS order —
+  // the order --json's peak_frontier and reduction counters pin.
   // A pool's worker takes at most a 1/workers share, leaving work for idle
   // peers.
   const std::size_t max_batch = num_workers == 1 ? 1 : kMaxBatch;
@@ -460,13 +459,8 @@ ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,
         const std::size_t take = std::min(
             max_batch, std::max<std::size_t>(1, size_at_pop / num_workers));
         for (std::size_t i = 0; i < take; ++i) {
-          if (bfs) {
-            w.batch.push_back(std::move(frontier.items.front()));
-            frontier.items.pop_front();
-          } else {
-            w.batch.push_back(std::move(frontier.items.back()));
-            frontier.items.pop_back();
-          }
+          w.batch.push_back(std::move(frontier.items.back()));
+          frontier.items.pop_back();
         }
         frontier.working += 1;
       }

@@ -9,9 +9,9 @@
 // There is one driver loop: a pool of workers over a shared frontier and a
 // lock-striped visited set.  `num_threads == 1` is the pool with one worker
 // on the calling thread and a one-shard set; that worker takes one frontier
-// item per turn (LIFO, FIFO under BFS), so a single-thread run expands in
-// exact DFS (BFS) order and its statistics are deterministic.  Larger pools
-// take batches and may interleave differently; they visit the same states.
+// item per turn, last in first out, so a single-thread run expands in exact
+// DFS order and its statistics are deterministic.  Larger pools take
+// batches and may interleave differently; they visit the same states.
 //
 // States are deduplicated by their canonical encoding (order-isomorphic
 // timestamp quotient — see memsem::SemanticsOptions::canonical_timestamps),
@@ -27,7 +27,7 @@
 // and only the chain's stable end is visited — this is where the bulk of
 // the visited-state reduction comes from.  The reduced state graph is a
 // deterministic function of the system (see TransitionSystem::ample_thread),
-// so POR composes with any worker count, search strategy and trace sink;
+// so POR composes with any worker count and trace sink;
 // every recorded trace edge — including chain-internal ones, which are
 // interned in the sink without being visited — is a real single transition
 // of the full semantics, so recorded traces replay unchanged
@@ -60,11 +60,6 @@ namespace rc11::engine {
 struct Checkpoint;  // engine/checkpoint.hpp
 
 using lang::Step;
-
-/// Search order.  Both visit the same set of states (the visited set makes
-/// exploration order-insensitive); BFS yields shortest counterexample
-/// traces, DFS has the smaller frontier on deep graphs.
-enum class SearchStrategy : std::uint8_t { Dfs, Bfs };
 
 struct ExploreStats {
   std::uint64_t states = 0;       ///< distinct states visited
@@ -119,8 +114,8 @@ struct ExploreStats {
 struct RunControl : Reduction, Budget {
   /// Worker threads expanding configurations: 1 (the default) is the
   /// driver's pool with one worker on the calling thread, which expands in
-  /// exact DFS (BFS) order — required for BFS shortest-trace guarantees and
-  /// for deterministic statistics; 0 resolves to
+  /// exact DFS order — so its statistics, the violation that stops it
+  /// first and the states a cap keeps are reproducible; 0 resolves to
   /// std::thread::hardware_concurrency(); N > 1 runs N workers over a
   /// lock-striped visited set (engine/sharded_visited.hpp).  For every
   /// thread count the *set* of visited states, final configurations and
@@ -162,7 +157,6 @@ struct RunControl : Reduction, Budget {
 /// driver reads.  visit_reachable checks the reductions with
 /// reduction_conflict before any work.
 struct ReachOptions : RunControl {
-  SearchStrategy strategy = SearchStrategy::Dfs;
   bool want_labels = false;  ///< fill Step::label for the visitor
   /// Extra (thread, location) viewfront entries the rf-quotient key keeps
   /// beyond what liveness analysis retains — the view footprints of the

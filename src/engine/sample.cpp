@@ -186,6 +186,11 @@ ReachResult sample_reach(const TransitionSystem& ts,
   // episodes.  Sites that keep winning the draw decay towards the weight
   // floor, so rare branches — and schedules past a spin loop — get sampled.
   std::unordered_map<std::uint64_t, std::uint64_t> hits;
+  const auto thread_site = [](lang::ThreadId thread,
+                              std::uint32_t pc) noexcept {
+    return (static_cast<std::uint64_t>(thread) << 32) |
+           static_cast<std::uint64_t>(pc);
+  };
   // Second guided layer: executions per (thread, pc, within-thread choice
   // index) — the reads-from / placement / CAS alternative drawn once a
   // thread won.  Kept in its own map so the thread-level bias above is
@@ -200,9 +205,6 @@ ReachResult sample_reach(const TransitionSystem& ts,
     key = (key ^ choice) * 0x100000001B3ULL;
     return key;
   };
-  const std::uint64_t step_cap = options.sample.max_episode_steps != 0
-                                     ? options.sample.max_episode_steps
-                                     : kDefaultEpisodeStepCap;
 
   lang::StepBuffer steps;
   std::vector<std::uint64_t> scratch;
@@ -236,7 +238,7 @@ ReachResult sample_reach(const TransitionSystem& ts,
     auto [fresh, id] =
         intern(cfg, ShardedVisitedSet::kNoState, 0, "init");
     bool stop_run = false;
-    for (std::uint64_t depth = 0; depth < step_cap; ++depth) {
+    for (std::uint64_t depth = 0; depth < kEpisodeStepCap; ++depth) {
       if (++probe_clock >= kBudgetCheckInterval) {
         probe_clock = 0;
         if (enforcer.probe() != StopReason::Complete) {
@@ -269,10 +271,10 @@ ReachResult sample_reach(const TransitionSystem& ts,
 
       // Group the buffer into per-thread runs (successors_into enumerates
       // thread by thread) and draw a thread, weighted by how rarely its
-      // current site has executed; then draw uniformly within the thread —
-      // lang::successors enumerates memory nondeterminism (reads-from,
-      // placement, CAS outcome) as separate steps, so this second draw is
-      // the reads-from choice.
+      // current site has executed; then draw within the thread, weighted the
+      // same way — lang::successors enumerates memory nondeterminism
+      // (reads-from, placement, CAS outcome) as separate steps, so this
+      // second draw is the reads-from choice.
       const std::span<const Step> enabled = steps.steps();
       ranges.clear();
       for (std::size_t i = 0; i < enabled.size(); ++i) {
@@ -287,16 +289,10 @@ ReachResult sample_reach(const TransitionSystem& ts,
         weights.clear();
         std::uint64_t total = 0;
         for (const ThreadRange& r : ranges) {
-          std::uint64_t w = 1;
-          if (options.sample.guided) {
-            const std::uint64_t site =
-                (static_cast<std::uint64_t>(r.thread) << 32) |
-                static_cast<std::uint64_t>(cfg.pc[r.thread]);
-            const auto it = hits.find(site);
-            const std::uint64_t seen = it == hits.end() ? 0 : it->second;
-            w = kWeightScale / (1 + seen);
-            if (w == 0) w = 1;  // floor: every enabled thread stays drawable
-          }
+          const auto it = hits.find(thread_site(r.thread, cfg.pc[r.thread]));
+          const std::uint64_t seen = it == hits.end() ? 0 : it->second;
+          std::uint64_t w = kWeightScale / (1 + seen);
+          if (w == 0) w = 1;  // floor: every enabled thread stays drawable
           weights.push_back(w);
           total += w;
         }
@@ -310,47 +306,36 @@ ReachResult sample_reach(const TransitionSystem& ts,
       const std::size_t span = chosen.end - chosen.begin;
       std::size_t si = chosen.begin;
       if (span > 1) {
-        if (options.sample.guided) {
-          // Rarity-weighted reads-from draw: the within-thread alternatives
-          // are the memory-nondeterminism options (reads-from, placement,
-          // CAS outcome) of one instruction, keyed (thread, pc, choice
-          // index) in `choice_hits`.  A uniform draw keeps re-reading the
-          // latest write in long mo sequences; inverse-hit-count weighting
-          // pushes episodes towards the stale reads that distinguish weak
-          // behaviours.  Same draw discipline as the thread draw (one
-          // seeded rng.below over summed weights), so seed determinism is
-          // untouched.
-          weights.clear();
-          std::uint64_t total = 0;
-          for (std::size_t c = 0; c < span; ++c) {
-            const auto it = choice_hits.find(
-                choice_site(chosen.thread, cfg.pc[chosen.thread], c));
-            const std::uint64_t seen =
-                it == choice_hits.end() ? 0 : it->second;
-            std::uint64_t w = kWeightScale / (1 + seen);
-            if (w == 0) w = 1;  // floor: every alternative stays drawable
-            weights.push_back(w);
-            total += w;
-          }
-          std::uint64_t r = rng.below(total);
-          std::size_t c = 0;
-          while (r >= weights[c]) {
-            r -= weights[c];
-            c += 1;
-          }
-          si = chosen.begin + c;
-        } else {
-          si = chosen.begin + static_cast<std::size_t>(rng.below(span));
+        // Rarity-weighted reads-from draw: the within-thread alternatives
+        // are the memory-nondeterminism options (reads-from, placement, CAS
+        // outcome) of one instruction, keyed (thread, pc, choice index) in
+        // `choice_hits`.  A uniform draw keeps re-reading the latest write
+        // in long mo sequences; inverse-hit-count weighting pushes episodes
+        // towards the stale reads that distinguish weak behaviours.  Same
+        // draw discipline as the thread draw (one seeded rng.below over
+        // summed weights), so seed determinism is untouched.
+        weights.clear();
+        std::uint64_t total = 0;
+        for (std::size_t c = 0; c < span; ++c) {
+          const auto it = choice_hits.find(
+              choice_site(chosen.thread, cfg.pc[chosen.thread], c));
+          const std::uint64_t seen = it == choice_hits.end() ? 0 : it->second;
+          std::uint64_t w = kWeightScale / (1 + seen);
+          if (w == 0) w = 1;  // floor: every alternative stays drawable
+          weights.push_back(w);
+          total += w;
         }
+        std::uint64_t r = rng.below(total);
+        std::size_t c = 0;
+        while (r >= weights[c]) {
+          r -= weights[c];
+          c += 1;
+        }
+        si = chosen.begin + c;
       }
-      if (options.sample.guided) {
-        const std::uint64_t site =
-            (static_cast<std::uint64_t>(chosen.thread) << 32) |
-            static_cast<std::uint64_t>(cfg.pc[chosen.thread]);
-        hits[site] += 1;
-        choice_hits[choice_site(chosen.thread, cfg.pc[chosen.thread],
-                                si - chosen.begin)] += 1;
-      }
+      hits[thread_site(chosen.thread, cfg.pc[chosen.thread])] += 1;
+      choice_hits[choice_site(chosen.thread, cfg.pc[chosen.thread],
+                              si - chosen.begin)] += 1;
       Step& step = steps.steps()[si];
       Config after = std::move(step.after);
       std::tie(fresh, id) =

@@ -14,7 +14,7 @@
 // resampled; the within-thread draw is rarity-weighted the same way, keyed
 // (thread, pc, choice index), so episodes drift towards the stale reads
 // that distinguish weak behaviours instead of re-reading the latest write.
-// With guided off both draws are uniform.
+// An episode that has not ended after kEpisodeStepCap steps is abandoned.
 //
 // Exhaustive exploration stays the oracle: on instances small enough to
 // enumerate, sampling with enough episodes visits a subset of the exhaustive
@@ -74,22 +74,15 @@ struct SampleOptions {
   /// RNG seed.  Same program + same options + same seed reproduces the run
   /// exactly — schedules, coverage, verdicts and stats.
   std::uint64_t seed = 0;
-  /// Feedback-guided biasing: down-weight (thread, pc) sites — and, within
-  /// the drawn thread, (thread, pc, choice index) memory-nondeterminism
-  /// alternatives — by how often they have already executed, across and
-  /// within episodes.  Off = both draws are uniform.
-  bool guided = true;
-  /// Per-episode schedule-length cap, the spin-loop safety valve: an
-  /// episode that has not reached a final or blocked configuration after
-  /// this many steps is abandoned (it still counts as an episode; its
-  /// states stay in the coverage set).  0 = the built-in default.
-  std::uint64_t max_episode_steps = 0;
 };
 
-/// Default for SampleOptions::max_episode_steps == 0.  Generous against the
-/// corpus (complete schedules there run tens to hundreds of steps) while
-/// still bounding a pathological all-spin schedule.
-inline constexpr std::uint64_t kDefaultEpisodeStepCap = 20'000;
+/// Per-episode schedule-length cap, the spin-loop safety valve: an episode
+/// that has not reached a final or blocked configuration after this many
+/// steps is abandoned (it still counts as an episode; its states stay in
+/// the coverage set).  Generous against the corpus (complete schedules
+/// there run tens to hundreds of steps) while still bounding a pathological
+/// all-spin schedule.
+inline constexpr std::uint64_t kEpisodeStepCap = 20'000;
 
 /// The reduction and coverage settings of one run, declared once.  Every
 /// options struct that offers them derives from this one — ReachOptions,
@@ -105,7 +98,7 @@ struct Reduction {
   /// How to cover the state space: exhaustive enumeration (default) or
   /// seeded random sampling.  Under Strategy::Sample the driver runs
   /// sample_reach: episodes are sequential regardless of the worker count
-  /// (seed determinism), and the search order is ignored.
+  /// (seed determinism).
   Strategy mode = Strategy::Exhaustive;
   /// Tuning for Strategy::Sample (ignored otherwise).
   SampleOptions sample;
@@ -142,8 +135,8 @@ struct Reduction {
 ///     --resume (a sampling run keeps no frontier);
 ///   * --rf-quotient under the SC model;
 ///   * a resumed checkpoint recorded under different reductions: they
-///     decide which states were interned and enqueued (the worker count and
-///     search order never do, so those may change).
+///     decide which states were interned and enqueued (the worker count
+///     never does, so it may change).
 /// `checkpoint`: the run saves a checkpoint when it stops early.  `resume`:
 /// it continues one, whose recorded setting is `recorded` — null before the
 /// file is loaded, as when the tools check their flags.  `sc`: the system

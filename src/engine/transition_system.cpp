@@ -51,7 +51,7 @@ bool TransitionSystem::ample_eligible(const Config& cfg, ThreadId t) const {
 std::optional<ThreadId> TransitionSystem::ample_thread(
     const Config& cfg) const {
   // Lowest eligible thread id: deterministic, so the reduced graph is the
-  // same for every worker count, search strategy and trace mode.
+  // same for every worker count and trace mode.
   for (ThreadId t = 0; t < sys_->num_threads(); ++t) {
     if (cfg.thread_done(*sys_, t)) continue;
     if (ample_eligible(cfg, t)) return t;

@@ -78,7 +78,6 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
 
   ReachOptions ropts;
   static_cast<engine::RunControl&>(ropts) = options;
-  ropts.strategy = options.strategy;
   ropts.rf_pins = options.rf_pins;
   ropts.trace = trace_store ? &*trace_store : nullptr;
 
@@ -135,7 +134,7 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
             check_member(cfg, /*is_rep=*/true);
           }
         }
-        if (options.collect_finals && steps.empty() && cfg.all_done(sys)) {
+        if (steps.empty() && cfg.all_done(sys)) {
           const auto collect = [&](const Config& done) {
             // Encode once; the encoding doubles as the dedup key here and
             // the canonical sort key below.

@@ -41,7 +41,6 @@ using engine::ExploreStats;
 using engine::ReachOptions;
 using engine::ReachResult;
 using engine::SampleOptions;
-using engine::SearchStrategy;
 using engine::ShardedVisitedSet;
 using engine::StateVisitor;
 using engine::Strategy;
@@ -77,7 +76,6 @@ using engine::visit_reachable;
 /// so they compare equal across thread counts; the invariant callback must
 /// be thread-safe when more than one worker resolves.
 struct ExploreOptions : engine::RunControl {
-  SearchStrategy strategy = SearchStrategy::Dfs;
   /// Viewfront entries to pin into the rf-quotient key (see above); ignored
   /// unless rf_quotient.
   engine::RfPins rf_pins;
@@ -87,8 +85,6 @@ struct ExploreOptions : engine::RunControl {
   /// counterexample trace and a structured replayable witness (costs memory;
   /// default off for benchmarks).  Works for any num_threads.
   bool track_traces = false;
-  /// Keep a copy of every final configuration (needed for outcome sets).
-  bool collect_finals = true;
 };
 
 /// An invariant violation with an optional counterexample trace.
@@ -104,8 +100,8 @@ struct Violation {
 
 struct ExploreResult {
   ExploreStats stats;
-  /// Deduplicated (iff collect_finals) and sorted by canonical encoding, so
-  /// results compare equal across search strategies and thread counts.
+  /// Every final configuration, deduplicated and sorted by canonical
+  /// encoding, so results compare equal across thread counts.
   std::vector<Config> final_configs;
   /// Sorted by (what, state_dump); identical modulo traces for any thread
   /// count when stop_on_violation is off.

@@ -95,7 +95,6 @@ RaceResult check(const System& sys, const RaceOptions& options) {
 
   ReachOptions ropts;
   static_cast<engine::RunControl&>(ropts) = options;
-  ropts.strategy = options.strategy;
   ropts.trace = trace_store ? &*trace_store : nullptr;
 
   std::mutex mu;

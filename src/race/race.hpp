@@ -65,7 +65,6 @@ using memsem::RaceRecord;
 /// The *set* of reported races is identical for every thread count; only
 /// traces, state dumps and witness choice may differ between runs.
 struct RaceOptions : engine::RunControl {
-  engine::SearchStrategy strategy = engine::SearchStrategy::Dfs;
   /// Stop at the first race (default off: cross-checks compare full sets).
   bool stop_on_race = false;
   /// Record parent links so each race carries a trace and a replayable
@@ -95,7 +94,7 @@ struct ReportedRace {
 struct RaceResult {
   engine::ExploreStats stats;
   /// Deduplicated and sorted by (location, both sites), so the set compares
-  /// equal across thread counts, strategies and reductions.
+  /// equal across thread counts and reductions.
   std::vector<ReportedRace> races;
   engine::StopReason stop = engine::StopReason::Complete;
   bool truncated = false;  ///< stop != Complete: the race set is a lower bound

@@ -74,36 +74,45 @@ std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
   return h.digest();
 }
 
-/// Rejects what refinement does not honour of a RunControl (see
-/// GraphOptions): the rf-quotient and checkpoint/resume everywhere,
-/// symmetry unless the caller quotients the trace-inclusion product with
-/// it.  The engine's own rules run first, so a sampled trace-inclusion
-/// check cannot drop its symmetry setting silently.
+/// Throws refinement_conflict's message for a check's RunControl.
 void require_refinement_subset(const engine::RunControl& r,
                                bool product_symmetry) {
-  const std::string conflict = engine::reduction_conflict(r);
+  const std::string conflict =
+      refinement_conflict(r, !r.checkpoint_path.empty(), r.resume != nullptr,
+                          product_symmetry);
   support::require(conflict.empty(), conflict);
-  support::require(
-      r.checkpoint_path.empty() && r.resume == nullptr,
-      "--checkpoint/--resume are not supported by the refinement checks: a "
-      "check builds two state graphs, so a single checkpoint file is "
-      "ambiguous (use --deadline-ms / --mem-budget to bound the run "
-      "instead)");
-  support::require(
-      !r.rf_quotient,
-      "--rf-quotient is not supported by the refinement checks: they compare "
-      "client projections across two systems, which the execution-graph "
-      "quotient does not relate (use --por or --symmetry to shrink the "
-      "graphs instead)");
-  support::require(
-      product_symmetry || !r.symmetry,
-      "--symmetry is not supported by state-graph builds or the Def. 8 "
-      "simulation: graph states must be concrete, and a quotiented fixpoint "
-      "would change which pairs its diagnosis can cite (the trace-inclusion "
-      "check quotients its product instead)");
 }
 
 }  // namespace
+
+std::string refinement_conflict(const engine::Reduction& r, bool checkpoint,
+                                bool resume, bool product_symmetry) {
+  // The engine's own rules come first, so a sampled trace-inclusion check
+  // cannot drop its symmetry setting silently.
+  if (std::string conflict = engine::reduction_conflict(r);
+      !conflict.empty()) {
+    return conflict;
+  }
+  if (checkpoint || resume) {
+    return "--checkpoint/--resume are not supported by the refinement "
+           "checks: a check builds two state graphs, so a single checkpoint "
+           "file is ambiguous (use --deadline-ms / --mem-budget to bound the "
+           "run instead)";
+  }
+  if (r.rf_quotient) {
+    return "--rf-quotient is not supported by the refinement checks: they "
+           "compare client projections across two systems, which the "
+           "execution-graph quotient does not relate (use --por or "
+           "--symmetry to shrink the graphs instead)";
+  }
+  if (r.symmetry && !product_symmetry) {
+    return "--symmetry is not supported by state-graph builds or the Def. 8 "
+           "simulation: graph states must be concrete, and a quotiented "
+           "fixpoint would change which pairs its diagnosis can cite (the "
+           "trace-inclusion check quotients its product instead)";
+  }
+  return {};
+}
 
 StateGraph build_graph(const System& sys, const GraphOptions& options) {
   // Two-phase construction on the shared reachability driver, for every
@@ -691,6 +700,9 @@ TraceInclusionResult play_trace_inclusion(const GraphPair& pair,
     return w;
   };
 
+  // The subset construction's bound: a product this large reports
+  // truncated instead of exhausting memory.
+  constexpr std::uint64_t kMaxProductNodes = 500'000;
   std::deque<std::size_t> work;
   if (!refines(pair, abs.initial, conc.initial)) {
     result.what = "initial concrete state refines no abstract state";
@@ -703,7 +715,7 @@ TraceInclusionResult play_trace_inclusion(const GraphPair& pair,
   std::vector<std::uint32_t> node_match;
   std::vector<std::uint32_t> next_match;
   while (!work.empty()) {
-    if (result.product_nodes >= options.max_product_nodes) {
+    if (result.product_nodes >= kMaxProductNodes) {
       result.truncated = true;
       result.what = "product exploration truncated";
       break;

@@ -147,6 +147,15 @@ struct GraphOptions : engine::RunControl {
   bool want_labels = false;  ///< fill StateGraph::labels (DOT export)
 };
 
+/// engine::reduction_conflict's rules, then the subset above, as the first
+/// violated rule's message (empty when the check may go ahead).
+/// `product_symmetry`: the caller spends `symmetry` on the trace-inclusion
+/// product.  Every entry point below applies it, and rc11-refine applies it
+/// to its flags before it reads any file.
+[[nodiscard]] std::string refinement_conflict(const engine::Reduction& r,
+                                              bool checkpoint, bool resume,
+                                              bool product_symmetry);
+
 [[nodiscard]] StateGraph build_graph(const System& sys,
                                      const GraphOptions& options = {});
 
@@ -233,10 +242,9 @@ struct SimulationResult {
 ///     like every reduction (the permuted image of a sampled state need not
 ///     be covered).
 /// The limits, controls and workers apply as in SimulationOptions; the
-/// subset construction stays sequential.
-struct TraceInclusionOptions : engine::RunControl {
-  std::uint64_t max_product_nodes = 500'000;  ///< subset-construction bound
-};
+/// subset construction stays sequential and stops, truncated, at 500,000
+/// product nodes.
+struct TraceInclusionOptions : engine::RunControl {};
 
 struct TraceInclusionResult {
   bool holds = false;
@@ -296,8 +304,8 @@ struct GraphPair {
 [[nodiscard]] SimulationResult play_forward_simulation(const GraphPair& pair);
 
 /// Plays the trace-inclusion game on a built pair (see
-/// check_trace_inclusion).  Of `options` it reads only the product's
-/// settings, `max_product_nodes` and `symmetry`; the graphs are the pair's.
+/// check_trace_inclusion).  Of `options` it reads only `symmetry`, the
+/// product's one setting; the graphs are the pair's.
 [[nodiscard]] TraceInclusionResult play_trace_inclusion(
     const GraphPair& pair, const TraceInclusionOptions& options);
 

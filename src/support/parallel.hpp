@@ -3,9 +3,9 @@
 // Small parallel-execution helpers shared by the explorer, the proof-outline
 // checker and the refinement graph builder.  The convention across the
 // library is `num_threads == 1` for the exact sequential algorithms (the
-// default everywhere; required for BFS shortest-trace guarantees and trace
-// arenas), `0` for "use all hardware threads", and `N > 1` for an explicit
-// worker count.
+// default everywhere: one worker keeps the driver's exact DFS order, so
+// statistics and failure order are reproducible), `0` for "use all hardware
+// threads", and `N > 1` for an explicit worker count.
 
 #pragma once
 

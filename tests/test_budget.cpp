@@ -406,7 +406,7 @@ TEST(Checkpoint, ResumeMatchesUninterruptedRun) {
   }
 }
 
-TEST(Checkpoint, ResumeCanChangeThreadCountAndStrategy) {
+TEST(Checkpoint, ResumeCanChangeThreadCount) {
   const auto program = parser::parse_file(prog("ticket_lock.rc11"));
   const auto full = explore::explore(program.sys, ExploreOptions{});
 
@@ -420,7 +420,6 @@ TEST(Checkpoint, ResumeCanChangeThreadCountAndStrategy) {
   const auto ckpt = engine::load_checkpoint(ck.path);
   ExploreOptions resume_opts;
   resume_opts.num_threads = 4;  // checkpointed sequentially, resumed parallel
-  resume_opts.strategy = explore::SearchStrategy::Bfs;
   resume_opts.resume = &ckpt;
   const auto resumed = explore::explore(program.sys, resume_opts);
   EXPECT_EQ(resumed.stop, StopReason::Complete);

@@ -355,7 +355,9 @@ TEST(Cli, RefineCombinedPorSymmetryWitnessReplays) {
 TEST(Cli, RejectedReductionCombinations) {
   // Every tool refuses these before it runs anything: exit 1, nothing on
   // stdout, and a message naming each offending flag.  The checkpoint file
-  // is never read or written.
+  // is never read or written, and rc11-refine's concrete program does not
+  // exist, so its rows also show the flags are refused before any file is
+  // read.
   struct Case {
     std::string tool;
     std::string flags;
@@ -393,8 +395,7 @@ TEST(Cli, RejectedReductionCombinations) {
   for (const Case& c : cases) {
     const std::string programs =
         c.tool == "rc11-refine"
-            ? prog("lock_client_abstract.rc11") + " " +
-                  prog("lock_client_seqlock.rc11")
+            ? prog("lock_client_abstract.rc11") + " " + prog("missing.rc11")
         : c.tool == "rc11-verify" ? prog("mp_verified.rc11")
                                   : prog("sb.rc11");
     SCOPED_TRACE(c.tool + " " + c.flags);
@@ -410,9 +411,28 @@ TEST(Cli, RejectedReductionCombinations) {
   EXPECT_NE(access(ckpt.c_str(), F_OK), 0) << "no checkpoint is written";
 }
 
+TEST(Cli, RefineNotesFollowTheInputs) {
+  // rc11-refine's "implies --trace-only" notes go to stdout only once both
+  // programs are read: a missing program leaves stdout empty, as in every
+  // other tool.
+  for (const std::string flags : {"--symmetry", "--strategy sample:10"}) {
+    SCOPED_TRACE(flags);
+    std::string out;
+    std::string err;
+    EXPECT_EQ(run_split(bin("rc11-refine") + " " + flags + " " +
+                            prog("lock_client_abstract.rc11") + " " +
+                            prog("missing.rc11"),
+                        out, err),
+              1);
+    EXPECT_EQ(out, "");
+    EXPECT_NE(err.find("cannot open program file"), std::string::npos) << err;
+  }
+}
+
 TEST(Cli, MalformedFaultSpecIsAUsageError) {
   // RC11_FAULT is input like a flag: every tool rejects a malformed spec
   // with exit 1, nothing on stdout, and a message naming the variable.
+  // rc11-refine's --symmetry row would otherwise print its note first.
   const std::string refine_pair = prog("lock_client_abstract.rc11") + " " +
                                   prog("lock_client_seqlock.rc11");
   for (const auto& [tool, programs] :
@@ -420,8 +440,9 @@ TEST(Cli, MalformedFaultSpecIsAUsageError) {
            {"rc11-run", prog("sb.rc11")},
            {"rc11-race", prog("sb.rc11")},
            {"rc11-verify", prog("mp_verified.rc11")},
-           {"rc11-refine", refine_pair}}) {
-    SCOPED_TRACE(tool);
+           {"rc11-refine", refine_pair},
+           {"rc11-refine", "--symmetry " + refine_pair}}) {
+    SCOPED_TRACE(tool + " " + programs);
     std::string out;
     std::string err;
     EXPECT_EQ(

@@ -313,24 +313,7 @@ INSTANTIATE_TEST_SUITE_P(AllCausality, CausalitySuite, ::testing::Range(0, 4),
                          });
 
 
-// --- search strategy & DOT export --------------------------------------------
-
-TEST(Explorer, BfsAndDfsVisitTheSameStates) {
-  for (auto& t : litmus::all_tests()) {
-    ExploreOptions dfs;
-    dfs.strategy = explore::SearchStrategy::Dfs;
-    ExploreOptions bfs;
-    bfs.strategy = explore::SearchStrategy::Bfs;
-    const auto rd = explore(t.sys, dfs);
-    const auto rb = explore(t.sys, bfs);
-    EXPECT_EQ(rd.stats.states, rb.stats.states) << t.name;
-    EXPECT_EQ(rd.stats.transitions, rb.stats.transitions) << t.name;
-    EXPECT_EQ(rd.stats.finals, rb.stats.finals) << t.name;
-    EXPECT_EQ(explore::final_register_values(t.sys, rd, t.observed),
-              explore::final_register_values(t.sys, rb, t.observed))
-        << t.name;
-  }
-}
+// --- DOT export --------------------------------------------------------------
 
 TEST(DotExport, ProducesWellFormedGraph) {
   auto t = litmus::mp_release_acquire();

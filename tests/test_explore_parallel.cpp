@@ -107,18 +107,6 @@ TEST(ParallelExplore, LitmusSuiteOutcomeSetsIdentical) {
   }
 }
 
-TEST(ParallelExplore, BfsStrategyMatchesToo) {
-  const auto program = parser::parse_file(prog("mp_stack.rc11"));
-  ExploreOptions opts;
-  opts.strategy = explore::SearchStrategy::Bfs;
-  opts.num_threads = 1;
-  const auto baseline = explore::explore(program.sys, opts);
-  opts.num_threads = 8;
-  const auto parallel = explore::explore(program.sys, opts);
-  EXPECT_EQ(parallel.stats.states, baseline.stats.states);
-  EXPECT_EQ(final_encodings(parallel), final_encodings(baseline));
-}
-
 // An invariant that fires somewhere in the middle of the state space: the
 // protected counter x reaches 2 in every terminating run of the broken lock
 // client, so every thread count must find *a* violation when stopping early

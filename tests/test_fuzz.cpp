@@ -6,11 +6,9 @@
 //       (memsem::validate) and every transition moves views forward;
 //   P2  the SC baseline's outcome set is a subset of the RC11 RAR one
 //       (weakening the model never removes behaviours);
-//   P3  exploration is search-order independent (BFS and DFS agree on
-//       states, transitions and outcomes);
-//   P4  outcome sets are invariant under the timestamp-encoding ablation
+//   P3  outcome sets are invariant under the timestamp-encoding ablation
 //       (canonicalisation is a pure quotient);
-//   P5  the execution-graph quotient (--rf-quotient) is differential-exact:
+//   P4  the execution-graph quotient (--rf-quotient) is differential-exact:
 //       outcome sets, deadlock existence and race sets agree with the
 //       unreduced run on every generated program, and the quotient never
 //       visits more states.
@@ -78,19 +76,7 @@ void check_program(const Generated& g) {
     }
   }
 
-  // P3: BFS agrees with DFS.
-  {
-    explore::ExploreOptions bfs;
-    bfs.strategy = explore::SearchStrategy::Bfs;
-    const auto bfs_result = explore::explore(g.sys, bfs);
-    ASSERT_EQ(bfs_result.stats.states, inv_result.stats.states)
-        << g.description;
-    ASSERT_EQ(explore::final_register_values(g.sys, bfs_result, g.regs),
-              rc11_outcomes)
-        << g.description;
-  }
-
-  // P4: raw-timestamp encoding preserves outcomes.
+  // P3: raw-timestamp encoding preserves outcomes.
   {
     auto raw_sys = g.sys;
     memsem::SemanticsOptions opts;
@@ -101,7 +87,7 @@ void check_program(const Generated& g) {
     ASSERT_EQ(raw_outcomes, rc11_outcomes) << g.description;
   }
 
-  // P5: the execution-graph quotient is differential-exact.  Outcome sets
+  // P4: the execution-graph quotient is differential-exact.  Outcome sets
   // and deadlock existence must match the unreduced run (raw final
   // encodings are representative-dependent, so they are *not* compared),
   // the quotient may never visit more states, and the canonical race set

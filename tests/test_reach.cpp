@@ -1,6 +1,6 @@
 // The one-worker schedule of the reachability driver, pinned.  A
 // `--threads 1` run is the worker pool with one worker on the calling
-// thread, taking one frontier item per turn (LIFO, FIFO under BFS).
+// thread, taking one frontier item per turn, last in first out.
 // `peak_frontier`, `visited_bytes`, `por_chained`, `symmetry_hits` and
 // `sleep_set_skips` all depend on that pop order, and `--json` reports
 // them, so a change to the loop that reorders a one-worker run shows up
@@ -36,7 +36,6 @@ struct Flags {
   bool por = false;
   bool symmetry = false;
   bool rf_quotient = false;
-  bool bfs = false;
   bool traced = false;
 };
 
@@ -45,12 +44,10 @@ const Flags kConfigs[] = {
     {"por", /*por=*/true},
     {"por+symmetry", /*por=*/true, /*symmetry=*/true},
     {"rf-quotient", false, false, /*rf_quotient=*/true},
-    {"bfs", false, false, false, /*bfs=*/true},
-    {"traced", false, false, false, false, /*traced=*/true},
-    {"traced por", /*por=*/true, false, false, false, /*traced=*/true},
-    {"traced symmetry", false, /*symmetry=*/true, false, false,
-     /*traced=*/true},
-    {"traced rf-quotient", false, false, /*rf_quotient=*/true, false,
+    {"traced", false, false, false, /*traced=*/true},
+    {"traced por", /*por=*/true, false, false, /*traced=*/true},
+    {"traced symmetry", false, /*symmetry=*/true, false, /*traced=*/true},
+    {"traced rf-quotient", false, false, /*rf_quotient=*/true,
      /*traced=*/true},
 };
 
@@ -75,7 +72,6 @@ const Pin kPins[] = {
     {"ticket_worker.rc11", "por", 12547, 38664, 80, 5952, 0, 0, 0, 2727394},
     {"ticket_worker.rc11", "por+symmetry", 2097, 6461, 53, 762, 3553, 1311, 0, 653144},
     {"ticket_worker.rc11", "rf-quotient", 16699, 50208, 69, 0, 0, 12400, 0, 5093522},
-    {"ticket_worker.rc11", "bfs", 16699, 50208, 1078, 0, 0, 0, 0, 5064382},
     {"ticket_worker.rc11", "traced", 16699, 50208, 94, 0, 0, 0, 0, 0},
     {"ticket_worker.rc11", "traced por", 12547, 38664, 80, 1730, 0, 0, 0, 0},
     {"ticket_worker.rc11", "traced symmetry", 2791, 8391, 63, 0, 4484, 2111, 0, 0},
@@ -84,7 +80,6 @@ const Pin kPins[] = {
     {"ticket_lock.rc11", "por", 39, 64, 7, 8, 0, 0, 0, 5008},
     {"ticket_lock.rc11", "por+symmetry", 20, 33, 4, 4, 14, 2, 0, 3146},
     {"ticket_lock.rc11", "rf-quotient", 47, 78, 7, 0, 0, 6, 0, 6294},
-    {"ticket_lock.rc11", "bfs", 47, 78, 7, 0, 0, 0, 0, 5086},
     {"ticket_lock.rc11", "traced", 47, 78, 8, 0, 0, 0, 0, 0},
     {"ticket_lock.rc11", "traced por", 39, 64, 7, 6, 0, 0, 0, 0},
     {"ticket_lock.rc11", "traced symmetry", 24, 40, 4, 0, 17, 3, 0, 0},
@@ -93,7 +88,6 @@ const Pin kPins[] = {
     {"mp_stack.rc11", "por", 11, 16, 3, 2, 0, 0, 0, 1188},
     {"mp_stack.rc11", "por+symmetry", 11, 16, 3, 2, 0, 2, 0, 1462},
     {"mp_stack.rc11", "rf-quotient", 12, 17, 3, 0, 0, 2, 0, 1402},
-    {"mp_stack.rc11", "bfs", 12, 17, 4, 0, 0, 0, 0, 1272},
     {"mp_stack.rc11", "traced", 12, 17, 3, 0, 0, 0, 0, 0},
     {"mp_stack.rc11", "traced por", 11, 16, 3, 1, 0, 0, 0, 0},
     {"mp_stack.rc11", "traced symmetry", 12, 17, 3, 0, 0, 2, 0, 0},
@@ -102,7 +96,6 @@ const Pin kPins[] = {
     {"lock_client_seqlock.rc11", "por", 66, 120, 11, 32, 0, 0, 0, 9408},
     {"lock_client_seqlock.rc11", "por+symmetry", 66, 120, 11, 32, 0, 6, 0, 11456},
     {"lock_client_seqlock.rc11", "rf-quotient", 113, 210, 11, 0, 0, 38, 0, 17258},
-    {"lock_client_seqlock.rc11", "bfs", 113, 210, 16, 0, 0, 0, 0, 12242},
     {"lock_client_seqlock.rc11", "traced", 113, 210, 16, 0, 0, 0, 0, 0},
     {"lock_client_seqlock.rc11", "traced por", 66, 120, 11, 20, 0, 0, 0, 0},
     {"lock_client_seqlock.rc11", "traced symmetry", 113, 210, 11, 0, 0, 38, 0, 0},
@@ -111,7 +104,6 @@ const Pin kPins[] = {
     {"dcl_broken.rc11", "por", 64, 110, 8, 42, 0, 0, 0, 8782},
     {"dcl_broken.rc11", "por+symmetry", 33, 57, 8, 22, 14, 3, 0, 4096},
     {"dcl_broken.rc11", "rf-quotient", 107, 206, 6, 0, 0, 47, 0, 19362},
-    {"dcl_broken.rc11", "bfs", 121, 218, 21, 0, 0, 0, 0, 17036},
     {"dcl_broken.rc11", "traced", 121, 218, 11, 0, 0, 0, 0, 0},
     {"dcl_broken.rc11", "traced por", 64, 110, 8, 24, 0, 0, 0, 0},
     {"dcl_broken.rc11", "traced symmetry", 62, 112, 9, 0, 36, 14, 0, 0},
@@ -120,12 +112,9 @@ const Pin kPins[] = {
 
 engine::ExploreStats run(const std::string& program, const Flags& c) {
   const auto parsed = parser::parse_file(prog(program));
-  const auto strategy =
-      c.bfs ? engine::SearchStrategy::Bfs : engine::SearchStrategy::Dfs;
   if (program == "dcl_broken.rc11") {
     race::RaceOptions opts;
     opts.num_threads = 1;
-    opts.strategy = strategy;
     opts.por = c.por;
     opts.symmetry = c.symmetry;
     opts.rf_quotient = c.rf_quotient;
@@ -134,7 +123,6 @@ engine::ExploreStats run(const std::string& program, const Flags& c) {
   }
   explore::ExploreOptions opts;
   opts.num_threads = 1;
-  opts.strategy = strategy;
   opts.por = c.por;
   opts.symmetry = c.symmetry;
   opts.rf_quotient = c.rf_quotient;

@@ -1,7 +1,7 @@
 // Sampling strategy (engine/sample.hpp): seed determinism at every thread
 // count, honest stop reasons (EpisodeCap vs the resource budgets), witness
-// replay of sampled violations, guided-bias distribution shifts, loud
-// rejection of checkpoint/resume, and verdict agreement with the exhaustive
+// replay of sampled violations, the episode step cap, loud rejection of
+// checkpoint/resume, and verdict agreement with the exhaustive
 // oracle on the small corpus.  Also the one table of every rejected
 // engine::Reduction combination (reduction_conflict lives next to the
 // sampler), run through every library entry point.
@@ -201,21 +201,23 @@ TEST(Sample, SampledViolationWitnessReplays) {
   EXPECT_TRUE(replayed.ok) << replayed.error;
 }
 
-// --- guided bias ------------------------------------------------------------
+// --- the episode step cap ---------------------------------------------------
 
-// The bias is the only difference between the two runs, so any divergence
-// proves it changes which schedules get drawn.  (It exists to escape spin
-// loops: ticket_lock's do-until makes the unguided sampler re-draw the same
-// spinning thread with full weight.)
-TEST(Sample, GuidedBiasShiftsTheDistribution) {
-  const auto program = parser::parse_file(prog("ticket_worker.rc11"));
-  ExploreOptions guided = sample_opts(60, 11);
-  ExploreOptions unguided = sample_opts(60, 11);
-  unguided.sample.guided = false;
-  const auto g = explore::explore(program.sys, guided);
-  const auto u = explore::explore(program.sys, unguided);
-  EXPECT_NE(g.stats.states * 1000 + g.stats.transitions,
-            u.stats.states * 1000 + u.stats.transitions);
+// A thread spinning on a flag nobody writes never reaches a final or blocked
+// state, so only engine::kEpisodeStepCap ends each episode.  The generous
+// deadline turns a lost cap into a failure instead of a hang.
+TEST(Sample, EpisodeStepCapEndsASpinLoop) {
+  const auto program = parser::parse_program(
+      "var f = 0; thread t { reg r; do { r <- f; } until (r == 1); }");
+  ExploreOptions opts = sample_opts(5, 0);
+  opts.deadline_ms = 60'000;
+  const auto result = explore::explore(program.sys, opts);
+  EXPECT_NE(result.stop, StopReason::Deadline);
+  EXPECT_EQ(result.stop, StopReason::EpisodeCap);
+  EXPECT_EQ(result.stats.episodes, 5u);
+  EXPECT_EQ(result.stats.states, 2u);
+  EXPECT_EQ(result.stats.finals, 0u);
+  EXPECT_TRUE(result.final_configs.empty());
 }
 
 // --- checkpoint/resume are rejected loudly ----------------------------------

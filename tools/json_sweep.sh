@@ -9,23 +9,26 @@
 #
 #   rc11-run, rc11-race  every program, with no flags, --por, --symmetry,
 #                        --rf-quotient, --por --symmetry, a seeded sample,
-#                        --witness alone and with each reduction, and a
-#                        50-state cap alone and with --por --symmetry;
+#                        --witness alone and with each reduction, a
+#                        50-state cap alone and with --por --symmetry, and
+#                        --stats with --por --symmetry and with
+#                        --rf-quotient;
 #   rc11-verify          the outline programs, with and without --trace,
 #                        with no reduction, --por, --symmetry, --rf-quotient,
-#                        and a seeded sample;
-#   rc11-refine          a refining pair with no flags, --por, --symmetry and
-#                        a seeded sample, a refuted pair with a witness with
-#                        no reduction (the simulation's counterexample), with
-#                        --trace-only (trace inclusion's), under --por and
-#                        under --symmetry, and a capped (inconclusive) check;
+#                        a seeded sample, and --stats;
+#   rc11-refine          a refining pair with no flags, --por, --symmetry,
+#                        a seeded sample and --stats, a refuted pair with a
+#                        witness with no reduction (the simulation's
+#                        counterexample), with --trace-only (trace
+#                        inclusion's), under --por and under --symmetry, and
+#                        a capped (inconclusive) check;
 #   checkpoint/resume    with no reduction, --por, --symmetry and
 #                        --rf-quotient: rc11-run and rc11-race on
 #                        ticket_worker and dcl_broken capped at 50 states,
 #                        rc11-verify on mp_verified capped at 5, each with
 #                        --checkpoint, then resumed to completion.
 #
-# That is 475 runs.  For every run it writes into OUT_DIR:
+# That is 546 runs.  For every run it writes into OUT_DIR:
 #
 #   NAME.json      the run's --json summary
 #   NAME.out       its stdout, with OUT_DIR replaced by "OUT"
@@ -35,7 +38,8 @@
 #
 # Single-thread reports carry no timing data, so two builds that keep the
 # report contract produce identical directories: compare a sweep of each
-# with `diff -r`.  Exits 1 when a run exits outside 0-3 or writes no --json
+# with `diff -r`.  That holds for --stats blocks too, as long as no run
+# combines --stats with --strategy sample (its episodes/s line is a rate).  Exits 1 when a run exits outside 0-3 or writes no --json
 # summary, after the whole sweep has run.
 
 set -euo pipefail
@@ -94,6 +98,8 @@ flag_sets=(
   "witness-rf-quotient|--witness @W --rf-quotient"
   "cap50|--max-states 50"
   "cap50-por-symmetry|--max-states 50 --por --symmetry"
+  "stats-por-symmetry|--stats --por --symmetry"
+  "stats-rf-quotient|--stats --rf-quotient"
 )
 
 for path in tools/programs/*.rc11; do
@@ -118,6 +124,7 @@ for prog in mp_verified mp_broken_outline; do
   done
   run "rc11-verify.$prog.sample" rc11-verify --strategy sample:200 --seed 7 \
     "tools/programs/$prog.rc11"
+  run "rc11-verify.$prog.stats" rc11-verify --stats "tools/programs/$prog.rc11"
 done
 
 abstract=tools/programs/lock_client_abstract.rc11
@@ -128,6 +135,7 @@ run rc11-refine.seqlock-por rc11-refine --por "$abstract" "$seqlock"
 run rc11-refine.seqlock-symmetry rc11-refine --symmetry "$abstract" "$seqlock"
 run rc11-refine.seqlock-sample rc11-refine --strategy sample:200 --seed 7 \
   "$abstract" "$seqlock"
+run rc11-refine.seqlock-stats rc11-refine --stats "$abstract" "$seqlock"
 run rc11-refine.broken-witness rc11-refine --witness @W "$abstract" "$broken"
 run rc11-refine.broken-trace-only-witness rc11-refine --trace-only \
   --witness @W "$abstract" "$broken"

@@ -123,26 +123,20 @@ int main(int argc, char** argv) {
     std::cerr << "rc11-refine: " << err << "\n";
     return cli::kExitUsage;
   }
-  if (common.mode == engine::Strategy::Sample && !trace_only) {
-    // The Def. 8 simulation fixpoint needs the full concrete edge relation
-    // (missing edges would let pairs survive vacuously); the trace-inclusion
-    // game is the checker that stays sound on a sampled concrete subgraph.
-    std::cout << "note: --strategy sample implies --trace-only (the Def. 8 "
-                 "simulation needs the complete concrete graph)\n";
-    trace_only = true;
-  }
-  if (common.symmetry && !trace_only) {
-    // Only the trace-inclusion product is quotiented (see
-    // refinement::SimulationOptions for why the fixpoint is not).
-    std::cout << "note: --symmetry implies --trace-only (the Def. 8 "
-                 "simulation fixpoint is not quotiented)\n";
-    trace_only = true;
-  }
-  if (!common.checkpoint_path.empty() || !common.resume_path.empty()) {
-    std::cerr << "rc11-refine: --checkpoint/--resume are not supported here "
-                 "(a refinement check builds two state graphs per run, so a "
-                 "single checkpoint file is ambiguous); use --deadline-ms / "
-                 "--mem-budget to bound the run instead\n";
+  // The Def. 8 simulation fixpoint needs the full concrete edge relation
+  // (missing edges would let pairs survive vacuously); the trace-inclusion
+  // game is the checker that stays sound on a sampled concrete subgraph.
+  const bool sample_implies = common.mode == engine::Strategy::Sample &&
+                              !trace_only;
+  // Only the trace-inclusion product is quotiented (see
+  // refinement::SimulationOptions for why the fixpoint is not).
+  const bool symmetry_implies = common.symmetry && !trace_only;
+  trace_only = trace_only || sample_implies || symmetry_implies;
+  if (const std::string err = refinement::refinement_conflict(
+          common, !common.checkpoint_path.empty(),
+          !common.resume_path.empty(), /*product_symmetry=*/trace_only);
+      !err.empty()) {
+    std::cerr << "rc11-refine: " << err << "\n";
     return cli::kExitUsage;
   }
 
@@ -156,6 +150,17 @@ int main(int argc, char** argv) {
 
     const auto abs = parser::parse_file(abs_path);
     const auto conc = parser::parse_file(conc_path);
+
+    // Notes go out only once the inputs are read, so a usage error leaves
+    // stdout empty.
+    if (sample_implies) {
+      std::cout << "note: --strategy sample implies --trace-only (the Def. 8 "
+                   "simulation needs the complete concrete graph)\n";
+    }
+    if (symmetry_implies) {
+      std::cout << "note: --symmetry implies --trace-only (the Def. 8 "
+                   "simulation fixpoint is not quotiented)\n";
+    }
 
     if (!common.replay_path.empty()) {
       return cli::run_replay(conc.sys, common);
