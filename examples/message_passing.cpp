@@ -8,21 +8,27 @@
 //   Fig. 3: the proof outline for Fig. 2's program, checked mechanically
 //           (validity at every reachable state + Owicki-Gries interference
 //           freedom).
+//
+// The Fig. 1 and Fig. 2 programs are the corpus files
+// tools/programs/mp_stack_rlx.rc11 and tools/programs/mp_stack.rc11.
 
 #include <iostream>
+#include <string>
 
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 #include "og/catalog.hpp"
+#include "parser/parser.hpp"
 
 namespace {
 
-void show(rc11::litmus::LitmusTest& test) {
+void show(const std::string& title, const std::string& file) {
   using namespace rc11;
-  std::cout << "== " << test.name << " — " << test.description << "\n";
-  const auto result = explore::explore(test.sys);
-  const auto outcomes =
-      explore::final_register_values(test.sys, result, test.observed);
+  std::cout << "== " << title << " (" << file << ")\n";
+  const auto program = parser::parse_file(std::string(RC11_SRC_DIR) +
+                                          "/tools/programs/" + file);
+  const auto result = explore::explore(program.sys);
+  const auto outcomes = explore::final_register_values(
+      program.sys, result, {program.reg("r1"), program.reg("r2")});
   std::cout << "   " << result.stats.states << " states; outcomes (r1, r2):";
   for (const auto& o : outcomes) {
     std::cout << " (" << o[0] << "," << o[1] << ")";
@@ -35,11 +41,10 @@ void show(rc11::litmus::LitmusTest& test) {
 int main() {
   using namespace rc11;
 
-  auto fig1 = litmus::fig1_stack_mp_relaxed();
-  show(fig1);
-
-  auto fig2 = litmus::fig2_stack_mp_sync();
-  show(fig2);
+  show("Fig. 1: unsynchronised message passing via a relaxed stack",
+       "mp_stack_rlx.rc11");
+  show("Fig. 2: publication via a synchronising stack (pushR/popA)",
+       "mp_stack.rc11");
 
   std::cout << "== Fig. 3 proof outline for the synchronising program\n";
   auto ex = og::make_fig3();

@@ -8,6 +8,7 @@
 
 #include "engine/sample.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -164,6 +165,38 @@ struct ThreadRange {
   std::size_t end = 0;  ///< exclusive
 };
 
+/// Executions per site, keyed as the caller chooses.
+using HitCounts = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+/// The guided draw: an index in [0, n), option i weighted
+/// kWeightScale / (1 + hits of site_of(i)) so that rarely executed options
+/// are favoured, with a floor of 1 so that every option stays drawable.
+/// One rng.below over the summed weights when there is a choice, none when
+/// n == 1, so a seed fixes every draw.  `weights` is reused scratch.
+template <typename SiteOf>
+std::size_t weighted_draw(std::size_t n, const HitCounts& hits,
+                          const SiteOf& site_of, SplitMix64& rng,
+                          std::vector<std::uint64_t>& weights) {
+  if (n <= 1) return 0;
+  weights.clear();
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto it = hits.find(site_of(i));
+    const std::uint64_t seen = it == hits.end() ? 0 : it->second;
+    const std::uint64_t w =
+        std::max<std::uint64_t>(kWeightScale / (1 + seen), 1);
+    weights.push_back(w);
+    total += w;
+  }
+  std::uint64_t r = rng.below(total);
+  std::size_t pick = 0;
+  while (r >= weights[pick]) {
+    r -= weights[pick];
+    pick += 1;
+  }
+  return pick;
+}
+
 }  // namespace
 
 ReachResult sample_reach(const TransitionSystem& ts,
@@ -185,7 +218,7 @@ ReachResult sample_reach(const TransitionSystem& ts,
   // Guided bias: executions per (thread, pc) site, across and within
   // episodes.  Sites that keep winning the draw decay towards the weight
   // floor, so rare branches — and schedules past a spin loop — get sampled.
-  std::unordered_map<std::uint64_t, std::uint64_t> hits;
+  HitCounts hits;
   const auto thread_site = [](lang::ThreadId thread,
                               std::uint32_t pc) noexcept {
     return (static_cast<std::uint64_t>(thread) << 32) |
@@ -196,7 +229,7 @@ ReachResult sample_reach(const TransitionSystem& ts,
   // thread won.  Kept in its own map so the thread-level bias above is
   // unchanged; the FNV fold is deterministic, and a (harmless, improbable)
   // key collision only perturbs a weight, never a verdict.
-  std::unordered_map<std::uint64_t, std::uint64_t> choice_hits;
+  HitCounts choice_hits;
   const auto choice_site = [](lang::ThreadId thread, std::uint32_t pc,
                               std::size_t choice) noexcept {
     std::uint64_t key = 0xCBF29CE484222325ULL;
@@ -284,55 +317,27 @@ ReachResult sample_reach(const TransitionSystem& ts,
           ranges.back().end = i + 1;
         }
       }
-      std::size_t pick = 0;
-      if (ranges.size() > 1) {
-        weights.clear();
-        std::uint64_t total = 0;
-        for (const ThreadRange& r : ranges) {
-          const auto it = hits.find(thread_site(r.thread, cfg.pc[r.thread]));
-          const std::uint64_t seen = it == hits.end() ? 0 : it->second;
-          std::uint64_t w = kWeightScale / (1 + seen);
-          if (w == 0) w = 1;  // floor: every enabled thread stays drawable
-          weights.push_back(w);
-          total += w;
-        }
-        std::uint64_t r = rng.below(total);
-        while (r >= weights[pick]) {
-          r -= weights[pick];
-          pick += 1;
-        }
-      }
-      const ThreadRange& chosen = ranges[pick];
-      const std::size_t span = chosen.end - chosen.begin;
-      std::size_t si = chosen.begin;
-      if (span > 1) {
-        // Rarity-weighted reads-from draw: the within-thread alternatives
-        // are the memory-nondeterminism options (reads-from, placement, CAS
-        // outcome) of one instruction, keyed (thread, pc, choice index) in
-        // `choice_hits`.  A uniform draw keeps re-reading the latest write
-        // in long mo sequences; inverse-hit-count weighting pushes episodes
-        // towards the stale reads that distinguish weak behaviours.  Same
-        // draw discipline as the thread draw (one seeded rng.below over
-        // summed weights), so seed determinism is untouched.
-        weights.clear();
-        std::uint64_t total = 0;
-        for (std::size_t c = 0; c < span; ++c) {
-          const auto it = choice_hits.find(
-              choice_site(chosen.thread, cfg.pc[chosen.thread], c));
-          const std::uint64_t seen = it == choice_hits.end() ? 0 : it->second;
-          std::uint64_t w = kWeightScale / (1 + seen);
-          if (w == 0) w = 1;  // floor: every alternative stays drawable
-          weights.push_back(w);
-          total += w;
-        }
-        std::uint64_t r = rng.below(total);
-        std::size_t c = 0;
-        while (r >= weights[c]) {
-          r -= weights[c];
-          c += 1;
-        }
-        si = chosen.begin + c;
-      }
+      const ThreadRange& chosen =
+          ranges[weighted_draw(
+              ranges.size(), hits,
+              [&](std::size_t i) {
+                return thread_site(ranges[i].thread, cfg.pc[ranges[i].thread]);
+              },
+              rng, weights)];
+      // Rarity-weighted reads-from draw: the within-thread alternatives are
+      // the memory-nondeterminism options (reads-from, placement, CAS
+      // outcome) of one instruction, keyed (thread, pc, choice index) in
+      // `choice_hits`.  A uniform draw keeps re-reading the latest write in
+      // long mo sequences; inverse-hit-count weighting pushes episodes
+      // towards the stale reads that distinguish weak behaviours.
+      const std::size_t si =
+          chosen.begin +
+          weighted_draw(
+              chosen.end - chosen.begin, choice_hits,
+              [&](std::size_t c) {
+                return choice_site(chosen.thread, cfg.pc[chosen.thread], c);
+              },
+              rng, weights);
       hits[thread_site(chosen.thread, cfg.pc[chosen.thread])] += 1;
       choice_hits[choice_site(chosen.thread, cfg.pc[chosen.thread],
                               si - chosen.begin)] += 1;

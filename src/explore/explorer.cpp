@@ -59,7 +59,7 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   // runs and cold in parallel ones (finals and violations are rare events
   // next to state expansion).
   ExploreResult result;
-  std::optional<ShardedVisitedSet> trace_store;
+  std::optional<engine::ShardedVisitedSet> trace_store;
   // The driver builds checkpoints from the trace sink, so requesting one
   // implies trace recording.
   if (options.track_traces || !options.checkpoint_path.empty()) {
@@ -76,18 +76,18 @@ ExploreResult explore(const System& sys, const ExploreOptions& options,
   if (options.symmetry) reducer.emplace(sys);
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
-  ReachOptions ropts;
+  engine::ReachOptions ropts;
   static_cast<engine::RunControl&>(ropts) = options;
   ropts.rf_pins = options.rf_pins;
   ropts.trace = trace_store ? &*trace_store : nullptr;
 
-  ShardedVisitedSet final_dedup;
+  engine::ShardedVisitedSet final_dedup;
   std::mutex finals_mu;
   std::vector<KeyedConfig> finals;
   std::mutex violations_mu;
   std::vector<Violation> violations;
 
-  const auto reach = visit_reachable(
+  const auto reach = engine::visit_reachable(
       sys, ropts,
       [&](const Config& cfg, std::uint64_t id,
           std::span<const Step> steps) -> bool {

@@ -34,18 +34,6 @@ using lang::Step;
 using lang::System;
 using lang::ThreadId;
 
-// Driver vocabulary, re-exported from the engine layer (the definitions
-// moved there when og::check_outline and refinement::build_graph were ported
-// onto the same driver).
-using engine::ExploreStats;
-using engine::ReachOptions;
-using engine::ReachResult;
-using engine::SampleOptions;
-using engine::ShardedVisitedSet;
-using engine::StateVisitor;
-using engine::Strategy;
-using engine::visit_reachable;
-
 /// The explorer's options.  The engine::RunControl base holds the run's
 /// reductions, limits and controls (engine/reach.hpp); of the reductions,
 /// all are honoured:
@@ -99,7 +87,7 @@ struct Violation {
 };
 
 struct ExploreResult {
-  ExploreStats stats;
+  engine::ExploreStats stats;
   /// Every final configuration, deduplicated and sorted by canonical
   /// encoding, so results compare equal across thread counts.
   std::vector<Config> final_configs;

@@ -233,7 +233,7 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   // verdict and the set of failed obligations are thread-count-independent
   // (failures arrive unordered when parallel).
   OutlineCheckResult result;
-  std::optional<explore::ShardedVisitedSet> trace_store;
+  std::optional<engine::ShardedVisitedSet> trace_store;
   // The driver builds checkpoints from the trace sink, so requesting one
   // implies trace recording.
   if (options.track_traces || !options.checkpoint_path.empty()) {
@@ -253,7 +253,7 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
   if (options.symmetry) reducer.emplace(sys);
   const bool orbit = reducer.has_value() && reducer->symmetric();
 
-  explore::ReachOptions ropts;
+  engine::ReachOptions ropts;
   static_cast<engine::RunControl&>(ropts) = options;
   if (options.rf_quotient) collect_rf_pins(sys, outline, ropts.rf_pins);
   // Steps carry labels only when the trace sink forces them; otherwise a
@@ -262,7 +262,7 @@ OutlineCheckResult check_outline(const System& sys, const ProofOutline& outline,
 
   const InterferencePlan plan(sys, outline);
 
-  const auto reach = explore::visit_reachable(
+  const auto reach = engine::visit_reachable(
       sys, ropts,
       [&](const Config& cfg, std::uint64_t id,
           std::span<const lang::Step> steps) -> bool {
@@ -372,10 +372,10 @@ TripleCheckResult check_triple(const System& sys, const Assertion& pre,
   // statement, so the full (unreduced) driver enumerates states and hands
   // each one its enabled steps — no private successor loop.
   TripleCheckResult result;
-  explore::ReachOptions ropts;
+  engine::ReachOptions ropts;
   ropts.max_states = max_states;
   ropts.want_labels = true;  // failure messages cite the step label
-  (void)explore::visit_reachable(
+  (void)engine::visit_reachable(
       sys, ropts,
       [&](const Config& cfg, std::uint64_t /*id*/,
           std::span<const Step> steps) -> bool {

@@ -100,7 +100,7 @@ struct ObligationFailure {
 struct OutlineCheckResult {
   bool valid = true;
   std::vector<ObligationFailure> failures;
-  explore::ExploreStats stats;  ///< size of the examined state space
+  engine::ExploreStats stats;  ///< size of the examined state space
   /// Logical obligations, counted as if every interference obligation were
   /// evaluated (see the read-set rule at the top of this file).
   std::uint64_t obligations_checked = 0;

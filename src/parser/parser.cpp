@@ -618,16 +618,25 @@ class Parser {
     Expr cond = parse_expr(tb);
     expect(Tok::RParen, "')'");
     expect(Tok::LBrace, "'{'");
-    // Two-pass structure is not possible with the streaming builder API, so
-    // the statement bodies are parsed inside the builder callbacks.
-    tb.if_else(
-        std::move(cond), [&] { parse_block_body(tb); },
-        [&]() -> void {
-          if (accept_ident("else")) {
-            expect(Tok::LBrace, "'{'");
-            parse_block_body(tb);
-          }
-        });
+    // Laid out as ThreadBuilder::if_else does, but only a present else
+    // branch gets the jump over it:
+    //   if !cond goto ELSE; <then>; [goto END; ELSE: <else>;] END:
+    lang::Instr br;
+    br.kind = lang::IKind::Branch;
+    br.e1 = !std::move(cond);
+    const auto to_else = tb.emit(std::move(br));
+    parse_block_body(tb);
+    if (accept_ident("else")) {
+      expect(Tok::LBrace, "'{'");
+      lang::Instr jp;
+      jp.kind = lang::IKind::Jump;
+      const auto to_end = tb.emit(std::move(jp));
+      tb.patch_target(to_else, tb.here());
+      parse_block_body(tb);
+      tb.patch_target(to_end, tb.here());
+    } else {
+      tb.patch_target(to_else, tb.here());
+    }
   }
 
   void parse_while(ThreadBuilder& tb) {

@@ -1,8 +1,12 @@
-// The small-program generator shared by the property tests: two-thread
-// programs over two client variables x and y, each thread running a short
-// sequence of instruction templates (plain and release stores, plain and
-// acquire loads, CAS and FAI).  test_fuzz checks the engine's metatheory on
-// them; test_og checks the assertion read sets and the interference plan.
+// The program generators shared by the tests.
+//   * The small-program generator of the property tests: two-thread
+//     programs over two client variables x and y, each thread running a
+//     short sequence of instruction templates (plain and release stores,
+//     plain and acquire loads, CAS and FAI).  test_fuzz checks the engine's
+//     metatheory on them; test_og checks the assertion read sets and the
+//     interference plan.
+//   * mp_compute and mp_spin_compute, the message-passing family of the
+//     partial-order reduction, sized by the amount of local work.
 
 #pragma once
 
@@ -12,6 +16,7 @@
 #include <vector>
 
 #include "lang/system.hpp"
+#include "support/diagnostics.hpp"
 
 namespace rc11::testgen {
 
@@ -106,6 +111,52 @@ inline std::vector<Generated> rmw_diagonal_programs() {
     }
   }
   return out;
+}
+
+/// Message passing with a computed payload: the producer assembles its
+/// message through a chain of `work` local assignments before the
+/// d-then-release-f handoff, and the consumer post-processes what it read
+/// through another chain of `work` local assignments.  It has no fixed
+/// expected outcome set; every local step interleaves with the other thread
+/// in the full graph but collapses under --por.  With `spin` the consumer
+/// acquires f in a do-until loop instead of a single load, adding the spin
+/// states a real message-passing idiom has.
+inline lang::System mp_compute(unsigned work, bool spin = false) {
+  using lang::c;
+  using lang::Expr;
+  support::require(work >= 1, "mp_compute needs work >= 1");
+  lang::System sys;
+  const auto d = sys.client_var("d", 0);
+  const auto f = sys.client_var("f", 0);
+
+  auto t0 = sys.thread();
+  auto v = t0.reg("v");
+  t0.assign(v, c(1), "v := 1");
+  for (unsigned w = 1; w < work; ++w) {
+    t0.assign(v, Expr{v} + c(2), "v := v + 2");
+  }
+  t0.store(d, Expr{v}, "d := v");
+  t0.store_rel(f, c(1), "f :=R 1");
+
+  auto t1 = sys.thread();
+  auto r1 = t1.reg("r1");
+  auto r2 = t1.reg("r2");
+  auto s = t1.reg("s");
+  if (spin) {
+    t1.do_until([&] { t1.load_acq(r1, f, "r1 <-A f"); }, Expr{r1} == c(1));
+  } else {
+    t1.load_acq(r1, f, "r1 <-A f");
+  }
+  t1.load(r2, d, "r2 <- d");
+  t1.assign(s, Expr{r2} * c(2), "s := r2 * 2");
+  for (unsigned w = 1; w < work; ++w) {
+    t1.assign(s, Expr{s} + c(1), "s := s + 1");
+  }
+  return sys;
+}
+
+inline lang::System mp_spin_compute(unsigned work) {
+  return mp_compute(work, /*spin=*/true);
 }
 
 }  // namespace rc11::testgen

@@ -413,19 +413,24 @@ TEST(Cli, RejectedReductionCombinations) {
 
 TEST(Cli, RefineNotesFollowTheInputs) {
   // rc11-refine's "implies --trace-only" notes go to stdout only once both
-  // programs are read: a missing program leaves stdout empty, as in every
-  // other tool.
-  for (const std::string flags : {"--symmetry", "--strategy sample:10"}) {
-    SCOPED_TRACE(flags);
+  // programs are read, and never before a --replay, which plays no game: a
+  // missing program or witness leaves stdout empty, as in every other tool.
+  const std::string abs = prog("lock_client_abstract.rc11");
+  for (const auto& [args, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--symmetry " + abs + " " + prog("missing.rc11"),
+            "cannot open program file"},
+           {"--strategy sample:10 " + abs + " " + prog("missing.rc11"),
+            "cannot open program file"},
+           {"--replay /nonexistent.json --strategy sample:3 " + abs + " " +
+                prog("lock_client_broken.rc11"),
+            "cannot open"}}) {
+    SCOPED_TRACE(args);
     std::string out;
     std::string err;
-    EXPECT_EQ(run_split(bin("rc11-refine") + " " + flags + " " +
-                            prog("lock_client_abstract.rc11") + " " +
-                            prog("missing.rc11"),
-                        out, err),
-              1);
+    EXPECT_EQ(run_split(bin("rc11-refine") + " " + args, out, err), 1);
     EXPECT_EQ(out, "");
-    EXPECT_NE(err.find("cannot open program file"), std::string::npos) << err;
+    EXPECT_NE(err.find(message), std::string::npos) << err;
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for the explicit-state explorer and the litmus suite: every litmus
-// test's reachable outcome set must equal its allowed set exactly (both the
-// presence of weak behaviours and the absence of forbidden ones), and the
-// explorer's bookkeeping (dedup, truncation, violations, traces) must hold.
+// program's reachable outcome set must equal its allowed set exactly (both
+// the presence of weak behaviours and the absence of forbidden ones), and
+// the explorer's bookkeeping (dedup, truncation, violations, traces) must
+// hold.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +12,12 @@
 #include <sstream>
 #include <string>
 
+#include "catalogue.hpp"
 #include "explore/dot.hpp"
 #include "explore/explorer.hpp"
-#include "refinement/refinement.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
+#include "refinement/refinement.hpp"
 
 namespace {
 
@@ -44,13 +45,13 @@ std::string outcomes_to_string(const std::vector<std::vector<Value>>& v) {
 
 class LitmusSuite : public ::testing::TestWithParam<int> {};
 
-/// Reachable states of each litmus test, in all_tests() order (Fig1/Fig2
-/// are the paper's F1 and F2).
+/// Reachable states of each litmus test, in catalogue order (Fig1/Fig2 are
+/// the paper's F1 and F2).
 const std::uint64_t kLitmusStates[] = {13, 14, 14, 13, 9, 19,
                                        98, 5,  5,  35, 13, 12};
 
 TEST_P(LitmusSuite, OutcomeSetMatchesRC11Exactly) {
-  auto tests = litmus::all_tests();
+  auto tests = catalogue::litmus_tests();
   const auto idx = static_cast<std::size_t>(GetParam());
   auto& t = tests.at(idx);
   const auto result = explore(t.sys);
@@ -66,19 +67,14 @@ TEST_P(LitmusSuite, OutcomeSetMatchesRC11Exactly) {
 INSTANTIATE_TEST_SUITE_P(AllTests, LitmusSuite,
                          ::testing::Range(0, 12),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           auto tests = litmus::all_tests();
-                           std::string name =
-                               tests.at(static_cast<std::size_t>(info.param)).name;
-                           for (auto& ch : name) {
-                             if (!std::isalnum(static_cast<unsigned char>(ch))) {
-                               ch = '_';
-                             }
-                           }
-                           return name;
+                           return catalogue::param_name(
+                               catalogue::litmus_tests()
+                                   .at(static_cast<std::size_t>(info.param))
+                                   .name);
                          });
 
 TEST(LitmusRegistry, CountMatchesParameterisation) {
-  EXPECT_EQ(litmus::all_tests().size(), 12u);
+  EXPECT_EQ(catalogue::litmus_tests().size(), 12u);
 }
 
 // --- explorer bookkeeping ---------------------------------------------------
@@ -181,7 +177,7 @@ TEST(Explorer, InvariantCanCollectAllViolations) {
 }
 
 TEST(Explorer, OutcomeHelpersAgree) {
-  auto t = litmus::mp_release_acquire();
+  const auto t = catalogue::find(catalogue::litmus_tests(), "MP+rel+acq");
   const auto result = explore(t.sys);
   EXPECT_TRUE(explore::outcome_reachable(t.sys, result, t.observed, {1, 5}));
   EXPECT_FALSE(explore::outcome_reachable(t.sys, result, t.observed, {1, 0}));
@@ -193,7 +189,7 @@ TEST(AblationA1, SynchronisingStackStopsPassingMessages) {
   // With the transfer every outcome reads the published 5; without it
   // exactly one stale outcome (r1 = 1, r2 = 0) becomes reachable.
   for (const bool transfer : {true, false}) {
-    auto t = litmus::fig2_stack_mp_sync();
+    auto t = catalogue::find(catalogue::litmus_tests(), "Fig2-stack-MP+sync");
     rc11::memsem::SemanticsOptions opts;
     opts.cross_component_view_transfer = transfer;
     t.sys.set_options(opts);
@@ -215,7 +211,7 @@ TEST(AblationA1, SynchronisingStackStopsPassingMessages) {
 
 TEST(AblationA2, CompetingCasBothSucceed) {
   for (const bool enforce : {true, false}) {
-    auto t = litmus::cas_agreement();
+    auto t = catalogue::find(catalogue::litmus_tests(), "CAS-agreement");
     rc11::memsem::SemanticsOptions opts;
     opts.enforce_covered = enforce;
     t.sys.set_options(opts);
@@ -257,7 +253,7 @@ TEST(AblationA3, NonCanonicalTimestampsInflateStateCount) {
   // Hashing raw rationals changes no litmus outcome set; it inflates the
   // state count of 2W+reads, the shape whose order-isomorphic states carry
   // different raw timestamps depending on which writer inserted first.
-  auto tests = litmus::all_tests();
+  auto tests = catalogue::litmus_tests();
   for (std::size_t i = 0; i < tests.size(); ++i) {
     auto& raw = tests[i];
     rc11::memsem::SemanticsOptions opts;
@@ -281,7 +277,7 @@ class CausalitySuite : public ::testing::TestWithParam<int> {};
 
 TEST_P(CausalitySuite, KeyOutcomesMatchRC11) {
   const std::uint64_t states[] = {36, 37, 51, 21};
-  auto tests = litmus::all_causality_tests();
+  auto tests = catalogue::causality_tests();
   const auto idx = static_cast<std::size_t>(GetParam());
   auto& t = tests.at(idx);
   const auto result = explore(t.sys);
@@ -301,22 +297,17 @@ TEST_P(CausalitySuite, KeyOutcomesMatchRC11) {
 
 INSTANTIATE_TEST_SUITE_P(AllCausality, CausalitySuite, ::testing::Range(0, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           auto tests = litmus::all_causality_tests();
-                           std::string name =
-                               tests.at(static_cast<std::size_t>(info.param)).name;
-                           for (auto& ch : name) {
-                             if (!std::isalnum(static_cast<unsigned char>(ch))) {
-                               ch = '_';
-                             }
-                           }
-                           return name;
+                           return catalogue::param_name(
+                               catalogue::causality_tests()
+                                   .at(static_cast<std::size_t>(info.param))
+                                   .name);
                          });
 
 
 // --- DOT export --------------------------------------------------------------
 
 TEST(DotExport, ProducesWellFormedGraph) {
-  auto t = litmus::mp_release_acquire();
+  const auto t = catalogue::find(catalogue::litmus_tests(), "MP+rel+acq");
   refinement::GraphOptions opts;
   opts.max_states = 100000;
   opts.want_labels = true;

@@ -16,9 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "engine/sharded_visited.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "parser/parser.hpp"
@@ -97,12 +97,16 @@ TEST(ParallelExplore, SampleProgramsMatchSequential) {
 }
 
 TEST(ParallelExplore, LitmusSuiteOutcomeSetsIdentical) {
-  for (const auto& test : litmus::all_tests()) {
+  for (const auto& test : catalogue::litmus_tests()) {
     SCOPED_TRACE(test.name);
     for (const unsigned workers : kThreadCounts) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      EXPECT_EQ(litmus::reachable_outcomes(test, workers), test.allowed);
-      EXPECT_TRUE(litmus::check(test, workers));
+      ExploreOptions opts;
+      opts.num_threads = workers;
+      const auto result = explore::explore(test.sys, opts);
+      EXPECT_FALSE(result.truncated);
+      EXPECT_EQ(explore::final_register_values(test.sys, result, test.observed),
+                test.allowed);
     }
   }
 }

@@ -496,8 +496,8 @@ std::optional<lang::LocId> written(const lang::Step& step) {
 /// instantiated over.
 std::vector<lang::Value> values_of(const System& sys) {
   std::set<lang::Value> values{0, 1};
-  explore::ReachOptions ropts;
-  (void)explore::visit_reachable(
+  engine::ReachOptions ropts;
+  (void)engine::visit_reachable(
       sys, ropts,
       [&](const Config& cfg, std::uint64_t, std::span<const lang::Step>) {
         for (std::size_t id = 0; id < cfg.mem.num_ops(); ++id) {
@@ -591,8 +591,8 @@ std::uint64_t expect_read_sets_sound(const System& sys,
   const auto pool = assertion_pool(sys, values_of(sys));
   std::uint64_t checked = 0;
   std::vector<char> before(pool.size());
-  explore::ReachOptions ropts;
-  (void)explore::visit_reachable(
+  engine::ReachOptions ropts;
+  (void)engine::visit_reachable(
       sys, ropts,
       [&](const Config& cfg, std::uint64_t, std::span<const lang::Step> steps) {
         for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -752,7 +752,7 @@ Report report_of(const og::OutlineCheckResult& r) {
 /// with the step labels visit_reachable builds.
 Report reference_check(const System& sys, const og::ProofOutline& outline,
                        const og::OutlineCheckOptions& o) {
-  explore::ReachOptions ropts;
+  engine::ReachOptions ropts;
   ropts.num_threads = o.num_threads;
   ropts.por = o.por;
   ropts.symmetry = o.symmetry;
@@ -762,7 +762,7 @@ Report reference_check(const System& sys, const og::ProofOutline& outline,
   const bool orbit = reducer.has_value() && reducer->symmetric();
   std::mutex mu;
   Report report;
-  (void)explore::visit_reachable(
+  (void)engine::visit_reachable(
       sys, ropts,
       [&](const Config& cfg, std::uint64_t, std::span<const lang::Step> steps) {
         std::vector<std::string> failures;

@@ -13,17 +13,22 @@
 #include <unordered_map>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "og/lemma3.hpp"
+#include "small_programs.hpp"
 #include "support/intern.hpp"
 
 namespace {
 
 using namespace rc11;
 using explore::ExploreOptions;
+
+lang::System corpus(const std::string& file) {
+  return parser::parse_file(catalogue::program_path(file)).sys;
+}
 
 lang::System ticket_mgc(unsigned threads, unsigned rounds) {
   locks::TicketLock lock;
@@ -96,15 +101,15 @@ TEST(PaperClaims, F6_ExploreStateCounts) {
   const auto worker_2x2 =
       locks::instantiate(locks::worker_client(2, 2, 4), lock);
   const Case cases[] = {
-      {"explore_mp", litmus::mp_release_acquire().sys, {}, 13},
-      {"explore_iriw", litmus::iriw_release_acquire().sys, {}, 98},
+      {"explore_mp", corpus("mp_rel_acq.rc11"), {}, 13},
+      {"explore_iriw", corpus("iriw.rc11"), {}, 98},
       {"explore_ticket_2x2", ticket_mgc(2, 2), {}, 331},
       {"explore_ticket_2x2_traced", ticket_mgc(2, 2), traced, 331},
       {"explore_ticket_3x1", ticket_mgc(3, 1), {}, 514},
       {"explore_ticket_worker_2x2w4", worker_2x2, {}, 515},
       {"explore_ticket_worker_2x2w4_por", worker_2x2, por, 239},
-      {"explore_mp_compute_w4", litmus::mp_compute(4), {}, 65},
-      {"explore_mp_compute_w4_por", litmus::mp_compute(4), por, 14},
+      {"explore_mp_compute_w4", testgen::mp_compute(4), {}, 65},
+      {"explore_mp_compute_w4_por", testgen::mp_compute(4), por, 14},
   };
   std::vector<explore::ExploreResult> results;
   for (const auto& c : cases) {
@@ -155,8 +160,8 @@ class LegacyVisitedSet {
 TEST(PaperClaims, F6micro_InternedSetHalvesTheLegacyLayout) {
   const auto sys = ticket_mgc(2, 2);
   std::vector<std::vector<std::uint64_t>> encodings;
-  (void)explore::visit_reachable(
-      sys, explore::ReachOptions{},
+  (void)engine::visit_reachable(
+      sys, engine::ReachOptions{},
       [&](const lang::Config& cfg, std::uint64_t, std::span<const lang::Step>) {
         encodings.push_back(cfg.encode());
         return true;

@@ -1,7 +1,7 @@
 // Tests for the text front end: round-trips through the paper's program
 // syntax, semantic checks (unknown names, component/kind mismatches, the
-// Exp_L locality restriction), and end-to-end agreement with the builder API
-// on the litmus suite shapes.
+// Exp_L locality restriction), and end-to-end agreement with the builder
+// API.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "parser/parser.hpp"
@@ -101,10 +100,20 @@ TEST(Parser, StackMessagePassingMatchesBuilderVersion) {
   const auto parsed_outcomes = explore::final_register_values(
       p.sys, parsed, {p.reg("r1"), p.reg("r2")});
 
-  auto builder_test = litmus::fig2_stack_mp_sync();
-  const auto built = explore::explore(builder_test.sys);
-  const auto built_outcomes = explore::final_register_values(
-      builder_test.sys, built, builder_test.observed);
+  lang::System sys;
+  const auto d = sys.client_var("d", 0);
+  const auto s = sys.library_stack("s");
+  auto t1 = sys.thread();
+  t1.store(d, lang::c(5));
+  t1.push_rel(s, lang::c(1));
+  auto t2 = sys.thread();
+  const auto r1 = t2.reg("r1");
+  const auto r2 = t2.reg("r2");
+  t2.do_until([&] { t2.pop_acq(r1, s); }, lang::Expr{r1} == lang::c(1));
+  t2.load(r2, d);
+  const auto built = explore::explore(sys);
+  const auto built_outcomes =
+      explore::final_register_values(sys, built, {r1, r2});
 
   EXPECT_EQ(parsed_outcomes, built_outcomes);
   EXPECT_EQ(parsed.stats.states, built.stats.states)
@@ -191,6 +200,14 @@ TEST(Parser, IfWithoutElse) {
       r := 0;
     }
   )");
+  // Laid out like ThreadBuilder::if_else without an else body: the branch
+  // skips the then-block, and no jump follows it.
+  const auto& code = p.sys.code(0);
+  ASSERT_EQ(code.size(), 3u);
+  EXPECT_EQ(code[0].kind, lang::IKind::Branch);
+  EXPECT_EQ(code[0].target, 2u);
+  EXPECT_EQ(code[1].kind, lang::IKind::Store);
+  EXPECT_EQ(code[2].kind, lang::IKind::Assign);
   const auto result = explore::explore(p.sys);
   ASSERT_EQ(result.final_configs.size(), 1u);
   const auto& mem = result.final_configs[0].mem;

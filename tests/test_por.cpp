@@ -6,10 +6,11 @@
 // worker and at four, and that it actually reduces the targeted benchmark
 // families by >= 2x.
 //
-// PorCrosscheck widens the comparison to the complete corpus: every litmus
-// test, every causality test, every case study, every sample program and
-// every lock-implementation/client pairing, each checked for exact
-// final-state agreement between the reduced and full explorations.
+// PorCrosscheck widens the comparison to the complete corpus: every program
+// under tools/programs/ small enough to explore exhaustively (the litmus,
+// causality and race catalogues included), every case study and every
+// lock-implementation/client pairing, each checked for exact final-state
+// agreement between the reduced and full explorations.
 
 #include <gtest/gtest.h>
 
@@ -17,14 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/case_studies.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "og/catalog.hpp"
 #include "parser/parser.hpp"
 #include "refinement/refinement.hpp"
+#include "small_programs.hpp"
 #include "witness/witness.hpp"
 
 namespace {
@@ -64,7 +66,7 @@ void expect_por_exact(const System& sys, const std::string& what) {
 }
 
 TEST(Por, LitmusOutcomeSetsExact) {
-  for (const auto& test : litmus::all_tests()) {
+  for (const auto& test : catalogue::litmus_tests()) {
     expect_por_exact(test.sys, test.name);
     // The outcome set is the litmus verdict itself: with POR on it must
     // still equal the allowed set exactly.
@@ -78,7 +80,7 @@ TEST(Por, LitmusOutcomeSetsExact) {
 }
 
 TEST(Por, CausalityTestsExact) {
-  for (const auto& test : litmus::all_causality_tests()) {
+  for (const auto& test : catalogue::causality_tests()) {
     expect_por_exact(test.sys, test.name);
   }
 }
@@ -91,9 +93,9 @@ TEST(Por, CaseStudiesExact) {
 
 TEST(Por, ComputeWorkloadsExact) {
   for (const unsigned work : {1U, 3U}) {
-    expect_por_exact(litmus::mp_compute(work),
+    expect_por_exact(testgen::mp_compute(work),
                      "mp_compute(" + std::to_string(work) + ")");
-    expect_por_exact(litmus::mp_spin_compute(work),
+    expect_por_exact(testgen::mp_spin_compute(work),
                      "mp_spin_compute(" + std::to_string(work) + ")");
   }
   locks::TicketLock ticket;
@@ -205,9 +207,11 @@ TEST(Por, ReductionHeadlineOnTargetFamilies) {
        1848, 364, 903, 387},
       {"ticket_mgc_2x2", locks::instantiate(locks::mgc_client(2, 2), lock),
        false, 331, 618, 239, 450, 120},
-      {"mp_compute_w4", litmus::mp_compute(4), true, 65, 105, 14, 18, 27},
-      {"mp_spin_w3", litmus::mp_spin_compute(3), true, 18, 28, 9, 13, 6},
-      {"mp_litmus", litmus::mp_release_acquire().sys, false, 13, 17, 13, 17,
+      {"mp_compute_w4", testgen::mp_compute(4), true, 65, 105, 14, 18, 27},
+      {"mp_spin_w3", testgen::mp_spin_compute(3), true, 18, 28, 9, 13, 6},
+      {"mp_litmus",
+       parser::parse_file(catalogue::program_path("mp_rel_acq.rc11")).sys,
+       false, 13, 17, 13, 17,
        0},
   };
   for (const auto& c : cases) {
@@ -230,7 +234,7 @@ TEST(Por, ReductionHeadlineOnTargetFamilies) {
 }
 
 TEST(Por, ReducedGraphIdenticalAcrossWorkerCounts) {
-  const auto sys = litmus::mp_spin_compute(2);
+  const auto sys = testgen::mp_spin_compute(2);
   ExploreOptions base;
   base.por = true;
   const auto reference = explore::explore(sys, base);
@@ -247,39 +251,18 @@ TEST(Por, ReducedGraphIdenticalAcrossWorkerCounts) {
 // --- the full-corpus cross-check --------------------------------------------
 
 TEST(PorCrosscheck, FullCorpusAgreement) {
-  // Every litmus + causality test (again, for completeness of the corpus
-  // under one roof), every sample program, every lock implementation under
-  // every client.
-  for (const auto& test : litmus::all_tests()) {
-    expect_por_exact(test.sys, "litmus " + test.name);
-  }
-  for (const auto& test : litmus::all_causality_tests()) {
-    expect_por_exact(test.sys, "causality " + test.name);
-  }
-  for (const auto& test : litmus::all_race_tests()) {
-    expect_por_exact(test.sys, "race " + test.name);
+  // Every corpus program, every case study, the compute family, every
+  // lock implementation under every client.
+  for (const auto& name : catalogue::crosscheck_corpus()) {
+    expect_por_exact(
+        parser::parse_file(catalogue::program_path(name)).sys, name);
   }
   expect_por_exact(litmus::peterson_counter().sys, "peterson");
   expect_por_exact(litmus::dekker_counter().sys, "dekker");
   expect_por_exact(litmus::barrier_exchange().sys, "barrier");
   for (const unsigned work : {1U, 2U, 4U}) {
-    expect_por_exact(litmus::mp_compute(work), "mp_compute");
-    expect_por_exact(litmus::mp_spin_compute(work), "mp_spin_compute");
-  }
-
-  const char* programs[] = {
-      "lock_client_abstract.rc11", "lock_client_broken.rc11",
-      "lock_client_seqlock.rc11",  "mp_broken_outline.rc11",
-      "mp_stack.rc11",             "mp_verified.rc11",
-      "sb.rc11",                   "ticket_lock.rc11",
-      "mp_na_racy.rc11",           "mp_na_release.rc11",
-      "dcl_broken.rc11",           "dcl_init.rc11",
-      "flag_spin_racy.rc11",       "disjoint_na.rc11",
-  };
-  for (const char* name : programs) {
-    const auto program = parser::parse_file(std::string(RC11_SRC_DIR) +
-                                            "/tools/programs/" + name);
-    expect_por_exact(program.sys, name);
+    expect_por_exact(testgen::mp_compute(work), "mp_compute");
+    expect_por_exact(testgen::mp_spin_compute(work), "mp_spin_compute");
   }
 
   const std::vector<locks::ClientProgram> clients = {

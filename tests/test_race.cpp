@@ -4,21 +4,22 @@
 // through both access sites, and the zero-overhead guarantee for checkers
 // that leave race_detection off.
 //
-// RaceCrosscheck widens the configuration matrix to the on-disk sample
-// programs and asserts that the pre-existing (all-atomic) corpus is
-// race-free.
+// RaceCrosscheck widens the configuration matrix to every program under
+// tools/programs/ small enough to explore exhaustively, and asserts that
+// every one outside the race catalogue is race-free.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 #include "parser/parser.hpp"
 #include "race/race.hpp"
 #include "witness/witness.hpp"
@@ -97,7 +98,7 @@ TEST(Race, ClassifiesTheCorpus) {
       {"Race-lock+na", 0, 17, 9, 17},
       {"Race-atomic-only", 0, 14, 14, 14},
   };
-  const auto tests = litmus::all_race_tests();
+  const auto tests = catalogue::race_tests();
   ASSERT_EQ(tests.size(), std::size(expected));
   for (std::size_t i = 0; i < tests.size(); ++i) {
     const auto& test = tests[i];
@@ -105,7 +106,7 @@ TEST(Race, ClassifiesTheCorpus) {
     ASSERT_EQ(test.name, want.name);
     const auto result = race::check(test.sys, {});
     ASSERT_FALSE(result.truncated) << test.name;
-    EXPECT_EQ(result.racy(), test.racy) << test.name << ": " << test.description;
+    EXPECT_EQ(result.racy(), test.racy) << test.name << " (" << test.file << ")";
     EXPECT_EQ(result.races.size(), want.races) << test.name;
     EXPECT_EQ(result.stats.states, want.plain_states) << test.name;
     RaceOptions reduced_opts;
@@ -132,7 +133,7 @@ TEST(Race, ClassifiesTheCorpus) {
 }
 
 TEST(Race, ReportsAreUnorderedPairsInCanonicalOrder) {
-  for (const auto& test : litmus::all_race_tests()) {
+  for (const auto& test : catalogue::race_tests()) {
     const auto result = race::check(test.sys, {});
     for (const auto& r : result.races) {
       const auto rank = [](const memsem::RaceAccess& a) {
@@ -145,13 +146,13 @@ TEST(Race, ReportsAreUnorderedPairsInCanonicalOrder) {
 }
 
 TEST(Race, SetExactUnderEveryConfiguration) {
-  for (const auto& test : litmus::all_race_tests()) {
+  for (const auto& test : catalogue::race_tests()) {
     expect_race_exact(test.sys, test.name);
   }
 }
 
 TEST(Race, DeterministicAcrossRepeatedRuns) {
-  for (const auto& test : litmus::all_race_tests()) {
+  for (const auto& test : catalogue::race_tests()) {
     RaceOptions opts;
     opts.num_threads = 4;
     opts.por = true;
@@ -166,7 +167,7 @@ TEST(Race, DeterministicAcrossRepeatedRuns) {
 }
 
 TEST(Race, WitnessesReplayThroughBothSites) {
-  for (const auto& test : litmus::all_race_tests()) {
+  for (const auto& test : catalogue::race_tests()) {
     if (!test.racy) continue;
     // Race witnesses digest the race-instrumented encoding; replay needs a
     // system carrying the flag (the rc11-race CLI does the same).
@@ -206,7 +207,7 @@ TEST(Race, WitnessesReplayThroughBothSites) {
 }
 
 TEST(Race, StopOnRaceStopsEarlyButStaysRacy) {
-  auto test = litmus::race_dcl_broken();
+  const auto test = catalogue::find(catalogue::race_tests(), "Race-DCL+broken");
   RaceOptions opts;
   opts.stop_on_race = true;
   const auto result = race::check(test.sys, opts);
@@ -218,7 +219,7 @@ TEST(Race, StopOnRaceStopsEarlyButStaysRacy) {
 }
 
 TEST(Race, SampleRejectsCheckpointAndResume) {
-  const auto test = litmus::race_mp_na();
+  const auto test = catalogue::find(catalogue::race_tests(), "Race-MP+na+rlx");
   RaceOptions opts;
   opts.mode = engine::Strategy::Sample;
   opts.checkpoint_path = "/tmp/never-written.ckpt";
@@ -233,7 +234,7 @@ TEST(Race, SampleRejectsCheckpointAndResume) {
 TEST(Race, ZeroOverheadWhenDetectionOff) {
   // Non-race checkers never pay for the clocks: with the flag off (the
   // default) the state encoding has no clock words and no records are kept.
-  const auto test = litmus::race_mp_na();
+  const auto test = catalogue::find(catalogue::race_tests(), "Race-MP+na+rlx");
   EXPECT_FALSE(test.sys.options().race_detection);
   const auto plain = lang::initial_config(test.sys);
   EXPECT_TRUE(plain.mem.race_records().empty());
@@ -255,7 +256,7 @@ TEST(Race, ZeroOverheadWhenDetectionOff) {
 }
 
 TEST(Race, TruncatedRunIsInconclusiveNotClean) {
-  const auto test = litmus::race_dcl_broken();
+  const auto test = catalogue::find(catalogue::race_tests(), "Race-DCL+broken");
   RaceOptions opts;
   opts.max_states = 3;
   const auto result = race::check(test.sys, opts);
@@ -266,42 +267,17 @@ TEST(Race, TruncatedRunIsInconclusiveNotClean) {
 // --- the full-corpus cross-check --------------------------------------------
 
 TEST(RaceCrosscheck, FullCorpusAgreement) {
-  // The on-disk race corpus: classification and configuration-independence.
-  const std::pair<const char*, bool> programs[] = {
-      {"mp_na_racy.rc11", true},    {"mp_na_release.rc11", false},
-      {"dcl_broken.rc11", true},    {"dcl_init.rc11", false},
-      {"flag_spin_racy.rc11", true}, {"disjoint_na.rc11", false},
-  };
-  for (const auto& [name, racy] : programs) {
-    const auto program = parser::parse_file(std::string(RC11_SRC_DIR) +
-                                            "/tools/programs/" + name);
+  // Every corpus program: the race verdict, and a race set that does not
+  // depend on the configuration.  A program outside the race catalogue is
+  // all-atomic (or object-mediated), so it must come back race-free.
+  std::map<std::string, bool> racy;
+  for (const auto& test : catalogue::race_tests()) racy[test.file] = test.racy;
+  for (const auto& name : catalogue::crosscheck_corpus()) {
+    const auto program = parser::parse_file(catalogue::program_path(name));
     const auto result = race::check(program.sys, {});
     ASSERT_FALSE(result.truncated) << name;
-    EXPECT_EQ(result.racy(), racy) << name;
+    EXPECT_EQ(result.racy(), racy.count(name) && racy.at(name)) << name;
     expect_race_exact(program.sys, name);
-  }
-
-  // The pre-existing sample programs are all-atomic (or object-mediated):
-  // the race checker must come back clean on every one of them.
-  const char* atomic_corpus[] = {
-      "lock_client_abstract.rc11", "mp_stack.rc11", "mp_verified.rc11",
-      "sb.rc11",                   "ticket_lock.rc11",
-  };
-  for (const char* name : atomic_corpus) {
-    const auto program = parser::parse_file(std::string(RC11_SRC_DIR) +
-                                            "/tools/programs/" + name);
-    const auto result = race::check(program.sys, {});
-    EXPECT_TRUE(result.clean()) << name << " must be race-free";
-  }
-
-  // And the in-memory families again, for one-roof completeness.
-  for (const auto& test : litmus::all_race_tests()) {
-    expect_race_exact(test.sys, "race " + test.name);
-  }
-  for (const auto& test : litmus::all_tests()) {
-    const auto result = race::check(test.sys, {});
-    EXPECT_TRUE(result.clean()) << "litmus " << test.name
-                                << " must be race-free (all-atomic)";
   }
 }
 

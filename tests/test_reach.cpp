@@ -100,14 +100,14 @@ const Pin kPins[] = {
     {"lock_client_seqlock.rc11", "traced por", 66, 120, 11, 20, 0, 0, 0, 0},
     {"lock_client_seqlock.rc11", "traced symmetry", 113, 210, 11, 0, 0, 38, 0, 0},
     {"lock_client_seqlock.rc11", "traced rf-quotient", 113, 210, 11, 0, 0, 38, 0, 0},
-    {"dcl_broken.rc11", "plain", 121, 218, 11, 0, 0, 0, 0, 16254},
-    {"dcl_broken.rc11", "por", 64, 110, 8, 42, 0, 0, 0, 8782},
-    {"dcl_broken.rc11", "por+symmetry", 33, 57, 8, 22, 14, 3, 0, 4096},
-    {"dcl_broken.rc11", "rf-quotient", 107, 206, 6, 0, 0, 47, 0, 19362},
-    {"dcl_broken.rc11", "traced", 121, 218, 11, 0, 0, 0, 0, 0},
-    {"dcl_broken.rc11", "traced por", 64, 110, 8, 24, 0, 0, 0, 0},
-    {"dcl_broken.rc11", "traced symmetry", 62, 112, 9, 0, 36, 14, 0, 0},
-    {"dcl_broken.rc11", "traced rf-quotient", 107, 206, 6, 0, 0, 47, 12, 0},
+    {"dcl_broken.rc11", "plain", 79, 136, 9, 0, 0, 0, 0, 14060},
+    {"dcl_broken.rc11", "por", 64, 110, 8, 14, 0, 0, 0, 8782},
+    {"dcl_broken.rc11", "por+symmetry", 33, 57, 8, 8, 14, 3, 0, 4096},
+    {"dcl_broken.rc11", "rf-quotient", 69, 128, 6, 0, 0, 20, 0, 10798},
+    {"dcl_broken.rc11", "traced", 79, 136, 9, 0, 0, 0, 0, 0},
+    {"dcl_broken.rc11", "traced por", 64, 110, 8, 9, 0, 0, 0, 0},
+    {"dcl_broken.rc11", "traced symmetry", 41, 71, 9, 0, 18, 4, 0, 0},
+    {"dcl_broken.rc11", "traced rf-quotient", 69, 128, 6, 0, 0, 20, 10, 0},
 };
 
 engine::ExploreStats run(const std::string& program, const Flags& c) {

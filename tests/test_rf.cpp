@@ -13,9 +13,9 @@
 // final-configuration encodings are expected to differ from an unreduced
 // run by design.
 //
-// RfCrosscheck widens the comparison to the complete corpus: every litmus
-// test, every causality test, every race test, every case study, every
-// sample program and every lock-implementation/client pairing.
+// RfCrosscheck widens the comparison to the complete corpus: every program
+// under tools/programs/ (the litmus, causality and race catalogues
+// included), every case study and every lock-implementation/client pairing.
 
 #include <gtest/gtest.h>
 
@@ -28,10 +28,10 @@
 #include <utility>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/case_studies.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "memsem/state.hpp"
@@ -39,6 +39,7 @@
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
 #include "race/race.hpp"
+#include "small_programs.hpp"
 #include "witness/witness.hpp"
 
 namespace {
@@ -174,13 +175,11 @@ System view_churn(unsigned pump_stores) {
 }
 
 System parse_program(const std::string& name) {
-  return parser::parse_file(std::string(RC11_SRC_DIR) + "/tools/programs/" +
-                            name)
-      .sys;
+  return parser::parse_file(catalogue::program_path(name)).sys;
 }
 
 TEST(Rf, LitmusOutcomeSetsExact) {
-  for (const auto& test : litmus::all_tests()) {
+  for (const auto& test : catalogue::litmus_tests()) {
     expect_rf_exact(test.sys, test.name);
     // The outcome set is the litmus verdict itself: with the quotient on it
     // must still equal the allowed set exactly.
@@ -227,7 +226,7 @@ TEST(Rf, NoopOnReleaseHeavyPrograms) {
   // every view exportable: the quotient key carries the same information as
   // the concrete encoding and the state count must not move (sleep sets
   // prune transitions, never states).
-  const auto sys = litmus::mp_release_acquire().sys;
+  const auto sys = parse_program("mp_rel_acq.rc11");
   const auto reference = explore::explore(sys, ExploreOptions{});
   ExploreOptions reduced;
   reduced.rf_quotient = true;
@@ -387,7 +386,7 @@ TEST(Rf, ResumeRejectsMismatchedRfQuotient) {
 // library entry point; these pin the explorer's own backstop.
 
 TEST(Rf, RejectedUnderSampling) {
-  const auto sys = litmus::mp_release_acquire().sys;
+  const auto sys = parse_program("mp_rel_acq.rc11");
   ExploreOptions opts;
   opts.rf_quotient = true;
   opts.mode = engine::Strategy::Sample;
@@ -410,7 +409,7 @@ TEST(Rf, RejectedWithSymmetry) {
 TEST(Rf, RejectedUnderSC) {
   // Under SC every access synchronises, so the quotient's view projection
   // would drop observable state; the engine must refuse.
-  auto sys = litmus::mp_release_acquire().sys;
+  auto sys = parse_program("mp_rel_acq.rc11");
   auto sem = sys.options();
   sem.model = memsem::MemoryModel::SC;
   sys.set_options(sem);
@@ -475,7 +474,7 @@ TEST(Rf, RaceSetsExact) {
   // race detection is on, so the canonical race set needs no pinning to
   // stay exact — racy programs report the identical set, clean programs
   // stay clean.
-  for (const auto& test : litmus::all_race_tests()) {
+  for (const auto& test : catalogue::race_tests()) {
     race::RaceOptions plain;
     const auto a = race::check(test.sys, plain);
     race::RaceOptions quotient;
@@ -490,41 +489,18 @@ TEST(Rf, RaceSetsExact) {
 // --- the full-corpus cross-check --------------------------------------------
 
 TEST(RfCrosscheck, FullCorpusAgreement) {
-  for (const auto& test : litmus::all_tests()) {
-    expect_rf_exact(test.sys, "litmus " + test.name);
-  }
-  for (const auto& test : litmus::all_causality_tests()) {
-    expect_rf_exact(test.sys, "causality " + test.name);
-  }
-  for (const auto& test : litmus::all_race_tests()) {
-    expect_rf_exact(test.sys, "race " + test.name);
-    race::RaceOptions plain;
-    race::RaceOptions quotient;
-    quotient.rf_quotient = true;
-    EXPECT_EQ(race_whats(race::check(test.sys, quotient)),
-              race_whats(race::check(test.sys, plain)))
-        << "race set changed under the rf quotient: " << test.name;
+  // The quotient's own target family joins the exhaustive corpus here.
+  auto programs = catalogue::crosscheck_corpus();
+  programs.push_back("store_fan.rc11");
+  for (const auto& name : programs) {
+    expect_rf_exact(parse_program(name), name);
   }
   expect_rf_exact(litmus::peterson_counter().sys, "peterson");
   expect_rf_exact(litmus::dekker_counter().sys, "dekker");
   expect_rf_exact(litmus::barrier_exchange().sys, "barrier");
   for (const unsigned work : {1U, 2U, 4U}) {
-    expect_rf_exact(litmus::mp_compute(work), "mp_compute");
-    expect_rf_exact(litmus::mp_spin_compute(work), "mp_spin_compute");
-  }
-
-  const char* programs[] = {
-      "lock_client_abstract.rc11", "lock_client_broken.rc11",
-      "lock_client_seqlock.rc11",  "mp_broken_outline.rc11",
-      "mp_stack.rc11",             "mp_verified.rc11",
-      "sb.rc11",                   "ticket_lock.rc11",
-      "mp_na_racy.rc11",           "mp_na_release.rc11",
-      "dcl_broken.rc11",           "dcl_init.rc11",
-      "flag_spin_racy.rc11",       "disjoint_na.rc11",
-      "store_fan.rc11",
-  };
-  for (const char* name : programs) {
-    expect_rf_exact(parse_program(name), name);
+    expect_rf_exact(testgen::mp_compute(work), "mp_compute");
+    expect_rf_exact(testgen::mp_spin_compute(work), "mp_spin_compute");
   }
 
   const std::vector<locks::ClientProgram> clients = {

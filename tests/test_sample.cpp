@@ -20,7 +20,6 @@
 #include "engine/checkpoint.hpp"
 #include "engine/sample.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "og/catalog.hpp"
@@ -28,6 +27,7 @@
 #include "parser/parser.hpp"
 #include "race/race.hpp"
 #include "refinement/refinement.hpp"
+#include "small_programs.hpp"
 #include "support/diagnostics.hpp"
 
 namespace {
@@ -420,8 +420,8 @@ TEST(Sample, SeededCoverageOfTargetFamiliesPinned) {
       {"ticket_worker_3x1w3",
        locks::instantiate(locks::worker_client(3, 1, 3), lock), 601, 1503,
        739},
-      {"mp_compute_w4", litmus::mp_compute(4), 65, 105, 65},
-      {"mp_spin_w3", litmus::mp_spin_compute(3), 18, 28, 18},
+      {"mp_compute_w4", testgen::mp_compute(4), 65, 105, 65},
+      {"mp_spin_w3", testgen::mp_spin_compute(3), 18, 28, 18},
   };
   for (const auto& c : cases) {
     const auto oracle = explore::explore(c.sys);

@@ -12,15 +12,15 @@
 #include <string>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 
 namespace {
 
 using namespace rc11;
 using lang::Value;
 
-std::vector<std::vector<Value>> sc_outcomes(litmus::LitmusTest& test) {
+std::vector<std::vector<Value>> sc_outcomes(catalogue::Litmus& test) {
   memsem::SemanticsOptions opts;
   opts.model = memsem::MemoryModel::SC;
   test.sys.set_options(opts);
@@ -60,7 +60,7 @@ std::map<std::string, std::vector<std::vector<Value>>> sc_expected() {
 class ScSuite : public ::testing::TestWithParam<int> {};
 
 TEST_P(ScSuite, OutcomeSetMatchesSequentialConsistency) {
-  auto tests = litmus::all_tests();
+  auto tests = catalogue::litmus_tests();
   auto& t = tests.at(static_cast<std::size_t>(GetParam()));
   const auto expected = sc_expected();
   ASSERT_TRUE(expected.count(t.name)) << "no SC expectation for " << t.name;
@@ -68,13 +68,13 @@ TEST_P(ScSuite, OutcomeSetMatchesSequentialConsistency) {
 }
 
 TEST_P(ScSuite, ScOutcomesAreSubsetOfRC11) {
-  auto tests = litmus::all_tests();
+  auto tests = catalogue::litmus_tests();
   auto& rc11_test = tests.at(static_cast<std::size_t>(GetParam()));
   const auto rc11_result = explore::explore(rc11_test.sys);
   const auto rc11_set = explore::final_register_values(
       rc11_test.sys, rc11_result, rc11_test.observed);
 
-  auto sc_test = litmus::all_tests().at(static_cast<std::size_t>(GetParam()));
+  auto sc_test = catalogue::litmus_tests().at(static_cast<std::size_t>(GetParam()));
   const auto sc_set = sc_outcomes(sc_test);
   for (const auto& o : sc_set) {
     EXPECT_TRUE(std::find(rc11_set.begin(), rc11_set.end(), o) !=
@@ -84,11 +84,11 @@ TEST_P(ScSuite, ScOutcomesAreSubsetOfRC11) {
 }
 
 TEST_P(ScSuite, ScStateSpaceIsNoLarger) {
-  auto tests = litmus::all_tests();
+  auto tests = catalogue::litmus_tests();
   auto& rc11_test = tests.at(static_cast<std::size_t>(GetParam()));
   const auto rc11_states = explore::explore(rc11_test.sys).stats.states;
 
-  auto sc_test = litmus::all_tests().at(static_cast<std::size_t>(GetParam()));
+  auto sc_test = catalogue::litmus_tests().at(static_cast<std::size_t>(GetParam()));
   memsem::SemanticsOptions opts;
   opts.model = memsem::MemoryModel::SC;
   sc_test.sys.set_options(opts);
@@ -98,25 +98,20 @@ TEST_P(ScSuite, ScStateSpaceIsNoLarger) {
 
 INSTANTIATE_TEST_SUITE_P(AllTests, ScSuite, ::testing::Range(0, 12),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           auto tests = litmus::all_tests();
-                           std::string name =
-                               tests.at(static_cast<std::size_t>(info.param)).name;
-                           for (auto& ch : name) {
-                             if (!std::isalnum(static_cast<unsigned char>(ch))) {
-                               ch = '_';
-                             }
-                           }
-                           return name;
+                           return catalogue::param_name(
+                               catalogue::litmus_tests()
+                                   .at(static_cast<std::size_t>(info.param))
+                                   .name);
                          });
 
 TEST(ScBaseline, WeakBehavioursExistSomewhere) {
   // RC11 RAR is strictly weaker than SC on exactly MP+rlx, SB, IRIW and the
   // Fig. 1 stack; no SC outcome set is larger.  SC state counts in
-  // all_tests() order.
+  // catalogue order.
   const std::uint64_t sc_states[] = {13, 13, 13, 13, 9, 19,
                                      97, 5,  5,  35, 12, 12};
   std::vector<std::string> strictly_weaker;
-  auto tests = litmus::all_tests();
+  auto tests = catalogue::litmus_tests();
   for (std::size_t i = 0; i < tests.size(); ++i) {
     auto& t = tests[i];
     const auto rc11_set = explore::final_register_values(
@@ -138,7 +133,7 @@ TEST(ScBaseline, WeakBehavioursExistSomewhere) {
 }
 
 TEST(ScBaseline, CausalityChainsHoldTriviallyUnderSC) {
-  for (auto& t : litmus::all_causality_tests()) {
+  for (auto& t : catalogue::causality_tests()) {
     memsem::SemanticsOptions opts;
     opts.model = memsem::MemoryModel::SC;
     t.sys.set_options(opts);

@@ -19,9 +19,9 @@
 
 #include "engine/abstraction.hpp"
 #include "engine/reach.hpp"
+#include "catalogue.hpp"
 #include "engine/sharded_visited.hpp"
 #include "lang/config.hpp"
-#include "litmus/litmus.hpp"
 #include "parser/parser.hpp"
 #include "queues/queue_objects.hpp"
 #include "support/hash.hpp"
@@ -96,13 +96,13 @@ TEST(StateRepr, OracleEquivalenceOverSamplePrograms) {
 }
 
 TEST(StateRepr, OracleEquivalenceOverLitmusTests) {
-  for (auto& test : litmus::all_tests()) {
+  for (auto& test : catalogue::litmus_tests()) {
     check_oracle_equivalence(test.sys, test.name);
   }
 }
 
 TEST(StateRepr, EncodeIntoMatchesEncode) {
-  for (auto& test : litmus::all_tests()) {
+  for (auto& test : catalogue::litmus_tests()) {
     std::vector<std::uint64_t> scratch;
     std::deque<Config> frontier;
     std::set<std::vector<std::uint64_t>> seen;
@@ -146,10 +146,10 @@ System with_options(System sys, Tweak tweak) {
 // stack and queue objects (object_op appends to mo in reused slots).
 TEST(StateRepr, PooledSuccessorsMatchVectorSuccessors) {
   std::vector<std::pair<std::string, System>> systems;
-  for (auto& test : litmus::all_tests()) {
+  for (auto& test : catalogue::litmus_tests()) {
     systems.emplace_back(test.name, test.sys);
   }
-  for (auto& test : litmus::all_race_tests()) {
+  for (auto& test : catalogue::race_tests()) {
     systems.emplace_back(test.name + " race-detected",
                          with_options(test.sys, [](auto& s) {
                            s.race_detection = true;
@@ -296,7 +296,7 @@ TEST(StateRepr, CanonicalEncodingPinned) {
                     [](auto& s) { s.model = memsem::MemoryModel::SC; }),
        {13, 386, 0xead8bbdd5fcc5063, 0xc78831c2f78ba022}},
       {"two_writers raw timestamps",
-       with_options(litmus::two_writers().sys,
+       with_options(file("two_writers.rc11"),
                     [](auto& s) { s.canonical_timestamps = false; }),
        {55, 1542, 0x575580ed3142ad9e, 0xfa4f09da788abd5d}},
       {"mp_stack without ctview",

@@ -10,10 +10,11 @@
 // symmetric workloads it targets.  Programs with no interchangeable threads
 // must come out bit-identical to an unreduced run (the sound-no-op claim).
 //
-// SymCrosscheck widens the comparison to the complete corpus: every litmus
-// test, every causality test, every case study, every sample program and
-// every lock-implementation/client pairing, each checked for exact
-// agreement between the quotiented and full explorations.
+// SymCrosscheck widens the comparison to the complete corpus: every program
+// under tools/programs/ small enough to explore exhaustively (the litmus,
+// causality and race catalogues included), every case study and every
+// lock-implementation/client pairing, each checked for exact agreement
+// between the quotiented and full explorations.
 
 #include <gtest/gtest.h>
 
@@ -24,10 +25,10 @@
 #include <utility>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
 #include "litmus/case_studies.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "og/catalog.hpp"
@@ -35,6 +36,7 @@
 #include "parser/parser.hpp"
 #include "queues/queue_objects.hpp"
 #include "refinement/refinement.hpp"
+#include "small_programs.hpp"
 #include "stacks/stack_objects.hpp"
 #include "witness/witness.hpp"
 
@@ -108,7 +110,7 @@ double sym_reduction_factor(const System& sys, bool por) {
 }
 
 TEST(Symmetry, LitmusOutcomeSetsExact) {
-  for (const auto& test : litmus::all_tests()) {
+  for (const auto& test : catalogue::litmus_tests()) {
     expect_sym_exact(test.sys, test.name);
     // The outcome set is the litmus verdict itself: with the quotient on it
     // must still equal the allowed set exactly (finals are orbit-closed).
@@ -199,8 +201,9 @@ TEST(Symmetry, ReductionHeadlineOnTargetFamilies) {
       {"abstract_stack_4x",
        stacks::instantiate(sym_stack_client(4), abstract_stack), true, 2865,
        4556, 125, 208, 66, 0},
-      {"mp_litmus", litmus::mp_release_acquire().sys, false, 13, 17, 13, 17,
-       0, 0},
+      {"mp_litmus",
+       parser::parse_file(catalogue::program_path("mp_rel_acq.rc11")).sys,
+       false, 13, 17, 13, 17, 0, 0},
   };
   for (const auto& c : cases) {
     ExploreOptions por;
@@ -229,7 +232,8 @@ TEST(Symmetry, NoopOnAsymmetricPrograms) {
   // the system as asymmetric and the run must come out state-for-state
   // identical to an unreduced one (sleep sets prune transitions, never
   // states).
-  const auto sys = litmus::mp_release_acquire().sys;
+  const auto sys =
+      parser::parse_file(catalogue::program_path("mp_rel_acq.rc11")).sys;
   ExploreOptions full;
   const auto reference = explore::explore(sys, full);
   ExploreOptions reduced;
@@ -503,36 +507,16 @@ TEST(Symmetry, RefinementSymmetricClientShrinksProduct) {
 // --- the full-corpus cross-check --------------------------------------------
 
 TEST(SymCrosscheck, FullCorpusAgreement) {
-  for (const auto& test : litmus::all_tests()) {
-    expect_sym_exact(test.sys, "litmus " + test.name);
-  }
-  for (const auto& test : litmus::all_causality_tests()) {
-    expect_sym_exact(test.sys, "causality " + test.name);
-  }
-  for (const auto& test : litmus::all_race_tests()) {
-    expect_sym_exact(test.sys, "race " + test.name);
+  for (const auto& name : catalogue::crosscheck_corpus()) {
+    expect_sym_exact(
+        parser::parse_file(catalogue::program_path(name)).sys, name);
   }
   expect_sym_exact(litmus::peterson_counter().sys, "peterson");
   expect_sym_exact(litmus::dekker_counter().sys, "dekker");
   expect_sym_exact(litmus::barrier_exchange().sys, "barrier");
   for (const unsigned work : {1U, 2U, 4U}) {
-    expect_sym_exact(litmus::mp_compute(work), "mp_compute");
-    expect_sym_exact(litmus::mp_spin_compute(work), "mp_spin_compute");
-  }
-
-  const char* programs[] = {
-      "lock_client_abstract.rc11", "lock_client_broken.rc11",
-      "lock_client_seqlock.rc11",  "mp_broken_outline.rc11",
-      "mp_stack.rc11",             "mp_verified.rc11",
-      "sb.rc11",                   "ticket_lock.rc11",
-      "mp_na_racy.rc11",           "mp_na_release.rc11",
-      "dcl_broken.rc11",           "dcl_init.rc11",
-      "flag_spin_racy.rc11",       "disjoint_na.rc11",
-  };
-  for (const char* name : programs) {
-    const auto program = parser::parse_file(std::string(RC11_SRC_DIR) +
-                                            "/tools/programs/" + name);
-    expect_sym_exact(program.sys, name);
+    expect_sym_exact(testgen::mp_compute(work), "mp_compute");
+    expect_sym_exact(testgen::mp_spin_compute(work), "mp_spin_compute");
   }
 
   const std::vector<locks::ClientProgram> clients = {

@@ -7,8 +7,8 @@
 
 #include <deque>
 
+#include "catalogue.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/litmus.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "memsem/validate.hpp"
@@ -45,7 +45,7 @@ void validate_everywhere(const System& sys) {
 class LitmusInvariants : public ::testing::TestWithParam<int> {};
 
 TEST_P(LitmusInvariants, HoldEverywhere) {
-  auto tests = litmus::all_tests();
+  auto tests = catalogue::litmus_tests();
   validate_everywhere(tests.at(static_cast<std::size_t>(GetParam())).sys);
 }
 

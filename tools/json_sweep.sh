@@ -24,11 +24,11 @@
 #                        a capped (inconclusive) check;
 #   checkpoint/resume    with no reduction, --por, --symmetry and
 #                        --rf-quotient: rc11-run and rc11-race on
-#                        ticket_worker and dcl_broken capped at 50 states,
-#                        rc11-verify on mp_verified capped at 5, each with
-#                        --checkpoint, then resumed to completion.
+#                        ticket_worker capped at 50 states and dcl_broken
+#                        at 20, rc11-verify on mp_verified capped at 5, each
+#                        with --checkpoint, then resumed to completion.
 #
-# That is 546 runs.  For every run it writes into OUT_DIR:
+# That is 966 runs.  For every run it writes into OUT_DIR:
 #
 #   NAME.json      the run's --json summary
 #   NAME.out       its stdout, with OUT_DIR replaced by "OUT"
@@ -147,13 +147,16 @@ run rc11-refine.seqlock-cap1 rc11-refine --max-states 1 "$abstract" \
   "$seqlock"
 
 # A capped run that saves a checkpoint, then an uncapped run resuming it.
+# Each cap stops the program part way under all four reductions (dcl_broken
+# has 41 states under --symmetry).
 for reduction in "" --por --symmetry --rf-quotient; do
   label=${reduction#--}
   label=${label:-default}
   for tool in rc11-run rc11-race; do
-    for prog in ticket_worker dcl_broken; do
+    for prog_cap in ticket_worker:50 dcl_broken:20; do
+      prog=${prog_cap%%:*}
       # shellcheck disable=SC2086
-      run "$tool.$prog.checkpoint-$label" "$tool" --max-states 50 \
+      run "$tool.$prog.checkpoint-$label" "$tool" --max-states ${prog_cap#*:} \
         $reduction --checkpoint @C "tools/programs/$prog.rc11"
       # shellcheck disable=SC2086
       run "$tool.$prog.resume-$label" "$tool" $reduction --resume @C \

@@ -151,6 +151,11 @@ int main(int argc, char** argv) {
     const auto abs = parser::parse_file(abs_path);
     const auto conc = parser::parse_file(conc_path);
 
+    // A replay runs neither game, so it takes no note.
+    if (!common.replay_path.empty()) {
+      return cli::run_replay(conc.sys, common);
+    }
+
     // Notes go out only once the inputs are read, so a usage error leaves
     // stdout empty.
     if (sample_implies) {
@@ -160,10 +165,6 @@ int main(int argc, char** argv) {
     if (symmetry_implies) {
       std::cout << "note: --symmetry implies --trace-only (the Def. 8 "
                    "simulation fixpoint is not quotiented)\n";
-    }
-
-    if (!common.replay_path.empty()) {
-      return cli::run_replay(conc.sys, common);
     }
 
     bool refines = true;
