@@ -9,8 +9,7 @@
 // The enumeration itself lives in the shared engine layer — see
 // engine/reach.hpp (generic reachability driver, one worker pool for every
 // thread count) and engine/transition_system.hpp (successor generation +
-// independence metadata + ample-set POR).  This header re-exports the
-// driver types under their historic explore:: names and adds the explorer
+// independence metadata + ample-set POR).  This header adds the explorer
 // proper: invariant evaluation, final-configuration collection and witness
 // construction.
 
@@ -40,9 +39,10 @@ using lang::ThreadId;
 ///   * por — per-state invariants are evaluated on the reduced state set:
 ///     violations found are real, and violations at final/blocked states are
 ///     never missed, but a violation confined to a pruned intermediate
-///     interleaving may be (the PorCrosscheck test checks exact agreement on
-///     the corpus — see docs/SEMANTICS.md §9).  Witnesses from reduced runs
-///     replay through the full semantics.
+///     interleaving may be (the differential matrix's por rows check that
+///     final sets agree on every corpus program, case study and lock
+///     client — see docs/SEMANTICS.md §9).
+///     Witnesses from reduced runs replay through the full semantics.
 ///   * symmetry — exact for verdicts, outcomes, finals and invariant
 ///     violations: the explorer orbit-closes final configurations and
 ///     evaluates the invariant at every orbit member of each visited

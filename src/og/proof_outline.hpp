@@ -122,8 +122,8 @@ struct OutlineCheckResult {
 ///     final/blocked states (postconditions, deadlocks) are never missed,
 ///     but an obligation violated only at a pruned intermediate interleaving
 ///     may be — POR trades the full quantification of the Owicki–Gries side
-///     conditions for outcome-level soundness.  The PorCrosscheck test
-///     checks exact verdict agreement on the outline corpus.
+///     conditions for outcome-level soundness.  Por.OutlineVerdictsAgree
+///     checks that the paper's outline verdicts agree.
 ///   * symmetry — exact: obligations are evaluated at every orbit member of
 ///     each visited representative, with the member's enabled steps obtained
 ///     by permuting the representative's (the group action commutes with the

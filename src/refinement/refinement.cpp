@@ -68,12 +68,6 @@ namespace {
 /// Backs graph_states_built().
 std::atomic<std::uint64_t> states_built{0};
 
-std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
-  support::WordHasher h;
-  for (const auto w : words) h.add(w);
-  return h.digest();
-}
-
 /// Throws refinement_conflict's message for a check's RunControl.
 void require_refinement_subset(const engine::RunControl& r,
                                bool product_symmetry) {
@@ -327,12 +321,12 @@ GraphPair build_pair(const System& abstract_sys, const System& concrete_sys,
   // sorted as built.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> abs_by_key;
   for (std::uint32_t a = 0; a < abs_proj.size(); ++a) {
-    abs_by_key[hash_words(abs_proj[a].exact)].push_back(a);
+    abs_by_key[support::hash_words(abs_proj[a].exact)].push_back(a);
   }
   pair.compat_begin.reserve(conc_proj.size() + 1);
   pair.compat_begin.push_back(0);
   for (std::uint32_t c = 0; c < conc_proj.size(); ++c) {
-    const auto it = abs_by_key.find(hash_words(conc_proj[c].exact));
+    const auto it = abs_by_key.find(support::hash_words(conc_proj[c].exact));
     if (it != abs_by_key.end()) {
       for (const auto a : it->second) {
         if (client_refines(abs_proj[a], conc_proj[c])) pair.compat.push_back(a);
@@ -642,10 +636,9 @@ TraceInclusionResult play_trace_inclusion(const GraphPair& pair,
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> visited;
   const auto node_key = [](std::uint32_t c,
                            const std::vector<std::uint32_t>& match) {
-    support::WordHasher h;
-    h.add(c);
-    for (const auto a : match) h.add(a);
-    return h.digest();
+    std::uint64_t h = support::mix64(c);
+    for (const auto a : match) h = support::mix64(h ^ a);
+    return h;
   };
   // Adds the node (c, match) reached from `parent` over `via_edge` unless an
   // equal (or, under the quotient, equivalent) node is already in the arena.

@@ -178,16 +178,16 @@ struct EdgeLabel {
 [[nodiscard]] std::uint64_t graph_states_built();
 
 /// The simulation check's options.  Of the engine::Reduction base it takes
-/// `por` — both state graphs are built with client-invisible ample-set POR
-/// (see build_graph); verdicts agree with the unreduced check on the
-/// PorCrosscheck corpus — and `mode`/`sample`: under Strategy::Sample only
-/// the *concrete* graph is sampled, since the abstract graph is the
+/// `por` — both state graphs are built with client-invisible ample-set POR (see
+/// build_graph); verdicts agree with the unreduced check
+/// (Por.RefinementVerdictsAgree) — and `mode`/`sample`: under Strategy::Sample
+/// only the *concrete* graph is sampled, since the abstract graph is the
 /// specification and must be complete for the game to be meaningful.  The
 /// simulation fixpoint needs the full concrete edge relation (missing edges
-/// would make pairs survive vacuously), so a sampled simulation check
-/// always reports truncated with a diagnosis; use check_trace_inclusion for
-/// definite sampled verdicts.  `symmetry` and `rf_quotient` are rejected
-/// (see GraphOptions).  The limits apply to *each* graph build separately
+/// would make pairs survive vacuously), so a sampled simulation check always
+/// reports truncated with a diagnosis; use check_trace_inclusion for definite
+/// sampled verdicts.  `symmetry` and `rf_quotient` are rejected (see
+/// GraphOptions).  The limits apply to *each* graph build separately
 /// (`max_states` per system; a deadline bounds each phase, not the whole
 /// check); the cancellation token is shared, so one Ctrl-C stops whichever
 /// phase is running.  `num_threads` runs graph construction and client

@@ -1,42 +1,20 @@
 // rc11lib/support/hash.hpp
 //
-// Hash utilities shared by the canonical-state encoder (memsem), the
-// explorer's visited set and the refinement product graph.  We use the
-// FNV-1a / boost-style mixing combination, which is adequate for hash-set
-// deduplication of canonical state encodings (exactness of exploration never
-// depends on hash quality: buckets compare full encodings).
+// The library's one word hash: mix64 (the splitmix64 finaliser) and
+// hash_words, a chained mix64 digest of a word sequence.  The visited sets
+// and the refinement graphs' lookup tables use it to pick a bucket and
+// confirm every match against the full words, so exactness never depends on
+// hash quality.  Witness digests (witness/witness.hpp) use it too.
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <string_view>
 
 namespace rc11::support {
 
-/// Mixes `value`'s hash into an accumulated seed (boost::hash_combine).
-template <typename T>
-constexpr void hash_combine(std::size_t& seed, const T& value) {
-  seed ^= std::hash<T>{}(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-}
-
-/// 64-bit FNV-1a over a byte span; used on serialized state encodings.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// splitmix64 finaliser: a fast, full-avalanche 64-bit mixer.  Two
-/// multiplications per word instead of FNV-1a's eight make this the digest
-/// of choice for the exploration hot path (visited-set fingerprints), where
-/// hash quality only affects probe lengths, never correctness — every
-/// fingerprint hit is confirmed against the full encoding.
+/// splitmix64 finaliser: a fast, full-avalanche 64-bit mixer (two
+/// multiplications per word).
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -57,27 +35,5 @@ constexpr void hash_combine(std::size_t& seed, const T& value) {
   for (const auto w : words) h = mix64(h ^ w);
   return h;
 }
-
-/// Incremental FNV-1a hasher for streaming integer words into a digest.
-/// The canonical state encoder feeds fixed-width words so that encodings are
-/// prefix-free and hashing is byte-order independent at the word level.
-class WordHasher {
- public:
-  void add(std::uint64_t word) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (word >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-
-  void add_signed(std::int64_t word) noexcept {
-    add(static_cast<std::uint64_t>(word));
-  }
-
-  [[nodiscard]] std::uint64_t digest() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 }  // namespace rc11::support

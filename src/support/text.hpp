@@ -1,9 +1,7 @@
 // rc11lib/support/text.hpp
 //
-// Small text-escaping helpers shared by the diagnostic emitters (Graphviz
-// DOT export and the witness renderers).  Kept in support so the witness
-// subsystem and explore/dot.cpp share one robust implementation instead of
-// drifting copies.
+// Text escaping for the Graphviz DOT export (explore/dot.cpp, behind
+// rc11-run --dot).
 
 #pragma once
 

@@ -10,13 +10,12 @@
 
 #include "support/diagnostics.hpp"
 #include "support/hash.hpp"
-#include "support/text.hpp"
 #include "witness/json.hpp"
 
 namespace rc11::witness {
 
 /// Digests travel as fixed-width hex strings: JSON numbers cannot hold a full
-/// uint64 portably, and the string form is greppable against renderer output.
+/// uint64 portably.
 std::string digest_to_hex(std::uint64_t digest) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::string out = "0x";
@@ -37,14 +36,6 @@ std::uint64_t digest_from_hex(const std::string& text) {
                    "witness: malformed digest '", text, "'");
   return value;
 }
-
-namespace {
-
-std::string short_digest(std::uint64_t digest) {
-  return digest_to_hex(digest).substr(0, 8);  // "0x" + 6 nibbles
-}
-
-}  // namespace
 
 std::uint64_t config_digest(const lang::Config& cfg) {
   const std::vector<std::uint64_t> words = cfg.encode();
@@ -281,60 +272,6 @@ Witness minimize(const lang::System& sys, const Witness& w) {
 
   Witness out = w;
   out.steps = std::move(*best);
-  return out;
-}
-
-std::string to_text(const Witness& w) {
-  std::string out = support::concat(
-      "witness (", w.kind, ", from ", w.source, ")\n",
-      "violation: ", w.what, "\n",
-      "run (", w.steps.size(), " steps from ", short_digest(w.initial_digest),
-      "):\n");
-  if (w.steps.empty()) {
-    out += "  (violation at the initial state)\n";
-  }
-  for (std::size_t i = 0; i < w.steps.size(); ++i) {
-    const WitnessStep& s = w.steps[i];
-    out += support::concat(
-        "  ", i + 1, ". [T",
-        s.thread == kAnyThread ? std::string("?") : std::to_string(s.thread),
-        "] ", s.label, "  -> ", short_digest(s.after_digest), "\n");
-  }
-  if (!w.state_dump.empty()) {
-    out += "violating state:\n";
-    std::istringstream dump(w.state_dump);
-    for (std::string line; std::getline(dump, line);) {
-      out += support::concat("  ", line, "\n");
-    }
-  }
-  return out;
-}
-
-std::string to_dot(const Witness& w) {
-  std::string out = "digraph witness {\n  rankdir=LR;\n  node [shape=box];\n";
-  out += support::concat("  s0 [label=\"init\\n",
-                         support::dot_escape(short_digest(w.initial_digest)),
-                         "\"];\n");
-  for (std::size_t i = 0; i < w.steps.size(); ++i) {
-    const WitnessStep& s = w.steps[i];
-    const bool last = i + 1 == w.steps.size();
-    out += support::concat(
-        "  s", i + 1, " [label=\"",
-        support::dot_escape(short_digest(s.after_digest)), "\"",
-        last ? ", color=red, penwidth=2" : "", "];\n");
-    const std::string thread_tag =
-        s.thread == kAnyThread ? std::string("T?")
-                               : support::concat("T", s.thread);
-    out += support::concat("  s", i, " -> s", i + 1, " [label=\"", thread_tag,
-                           ": ", support::dot_escape(s.label), "\"];\n");
-  }
-  if (!w.what.empty()) {
-    out += support::concat("  violation [shape=note, color=red, label=\"",
-                           support::dot_escape(w.what), "\"];\n");
-    out += support::concat("  s", w.steps.size(),
-                           " -> violation [style=dashed, color=red];\n");
-  }
-  out += "}\n";
   return out;
 }
 

@@ -8,8 +8,7 @@
 // (thread, label, reached-state digest) steps from the initial configuration
 // into a violating configuration — together with what went wrong there.
 //
-//   * Emission: a versioned JSON schema (docs/FORMAT.md §Witness files) plus
-//     DOT and human-readable renderers.
+//   * Emission: a versioned JSON schema (docs/FORMAT.md §Witness files).
 //   * Replay: replay() re-executes the recorded steps through the *real*
 //     semantics (lang::successors) and confirms every step is an enabled
 //     transition landing on the recorded canonical state — an independent
@@ -135,14 +134,5 @@ struct ReplayResult {
 /// replay cleanly; otherwise it is returned unchanged.  The result replays
 /// cleanly by construction (the search runs on the real semantics).
 [[nodiscard]] Witness minimize(const lang::System& sys, const Witness& w);
-
-// --- rendering --------------------------------------------------------------
-
-/// Human-readable multi-line rendering (step table + violating state).
-[[nodiscard]] std::string to_text(const Witness& w);
-
-/// Graphviz DOT rendering of the run as a step chain; labels are escaped
-/// with support::dot_escape.
-[[nodiscard]] std::string to_dot(const Witness& w);
 
 }  // namespace rc11::witness

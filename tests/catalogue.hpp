@@ -10,11 +10,16 @@
 //     configuration must reproduce.
 // Entry names are where the gtest instance names come from, so they stay
 // fixed when a file is renamed.
+//
+// The header also holds the forms in which tests compare two runs: the
+// outcome registers, the final-configuration set and the race set.
 
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstdint>
 #include <filesystem>
 #include <set>
 #include <stdexcept>
@@ -22,8 +27,10 @@
 #include <utility>
 #include <vector>
 
+#include "explore/explorer.hpp"
 #include "lang/system.hpp"
 #include "parser/parser.hpp"
+#include "race/race.hpp"
 
 namespace rc11::catalogue {
 
@@ -174,6 +181,45 @@ inline std::vector<std::string> crosscheck_corpus() {
   }
   std::sort(files.begin(), files.end());
   return files;
+}
+
+/// All registers of every thread, in thread then declaration order: the
+/// full outcome tuple.
+inline std::vector<lang::Reg> all_regs(const lang::System& sys) {
+  std::vector<lang::Reg> regs;
+  for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
+    for (lang::RegId r = 0; r < sys.num_regs(t); ++r) {
+      regs.push_back(lang::Reg{t, r});
+    }
+  }
+  return regs;
+}
+
+/// The canonical encodings of a run's final configurations (the explorer
+/// sorts them, so equality is set equality).
+inline std::vector<std::vector<std::uint64_t>> final_encodings(
+    const explore::ExploreResult& result) {
+  std::vector<std::vector<std::uint64_t>> encodings;
+  encodings.reserve(result.final_configs.size());
+  for (const auto& cfg : result.final_configs) {
+    encodings.push_back(cfg.encode());
+  }
+  return encodings;
+}
+
+/// The run-independent identity of a race: location + both canonical sites.
+using RaceKey = std::array<std::uint64_t, 7>;
+
+inline std::vector<RaceKey> race_keys(const race::RaceResult& result) {
+  std::vector<RaceKey> keys;
+  keys.reserve(result.races.size());
+  for (const auto& r : result.races) {
+    keys.push_back({r.record.loc, r.record.prior.thread, r.record.prior.pc,
+                    static_cast<std::uint64_t>(r.record.prior.cat),
+                    r.record.current.thread, r.record.current.pc,
+                    static_cast<std::uint64_t>(r.record.current.cat)});
+  }
+  return keys;
 }
 
 /// gtest instance name of an entry: its name with every non-alphanumeric

@@ -2,9 +2,10 @@
 //   * The small-program generator of the property tests: two-thread
 //     programs over two client variables x and y, each thread running a
 //     short sequence of instruction templates (plain and release stores,
-//     plain and acquire loads, CAS and FAI).  test_fuzz checks the engine's
-//     metatheory on them; test_og checks the assertion read sets and the
-//     interference plan.
+//     plain and acquire loads, CAS and FAI), and its three sweeps.
+//     test_matrix runs every swept program through the differential
+//     matrix; test_og checks the assertion read sets and the interference
+//     plan.
 //   * mp_compute and mp_spin_compute, the message-passing family of the
 //     partial-order reduction, sized by the amount of local work.
 
@@ -13,6 +14,7 @@
 #include <array>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lang/system.hpp"
@@ -94,6 +96,25 @@ inline Generated build(const std::vector<Vocab>& vocab,
   return g;
 }
 
+/// The core sweep: every two-slot program over the core vocabulary, 4^4
+/// instruction combinations x 4 variable patterns = 1024 programs.  Thread
+/// 0 uses (x, y-or-x) and thread 1 (y, y-or-x); the pattern enumerates the
+/// four combinations of second-slot variables.
+inline std::vector<Generated> core_exhaustive_programs() {
+  const auto vocab = core_vocab();
+  const int n = static_cast<int>(vocab.size());
+  std::vector<Generated> out;
+  for (int c00 = 0; c00 < n; ++c00)
+    for (int c01 = 0; c01 < n; ++c01)
+      for (int c10 = 0; c10 < n; ++c10)
+        for (int c11 = 0; c11 < n; ++c11)
+          for (int vc = 0; vc < 4; ++vc) {
+            out.push_back(build(vocab, {{{c00, c01}, {c10, c11}}},
+                                {{{0, vc & 1}, {1, (vc >> 1) & 1}}}));
+          }
+  return out;
+}
+
 /// The RMW diagonal sweep: with CAS/FAI included the full product is large,
 /// so thread 1's slots mirror thread 0's choices shifted by one, over the
 /// four variable patterns — still every ordered pair of vocabulary entries
@@ -110,6 +131,41 @@ inline std::vector<Generated> rmw_diagonal_programs() {
       }
     }
   }
+  return out;
+}
+
+/// The three-slot mirrored sweep: three core-vocabulary instructions per
+/// thread, thread 1 running the reverse of thread 0's templates over
+/// swapped variables, in 256 programs.
+inline std::vector<Generated> three_slot_mirrored_programs() {
+  const auto vocab = core_vocab();
+  const int n = static_cast<int>(vocab.size());
+  std::vector<Generated> out;
+  for (int a = 0; a < n; ++a)
+    for (int b = 0; b < n; ++b)
+      for (int cc = 0; cc < n; ++cc)
+        for (int vc = 0; vc < 4; ++vc) {
+          Generated g;
+          const auto x = g.sys.client_var("x", 0);
+          const auto y = g.sys.client_var("y", 0);
+          const lang::LocId vars[2] = {x, y};
+          const int t0_choice[3] = {a, b, cc};
+          const int t0_var[3] = {0, vc & 1, (vc >> 1) & 1};
+          for (int t = 0; t < 2; ++t) {
+            auto tb = g.sys.thread();
+            for (int s = 0; s < 3; ++s) {
+              auto r = tb.reg("r" + std::to_string(t) + std::to_string(s));
+              g.regs.push_back(r);
+              const int slot = t == 0 ? s : 2 - s;
+              const auto& v = vocab[static_cast<std::size_t>(t0_choice[slot])];
+              const int vi = t == 0 ? t0_var[slot] : 1 - t0_var[slot];
+              v.emit(tb, vars[vi], r, 10 * (t + 1) + s + 1);
+              g.description += std::string(v.name) + (vi ? "y " : "x ");
+            }
+            g.description += "| ";
+          }
+          out.push_back(std::move(g));
+        }
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "engine/budget.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/transition_system.hpp"
@@ -26,6 +27,7 @@
 namespace {
 
 using namespace rc11;
+using catalogue::all_regs;
 using engine::StopReason;
 using explore::ExploreOptions;
 
@@ -40,16 +42,6 @@ struct TempFile {
       : path(::testing::TempDir() + name) {}
   ~TempFile() { std::remove(path.c_str()); }
 };
-
-std::vector<lang::Reg> all_regs(const lang::System& sys) {
-  std::vector<lang::Reg> regs;
-  for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
-    for (lang::RegId r = 0; r < sys.num_regs(t); ++r) {
-      regs.push_back(lang::Reg{t, r});
-    }
-  }
-  return regs;
-}
 
 // --- StopReason / FaultPlan parsing -----------------------------------------
 

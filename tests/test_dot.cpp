@@ -1,6 +1,6 @@
-// Tests for Graphviz DOT emission: the shared support::dot_escape helper
-// (quote/backslash/control/non-ASCII robustness) and the state-graph and
-// witness DOT renderers built on it.
+// Tests for Graphviz DOT emission: the support::dot_escape helper
+// (quote/backslash/control/non-ASCII robustness) and the state-graph
+// renderer built on it.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "parser/parser.hpp"
 #include "refinement/refinement.hpp"
 #include "support/text.hpp"
-#include "witness/witness.hpp"
 
 namespace {
 
@@ -75,21 +74,6 @@ thread t1 { reg r1; r1 <- x; }
     ASSERT_NE(end, std::string::npos);
     EXPECT_EQ(dot.substr(pos, end - pos).find('\n'), std::string::npos);
   }
-}
-
-TEST(DotExport, WitnessRendererEscapesHostileStrings) {
-  witness::Witness w;
-  w.kind = "invariant";
-  w.what = "bad \"label\"\nwith newline";
-  w.state_dump = "dump\nline";
-  w.steps.push_back({0, "step \\ with \"stuff\"", 42});
-  const auto dot = witness::to_dot(w);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  std::size_t raw_quotes = 0;
-  for (std::size_t i = 1; i < dot.size(); ++i) {
-    if (dot[i] == '"' && dot[i - 1] == '\\') ++raw_quotes;
-  }
-  EXPECT_GT(raw_quotes, 0u) << "hostile quotes must be escaped";
 }
 
 }  // namespace

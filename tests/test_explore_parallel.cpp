@@ -1,7 +1,8 @@
-// Parallel-vs-sequential equivalence of the explorer: for every sample
-// program and every litmus test, explore() with 1, 2 and 8 workers must
-// produce the same set of final configurations, the same outcome sets, the
-// same statistics and the same truncation/violation verdicts.  The schedule
+// The parallel explorer beyond the differential matrix's multi-worker rows
+// (test_matrix.cpp, where 2 and 8 workers must build the one-worker graph
+// of every corpus program, case study, compute program and lock client):
+// litmus outcome sets, violation sets, truncation and stop reasons at 1, 2
+// and 8 workers, and traced inserts on one contended shard.  The schedule
 // may differ; the answers may not.
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 namespace {
 
 using namespace rc11;
+using catalogue::all_regs;
 using explore::ExploreOptions;
 using lang::Config;
 using lang::System;
@@ -36,64 +38,6 @@ const unsigned kThreadCounts[] = {1, 2, 8};
 
 std::string prog(const std::string& name) {
   return std::string(RC11_SRC_DIR) + "/tools/programs/" + name;
-}
-
-const char* kPrograms[] = {
-    "lock_client_abstract.rc11", "lock_client_broken.rc11",
-    "lock_client_seqlock.rc11",  "mp_broken_outline.rc11",
-    "mp_stack.rc11",             "mp_verified.rc11",
-    "sb.rc11",                   "ticket_lock.rc11",
-};
-
-std::vector<lang::Reg> all_regs(const System& sys) {
-  std::vector<lang::Reg> regs;
-  for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
-    for (lang::RegId r = 0; r < sys.num_regs(t); ++r) {
-      regs.push_back(lang::Reg{t, r});
-    }
-  }
-  return regs;
-}
-
-/// Canonical fingerprint of the final-configuration set (already sorted by
-/// the explorer, so equality is set equality).
-std::vector<std::vector<std::uint64_t>> final_encodings(
-    const explore::ExploreResult& result) {
-  std::vector<std::vector<std::uint64_t>> encodings;
-  encodings.reserve(result.final_configs.size());
-  for (const auto& cfg : result.final_configs) {
-    encodings.push_back(cfg.encode());
-  }
-  return encodings;
-}
-
-TEST(ParallelExplore, SampleProgramsMatchSequential) {
-  for (const auto* name : kPrograms) {
-    SCOPED_TRACE(name);
-    const auto program = parser::parse_file(prog(name));
-    const auto regs = all_regs(program.sys);
-
-    ExploreOptions opts;
-    opts.num_threads = 1;
-    const auto baseline = explore::explore(program.sys, opts);
-    const auto base_outcomes =
-        explore::final_register_values(program.sys, baseline, regs);
-    const auto base_finals = final_encodings(baseline);
-
-    for (const unsigned workers : {2u, 8u}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers));
-      opts.num_threads = workers;
-      const auto result = explore::explore(program.sys, opts);
-      EXPECT_EQ(result.stats.states, baseline.stats.states);
-      EXPECT_EQ(result.stats.transitions, baseline.stats.transitions);
-      EXPECT_EQ(result.stats.finals, baseline.stats.finals);
-      EXPECT_EQ(result.stats.blocked, baseline.stats.blocked);
-      EXPECT_EQ(result.truncated, baseline.truncated);
-      EXPECT_EQ(final_encodings(result), base_finals);
-      EXPECT_EQ(explore::final_register_values(program.sys, result, regs),
-                base_outcomes);
-    }
-  }
 }
 
 TEST(ParallelExplore, LitmusSuiteOutcomeSetsIdentical) {
@@ -180,10 +124,10 @@ TEST(ParallelExplore, TruncationReportedAndSound) {
 }
 
 // The StopReason is schedule-independent: whichever worker trips the limit,
-// every (threads, por) combination over every sample program reports the
-// same reason for the same budget.
+// every (threads, por) combination over every small corpus program reports
+// the same reason for the same budget.
 TEST(ParallelExplore, StopReasonIdenticalAcrossSchedules) {
-  for (const auto* name : kPrograms) {
+  for (const auto& name : catalogue::crosscheck_corpus()) {
     SCOPED_TRACE(name);
     const auto program = parser::parse_file(prog(name));
     for (const bool por : {false, true}) {

@@ -1,16 +1,11 @@
-// Partial-order reduction: soundness, exactness and the reduction headline.
+// Partial-order reduction: soundness and the reduction headline.
 //
-// The tests check that POR preserves everything it promises to preserve —
-// final-configuration sets, litmus outcome sets, outline and refinement
-// verdicts, witness replayability — on representative systems, at one
-// worker and at four, and that it actually reduces the targeted benchmark
-// families by >= 2x.
-//
-// PorCrosscheck widens the comparison to the complete corpus: every program
-// under tools/programs/ small enough to explore exhaustively (the litmus,
-// causality and race catalogues included), every case study and every
-// lock-implementation/client pairing, each checked for exact final-state
-// agreement between the reduced and full explorations.
+// The tests check that POR preserves outline and refinement verdicts and
+// witness replayability on representative systems, at one worker and at
+// four, and that it actually reduces the targeted benchmark families by
+// >= 2x.  Its final-set exactness on the corpus, the case studies, the
+// compute family and the lock clients is checked by the por rows of the
+// differential matrix (test_matrix.cpp).
 
 #include <gtest/gtest.h>
 
@@ -20,7 +15,6 @@
 
 #include "catalogue.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/case_studies.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "og/catalog.hpp"
@@ -32,76 +26,9 @@
 namespace {
 
 using namespace rc11;
+using catalogue::final_encodings;
 using explore::ExploreOptions;
 using lang::System;
-
-std::vector<std::vector<std::uint64_t>> final_encodings(
-    const explore::ExploreResult& result) {
-  std::vector<std::vector<std::uint64_t>> encodings;
-  encodings.reserve(result.final_configs.size());
-  for (const auto& cfg : result.final_configs) {
-    encodings.push_back(cfg.encode());
-  }
-  return encodings;
-}
-
-/// Full vs. reduced exploration of `sys` must agree on the final-state set,
-/// the blocked count (deadlocks) and truncation, at every worker count.
-void expect_por_exact(const System& sys, const std::string& what) {
-  ExploreOptions full;
-  const auto reference = explore::explore(sys, full);
-  for (const unsigned workers : {1U, 4U}) {
-    ExploreOptions reduced;
-    reduced.por = true;
-    reduced.num_threads = workers;
-    const auto r = explore::explore(sys, reduced);
-    EXPECT_EQ(final_encodings(r), final_encodings(reference))
-        << what << " (threads " << workers << "): final-state sets differ";
-    EXPECT_EQ(r.stats.blocked, reference.stats.blocked)
-        << what << " (threads " << workers << "): blocked counts differ";
-    EXPECT_EQ(r.truncated, reference.truncated) << what;
-    EXPECT_LE(r.stats.states, reference.stats.states)
-        << what << ": a reduction may never visit MORE states";
-  }
-}
-
-TEST(Por, LitmusOutcomeSetsExact) {
-  for (const auto& test : catalogue::litmus_tests()) {
-    expect_por_exact(test.sys, test.name);
-    // The outcome set is the litmus verdict itself: with POR on it must
-    // still equal the allowed set exactly.
-    ExploreOptions reduced;
-    reduced.por = true;
-    const auto result = explore::explore(test.sys, reduced);
-    EXPECT_EQ(explore::final_register_values(test.sys, result, test.observed),
-              test.allowed)
-        << test.name << " outcome set changed under POR";
-  }
-}
-
-TEST(Por, CausalityTestsExact) {
-  for (const auto& test : catalogue::causality_tests()) {
-    expect_por_exact(test.sys, test.name);
-  }
-}
-
-TEST(Por, CaseStudiesExact) {
-  expect_por_exact(litmus::peterson_counter().sys, "peterson");
-  expect_por_exact(litmus::dekker_counter().sys, "dekker");
-  expect_por_exact(litmus::barrier_exchange().sys, "barrier");
-}
-
-TEST(Por, ComputeWorkloadsExact) {
-  for (const unsigned work : {1U, 3U}) {
-    expect_por_exact(testgen::mp_compute(work),
-                     "mp_compute(" + std::to_string(work) + ")");
-    expect_por_exact(testgen::mp_spin_compute(work),
-                     "mp_spin_compute(" + std::to_string(work) + ")");
-  }
-  locks::TicketLock ticket;
-  expect_por_exact(locks::instantiate(locks::worker_client(2, 1, 3), ticket),
-                   "ticket worker(2,1,3)");
-}
 
 TEST(Por, OutlineVerdictsAgree) {
   for (const bool por : {false, true}) {
@@ -245,42 +172,6 @@ TEST(Por, ReducedGraphIdenticalAcrossWorkerCounts) {
     const auto r = explore::explore(sys, opts);
     EXPECT_EQ(r.stats.states, reference.stats.states) << workers;
     EXPECT_EQ(final_encodings(r), final_encodings(reference)) << workers;
-  }
-}
-
-// --- the full-corpus cross-check --------------------------------------------
-
-TEST(PorCrosscheck, FullCorpusAgreement) {
-  // Every corpus program, every case study, the compute family, every
-  // lock implementation under every client.
-  for (const auto& name : catalogue::crosscheck_corpus()) {
-    expect_por_exact(
-        parser::parse_file(catalogue::program_path(name)).sys, name);
-  }
-  expect_por_exact(litmus::peterson_counter().sys, "peterson");
-  expect_por_exact(litmus::dekker_counter().sys, "dekker");
-  expect_por_exact(litmus::barrier_exchange().sys, "barrier");
-  for (const unsigned work : {1U, 2U, 4U}) {
-    expect_por_exact(testgen::mp_compute(work), "mp_compute");
-    expect_por_exact(testgen::mp_spin_compute(work), "mp_spin_compute");
-  }
-
-  const std::vector<locks::ClientProgram> clients = {
-      locks::fig7_client(),
-      locks::mgc_client(2, 2),
-      locks::counter_client(2, 1),
-      locks::worker_client(2, 1, 2),
-  };
-  locks::AbstractLock abstract;
-  locks::SeqLock seq;
-  locks::TicketLock ticket;
-  locks::CasSpinLock cas;
-  locks::TTASLock ttas;
-  locks::LockObject* lock_impls[] = {&abstract, &seq, &ticket, &cas, &ttas};
-  for (const auto& client : clients) {
-    for (auto* lock : lock_impls) {
-      expect_por_exact(locks::instantiate(client, *lock), lock->name());
-    }
   }
 }
 

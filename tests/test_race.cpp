@@ -1,18 +1,14 @@
 // Data-race detection: classification of the known-racy / known-race-free
-// corpus, exactness of the reported race *set* under every engine
-// configuration (worker counts, POR, symmetry, sampling), witness replay
-// through both access sites, and the zero-overhead guarantee for checkers
-// that leave race_detection off.
-//
-// RaceCrosscheck widens the configuration matrix to every program under
-// tools/programs/ small enough to explore exhaustively, and asserts that
-// every one outside the race catalogue is race-free.
+// corpus, canonical ordering and determinism of the reported races, witness
+// replay through both access sites, and the zero-overhead guarantee for
+// checkers that leave race_detection off.  That the race set is the same
+// under every engine configuration (worker counts, POR, symmetry, the rf
+// quotient, sampling), and every corpus verdict, are rows of the
+// differential matrix (test_matrix.cpp).
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,64 +16,15 @@
 #include "catalogue.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
-#include "parser/parser.hpp"
 #include "race/race.hpp"
 #include "witness/witness.hpp"
 
 namespace {
 
 using namespace rc11;
+using catalogue::race_keys;
 using lang::System;
 using race::RaceOptions;
-using race::RaceResult;
-
-/// The run-independent identity of a race: location + both canonical sites.
-using RaceKey = std::array<std::uint64_t, 7>;
-
-std::vector<RaceKey> race_keys(const RaceResult& result) {
-  std::vector<RaceKey> keys;
-  keys.reserve(result.races.size());
-  for (const auto& r : result.races) {
-    keys.push_back({r.record.loc, r.record.prior.thread, r.record.prior.pc,
-                    static_cast<std::uint64_t>(r.record.prior.cat),
-                    r.record.current.thread, r.record.current.pc,
-                    static_cast<std::uint64_t>(r.record.current.cat)});
-  }
-  return keys;
-}
-
-/// The cross-check proper: a plain sequential exhaustive run is the oracle;
-/// every reduced / parallel / sampled configuration must report the exact
-/// same race set (sampling with enough episodes to cover these small state
-/// spaces — the sampled set is a lower bound in general, but on the corpus
-/// it must reach every race).
-void expect_race_exact(const System& sys, const std::string& what) {
-  const auto reference = race::check(sys, {});
-  ASSERT_FALSE(reference.truncated) << what;
-  const auto ref_keys = race_keys(reference);
-
-  for (const unsigned workers : {1U, 4U}) {
-    for (const bool por : {false, true}) {
-      for (const bool symmetry : {false, true}) {
-        RaceOptions opts;
-        opts.num_threads = workers;
-        opts.por = por;
-        opts.symmetry = symmetry;
-        const auto r = race::check(sys, opts);
-        EXPECT_FALSE(r.truncated) << what;
-        EXPECT_EQ(race_keys(r), ref_keys)
-            << what << " (threads " << workers << ", por " << por
-            << ", symmetry " << symmetry << "): race sets differ";
-      }
-    }
-  }
-
-  RaceOptions sampled;
-  sampled.mode = engine::Strategy::Sample;
-  sampled.sample.episodes = 3000;
-  const auto s = race::check(sys, sampled);
-  EXPECT_EQ(race_keys(s), ref_keys) << what << " (sampled): race sets differ";
-}
 
 TEST(Race, ClassifiesTheCorpus) {
   // Experiment RD: per program, the races found and the states of the plain
@@ -142,12 +89,6 @@ TEST(Race, ReportsAreUnorderedPairsInCanonicalOrder) {
       EXPECT_LE(rank(r.record.prior), rank(r.record.current))
           << test.name << ": pair not canonically ordered";
     }
-  }
-}
-
-TEST(Race, SetExactUnderEveryConfiguration) {
-  for (const auto& test : catalogue::race_tests()) {
-    expect_race_exact(test.sys, test.name);
   }
 }
 
@@ -262,23 +203,6 @@ TEST(Race, TruncatedRunIsInconclusiveNotClean) {
   const auto result = race::check(test.sys, opts);
   EXPECT_TRUE(result.truncated);
   EXPECT_FALSE(result.clean());
-}
-
-// --- the full-corpus cross-check --------------------------------------------
-
-TEST(RaceCrosscheck, FullCorpusAgreement) {
-  // Every corpus program: the race verdict, and a race set that does not
-  // depend on the configuration.  A program outside the race catalogue is
-  // all-atomic (or object-mediated), so it must come back race-free.
-  std::map<std::string, bool> racy;
-  for (const auto& test : catalogue::race_tests()) racy[test.file] = test.racy;
-  for (const auto& name : catalogue::crosscheck_corpus()) {
-    const auto program = parser::parse_file(catalogue::program_path(name));
-    const auto result = race::check(program.sys, {});
-    ASSERT_FALSE(result.truncated) << name;
-    EXPECT_EQ(result.racy(), racy.count(name) && racy.at(name)) << name;
-    expect_race_exact(program.sys, name);
-  }
 }
 
 }  // namespace

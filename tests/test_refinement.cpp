@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
-#include <span>
 #include <string>
 
 #include "explore/explorer.hpp"
@@ -18,7 +18,6 @@
 #include "refinement/refinement.hpp"
 #include "stacks/stack_objects.hpp"
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 
 namespace {
 
@@ -430,8 +429,14 @@ std::string record(const refinement::TraceInclusionResult& r) {
          witness_record(r.witness);
 }
 
+/// 64-bit FNV-1a over the report's bytes.
 std::uint64_t text_digest(const std::string& text) {
-  return support::fnv1a(std::as_bytes(std::span{text.data(), text.size()}));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : text) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// The refuted pairs of the lock, stack and queue suites.  Each game's full

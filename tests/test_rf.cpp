@@ -2,20 +2,16 @@
 // reduction headline (see engine/abstraction.hpp for the key construction
 // and DESIGN.md for the bisimulation argument).
 //
-// The tests check that the quotient preserves everything it promises to
-// preserve — litmus outcome sets, invariant-violation sets,
-// outline verdicts and failed-obligation sets, race sets, witness
-// replayability, checkpoint round-trips — on representative systems, at one
-// worker and at four, composed with POR, and that it actually reduces the
-// store-heavy asymmetric workloads it targets.  Exactness is judged on
-// *semantic* observables (outcome sets, verdicts, violation/race keys): the
-// quotient keeps one concrete representative per merged class, so raw
-// final-configuration encodings are expected to differ from an unreduced
-// run by design.
-//
-// RfCrosscheck widens the comparison to the complete corpus: every program
-// under tools/programs/ (the litmus, causality and race catalogues
-// included), every case study and every lock-implementation/client pairing.
+// The tests check that the quotient preserves what the differential matrix
+// (test_matrix.cpp, whose rf rows check outcome sets on every input) does
+// not cover — invariant-violation sets, outline verdicts and
+// failed-obligation sets, race sets, witness replayability, checkpoint
+// round-trips — on representative systems, composed with POR, and that it
+// actually reduces the store-heavy asymmetric workloads it targets.
+// Exactness is judged on *semantic* observables (outcome sets, verdicts,
+// violation/race keys): the quotient keeps one concrete representative per
+// merged class, so raw final-configuration encodings are expected to differ
+// from an unreduced run by design.
 
 #include <gtest/gtest.h>
 
@@ -31,15 +27,14 @@
 #include "catalogue.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/case_studies.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
+#include "matrix.hpp"
 #include "memsem/state.hpp"
 #include "og/catalog.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
 #include "race/race.hpp"
-#include "small_programs.hpp"
 #include "witness/witness.hpp"
 
 namespace {
@@ -48,23 +43,6 @@ using namespace rc11;
 using engine::StopReason;
 using explore::ExploreOptions;
 using lang::System;
-
-/// All registers of every thread — the full outcome tuple, the semantic
-/// observable the quotient must preserve exactly.
-std::vector<lang::Reg> all_regs(const System& sys) {
-  std::vector<lang::Reg> regs;
-  for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
-    for (lang::RegId r = 0; r < sys.num_regs(t); ++r) {
-      regs.push_back(lang::Reg{t, r});
-    }
-  }
-  return regs;
-}
-
-std::vector<std::vector<lang::Value>> outcome_set(
-    const System& sys, const explore::ExploreResult& result) {
-  return explore::final_register_values(sys, result, all_regs(sys));
-}
 
 /// The deduplicated `what` set of a violation report.  Under the quotient a
 /// class of violating states is visited once, so per-state multiplicity and
@@ -80,34 +58,6 @@ std::set<std::string> race_whats(const race::RaceResult& result) {
   std::set<std::string> keys;
   for (const auto& r : result.races) keys.insert(r.what);
   return keys;
-}
-
-/// Full vs. quotiented exploration of `sys` must agree on the final
-/// register-outcome set, deadlock existence and truncation, at every worker
-/// count and with POR layered on top.  The quotient may never visit MORE
-/// states.
-void expect_rf_exact(const System& sys, const std::string& what) {
-  ExploreOptions full;
-  const auto reference = explore::explore(sys, full);
-  const auto ref_outcomes = outcome_set(sys, reference);
-  for (const bool por : {false, true}) {
-    for (const unsigned workers : {1U, 4U}) {
-      ExploreOptions reduced;
-      reduced.rf_quotient = true;
-      reduced.por = por;
-      reduced.num_threads = workers;
-      const auto r = explore::explore(sys, reduced);
-      EXPECT_EQ(outcome_set(sys, r), ref_outcomes)
-          << what << " (threads " << workers << ", por " << por
-          << "): outcome sets differ";
-      EXPECT_EQ(r.stats.blocked == 0, reference.stats.blocked == 0)
-          << what << " (threads " << workers << ", por " << por
-          << "): deadlock existence differs";
-      EXPECT_EQ(r.truncated, reference.truncated) << what;
-      EXPECT_LE(r.stats.states, reference.stats.states)
-          << what << ": a reduction may never visit MORE states";
-    }
-  }
 }
 
 /// Experiment RF's exact sizes: a --por, a --symmetry and an --rf-quotient
@@ -141,7 +91,7 @@ double expect_rf_counts(const System& sys, const RfCounts& want,
   EXPECT_EQ(rf.stats.sleep_set_skips, want.sleep_skips) << what;
   EXPECT_EQ(sym.stats.symmetry_hits, 0u)
       << what << " is asymmetric by design; symmetry must be a no-op";
-  EXPECT_EQ(outcome_set(sys, rf), outcome_set(sys, por)) << what;
+  EXPECT_EQ(matrix::outcomes(sys, rf), matrix::outcomes(sys, por)) << what;
   return static_cast<double>(std::min(por.stats.states, sym.stats.states)) /
          static_cast<double>(rf.stats.states);
 }
@@ -178,33 +128,20 @@ System parse_program(const std::string& name) {
   return parser::parse_file(catalogue::program_path(name)).sys;
 }
 
-TEST(Rf, LitmusOutcomeSetsExact) {
-  for (const auto& test : catalogue::litmus_tests()) {
-    expect_rf_exact(test.sys, test.name);
-    // The outcome set is the litmus verdict itself: with the quotient on it
-    // must still equal the allowed set exactly.
-    ExploreOptions reduced;
-    reduced.rf_quotient = true;
-    const auto result = explore::explore(test.sys, reduced);
-    EXPECT_EQ(explore::final_register_values(test.sys, result, test.observed),
-              test.allowed)
-        << test.name << " outcome set changed under the rf quotient";
-  }
-}
-
-TEST(Rf, CaseStudiesExact) {
-  expect_rf_exact(litmus::peterson_counter().sys, "peterson");
-  expect_rf_exact(litmus::dekker_counter().sys, "dekker");
-  expect_rf_exact(litmus::barrier_exchange().sys, "barrier");
-}
-
 TEST(Rf, StoreFanReducedAndExact) {
   // The motivating family: asymmetric writers whose observations of the
   // pump's generation variable survive only in dead view metadata.  The
   // quotient must agree on the outcome set and beat the better of the two
   // older reductions by >= 5x visited states.
-  const auto sys = parse_program("store_fan.rc11");
-  expect_rf_exact(sys, "store_fan");
+  const matrix::Input input{"store_fan", matrix::kUnlisted,
+                            parse_program("store_fan.rc11")};
+  matrix::Reference reference(input);
+  for (const auto& row : matrix::rows()) {
+    if (row.agree == matrix::Agree::Outcomes) {
+      matrix::check(row, input, reference);
+    }
+  }
+  const auto& sys = input.sys;
   EXPECT_GE(expect_rf_counts(sys,
                              {58633, 185322, 109678, 361352, 4812, 22791,
                               14376},
@@ -233,7 +170,7 @@ TEST(Rf, NoopOnReleaseHeavyPrograms) {
   const auto r = explore::explore(sys, reduced);
   EXPECT_EQ(r.stats.states, reference.stats.states);
   EXPECT_EQ(r.stats.blocked, reference.stats.blocked);
-  EXPECT_EQ(outcome_set(sys, r), outcome_set(sys, reference));
+  EXPECT_EQ(matrix::outcomes(sys, r), matrix::outcomes(sys, reference));
   EXPECT_EQ(expect_rf_counts(sys, {13, 17, 13, 17, 13, 17, 0}, "mp"), 1.0);
 }
 
@@ -339,11 +276,11 @@ TEST(Rf, CheckpointRoundTripPreservesVerdicts) {
   const auto resumed = explore::explore(sys, resume_opts);
   EXPECT_EQ(resumed.stop, StopReason::Complete);
   EXPECT_EQ(resumed.stats.states, full.stats.states);
-  EXPECT_EQ(outcome_set(sys, resumed), outcome_set(sys, full));
+  EXPECT_EQ(matrix::outcomes(sys, resumed), matrix::outcomes(sys, full));
 
   // And the whole quotiented pipeline still agrees with an unreduced run.
   const auto unreduced = explore::explore(sys, ExploreOptions{});
-  EXPECT_EQ(outcome_set(sys, resumed), outcome_set(sys, unreduced));
+  EXPECT_EQ(matrix::outcomes(sys, resumed), matrix::outcomes(sys, unreduced));
 }
 
 TEST(Rf, ResumeRejectsMismatchedRfQuotient) {
@@ -483,43 +420,6 @@ TEST(Rf, RaceSetsExact) {
     EXPECT_EQ(b.racy(), test.racy) << test.name;
     EXPECT_EQ(race_whats(b), race_whats(a)) << test.name;
     EXPECT_LE(b.stats.states, a.stats.states) << test.name;
-  }
-}
-
-// --- the full-corpus cross-check --------------------------------------------
-
-TEST(RfCrosscheck, FullCorpusAgreement) {
-  // The quotient's own target family joins the exhaustive corpus here.
-  auto programs = catalogue::crosscheck_corpus();
-  programs.push_back("store_fan.rc11");
-  for (const auto& name : programs) {
-    expect_rf_exact(parse_program(name), name);
-  }
-  expect_rf_exact(litmus::peterson_counter().sys, "peterson");
-  expect_rf_exact(litmus::dekker_counter().sys, "dekker");
-  expect_rf_exact(litmus::barrier_exchange().sys, "barrier");
-  for (const unsigned work : {1U, 2U, 4U}) {
-    expect_rf_exact(testgen::mp_compute(work), "mp_compute");
-    expect_rf_exact(testgen::mp_spin_compute(work), "mp_spin_compute");
-  }
-
-  const std::vector<locks::ClientProgram> clients = {
-      locks::fig7_client(),
-      locks::mgc_client(2, 2),
-      locks::counter_client(2, 1),
-      locks::worker_client(2, 1, 2),
-      locks::worker_client(3, 1, 2),
-  };
-  locks::AbstractLock abstract;
-  locks::SeqLock seq;
-  locks::TicketLock ticket;
-  locks::CasSpinLock cas;
-  locks::TTASLock ttas;
-  locks::LockObject* lock_impls[] = {&abstract, &seq, &ticket, &cas, &ttas};
-  for (const auto& client : clients) {
-    for (auto* lock : lock_impls) {
-      expect_rf_exact(locks::instantiate(client, *lock), lock->name());
-    }
   }
 }
 

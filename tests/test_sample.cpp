@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "catalogue.hpp"
 #include "engine/budget.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/sample.hpp"
@@ -33,6 +34,7 @@
 namespace {
 
 using namespace rc11;
+using catalogue::all_regs;
 using engine::StopReason;
 using engine::Strategy;
 using explore::ExploreOptions;
@@ -47,16 +49,6 @@ ExploreOptions sample_opts(std::uint64_t episodes, std::uint64_t seed) {
   opts.sample.episodes = episodes;
   opts.sample.seed = seed;
   return opts;
-}
-
-std::vector<lang::Reg> all_regs(const lang::System& sys) {
-  std::vector<lang::Reg> regs;
-  for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
-    for (lang::RegId r = 0; r < sys.num_regs(t); ++r) {
-      regs.push_back(lang::Reg{t, r});
-    }
-  }
-  return regs;
 }
 
 // The lost-update invariant documented in ticket_worker_buggy.rc11.

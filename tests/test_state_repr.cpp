@@ -1,7 +1,7 @@
 // State-representation exactness: the interned visited set (and its
 // lock-striped wrapper) must be indistinguishable from a reference
 // std::set<std::vector<uint64_t>> oracle — over full explorations of every
-// sample program and litmus test, over adversarial randomized inserts, and
+// small corpus program, over adversarial randomized inserts, and
 // under forced digest collisions.  Also pins down the encode()/encode_into
 // equivalence, the pooled-StepBuffer/vector successor equivalence the
 // hot-path rewiring relies on, and the canonical encoding itself against
@@ -38,13 +38,6 @@ using support::InternedWordSet;
 std::string prog(const std::string& name) {
   return std::string(RC11_SRC_DIR) + "/tools/programs/" + name;
 }
-
-const char* kPrograms[] = {
-    "lock_client_abstract.rc11", "lock_client_broken.rc11",
-    "lock_client_seqlock.rc11",  "mp_broken_outline.rc11",
-    "mp_stack.rc11",             "mp_verified.rc11",
-    "sb.rc11",                   "ticket_lock.rc11",
-};
 
 /// Explores `sys` by BFS, deduplicating with the std::set oracle while
 /// mirroring every insert into an InternedWordSet and a ShardedVisitedSet.
@@ -89,15 +82,9 @@ void check_oracle_equivalence(const System& sys, const std::string& what) {
 }
 
 TEST(StateRepr, OracleEquivalenceOverSamplePrograms) {
-  for (const auto* name : kPrograms) {
+  for (const auto& name : catalogue::crosscheck_corpus()) {
     const auto program = parser::parse_file(prog(name));
     check_oracle_equivalence(program.sys, name);
-  }
-}
-
-TEST(StateRepr, OracleEquivalenceOverLitmusTests) {
-  for (auto& test : catalogue::litmus_tests()) {
-    check_oracle_equivalence(test.sys, test.name);
   }
 }
 

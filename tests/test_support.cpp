@@ -1,9 +1,8 @@
-// Tests for interning, hashing and diagnostics helpers.
+// Tests for interning and diagnostics helpers.
 
 #include <gtest/gtest.h>
 
 #include "support/diagnostics.hpp"
-#include "support/hash.hpp"
 #include "support/intern.hpp"
 
 namespace {
@@ -34,43 +33,6 @@ TEST(SymbolTable, DenseIds) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(t.intern("s" + std::to_string(i)), static_cast<SymbolId>(i));
   }
-}
-
-TEST(Hash, CombineChangesSeed) {
-  std::size_t seed = 0;
-  hash_combine(seed, 42);
-  EXPECT_NE(seed, 0u);
-  std::size_t seed2 = 0;
-  hash_combine(seed2, 43);
-  EXPECT_NE(seed, seed2);
-}
-
-TEST(Hash, WordHasherOrderSensitive) {
-  WordHasher a;
-  a.add(1);
-  a.add(2);
-  WordHasher b;
-  b.add(2);
-  b.add(1);
-  EXPECT_NE(a.digest(), b.digest());
-}
-
-TEST(Hash, WordHasherDeterministic) {
-  WordHasher a;
-  WordHasher b;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    a.add(i * 0x9e3779b9ULL);
-    b.add(i * 0x9e3779b9ULL);
-  }
-  EXPECT_EQ(a.digest(), b.digest());
-}
-
-TEST(Hash, SignedRoundTrip) {
-  WordHasher a;
-  a.add_signed(-1);
-  WordHasher b;
-  b.add(0xffffffffffffffffULL);
-  EXPECT_EQ(a.digest(), b.digest());
 }
 
 TEST(Diagnostics, RequirePassesAndFails) {

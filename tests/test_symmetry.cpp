@@ -1,20 +1,15 @@
-// Thread-symmetry reduction: soundness, exactness and the reduction
-// headline (see engine/symmetry.hpp for the quotient construction and
-// DESIGN.md for the soundness argument).
+// Thread-symmetry reduction: soundness and the reduction headline (see
+// engine/symmetry.hpp for the quotient construction and DESIGN.md for the
+// soundness argument).
 //
-// The tests check that --symmetry preserves everything it promises to
-// preserve — final-configuration sets, litmus outcome sets,
+// The tests check that --symmetry preserves what the differential matrix
+// (test_matrix.cpp, whose symmetry rows check final sets on the corpus,
+// case studies, compute family and lock clients) does not cover —
 // invariant-violation sets, outline and refinement verdicts, witness
-// replayability, checkpoint round-trips — on representative systems, at one
-// worker and at four, composed with POR, and that it actually reduces the
-// symmetric workloads it targets.  Programs with no interchangeable threads
-// must come out bit-identical to an unreduced run (the sound-no-op claim).
-//
-// SymCrosscheck widens the comparison to the complete corpus: every program
-// under tools/programs/ small enough to explore exhaustively (the litmus,
-// causality and race catalogues included), every case study and every
-// lock-implementation/client pairing, each checked for exact agreement
-// between the quotiented and full explorations.
+// replayability, checkpoint round-trips — on representative systems,
+// composed with POR, and that it actually reduces the symmetric workloads
+// it targets.  Programs with no interchangeable threads must come out
+// bit-identical to an unreduced run (the sound-no-op claim).
 
 #include <gtest/gtest.h>
 
@@ -28,34 +23,24 @@
 #include "catalogue.hpp"
 #include "engine/checkpoint.hpp"
 #include "explore/explorer.hpp"
-#include "litmus/case_studies.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
+#include "matrix.hpp"
 #include "og/catalog.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
 #include "queues/queue_objects.hpp"
 #include "refinement/refinement.hpp"
-#include "small_programs.hpp"
 #include "stacks/stack_objects.hpp"
 #include "witness/witness.hpp"
 
 namespace {
 
 using namespace rc11;
+using catalogue::final_encodings;
 using engine::StopReason;
 using explore::ExploreOptions;
 using lang::System;
-
-std::vector<std::vector<std::uint64_t>> final_encodings(
-    const explore::ExploreResult& result) {
-  std::vector<std::vector<std::uint64_t>> encodings;
-  encodings.reserve(result.final_configs.size());
-  for (const auto& cfg : result.final_configs) {
-    encodings.push_back(cfg.encode());
-  }
-  return encodings;
-}
 
 /// The (what, state_dump) multiset is the thread-count- and
 /// reduction-independent part of a violation report (traces may differ).
@@ -69,79 +54,31 @@ std::vector<std::pair<std::string, std::string>> violation_keys(
   return keys;
 }
 
-/// Full vs. quotiented exploration of `sys` must agree on the final-state
-/// set, the blocked count and truncation, at every worker count and with
-/// POR layered on top.  The quotient may never visit MORE states.
-void expect_sym_exact(const System& sys, const std::string& what) {
-  ExploreOptions full;
-  const auto reference = explore::explore(sys, full);
-  for (const bool por : {false, true}) {
-    for (const unsigned workers : {1U, 4U}) {
-      ExploreOptions reduced;
-      reduced.symmetry = true;
-      reduced.por = por;
-      reduced.num_threads = workers;
-      const auto r = explore::explore(sys, reduced);
-      EXPECT_EQ(final_encodings(r), final_encodings(reference))
-          << what << " (threads " << workers << ", por " << por
-          << "): final-state sets differ";
-      EXPECT_EQ(r.stats.blocked, reference.stats.blocked)
-          << what << " (threads " << workers << ", por " << por
-          << "): blocked counts differ";
-      EXPECT_EQ(r.truncated, reference.truncated) << what;
-      EXPECT_LE(r.stats.states, reference.stats.states)
-          << what << ": a reduction may never visit MORE states";
-    }
-  }
-}
-
-double sym_reduction_factor(const System& sys, bool por) {
-  ExploreOptions base;
-  base.por = por;
-  ExploreOptions reduced = base;
-  reduced.symmetry = true;
-  const auto a = explore::explore(sys, base);
-  const auto b = explore::explore(sys, reduced);
-  EXPECT_EQ(final_encodings(a), final_encodings(b));
-  EXPECT_GT(b.stats.symmetry_hits, 0u)
-      << "a symmetric workload must actually hit the quotient";
-  return static_cast<double>(a.stats.states) /
-         static_cast<double>(b.stats.states);
-}
-
-TEST(Symmetry, LitmusOutcomeSetsExact) {
-  for (const auto& test : catalogue::litmus_tests()) {
-    expect_sym_exact(test.sys, test.name);
-    // The outcome set is the litmus verdict itself: with the quotient on it
-    // must still equal the allowed set exactly (finals are orbit-closed).
-    ExploreOptions reduced;
-    reduced.symmetry = true;
-    const auto result = explore::explore(test.sys, reduced);
-    EXPECT_EQ(explore::final_register_values(test.sys, result, test.observed),
-              test.allowed)
-        << test.name << " outcome set changed under symmetry";
-  }
-}
-
-TEST(Symmetry, CaseStudiesExact) {
-  expect_sym_exact(litmus::peterson_counter().sys, "peterson");
-  expect_sym_exact(litmus::dekker_counter().sys, "dekker");
-  expect_sym_exact(litmus::barrier_exchange().sys, "barrier");
-}
-
 TEST(Symmetry, SymmetricWorkloadsExactAndReduced) {
   // Identical worker threads are the archetype: the quotient must agree
-  // with the unreduced run on everything observable and visit at least
-  // |orbit|-ish fewer states (the test asserts a conservative >= 2x; the
-  // >= 10x headline is asserted on the larger instances in
+  // with the unreduced run on everything observable (the matrix's symmetry
+  // rows) and visit at least |orbit|-ish fewer states than the same run
+  // without it (the test asserts a conservative >= 2x; the >= 10x headline
+  // is asserted on the larger instances in
   // Symmetry.ReductionHeadlineOnTargetFamilies).
   locks::TicketLock ticket;
-  const auto sys =
-      locks::instantiate(locks::worker_client(3, 1, 2), ticket);
-  expect_sym_exact(sys, "ticket worker(3,1,2)");
-  EXPECT_GE(sym_reduction_factor(sys, /*por=*/false), 2.0);
-  EXPECT_GE(sym_reduction_factor(sys, /*por=*/true), 2.0)
-      << "symmetry must keep winning on top of POR";
+  const matrix::Input input{
+      "ticket worker(3,1,2)", matrix::kUnlisted,
+      locks::instantiate(locks::worker_client(3, 1, 2), ticket)};
+  matrix::Reference reference(input);
+  for (const bool por : {false, true}) {
+    const auto reduced = matrix::check(
+        matrix::row(por ? "symmetry+por/1" : "symmetry/1"), input, reference);
+    ASSERT_TRUE(reduced.has_value());
+    EXPECT_GT(reduced->stats.symmetry_hits, 0u)
+        << "a symmetric workload must actually hit the quotient";
+    ExploreOptions base;
+    base.por = por;
+    const auto baseline = explore::explore(input.sys, base);
+    EXPECT_GE(static_cast<double>(baseline.stats.states),
+              2.0 * static_cast<double>(reduced->stats.states))
+        << "por=" << por << ": symmetry must at least halve the states";
+  }
 }
 
 /// N identical threads, each enqueue(1) then dequeue: fully
@@ -502,41 +439,6 @@ TEST(Symmetry, RefinementSymmetricClientShrinksProduct) {
   EXPECT_EQ(b.holds, a.holds) << "verdicts must not change";
   EXPECT_LT(b.product_nodes, a.product_nodes)
       << "a symmetric client must actually shrink the product";
-}
-
-// --- the full-corpus cross-check --------------------------------------------
-
-TEST(SymCrosscheck, FullCorpusAgreement) {
-  for (const auto& name : catalogue::crosscheck_corpus()) {
-    expect_sym_exact(
-        parser::parse_file(catalogue::program_path(name)).sys, name);
-  }
-  expect_sym_exact(litmus::peterson_counter().sys, "peterson");
-  expect_sym_exact(litmus::dekker_counter().sys, "dekker");
-  expect_sym_exact(litmus::barrier_exchange().sys, "barrier");
-  for (const unsigned work : {1U, 2U, 4U}) {
-    expect_sym_exact(testgen::mp_compute(work), "mp_compute");
-    expect_sym_exact(testgen::mp_spin_compute(work), "mp_spin_compute");
-  }
-
-  const std::vector<locks::ClientProgram> clients = {
-      locks::fig7_client(),
-      locks::mgc_client(2, 2),
-      locks::counter_client(2, 1),
-      locks::worker_client(2, 1, 2),
-      locks::worker_client(3, 1, 2),
-  };
-  locks::AbstractLock abstract;
-  locks::SeqLock seq;
-  locks::TicketLock ticket;
-  locks::CasSpinLock cas;
-  locks::TTASLock ttas;
-  locks::LockObject* lock_impls[] = {&abstract, &seq, &ticket, &cas, &ttas};
-  for (const auto& client : clients) {
-    for (auto* lock : lock_impls) {
-      expect_sym_exact(locks::instantiate(client, *lock), lock->name());
-    }
-  }
 }
 
 }  // namespace

@@ -193,17 +193,6 @@ TEST(ExplorerWitness, MinimizeShrinksAndStillReplays) {
   EXPECT_TRUE(r.ok) << r.error;
 }
 
-TEST(ExplorerWitness, RenderersMentionTheRun) {
-  const auto wit = sb_violation();
-  ASSERT_TRUE(wit.violation.witness.has_value());
-  const auto& w = *wit.violation.witness;
-  const auto text = witness::to_text(w);
-  EXPECT_NE(text.find(w.steps.front().label), std::string::npos);
-  const auto dot = witness::to_dot(w);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-}
-
 // --- outline witnesses ------------------------------------------------------
 
 constexpr const char* kBrokenOutline = R"(
