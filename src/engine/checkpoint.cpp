@@ -96,55 +96,23 @@ namespace {
 
 Json stats_to_json(const ExploreStats& stats) {
   Json out = Json::object();
-  out.set("states", Json::integer(static_cast<std::int64_t>(stats.states)));
-  out.set("transitions",
-          Json::integer(static_cast<std::int64_t>(stats.transitions)));
-  out.set("finals", Json::integer(static_cast<std::int64_t>(stats.finals)));
-  out.set("blocked", Json::integer(static_cast<std::int64_t>(stats.blocked)));
-  out.set("peak_frontier",
-          Json::integer(static_cast<std::int64_t>(stats.peak_frontier)));
-  out.set("visited_bytes",
-          Json::integer(static_cast<std::int64_t>(stats.visited_bytes)));
-  out.set("por_reduced",
-          Json::integer(static_cast<std::int64_t>(stats.por_reduced)));
-  out.set("por_chained",
-          Json::integer(static_cast<std::int64_t>(stats.por_chained)));
-  out.set("symmetry_hits",
-          Json::integer(static_cast<std::int64_t>(stats.symmetry_hits)));
-  out.set("sleep_set_skips",
-          Json::integer(static_cast<std::int64_t>(stats.sleep_set_skips)));
-  out.set("rf_merges",
-          Json::integer(static_cast<std::int64_t>(stats.rf_merges)));
+  for (const StatCounter& c : kStatCounters) {
+    if (c.checkpoint != InCheckpoint::Omitted) {
+      out.set(c.key, Json::integer(static_cast<std::int64_t>(stats.*c.member)));
+    }
+  }
   return out;
 }
 
 ExploreStats stats_from_json(const Json& doc) {
   ExploreStats stats;
-  stats.states = static_cast<std::uint64_t>(doc.at("states").as_int());
-  stats.transitions =
-      static_cast<std::uint64_t>(doc.at("transitions").as_int());
-  stats.finals = static_cast<std::uint64_t>(doc.at("finals").as_int());
-  stats.blocked = static_cast<std::uint64_t>(doc.at("blocked").as_int());
-  stats.peak_frontier =
-      static_cast<std::uint64_t>(doc.at("peak_frontier").as_int());
-  stats.visited_bytes =
-      static_cast<std::uint64_t>(doc.at("visited_bytes").as_int());
-  stats.por_reduced =
-      static_cast<std::uint64_t>(doc.at("por_reduced").as_int());
-  stats.por_chained =
-      static_cast<std::uint64_t>(doc.at("por_chained").as_int());
-  // Reduction counters postdate the version-1 schema; absent means a
+  // Optional counters postdate the version-1 schema; absent means a
   // checkpoint from a build without them (equivalently: zero).
-  if (doc.has("symmetry_hits")) {
-    stats.symmetry_hits =
-        static_cast<std::uint64_t>(doc.at("symmetry_hits").as_int());
-  }
-  if (doc.has("sleep_set_skips")) {
-    stats.sleep_set_skips =
-        static_cast<std::uint64_t>(doc.at("sleep_set_skips").as_int());
-  }
-  if (doc.has("rf_merges")) {
-    stats.rf_merges = static_cast<std::uint64_t>(doc.at("rf_merges").as_int());
+  for (const StatCounter& c : kStatCounters) {
+    if (c.checkpoint == InCheckpoint::Required ||
+        (c.checkpoint == InCheckpoint::Optional && doc.has(c.key))) {
+      stats.*c.member = static_cast<std::uint64_t>(doc.at(c.key).as_int());
+    }
   }
   return stats;
 }

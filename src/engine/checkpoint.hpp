@@ -73,7 +73,7 @@ struct Checkpoint {
   /// them off.
   Reduction reduction;
   StopReason stop = StopReason::Complete;  ///< why the run stopped
-  ExploreStats stats;                      ///< partial stats at the stop
+  ExploreStats stats;  ///< partial stats at the stop (see kStatCounters)
   std::vector<State> states;
 };
 

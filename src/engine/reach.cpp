@@ -360,16 +360,14 @@ constexpr std::size_t kMaxBatch = 32;
 constexpr unsigned kPoolShards = 64;
 
 void add_stats(ExploreStats& total, const ExploreStats& part) {
-  total.states += part.states;
-  total.transitions += part.transitions;
-  total.finals += part.finals;
-  total.blocked += part.blocked;
-  total.peak_frontier = std::max(total.peak_frontier, part.peak_frontier);
-  total.por_reduced += part.por_reduced;
-  total.por_chained += part.por_chained;
-  total.symmetry_hits += part.symmetry_hits;
-  total.sleep_set_skips += part.sleep_set_skips;
-  total.rf_merges += part.rf_merges;
+  for (const StatCounter& c : kStatCounters) {
+    std::uint64_t& t = total.*c.member;
+    switch (c.combine) {
+      case Combine::Sum: t += part.*c.member; break;
+      case Combine::Max: t = std::max(t, part.*c.member); break;
+      case Combine::AtEnd: break;
+    }
+  }
 }
 
 ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,

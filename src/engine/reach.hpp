@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <span>
 #include <string>
 
@@ -103,6 +104,85 @@ struct ExploreStats {
   /// compares visited state counts instead.
   std::uint64_t rf_merges = 0;
 };
+
+/// How the workers' shares of a counter make the run's value: summed, the
+/// largest, or measured once after the workers join.
+enum class Combine : std::uint8_t { Sum, Max, AtEnd };
+/// When --json writes a counter: always, or with the other counters of its
+/// reduction whenever any of them is non-zero (sleep skips go with
+/// symmetry's).
+enum class InJson : std::uint8_t { Always, Por, Symmetry, RfQuotient, Sampling };
+/// What a checkpoint's `stats` object does with a counter: writes it and
+/// rejects a file without it; writes it and reads it as 0 when absent (a
+/// file from an older build); or leaves it out (a sampling run keeps no
+/// checkpoint).
+enum class InCheckpoint : std::uint8_t { Required, Optional, Omitted };
+/// When --stats prints a counter's line: never, always, under --por,
+/// --symmetry, either quotient or --rf-quotient, or when it is non-zero.
+enum class Shown : std::uint8_t {
+  Never, Always, Por, Symmetry, Quotient, RfQuotient, NonZero,
+};
+
+/// One row of kStatCounters.  Its --stats line reads `label: value note`,
+/// or with `per_state` `label: value (value/states note)`; the label is the
+/// key with spaces for underscores unless the row names one.
+struct StatCounter {
+  const char* key;  ///< its name in --json reports and checkpoints
+  std::uint64_t ExploreStats::*member;
+  Combine combine = Combine::Sum;
+  InJson json = InJson::Always;
+  InCheckpoint checkpoint = InCheckpoint::Required;
+  struct Line {
+    Shown shown = Shown::Never;
+    const char* note = "";
+    bool per_state = false;
+    const char* label = nullptr;
+  } line{};
+};
+
+/// The run counters, one row per ExploreStats member, in report order.  The
+/// worker sum (reach.cpp), the checkpoint's `stats` object, cli::stats_json,
+/// cli::print_stats and rc11-refine's per-graph block all iterate it, so a
+/// new counter is one member plus one row.
+inline constexpr StatCounter kStatCounters[] = {
+    {"states", &ExploreStats::states},
+    {"transitions", &ExploreStats::transitions},
+    {"finals", &ExploreStats::finals},
+    {"blocked", &ExploreStats::blocked},
+    {"peak_frontier", &ExploreStats::peak_frontier, Combine::Max,
+     InJson::Always, InCheckpoint::Required, {Shown::Always}},
+    {"visited_bytes", &ExploreStats::visited_bytes, Combine::AtEnd,
+     InJson::Always, InCheckpoint::Required,
+     {Shown::Always, "B/state", /*per_state=*/true}},
+    {"por_reduced", &ExploreStats::por_reduced, Combine::Sum, InJson::Por,
+     InCheckpoint::Required,
+     {Shown::Por, "state(s) expanded with an ample set"}},
+    {"por_chained", &ExploreStats::por_chained, Combine::Sum, InJson::Por,
+     InCheckpoint::Required,
+     {Shown::Por, "local step(s) collapsed (states never visited)"}},
+    {"symmetry_hits", &ExploreStats::symmetry_hits, Combine::Sum,
+     InJson::Symmetry, InCheckpoint::Optional,
+     {Shown::Symmetry, "orbit-duplicate arrival(s) merged"}},
+    {"sleep_set_skips", &ExploreStats::sleep_set_skips, Combine::Sum,
+     InJson::Symmetry, InCheckpoint::Optional,
+     {Shown::Quotient, "step(s) pruned by sleep sets", false, "sleep skips"}},
+    {"rf_merges", &ExploreStats::rf_merges, Combine::Sum, InJson::RfQuotient,
+     InCheckpoint::Optional,
+     {Shown::RfQuotient, "concrete arrival(s) merged into visited classes"}},
+    {"episodes", &ExploreStats::episodes, Combine::Sum, InJson::Sampling,
+     InCheckpoint::Omitted, {Shown::NonZero}},
+};
+
+static_assert(
+    [] {
+      std::size_t same = 0;  // pairs of rows naming the same member
+      for (const auto& a : kStatCounters) {
+        for (const auto& b : kStatCounters) same += a.member == b.member;
+      }
+      return same == std::size(kStatCounters) &&
+             sizeof(ExploreStats) == same * sizeof(std::uint64_t);
+    }(),
+    "kStatCounters needs exactly one row per ExploreStats member");
 
 /// The settings of one run, declared once: its reductions (the Reduction
 /// base: `mode`, `sample`, `por`, `symmetry`, `rf_quotient`), its limits

@@ -12,21 +12,12 @@
 
 namespace rc11::explore {
 
-struct DotOptions {
-  /// Node captions: per-thread pcs always; registers when true.
-  bool show_registers = true;
-  /// Edge captions from the graph's step labels (requires a labelled graph).
-  bool show_edge_labels = true;
-  /// Highlight final (all-done) states with a double border.
-  bool mark_finals = true;
-  std::string graph_name = "rc11";
-};
-
-/// Renders a state graph to DOT.  Build the graph with
-/// refinement::build_graph(sys, {.want_labels = true}) if edge labels are
-/// wanted.
+/// Renders a state graph to DOT as the digraph `rc11`: each node captioned
+/// with its per-thread pcs and registers, the initial state bold, final
+/// (all-done) states double-bordered, and each edge captioned with its step
+/// label when the graph has labels (build it with
+/// refinement::build_graph(sys, {.want_labels = true})).
 [[nodiscard]] std::string to_dot(const lang::System& sys,
-                                 const refinement::StateGraph& graph,
-                                 const DotOptions& options = {});
+                                 const refinement::StateGraph& graph);
 
 }  // namespace rc11::explore

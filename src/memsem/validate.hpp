@@ -2,9 +2,9 @@
 //
 // Structural well-formedness of weak-memory states.  These are the
 // invariants the paper's soundness arguments rest on; the engine is designed
-// to maintain them by construction, and the test suite re-checks them on
-// every reachable state of every litmus test and lock client (property
-// testing the Fig. 5 / Fig. 6 implementation):
+// to maintain them by construction, and the differential matrix's P1 row
+// (tests/matrix.hpp) re-checks them on every reachable state of every input
+// (property testing the Fig. 5 / Fig. 6 implementation):
 //
 //   1. modification orders are strictly increasing in (rational) timestamp
 //      and agree with the cached ranks;

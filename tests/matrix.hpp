@@ -34,7 +34,7 @@ enum Family : unsigned {
   kCorpus = 1U << 0,      ///< catalogue::crosscheck_corpus()
   kCaseStudy = 1U << 1,   ///< Peterson, Dekker and the barrier
   kCompute = 1U << 2,     ///< testgen::mp_compute and mp_spin_compute
-  kLockClient = 1U << 3,  ///< the lock clients over the five locks
+  kLockClient = 1U << 3,  ///< lock clients, and a client of the locked stack
   kSweep = 1U << 4,       ///< testgen's generated small programs
 };
 
@@ -105,7 +105,8 @@ enum class Agree {
   RaceSet,
   /// The plain race verdict equals the catalogue's (the row runs nothing).
   RaceVerdict,
-  /// P1: well_formed holds along the reference run (the row runs nothing).
+  /// P1: well_formed holds along the whole reference run (the row runs
+  /// nothing).
   Validates,
   /// P2: every outcome under the SC model is a plain outcome.
   ScSubset,
@@ -241,6 +242,7 @@ inline std::optional<explore::ExploreResult> check(const Row& row,
       const auto& ref = reference.run();
       EXPECT_TRUE(ref.violations.empty())
           << where << ": " << ref.violations[0].what;
+      EXPECT_FALSE(ref.truncated) << where;
       return std::nullopt;
     }
     case Agree::ScSubset:

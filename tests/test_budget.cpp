@@ -463,6 +463,60 @@ TEST(Checkpoint, JsonRoundTripPreservesEverything) {
   }
 }
 
+/// A one-state version-1 checkpoint document, as a build from before the
+/// symmetry and rf-quotient flags wrote it, with `stats` as its stats object.
+std::string checkpoint_with_stats(const std::string& stats) {
+  std::string doc =
+      R"({"format": "rc11-checkpoint", "version": 1, "por": false, )"
+      R"("stop": "state-cap", "stats": )";
+  doc += stats;
+  doc += R"(, "states": [{"parent": -1, "thread": 0, "label": "init", )"
+         R"("enqueued": true, "encoding": ["0x0000000000000003"]}]})";
+  return doc;
+}
+
+TEST(Checkpoint, StatsObjectKeepsEveryCounter) {
+  const auto program = parser::parse_file(prog("sb.rc11"));
+  TempFile ck("budget_stats.json");
+  ExploreOptions opts;
+  opts.max_states = 8;
+  opts.checkpoint_path = ck.path;
+  (void)explore::explore(program.sys, opts);
+
+  // Every counter the table has a checkpoint write survives save and load;
+  // one it omits reads back as 0.
+  auto ckpt = engine::load_checkpoint(ck.path);
+  std::uint64_t value = 1000;
+  for (const auto& c : engine::kStatCounters) ckpt.stats.*c.member = value++;
+  const auto back = engine::from_json(engine::to_json(ckpt)).stats;
+  for (const auto& c : engine::kStatCounters) {
+    EXPECT_EQ(back.*c.member,
+              c.checkpoint == engine::InCheckpoint::Omitted
+                  ? 0
+                  : ckpt.stats.*c.member)
+        << c.key;
+  }
+
+  // A file from a build without the reduction counters loads with them at 0.
+  const std::string older =
+      R"({"states": 20, "transitions": 32, "finals": 1, "blocked": 0, )"
+      R"("peak_frontier": 8, "visited_bytes": 21998, "por_reduced": 0, )"
+      R"("por_chained": 0})";
+  const auto loaded = engine::from_json(checkpoint_with_stats(older)).stats;
+  EXPECT_EQ(loaded.states, 20u);
+  EXPECT_EQ(loaded.transitions, 32u);
+  EXPECT_EQ(loaded.visited_bytes, 21998u);
+  EXPECT_EQ(loaded.symmetry_hits, 0u);
+  EXPECT_EQ(loaded.sleep_set_skips, 0u);
+  EXPECT_EQ(loaded.rf_merges, 0u);
+
+  // A required counter is required.
+  std::string no_states = older;
+  no_states.erase(no_states.find(R"("states": 20, )"), 14);
+  EXPECT_THROW((void)engine::from_json(checkpoint_with_stats(no_states)),
+               support::Error);
+}
+
 TEST(Checkpoint, MalformedDocumentsAreRejected) {
   EXPECT_THROW((void)engine::from_json("not json"), support::Error);
   EXPECT_THROW((void)engine::from_json("{}"), support::Error);

@@ -1,5 +1,6 @@
 #include "cli_common.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -17,6 +18,32 @@ void handle_cancel_signal(int sig) {
   // the default disposition so a second signal terminates immediately.
   g_signal_cancel.cancel();
   std::signal(sig, SIG_DFL);
+}
+
+/// Whether --stats prints `c`'s line for a run under `reduction`.
+bool shown(const engine::StatCounter& c, const engine::ExploreStats& stats,
+           const engine::Reduction& reduction) {
+  switch (c.line.shown) {
+    case engine::Shown::Never: return false;
+    case engine::Shown::Always: return true;
+    case engine::Shown::Por: return reduction.por;
+    case engine::Shown::Symmetry: return reduction.symmetry;
+    case engine::Shown::Quotient:
+      return reduction.symmetry || reduction.rf_quotient;
+    case engine::Shown::RfQuotient: return reduction.rf_quotient;
+    case engine::Shown::NonZero: return stats.*c.member != 0;
+  }
+  return false;
+}
+
+/// Whether --json writes the counters of `group`: always, or when any of
+/// them is non-zero.
+bool written(engine::InJson group, const engine::ExploreStats& stats) {
+  if (group == engine::InJson::Always) return true;
+  for (const engine::StatCounter& c : engine::kStatCounters) {
+    if (c.json == group && stats.*c.member != 0) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -168,9 +195,23 @@ std::string resolve_strategy(const CommonOptions& opts) {
   return conflict;
 }
 
-const char* strategy_name(const CommonOptions& opts) {
-  if (opts.mode == engine::Strategy::Exhaustive && opts.por) return "por";
-  return engine::to_string(opts.mode);
+witness::Json json_header(
+    const char* tool,
+    std::initializer_list<std::pair<const char*, std::string_view>> programs,
+    const CommonOptions& opts) {
+  auto j = witness::Json::object();
+  j.set("tool", witness::Json::string(tool));
+  for (const auto& [key, path] : programs) {
+    j.set(key, witness::Json::string(std::string(path)));
+  }
+  // "por" names an exhaustive run with --por, however it was spelled.
+  const bool por = opts.mode == engine::Strategy::Exhaustive && opts.por;
+  j.set("strategy",
+        witness::Json::string(por ? "por" : engine::to_string(opts.mode)));
+  if (opts.mode == engine::Strategy::Sample) {
+    j.set("seed", count(opts.sample.seed));
+  }
+  return j;
 }
 
 int run_replay(const lang::System& sys, const CommonOptions& opts) {
@@ -187,90 +228,55 @@ int run_replay(const lang::System& sys, const CommonOptions& opts) {
 }
 
 void print_stats(const engine::ExploreStats& stats,
-                 const engine::Reduction& reduction, double wall_s) {
-  const auto per_state =
-      stats.states ? stats.visited_bytes / stats.states : 0;
-  std::cout << "peak frontier:  " << stats.peak_frontier << "\n"
-            << "visited bytes:  " << stats.visited_bytes << " (" << per_state
-            << " B/state)\n";
-  if (reduction.por) {
-    std::cout << "por reduced:    " << stats.por_reduced
-              << " state(s) expanded with an ample set\n"
-              << "por chained:    " << stats.por_chained
-              << " local step(s) collapsed (states never visited)\n";
-  }
-  if (reduction.symmetry) {
-    std::cout << "symmetry hits:  " << stats.symmetry_hits
-              << " orbit-duplicate arrival(s) merged\n"
-              << "sleep skips:    " << stats.sleep_set_skips
-              << " step(s) pruned by sleep sets\n";
-    if (stats.states != 0) {
-      // Arrivals at already-interned representatives under a non-identity
-      // permutation count the orbit mass the quotient absorbed; the ratio
-      // understates the saving (pruned subtrees never arrive at all).
-      const double ratio =
-          static_cast<double>(stats.states + stats.symmetry_hits) /
-          static_cast<double>(stats.states);
-      std::cout << "quotient ratio: " << ratio
-                << "x orbit arrivals per visited state (lower bound)\n";
+                 const engine::Reduction& reduction, double wall_s,
+                 const char* indent) {
+  // Every line starts with its label, underscores spelled as spaces,
+  // padded to one column.
+  const auto line = [indent](std::string label) -> std::ostream& {
+    std::replace(label.begin(), label.end(), '_', ' ');
+    label += ':';
+    label.resize(std::max<std::size_t>(label.size() + 1, 16), ' ');
+    return std::cout << indent << label;
+  };
+  for (const engine::StatCounter& c : engine::kStatCounters) {
+    if (!shown(c, stats, reduction)) continue;
+    const std::uint64_t value = stats.*c.member;
+    line(c.line.label != nullptr ? c.line.label : c.key) << value;
+    if (c.line.per_state) {
+      std::cout << " (" << (stats.states ? value / stats.states : 0) << " "
+                << c.line.note << ")";
+    } else if (*c.line.note != '\0') {
+      std::cout << " " << c.line.note;
     }
+    std::cout << "\n";
   }
-  if (reduction.rf_quotient) {
-    // rf_merges counts concrete arrivals absorbed into an already-visited
-    // quotient class; the engine only tells concrete-new arrivals apart when
-    // a trace sink is attached, so the counter reads 0 in trace-free runs
-    // (the visited-state count is the reduction measure either way).
-    std::cout << "rf merges:      " << stats.rf_merges
-              << " concrete arrival(s) merged into visited classes\n"
-              << "sleep skips:    " << stats.sleep_set_skips
-              << " step(s) pruned by sleep sets\n";
+  if (reduction.symmetry && stats.states != 0) {
+    // Arrivals at already-interned representatives under a non-identity
+    // permutation count the orbit mass the quotient absorbed; the ratio
+    // understates the saving (pruned subtrees never arrive at all).
+    const double ratio =
+        static_cast<double>(stats.states + stats.symmetry_hits) /
+        static_cast<double>(stats.states);
+    line("quotient ratio")
+        << ratio << "x orbit arrivals per visited state (lower bound)\n";
   }
   if (stats.episodes != 0) {
-    std::cout << "episodes:       " << stats.episodes << "\n";
     if (wall_s > 0) {
-      std::cout << "episodes/s:     "
-                << static_cast<std::uint64_t>(
-                       static_cast<double>(stats.episodes) / wall_s)
-                << "\n";
+      line("episodes/s") << static_cast<std::uint64_t>(
+                                static_cast<double>(stats.episodes) / wall_s)
+                         << "\n";
     }
-    std::cout << "coverage:       " << stats.states
-              << " distinct state(s) crossed (sampled lower bound)\n";
+    line("coverage") << stats.states
+                     << " distinct state(s) crossed (sampled lower bound)\n";
   }
 }
 
 witness::Json stats_json(const engine::ExploreStats& stats) {
   auto j = witness::Json::object();
-  j.set("states", witness::Json::integer(static_cast<std::int64_t>(stats.states)));
-  j.set("transitions",
-        witness::Json::integer(static_cast<std::int64_t>(stats.transitions)));
-  j.set("finals", witness::Json::integer(static_cast<std::int64_t>(stats.finals)));
-  j.set("blocked",
-        witness::Json::integer(static_cast<std::int64_t>(stats.blocked)));
-  j.set("peak_frontier",
-        witness::Json::integer(static_cast<std::int64_t>(stats.peak_frontier)));
-  j.set("visited_bytes",
-        witness::Json::integer(static_cast<std::int64_t>(stats.visited_bytes)));
-  if (stats.por_reduced != 0 || stats.por_chained != 0) {
-    j.set("por_reduced",
-          witness::Json::integer(static_cast<std::int64_t>(stats.por_reduced)));
-    j.set("por_chained",
-          witness::Json::integer(static_cast<std::int64_t>(stats.por_chained)));
-  }
-  if (stats.symmetry_hits != 0 || stats.sleep_set_skips != 0) {
-    j.set("symmetry_hits",
-          witness::Json::integer(
-              static_cast<std::int64_t>(stats.symmetry_hits)));
-    j.set("sleep_set_skips",
-          witness::Json::integer(
-              static_cast<std::int64_t>(stats.sleep_set_skips)));
-  }
-  if (stats.rf_merges != 0) {
-    j.set("rf_merges",
-          witness::Json::integer(static_cast<std::int64_t>(stats.rf_merges)));
-  }
-  if (stats.episodes != 0) {
-    j.set("episodes",
-          witness::Json::integer(static_cast<std::int64_t>(stats.episodes)));
+  for (const engine::StatCounter& c : engine::kStatCounters) {
+    if (written(c.json, stats)) {
+      j.set(c.key, count(stats.*c.member));
+    }
   }
   return j;
 }

@@ -11,8 +11,11 @@
 
 #include <charconv>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "engine/checkpoint.hpp"
 #include "engine/reach.hpp"
@@ -93,9 +96,19 @@ enum class FlagStatus : std::uint8_t {
 /// string when the options are consistent.
 [[nodiscard]] std::string resolve_strategy(const CommonOptions& opts);
 
-/// The `"strategy"` field of the tools' --json reports: "exhaustive",
-/// "por" (exhaustive with --por, however spelled) or "sample".
-[[nodiscard]] const char* strategy_name(const CommonOptions& opts);
+/// A count as a --json integer.
+[[nodiscard]] inline witness::Json count(std::uint64_t n) {
+  return witness::Json::integer(static_cast<std::int64_t>(n));
+}
+
+/// The first fields of every tool's --json report: `tool`; each program's
+/// path under its key (`program`, or rc11-refine's `abstract` and
+/// `concrete`); `strategy`, which is "exhaustive", "por" (exhaustive with
+/// --por, however spelled) or "sample"; and, when sampling, `seed`.
+[[nodiscard]] witness::Json json_header(
+    const char* tool,
+    std::initializer_list<std::pair<const char*, std::string_view>> programs,
+    const CommonOptions& opts);
 
 /// Arms the run controls no flag sets, in `opts`: `cancel` becomes a
 /// process-wide token tripped by SIGINT/SIGTERM handlers installed here, so
@@ -123,23 +136,19 @@ void print_checkpoint_written(const CommonOptions& opts);
 [[nodiscard]] int run_replay(const lang::System& sys,
                              const CommonOptions& opts);
 
-/// The shared --stats block: peak frontier, visited-set memory, — under
-/// --por — how much the reduction saved (reduced expansions and states
-/// skipped by chain collapse), — under --symmetry — orbit-duplicate
-/// arrivals merged, sleep-set step skips and the quotient ratio, — under
-/// --rf-quotient — concrete arrivals merged into visited classes (counted
-/// only when traces are recorded; 0 otherwise) and sleep-set skips, and —
-/// under sampling — episodes, episode rate (when `wall_s` > 0; the tools
-/// time the run) and the distinct-state coverage estimate.  Rates and
-/// ratios go only to this human-readable block, never into --json: CI
+/// The shared --stats block: the line of each engine::kStatCounters row
+/// shown under `reduction`, then the quotient ratio under --symmetry and,
+/// when sampling, the episode rate (when `wall_s` > 0; the tools time the
+/// run) and the coverage estimate.  Each line starts with `indent`.  Rates
+/// and ratios go only to this human-readable block, never into --json: CI
 /// byte-compares JSON reports for seed determinism.
 void print_stats(const engine::ExploreStats& stats,
-                 const engine::Reduction& reduction, double wall_s = -1.0);
+                 const engine::Reduction& reduction, double wall_s = -1.0,
+                 const char* indent = "");
 
-/// ExploreStats as a JSON object (states, transitions, finals, blocked, the
-/// POR, symmetry/sleep and rf-merge counters when non-zero, and `episodes`
-/// when sampling) for --json summaries.  Deliberately free of timing data —
-/// same seed must produce a byte-identical report.
+/// ExploreStats as a JSON object for --json summaries: each
+/// engine::kStatCounters row its `json` column writes.  Deliberately free of
+/// timing data — same seed must produce a byte-identical report.
 [[nodiscard]] witness::Json stats_json(const engine::ExploreStats& stats);
 
 /// Writes a --json summary document and narrates where it went.

@@ -17,18 +17,18 @@
 #                        with no reduction, --por, --symmetry, --rf-quotient,
 #                        a seeded sample, and --stats;
 #   rc11-refine          a refining pair with no flags, --por, --symmetry,
-#                        a seeded sample and --stats, a refuted pair with a
-#                        witness with no reduction (the simulation's
-#                        counterexample), with --trace-only (trace
-#                        inclusion's), under --por and under --symmetry, and
-#                        a capped (inconclusive) check;
+#                        a seeded sample, --stats and --stats --por, a
+#                        refuted pair with a witness with no reduction (the
+#                        simulation's counterexample), with --trace-only
+#                        (trace inclusion's), under --por and under
+#                        --symmetry, and a capped (inconclusive) check;
 #   checkpoint/resume    with no reduction, --por, --symmetry and
 #                        --rf-quotient: rc11-run and rc11-race on
 #                        ticket_worker capped at 50 states and dcl_broken
 #                        at 20, rc11-verify on mp_verified capped at 5, each
 #                        with --checkpoint, then resumed to completion.
 #
-# That is 966 runs.  For every run it writes into OUT_DIR:
+# That is 995 runs.  For every run it writes into OUT_DIR:
 #
 #   NAME.json      the run's --json summary
 #   NAME.out       its stdout, with OUT_DIR replaced by "OUT"
@@ -136,6 +136,8 @@ run rc11-refine.seqlock-symmetry rc11-refine --symmetry "$abstract" "$seqlock"
 run rc11-refine.seqlock-sample rc11-refine --strategy sample:200 --seed 7 \
   "$abstract" "$seqlock"
 run rc11-refine.seqlock-stats rc11-refine --stats "$abstract" "$seqlock"
+run rc11-refine.seqlock-stats-por rc11-refine --stats --por "$abstract" \
+  "$seqlock"
 run rc11-refine.broken-witness rc11-refine --witness @W "$abstract" "$broken"
 run rc11-refine.broken-trace-only-witness rc11-refine --trace-only \
   --witness @W "$abstract" "$broken"

@@ -170,16 +170,7 @@ int main(int argc, char** argv) {
     }
 
     if (!common.json_path.empty()) {
-      auto summary = witness::Json::object();
-      summary.set("tool", witness::Json::string("rc11-race"));
-      summary.set("program", witness::Json::string(path));
-      summary.set("strategy",
-                  witness::Json::string(cli::strategy_name(common)));
-      if (common.mode == engine::Strategy::Sample) {
-        summary.set("seed",
-                    witness::Json::integer(
-                        static_cast<std::int64_t>(common.sample.seed)));
-      }
+      auto summary = cli::json_header("rc11-race", {{"program", path}}, common);
       summary.set("truncated", witness::Json::boolean(result.truncated));
       summary.set("stop",
                   witness::Json::string(engine::to_string(result.stop)));

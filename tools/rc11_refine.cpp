@@ -29,8 +29,8 @@
 //                     (exit 2, replayable witness); a clean run is a lower
 //                     bound (exit 3)
 //   --seed S          RNG seed for --strategy sample (default 0)
-//   --stats           also print each graph's size, reduction and stop
-//                     reason, the graph states built in the run, and the
+//   --stats           also print each graph's size, stop reason and build
+//                     counters, the graph states built in the run, and the
 //                     simulation's fixpoint iterations
 //   --json FILE       write a machine-readable run summary
 //   --trace-only      skip the Def. 8 simulation, run only trace inclusion
@@ -56,6 +56,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "cli_common.hpp"
 #include "parser/parser.hpp"
@@ -75,15 +76,6 @@ int usage() {
 const char* verdict(bool holds, bool refuted) {
   if (holds) return "holds";
   return refuted ? "fails" : "inconclusive";
-}
-
-/// One --stats line for a graph: what its reachability pass reports.
-void print_graph_stats(const char* which, const rc11::refinement::StateGraph& g,
-                       bool por) {
-  std::cout << which << " graph: " << g.stats.states << " states, "
-            << g.stats.transitions << " transitions, ";
-  if (por) std::cout << g.stats.por_reduced << " por reduced, ";
-  std::cout << "stop " << rc11::engine::to_string(g.stop) << "\n";
 }
 
 }  // namespace
@@ -171,16 +163,9 @@ int main(int argc, char** argv) {
     bool refuted = false;
     bool inconclusive = false;
     std::optional<witness::Witness> counterexample;
-    auto summary = witness::Json::object();
-    summary.set("tool", witness::Json::string("rc11-refine"));
-    summary.set("abstract", witness::Json::string(abs_path));
-    summary.set("concrete", witness::Json::string(conc_path));
-    summary.set("strategy",
-                witness::Json::string(cli::strategy_name(common)));
-    if (common.mode == engine::Strategy::Sample) {
-      summary.set("seed", witness::Json::integer(
-                              static_cast<std::int64_t>(common.sample.seed)));
-    }
+    auto summary = cli::json_header(
+        "rc11-refine", {{"abstract", abs_path}, {"concrete", conc_path}},
+        common);
 
     // Both games run on one graph pair, built under the options of the
     // first game played (they agree on everything a build reads).
@@ -189,8 +174,16 @@ int main(int argc, char** argv) {
             ? refinement::build_graph_pair(abs.sys, conc.sys, trace_opts)
             : refinement::build_graph_pair(abs.sys, conc.sys, sim_opts);
     if (common.stats) {
-      print_graph_stats("abstract", pair.abs, common.por);
-      print_graph_stats("concrete", pair.conc, common.por);
+      // Each graph's size and stop reason, then its build's counters.
+      for (const auto& [which, graph] : {std::pair{"abstract", &pair.abs},
+                                         std::pair{"concrete", &pair.conc}}) {
+        std::cout << which << " graph: " << graph->stats.states << " states, "
+                  << graph->stats.transitions << " transitions, stop "
+                  << engine::to_string(graph->stop) << "\n";
+        engine::Reduction built;  // a graph build's only reduction is POR
+        built.por = graph->por;
+        cli::print_stats(graph->stats, built, -1.0, "  ");
+      }
       std::cout << "graph states built: " << refinement::graph_states_built()
                 << "\n";
     }
@@ -219,18 +212,10 @@ int main(int argc, char** argv) {
 
       auto sim_json = witness::Json::object();
       sim_json.set("holds", witness::Json::boolean(sim.holds));
-      sim_json.set("abstract_states",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.abstract_states)));
-      sim_json.set("concrete_states",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.concrete_states)));
-      sim_json.set("candidate_pairs",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.candidate_pairs)));
-      sim_json.set("surviving_pairs",
-                   witness::Json::integer(
-                       static_cast<std::int64_t>(sim.surviving_pairs)));
+      sim_json.set("abstract_states", cli::count(sim.abstract_states));
+      sim_json.set("concrete_states", cli::count(sim.concrete_states));
+      sim_json.set("candidate_pairs", cli::count(sim.candidate_pairs));
+      sim_json.set("surviving_pairs", cli::count(sim.surviving_pairs));
       summary.set("simulation", std::move(sim_json));
     }
 
@@ -251,9 +236,7 @@ int main(int argc, char** argv) {
 
     auto tr_json = witness::Json::object();
     tr_json.set("holds", witness::Json::boolean(tr.holds));
-    tr_json.set("product_nodes",
-                witness::Json::integer(
-                    static_cast<std::int64_t>(tr.product_nodes)));
+    tr_json.set("product_nodes", cli::count(tr.product_nodes));
     summary.set("trace_inclusion", std::move(tr_json));
 
     if (!common.witness_path.empty()) {

@@ -229,24 +229,12 @@ int main(int argc, char** argv) {
     }
 
     if (!common.json_path.empty()) {
-      auto summary = witness::Json::object();
-      summary.set("tool", witness::Json::string("rc11-run"));
-      summary.set("program", witness::Json::string(path));
-      summary.set("strategy",
-                  witness::Json::string(cli::strategy_name(common)));
-      if (common.mode == engine::Strategy::Sample) {
-        summary.set("seed",
-                    witness::Json::integer(
-                        static_cast<std::int64_t>(common.sample.seed)));
-      }
+      auto summary = cli::json_header("rc11-run", {{"program", path}}, common);
       summary.set("truncated", witness::Json::boolean(result.truncated));
       summary.set("stop",
                   witness::Json::string(engine::to_string(result.stop)));
-      summary.set("violations",
-                  witness::Json::integer(
-                      static_cast<std::int64_t>(result.violations.size())));
-      summary.set("outcomes", witness::Json::integer(
-                                  static_cast<std::int64_t>(outcomes.size())));
+      summary.set("violations", cli::count(result.violations.size()));
+      summary.set("outcomes", cli::count(outcomes.size()));
       summary.set("stats", cli::stats_json(result.stats));
       cli::write_json_summary(summary, common.json_path);
     }

@@ -148,27 +148,15 @@ int main(int argc, char** argv) {
     // wins over INCONCLUSIVE.
     const bool inconclusive = result.stop != engine::StopReason::Complete;
     if (!common.json_path.empty()) {
-      auto summary = witness::Json::object();
-      summary.set("tool", witness::Json::string("rc11-verify"));
-      summary.set("program", witness::Json::string(path));
-      summary.set("strategy",
-                  witness::Json::string(cli::strategy_name(common)));
-      if (common.mode == engine::Strategy::Sample) {
-        summary.set("seed",
-                    witness::Json::integer(
-                        static_cast<std::int64_t>(common.sample.seed)));
-      }
+      auto summary = cli::json_header("rc11-verify", {{"program", path}}, common);
       summary.set("valid", witness::Json::boolean(result.valid));
       summary.set("inconclusive",
                   witness::Json::boolean(inconclusive && result.valid));
       summary.set("stop",
                   witness::Json::string(engine::to_string(result.stop)));
       summary.set("obligations_checked",
-                  witness::Json::integer(static_cast<std::int64_t>(
-                      result.obligations_checked)));
-      summary.set("failures",
-                  witness::Json::integer(
-                      static_cast<std::int64_t>(result.failures.size())));
+                  cli::count(result.obligations_checked));
+      summary.set("failures", cli::count(result.failures.size()));
       summary.set("stats", cli::stats_json(result.stats));
       cli::write_json_summary(summary, common.json_path);
     }
