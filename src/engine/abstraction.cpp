@@ -58,12 +58,7 @@ class SymmetryAbstraction final : public StateAbstraction {
   }
 
   void key(const Config& cfg, AbstractKey& out) const override {
-    reducer_.canonicalize(cfg, canon_);
-    // Swap instead of copy: both buffers keep their heap capacity and
-    // ping-pong between the scratch and the caller's key on the hot path.
-    out.encoding.swap(canon_.encoding);
-    out.perms.swap(canon_.perms);
-    out.complete = canon_.complete;
+    reducer_.canonicalize(cfg, out);
   }
 
   [[nodiscard]] std::unique_ptr<StateAbstraction> clone() const override {
@@ -73,7 +68,6 @@ class SymmetryAbstraction final : public StateAbstraction {
  private:
   const System* sys_;
   SymmetryReducer reducer_;
-  mutable SymmetryReducer::Canonical canon_;
 };
 
 /// The execution-graph quotient (see the header comment).  Construction

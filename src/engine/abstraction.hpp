@@ -70,20 +70,6 @@
 
 namespace rc11::engine {
 
-/// The abstract key of one configuration: the encoding the visited set
-/// deduplicates by, plus the concrete-to-canonical thread permutations when
-/// the abstraction has any (empty means the identity — Concrete and
-/// RfQuotient keys are already in concrete thread coordinates).
-struct AbstractKey {
-  std::vector<std::uint64_t> encoding;
-  /// Every permutation achieving `encoding` (see SymmetryReducer::Canonical);
-  /// empty for abstractions whose keys keep concrete thread coordinates.
-  std::vector<ThreadPerm> perms;
-  /// False when the permutation set may be incomplete (capped tie
-  /// enumeration): sleep masks attached to this key must degrade to empty.
-  bool complete = true;
-};
-
 /// A state-equivalence policy.  key() may reuse per-instance mutable
 /// scratch, so an instance must not be shared across workers — drivers keep
 /// one per worker via clone().
@@ -100,7 +86,8 @@ class StateAbstraction {
   /// trivial and the driver falls back to its plain path).
   [[nodiscard]] virtual bool nontrivial() const noexcept = 0;
 
-  /// Computes the key of `cfg` into `out` (all fields overwritten).
+  /// Computes the key of `cfg` into `out` (all fields overwritten; the key
+  /// type, AbstractKey, is declared in engine/symmetry.hpp).
   virtual void key(const Config& cfg, AbstractKey& out) const = 0;
 
   /// A fresh instance over the same system (for per-worker scratch).

@@ -51,26 +51,39 @@ bool threads_equal(const System& sys, ThreadId a, ThreadId b) {
 /// with thread-indexed components read in slot order and op thread tags
 /// relabelled (init tags excepted — see MemState::permute_threads) — the
 /// identity permutation reproduces the concrete encoding exactly (tested),
-/// so quotiented and unquotiented runs share one encoding space.
+/// so quotiented and unquotiented runs share one encoding space.  The
+/// output is sized once up front and filled through a pointer: this runs
+/// once per key.
 void encode_permuted_into(const Config& cfg,
                           const std::vector<ThreadId>& slot_of,
                           const std::vector<ThreadId>& thread_of,
                           std::vector<std::uint64_t>& out) {
   const auto num_threads = static_cast<ThreadId>(cfg.pc.size());
-  for (ThreadId s = 0; s < num_threads; ++s) {
-    out.push_back(cfg.pc[thread_of[s]]);
-  }
-  for (ThreadId s = 0; s < num_threads; ++s) {
-    const auto& file = cfg.regs[thread_of[s]];
-    out.push_back(file.size());
-    for (const auto v : file) out.push_back(static_cast<std::uint64_t>(v));
-  }
   const memsem::MemState& mem = cfg.mem;
   const auto num_locs = static_cast<memsem::LocId>(mem.locations().size());
   const bool canonical_ts = mem.options().canonical_timestamps;
+  // Every operation sits in one location's mo and has a modification view
+  // of one entry per location.
+  std::size_t ops = 0;
+  for (memsem::LocId loc = 0; loc < num_locs; ++loc) ops += mem.mo(loc).size();
+  std::size_t words = num_threads + num_locs +
+                      static_cast<std::size_t>(num_threads) * num_locs +
+                      ops * ((canonical_ts ? 3 : 5) + num_locs);
+  for (const auto& file : cfg.regs) words += 1 + file.size();
+  const std::size_t base = out.size();
+  out.resize(base + words);
+  std::uint64_t* w = out.data() + base;
+  for (ThreadId s = 0; s < num_threads; ++s) {
+    *w++ = cfg.pc[thread_of[s]];
+  }
+  for (ThreadId s = 0; s < num_threads; ++s) {
+    const auto& file = cfg.regs[thread_of[s]];
+    *w++ = file.size();
+    for (const auto v : file) *w++ = static_cast<std::uint64_t>(v);
+  }
   for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
     const auto order = mem.mo(loc);
-    out.push_back(order.size());
+    *w++ = order.size();
     for (const memsem::OpId id : order) {
       const memsem::Op& op = mem.op(id);
       std::uint64_t tag = static_cast<std::uint64_t>(op.kind);
@@ -83,27 +96,43 @@ void encode_permuted_into(const Config& cfg,
              << 8;
       tag |= static_cast<std::uint64_t>(op.releasing) << 40;
       tag |= static_cast<std::uint64_t>(op.covered) << 41;
-      out.push_back(tag);
-      out.push_back(static_cast<std::uint64_t>(op.value));
-      out.push_back(static_cast<std::uint64_t>(op.read_value));
+      *w++ = tag;
+      *w++ = static_cast<std::uint64_t>(op.value);
+      *w++ = static_cast<std::uint64_t>(op.read_value);
       if (!canonical_ts) {
-        out.push_back(static_cast<std::uint64_t>(op.ts.numerator()));
-        out.push_back(static_cast<std::uint64_t>(op.ts.denominator()));
+        *w++ = static_cast<std::uint64_t>(op.ts.numerator());
+        *w++ = static_cast<std::uint64_t>(op.ts.denominator());
       }
     }
   }
   for (ThreadId s = 0; s < num_threads; ++s) {
     const ThreadId t = thread_of[s];
     for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
-      out.push_back(mem.op(mem.view_front(t, loc)).mo_pos);
+      *w++ = mem.op(mem.view_front(t, loc)).mo_pos;
     }
   }
   for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
     for (const memsem::OpId id : mem.mo(loc)) {
       for (const memsem::OpId v : mem.mview(id)) {
-        out.push_back(mem.op(v).mo_pos);
+        *w++ = mem.op(v).mo_pos;
       }
     }
+  }
+}
+
+/// Writes thread `t`'s signature to `out`: 1 + registers + locations words.
+/// Everything thread-indexed in the state, in a permutation-invariant
+/// rendering: pc, register values, and the viewfront row as mo ranks (mo
+/// sequences never move under the group action).  Signatures are equal
+/// exactly when swapping the two threads fixes these components — the op
+/// thread tags in the full encoding are what the tie enumeration decides.
+void write_signature(const Config& cfg, ThreadId t, std::uint64_t* out) {
+  *out++ = cfg.pc[t];
+  for (const auto v : cfg.regs[t]) *out++ = static_cast<std::uint64_t>(v);
+  const memsem::MemState& mem = cfg.mem;
+  const auto num_locs = static_cast<memsem::LocId>(mem.locations().size());
+  for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
+    *out++ = mem.op(mem.view_front(t, loc)).mo_pos;
   }
 }
 
@@ -118,9 +147,8 @@ std::uint64_t capped_factorial(std::size_t n, std::uint64_t cap) {
 
 }  // namespace
 
-SymmetryReducer::SymmetryReducer(const System& sys) : sys_(&sys) {
-  num_threads_ = sys.num_threads();
-  in_class_.assign(num_threads_, false);
+SymmetryReducer::SymmetryReducer(const System& sys)
+    : num_threads_(sys.num_threads()) {
   std::vector<bool> assigned(num_threads_, false);
   for (ThreadId t = 0; t < num_threads_; ++t) {
     if (assigned[t]) continue;
@@ -133,147 +161,143 @@ SymmetryReducer::SymmetryReducer(const System& sys) : sys_(&sys) {
     }
     if (members.size() >= 2) classes_.push_back(std::move(members));
   }
+  std::uint64_t group_size = 1;
   for (const auto& cls : classes_) {
-    group_size_ *= capped_factorial(cls.size(), kMaxOrbit);
-    for (const ThreadId t : cls) in_class_[t] = true;
+    group_size *= capped_factorial(cls.size(), kMaxOrbit);
   }
-  symmetric_ = !classes_.empty() && group_size_ <= kMaxOrbit;
+  symmetric_ = !classes_.empty() && group_size <= kMaxOrbit;
   if (!symmetric_) {
     // Degenerate (no class of size >= 2) or past the orbit bound: the
     // reduction is a no-op and callers fall back to concrete encodings.
     classes_.clear();
-    group_size_ = 1;
-    in_class_.assign(num_threads_, false);
   }
+  class_begin_.push_back(0);
+  std::size_t largest = 0;
+  for (const auto& cls : classes_) {
+    class_begin_.push_back(class_begin_.back() + cls.size());
+    largest = std::max(largest, cls.size());
+  }
+  order_.resize(class_begin_.back());
+  idx_.resize(largest);
+  slot_of_.resize(num_threads_);
+  thread_of_.resize(num_threads_);
 }
 
-void SymmetryReducer::thread_signature(const Config& cfg, ThreadId t,
-                                       std::vector<std::uint64_t>& out) const {
-  // Everything thread-indexed in the state, in a permutation-invariant
-  // rendering: pc, register values, and the viewfront row as mo ranks (mo
-  // sequences never move under the group action).  Signatures are equal
-  // exactly when swapping the two threads fixes these components — the op
-  // thread tags in the full encoding are what the tie enumeration decides.
-  out.clear();
-  out.push_back(cfg.pc[t]);
-  for (const auto v : cfg.regs[t]) out.push_back(static_cast<std::uint64_t>(v));
-  const memsem::MemState& mem = cfg.mem;
-  const auto num_locs = static_cast<memsem::LocId>(mem.locations().size());
-  for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
-    out.push_back(mem.op(mem.view_front(t, loc)).mo_pos);
-  }
-}
-
-void SymmetryReducer::canonicalize(const Config& cfg, Canonical& out) const {
-  out.encoding.clear();
-  out.perms.clear();
+void SymmetryReducer::canonicalize(const Config& cfg, AbstractKey& out) const {
   out.complete = true;
-  ThreadPerm& slot_of = perm_scratch_;
-  slot_of.resize(num_threads_);
+  // Permutations go into out.perms' existing inner vectors (a same-size
+  // copy-assign allocates nothing); the list is cut to `found` at the end.
+  std::size_t found = 0;
+  const auto record = [&](const ThreadPerm& perm) {
+    if (found < out.perms.size()) {
+      out.perms[found] = perm;
+    } else {
+      out.perms.push_back(perm);
+    }
+    ++found;
+  };
+  ThreadPerm& slot_of = slot_of_;
   for (ThreadId t = 0; t < num_threads_; ++t) slot_of[t] = t;
   if (!symmetric_) {
+    out.encoding.clear();
     cfg.encode_into(out.encoding);
-    out.perms.push_back(slot_of);
+    record(slot_of);
+    out.perms.resize(found);
     return;
   }
 
-  // Per class: order members by signature, recording tie ranges.  `orders`
-  // holds, per class, the member list in slot order (slot i of the class is
-  // its i-th smallest thread id).
-  struct TieGroup {
-    std::size_t cls;
-    std::size_t begin;
-    std::size_t end;  // exclusive; end - begin >= 2
-  };
-  std::vector<std::vector<ThreadId>> orders(classes_.size());
-  std::vector<TieGroup> ties;
+  // Per class: order members by signature into the class's span of order_
+  // (slot i of the class is its i-th smallest thread id), and decide each
+  // tie range as it is found: enumerate it while the candidate product stays
+  // within bounds, else keep its ascending-id order (a sound
+  // under-approximation of the quotient).
+  enumerated_.clear();
+  std::uint64_t candidates = 1;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
     const auto& members = classes_[c];
-    auto& order = orders[c];
-    order = members;
-    // Insertion-sort by signature; class sizes are tiny (<= 8) and stable
-    // order keeps tied members ascending by thread id, which both makes the
-    // result deterministic and leaves tie ranges in next_permutation's start
-    // state.
-    std::vector<std::vector<std::uint64_t>> sigs(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      thread_signature(cfg, members[i], sigs[i]);
+    const std::size_t n = members.size();
+    // Member i's signature sits at sigs_[i * stride]: the class shares one
+    // register file shape, so every member's signature has one length.
+    const std::size_t stride =
+        1 + cfg.regs[members[0]].size() + cfg.mem.locations().size();
+    sigs_.resize(n * stride);
+    for (std::size_t i = 0; i < n; ++i) {
+      write_signature(cfg, members[i], sigs_.data() + i * stride);
     }
-    std::vector<std::size_t> idx(members.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::stable_sort(idx.begin(), idx.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return sigs[a] < sigs[b];
-                     });
-    for (std::size_t i = 0; i < idx.size(); ++i) order[i] = members[idx[i]];
+    const auto sig = [&](std::size_t i) { return sigs_.data() + i * stride; };
+    const auto less = [&](std::size_t a, std::size_t b) {
+      return std::lexicographical_compare(sig(a), sig(a) + stride, sig(b),
+                                          sig(b) + stride);
+    };
+    // Stable insertion sort; classes are tiny (kMaxOrbit bounds them at 8
+    // members), and tied members stay ascending by thread id, which both
+    // makes the result deterministic and leaves tie ranges in
+    // next_permutation's start state.
+    for (std::size_t i = 0; i < n; ++i) idx_[i] = i;
+    for (std::size_t i = 1; i < n; ++i) {
+      const std::size_t moving = idx_[i];
+      std::size_t j = i;
+      for (; j > 0 && less(moving, idx_[j - 1]); --j) idx_[j] = idx_[j - 1];
+      idx_[j] = moving;
+    }
+    const std::size_t begin = class_begin_[c];
+    for (std::size_t i = 0; i < n; ++i) order_[begin + i] = members[idx_[i]];
     std::size_t run = 0;
-    for (std::size_t i = 1; i <= idx.size(); ++i) {
-      if (i == idx.size() || sigs[idx[i]] != sigs[idx[run]]) {
-        if (i - run >= 2) ties.push_back({c, run, i});
-        run = i;
+    for (std::size_t i = 1; i <= n; ++i) {
+      if (i < n && std::equal(sig(idx_[i]), sig(idx_[i]) + stride,
+                              sig(idx_[run]))) {
+        continue;
       }
+      if (i - run >= 2) {
+        const std::uint64_t f = capped_factorial(i - run, kMaxTieCandidates);
+        if (candidates * f <= kMaxTieCandidates) {
+          candidates *= f;
+          enumerated_.push_back({begin + run, begin + i});
+        } else {
+          // A skipped group means `perms` may miss minimisers; callers
+          // relying on stabiliser closure (canonical sleep masks) must see
+          // that.
+          out.complete = false;
+        }
+      }
+      run = i;
     }
   }
 
-  // Cap the tie blow-up: enumerate groups while the candidate product stays
-  // within bounds; oversized groups keep their ascending-id order (a sound
-  // under-approximation of the quotient).
-  std::vector<TieGroup> enumerated;
-  std::uint64_t candidates = 1;
-  for (const TieGroup& g : ties) {
-    const std::uint64_t f =
-        capped_factorial(g.end - g.begin, kMaxTieCandidates);
-    if (candidates * f <= kMaxTieCandidates) {
-      candidates *= f;
-      enumerated.push_back(g);
-    } else {
-      // A skipped group means `perms` may miss minimisers; callers relying
-      // on stabiliser closure (canonical sleep masks) must see that.
-      out.complete = false;
-    }
-  }
-
-  const auto build_perm = [&] {
-    for (ThreadId t = 0; t < num_threads_; ++t) slot_of[t] = t;
+  const auto try_candidate = [&] {
+    // Threads outside every class stay fixed, so only members are rewritten.
     for (std::size_t c = 0; c < classes_.size(); ++c) {
       for (std::size_t i = 0; i < classes_[c].size(); ++i) {
-        slot_of[orders[c][i]] = classes_[c][i];
+        slot_of[order_[class_begin_[c] + i]] = classes_[c][i];
       }
     }
-  };
-  ThreadPerm thread_of(num_threads_);
-  const auto try_candidate = [&] {
-    build_perm();
-    for (ThreadId t = 0; t < num_threads_; ++t) thread_of[slot_of[t]] = t;
+    for (ThreadId t = 0; t < num_threads_; ++t) thread_of_[slot_of[t]] = t;
     candidate_.clear();
-    encode_permuted_into(cfg, slot_of, thread_of, candidate_);
-    if (out.perms.empty() || candidate_ < out.encoding) {
-      out.encoding = candidate_;
-      out.perms.clear();
-      out.perms.push_back(slot_of);
+    encode_permuted_into(cfg, slot_of, thread_of_, candidate_);
+    if (found == 0 || candidate_ < out.encoding) {
+      candidate_.swap(out.encoding);
+      found = 0;
+      record(slot_of);
     } else if (candidate_ == out.encoding) {
-      out.perms.push_back(slot_of);
+      record(slot_of);
     }
   };
 
   try_candidate();
-  if (!enumerated.empty()) {
-    // Odometer over the tie groups; next_permutation wraps each group back
-    // to its ascending start state, so every combination is visited once.
-    while (true) {
-      std::size_t g = 0;
-      for (; g < enumerated.size(); ++g) {
-        auto& order = orders[enumerated[g].cls];
-        if (std::next_permutation(
-                order.begin() + static_cast<std::ptrdiff_t>(enumerated[g].begin),
-                order.begin() + static_cast<std::ptrdiff_t>(enumerated[g].end))) {
-          break;
-        }
+  // Odometer over the enumerated tie groups: next_permutation wraps each
+  // group back to its ascending start state, so each of the `candidates`
+  // combinations is tried once.
+  for (std::uint64_t k = 1; k < candidates; ++k) {
+    for (const TieGroup& g : enumerated_) {
+      if (std::next_permutation(
+              order_.begin() + static_cast<std::ptrdiff_t>(g.begin),
+              order_.begin() + static_cast<std::ptrdiff_t>(g.end))) {
+        break;
       }
-      if (g == enumerated.size()) break;
-      try_candidate();
     }
+    try_candidate();
   }
+  out.perms.resize(found);
 }
 
 std::uint64_t SymmetryReducer::mask_to_canonical(

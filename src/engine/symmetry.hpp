@@ -50,6 +50,22 @@
 // has a non-trivial (discovered) stabiliser, which callers that attach
 // per-thread metadata to canonical states (sleep masks) must intersect
 // over.
+//
+// --- scratch ownership -------------------------------------------------------
+//
+// canonicalize() runs on every successor, so it works in flat scratch the
+// reducer owns: one signature buffer (member i of a class at i * stride,
+// stride = 1 + registers + locations, equal across a class because its
+// threads share a register file), one thread-id array holding every class's
+// slot order at offsets fixed by the constructor, and the tie, candidate and
+// permutation buffers.  Once they have grown to the system's sizes a key
+// allocates nothing: the minimal candidate is swapped into the caller's
+// AbstractKey and permutations are copy-assigned into its existing inner
+// vectors.  The scratch is mutable and per instance, so an instance that
+// canonicalises must not be shared across threads — the engine keeps one per
+// worker through StateAbstraction::clone().  for_each_orbit,
+// for_each_perm and permuted touch no scratch, so one reducer may serve
+// every visitor thread for those.
 
 #pragma once
 
@@ -69,6 +85,26 @@ using lang::ThreadId;
 /// id) thread t maps to.  Identity when slot_of[t] == t for all t.
 using ThreadPerm = std::vector<ThreadId>;
 
+/// The abstract key of one configuration: the encoding the visited set
+/// deduplicates by, plus the concrete-to-canonical thread permutations when
+/// the abstraction has any (empty means the identity — concrete and
+/// rf-quotient keys are already in concrete thread coordinates).
+struct AbstractKey {
+  /// The representative encoding (for the symmetry quotient, the
+  /// lexicographically minimal one over the candidate permutations).
+  std::vector<std::uint64_t> encoding;
+  /// Every candidate permutation that achieves `encoding` (at least one
+  /// under symmetry; none for abstractions that keep concrete thread
+  /// coordinates).  More than one means the state has a discovered
+  /// stabiliser.
+  std::vector<ThreadPerm> perms;
+  /// False when a tie group exceeded kMaxTieCandidates and was left
+  /// unpermuted: `perms` may then miss minimising permutations, so
+  /// stabiliser-closure arguments (canonical sleep masks) do not hold —
+  /// sleep masks attached to this key must degrade to empty.
+  bool complete = true;
+};
+
 class SymmetryReducer {
  public:
   /// Beyond this many tie-break candidates per state the oversized tie
@@ -79,8 +115,7 @@ class SymmetryReducer {
   /// realistic corpus instance.
   static constexpr std::size_t kMaxOrbit = 40320;
 
-  /// Analyses `sys` and fixes the symmetry classes for its lifetime.  The
-  /// system must outlive the reducer.
+  /// Analyses `sys` and fixes the symmetry classes for its lifetime.
   explicit SymmetryReducer(const System& sys);
 
   /// True iff at least one class has >= 2 interchangeable threads (and the
@@ -92,30 +127,10 @@ class SymmetryReducer {
     return classes_;
   }
 
-  /// |G|: the number of distinct thread permutations the quotient ranges
-  /// over (product of class factorials; 1 when !symmetric()).
-  [[nodiscard]] std::uint64_t group_size() const noexcept { return group_size_; }
-
-  /// Result of canonicalising one configuration.
-  struct Canonical {
-    /// The representative encoding (lexicographically minimal over the
-    /// candidate permutations); compare/intern this instead of the concrete
-    /// encoding.
-    std::vector<std::uint64_t> encoding;
-    /// Every candidate permutation that achieves `encoding` (at least one).
-    /// More than one means the state has a discovered stabiliser.
-    std::vector<ThreadPerm> perms;
-    /// False when a tie group exceeded kMaxTieCandidates and was left
-    /// unpermuted: `perms` may then miss minimising permutations, so
-    /// stabiliser-closure arguments (canonical sleep masks) do not hold —
-    /// callers must degrade to the empty mask for this state.
-    bool complete = true;
-  };
-
-  /// Canonicalises `cfg` into `out` (cleared first).  Reuses the reducer's
-  /// scratch buffers, so a reducer instance must not be shared across
-  /// threads without external synchronisation — drivers keep one per worker.
-  void canonicalize(const Config& cfg, Canonical& out) const;
+  /// Canonicalises `cfg` into `out` (every field overwritten).  Uses the
+  /// reducer's scratch, so a reducer instance must not canonicalise on two
+  /// threads at once — drivers keep one per worker.
+  void canonicalize(const Config& cfg, AbstractKey& out) const;
 
   /// Converts a per-thread bitmask (bit t = thread t) into canonical slot
   /// coordinates, intersecting over all reported permutations so a slot is
@@ -148,19 +163,25 @@ class SymmetryReducer {
   void for_each_perm(const std::function<void(const ThreadPerm&)>& fn) const;
 
  private:
-  void thread_signature(const Config& cfg, ThreadId t,
-                        std::vector<std::uint64_t>& out) const;
+  /// A run of >= 2 members with equal signatures, as [begin, end) positions
+  /// in order_.
+  struct TieGroup {
+    std::size_t begin;
+    std::size_t end;
+  };
 
-  const System* sys_;
   ThreadId num_threads_ = 0;
   bool symmetric_ = false;
-  std::uint64_t group_size_ = 1;
   std::vector<std::vector<ThreadId>> classes_;  ///< classes of size >= 2
-  std::vector<bool> in_class_;                  ///< thread is in some class
+  /// Class c's slot order occupies order_[class_begin_[c], class_begin_[c+1]).
+  std::vector<std::size_t> class_begin_;
 
-  // Scratch (canonicalize is called per state on the hot path).
-  mutable std::vector<std::uint64_t> sig_a_, sig_b_, candidate_;
-  mutable ThreadPerm perm_scratch_;
+  // canonicalize()'s scratch (see "scratch ownership" above).
+  mutable std::vector<std::uint64_t> sigs_, candidate_;
+  mutable std::vector<std::size_t> idx_;
+  mutable std::vector<ThreadId> order_;
+  mutable std::vector<TieGroup> enumerated_;
+  mutable ThreadPerm slot_of_, thread_of_;
 };
 
 }  // namespace rc11::engine

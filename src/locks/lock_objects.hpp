@@ -59,8 +59,6 @@ class AbstractLock final : public LockObject {
   void emit_acquire(ThreadBuilder& tb, Reg dst) override;
   void emit_release(ThreadBuilder& tb) override;
 
-  [[nodiscard]] LocId lock_loc() const { return l_; }
-
  private:
   LocId l_ = 0;
 };

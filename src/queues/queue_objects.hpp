@@ -53,8 +53,6 @@ class AbstractQueue final : public QueueObject {
   void emit_enqueue(ThreadBuilder& tb, Expr value, bool releasing) override;
   void emit_dequeue(ThreadBuilder& tb, Reg dst, bool acquiring) override;
 
-  [[nodiscard]] LocId queue_loc() const { return q_; }
-
  private:
   LocId q_ = 0;
 };

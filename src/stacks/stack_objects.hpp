@@ -68,8 +68,6 @@ class AbstractStack final : public StackObject {
   void emit_push(ThreadBuilder& tb, Expr value, bool releasing) override;
   void emit_pop(ThreadBuilder& tb, Reg dst, bool acquiring) override;
 
-  [[nodiscard]] LocId stack_loc() const { return s_; }
-
  private:
   LocId s_ = 0;
 };

@@ -233,10 +233,6 @@ class InternedWordSet {
            scratch_.capacity() + slots_.capacity() * sizeof(std::uint64_t);
   }
 
-  /// Bytes of compressed encoding payload (excludes table slack); exposed
-  /// for the state-representation benchmarks.
-  [[nodiscard]] std::size_t arena_bytes() const noexcept { return arena_.size(); }
-
  private:
   // offset:40 | length:24 packed into one word; kEmptySlot (all ones) is
   // unreachable because lengths are capped far below 2^24.

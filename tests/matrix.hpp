@@ -44,8 +44,8 @@ struct Input {
   Family family = kUnlisted;
   lang::System sys;
   /// A litmus entry's observed registers and exact outcome set.
-  std::vector<lang::Reg> observed;
-  std::optional<catalogue::Outcomes> allowed;
+  std::vector<lang::Reg> observed{};
+  std::optional<catalogue::Outcomes> allowed{};
   /// The race catalogue's verdict; every other program is race-free.
   bool racy = false;
 };

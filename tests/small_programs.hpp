@@ -84,7 +84,10 @@ inline Generated build(const std::vector<Vocab>& vocab,
   for (std::size_t t = 0; t < 2; ++t) {
     auto tb = g.sys.thread();
     for (std::size_t s = 0; s < 2; ++s) {
-      auto r = tb.reg("r" + std::to_string(t) + std::to_string(s));
+      std::string name = "r";
+      name += std::to_string(t);
+      name += std::to_string(s);
+      auto r = tb.reg(name);
       g.regs.push_back(r);
       const auto& v = vocab[static_cast<std::size_t>(choice[t][s])];
       const auto uniq = static_cast<lang::Value>(10 * (t + 1) + s + 1);
@@ -154,7 +157,10 @@ inline std::vector<Generated> three_slot_mirrored_programs() {
           for (int t = 0; t < 2; ++t) {
             auto tb = g.sys.thread();
             for (int s = 0; s < 3; ++s) {
-              auto r = tb.reg("r" + std::to_string(t) + std::to_string(s));
+              std::string name = "r";
+              name += std::to_string(t);
+              name += std::to_string(s);
+              auto r = tb.reg(name);
               g.regs.push_back(r);
               const int slot = t == 0 ? s : 2 - s;
               const auto& v = vocab[static_cast<std::size_t>(t0_choice[slot])];

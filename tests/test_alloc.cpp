@@ -89,9 +89,10 @@ using namespace rc11;
 using lang::Config;
 using lang::System;
 
-System store_fan() {
-  return parser::parse_file(std::string(RC11_SRC_DIR) +
-                            "/tools/programs/store_fan.rc11")
+/// The corpus program tools/programs/`name`.rc11.
+System program(const std::string& name) {
+  return parser::parse_file(std::string(RC11_SRC_DIR) + "/tools/programs/" +
+                            name + ".rc11")
       .sys;
 }
 
@@ -125,7 +126,7 @@ std::uint64_t copy_blocks(const Config& cfg) {
 }
 
 TEST(Alloc, ConfigCopyCostIsIndependentOfOpCount) {
-  const System sys = store_fan();
+  const System sys = program("store_fan");
   const Config few = lang::initial_config(sys);
   const Config many = first_step_run(sys);
   ASSERT_GT(many.mem.num_ops(), few.mem.num_ops() + 8);
@@ -139,7 +140,7 @@ TEST(Alloc, ConfigCopyCostIsIndependentOfOpCount) {
 TEST(Alloc, SameSizeCopyAssignAllocatesNothing) {
   // Two states with the same operation count whose operations sit at
   // different locations: the harder case for a per-location layout.
-  const System sys = store_fan();
+  const System sys = program("store_fan");
   std::vector<Config> states{lang::initial_config(sys)};
   for (std::size_t i = 0; i < states.size() && states.size() < 200; ++i) {
     for (auto& step : lang::successors(sys, states[i])) {
@@ -180,23 +181,31 @@ TEST(Alloc, DuplicateSuccessorsAllocateNothing) {
   // visited-set growth — under two Config copies per state.  A driver that
   // moved every successor out before interning would pay a Config copy per
   // *transition*.  The plain path, POR chain collapse and the reduced
-  // (abstract-key) path are each one run.
-  const System sys = store_fan();
-  const std::uint64_t per_copy = copy_blocks(lang::initial_config(sys));
+  // (abstract-key) path are each one run.  The ticket_worker rows key every
+  // successor by its symmetry orbit: the reducer canonicalises in scratch it
+  // owns, so the orbit key adds no allocation per transition either.
   struct Run {
     const char* what;
+    const char* program;
     bool por;
     bool rf_quotient;
+    bool symmetry;
     std::uint64_t states;
   };
-  for (const Run& run : {Run{"plain", false, false, 109678},
-                         Run{"por", true, false, 58633},
-                         Run{"rf-quotient", false, true, 4812}}) {
+  for (const Run& run :
+       {Run{"plain", "store_fan", false, false, false, 109678},
+        Run{"por", "store_fan", true, false, false, 58633},
+        Run{"rf-quotient", "store_fan", false, true, false, 4812},
+        Run{"symmetry", "ticket_worker", false, false, true, 2791},
+        Run{"symmetry+por", "ticket_worker", true, false, true, 2097}}) {
     SCOPED_TRACE(run.what);
+    const System sys = program(run.program);
+    const std::uint64_t per_copy = copy_blocks(lang::initial_config(sys));
     engine::ReachOptions opts;
     opts.num_threads = 1;
     opts.por = run.por;
     opts.rf_quotient = run.rf_quotient;
+    opts.symmetry = run.symmetry;
     engine::ReachResult result;
     const std::uint64_t blocks = allocations_of([&] {
       result = engine::visit_reachable(

@@ -56,8 +56,8 @@ TEST_P(MutexStudy, TerminatingRunsExist) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, MutexStudy, ::testing::Range(0, 2),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == 0 ? std::string("peterson")
+                         [](const ::testing::TestParamInfo<int>& p) {
+                           return p.param == 0 ? std::string("peterson")
                                                   : std::string("dekker");
                          });
 

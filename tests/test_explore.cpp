@@ -66,10 +66,10 @@ TEST_P(LitmusSuite, OutcomeSetMatchesRC11Exactly) {
 
 INSTANTIATE_TEST_SUITE_P(AllTests, LitmusSuite,
                          ::testing::Range(0, 12),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& p) {
                            return catalogue::param_name(
                                catalogue::litmus_tests()
-                                   .at(static_cast<std::size_t>(info.param))
+                                   .at(static_cast<std::size_t>(p.param))
                                    .name);
                          });
 
@@ -296,10 +296,10 @@ TEST_P(CausalitySuite, KeyOutcomesMatchRC11) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCausality, CausalitySuite, ::testing::Range(0, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& p) {
                            return catalogue::param_name(
                                catalogue::causality_tests()
-                                   .at(static_cast<std::size_t>(info.param))
+                                   .at(static_cast<std::size_t>(p.param))
                                    .name);
                          });
 
@@ -320,7 +320,10 @@ TEST(DotExport, ProducesWellFormedGraph) {
   EXPECT_NE(dot.find("peripheries=2"), std::string::npos) << "finals marked";
   // Every state appears as a node.
   for (std::uint32_t i = 0; i < graph.num_states(); ++i) {
-    EXPECT_NE(dot.find("s" + std::to_string(i) + " ["), std::string::npos);
+    std::string node = "s";
+    node += std::to_string(i);
+    node += " [";
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
 }
 

@@ -183,9 +183,9 @@ TEST_P(Matrix, AgreesWithPlain) {
 
 INSTANTIATE_TEST_SUITE_P(
     Inputs, Matrix, ::testing::Range(0, static_cast<int>(instances().size())),
-    [](const ::testing::TestParamInfo<int>& info) {
+    [](const ::testing::TestParamInfo<int>& p) {
       return catalogue::param_name(
-          instances().at(static_cast<std::size_t>(info.param)).name);
+          instances().at(static_cast<std::size_t>(p.param)).name);
     });
 
 }  // namespace

@@ -336,7 +336,9 @@ TEST_P(ThreadCountSweep, ChainedPublicationReachesAllVariables) {
   LocationTable locs;
   std::vector<LocId> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(locs.add_var("v" + std::to_string(i),
+    std::string name = "v";
+    name += std::to_string(i);
+    vars.push_back(locs.add_var(name,
                                 i % 2 ? Component::Library : Component::Client,
                                 0));
   }

@@ -375,7 +375,9 @@ TEST(MemoryRules, AllRulesHoldNonVacuously) {
 TEST(MemoryRules, CatalogueIsOrdered) {
   const auto results = og::check_memory_rules();
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].rule, "M" + std::to_string(i + 1));
+    std::string rule = "M";
+    rule += std::to_string(i + 1);
+    EXPECT_EQ(results[i].rule, rule);
     EXPECT_FALSE(results[i].description.empty());
   }
 }

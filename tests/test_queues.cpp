@@ -93,7 +93,9 @@ TEST(QueueRefinement, PublicationGuarantee) {
   const auto result = explore::explore(sys);
   const auto outcomes = explore::final_register_values(sys, result, art.regs);
   for (const auto& o : outcomes) {
-    if (o[0] == 1) EXPECT_EQ(o[1], 5) << "dequeued message must publish d";
+    if (o[0] == 1) {
+      EXPECT_EQ(o[1], 5) << "dequeued message must publish d";
+    }
   }
 }
 

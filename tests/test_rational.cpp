@@ -194,7 +194,9 @@ TEST(RationalProperty, OrderingIsTotalAndTransitiveOnGrid) {
     for (const auto& b : values) {
       EXPECT_EQ(a < b, !(b < a) && a != b);
       for (const auto& cc : values) {
-        if (a < b && b < cc) EXPECT_LT(a, cc);
+        if (a < b && b < cc) {
+          EXPECT_LT(a, cc);
+        }
       }
     }
   }

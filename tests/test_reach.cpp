@@ -164,7 +164,9 @@ TEST(Reach, OneWorkerSchedulePinned) {
       EXPECT_EQ(s.symmetry_hits, pin.symmetry_hits) << actual;
       EXPECT_EQ(s.sleep_set_skips, pin.sleep_set_skips) << actual;
       EXPECT_EQ(s.rf_merges, pin.rf_merges) << actual;
-      if (!c.traced) EXPECT_EQ(s.visited_bytes, pin.visited_bytes) << actual;
+      if (!c.traced) {
+        EXPECT_EQ(s.visited_bytes, pin.visited_bytes) << actual;
+      }
     }
   }
   EXPECT_EQ(next, std::size(kPins));

@@ -105,7 +105,7 @@ System view_churn(unsigned pump_stores) {
   const auto g = sys.client_var("g", 0);
   const auto x = sys.client_var("x", 0);
   const auto y = sys.client_var("y", 0);
-  for (const auto [loc, rounds] : {std::pair{x, 3u}, {y, 2u}}) {
+  for (const auto& [loc, rounds] : {std::pair{x, 3u}, {y, 2u}}) {
     auto tb = sys.thread();
     const auto t = tb.reg("t");
     for (unsigned i = 1; i <= rounds; ++i) {

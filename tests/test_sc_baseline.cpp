@@ -97,10 +97,10 @@ TEST_P(ScSuite, ScStateSpaceIsNoLarger) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTests, ScSuite, ::testing::Range(0, 12),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& p) {
                            return catalogue::param_name(
                                catalogue::litmus_tests()
-                                   .at(static_cast<std::size_t>(info.param))
+                                   .at(static_cast<std::size_t>(p.param))
                                    .name);
                          });
 

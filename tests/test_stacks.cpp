@@ -40,7 +40,9 @@ TEST(LockedVectorStack, PublishesLikeTheAbstractStack) {
   // The pop either misses (Empty, d stale or fresh) or gets the message and
   // then *must* see d = 5.
   for (const auto& o : conc_out) {
-    if (o[0] == 1) EXPECT_EQ(o[1], 5) << "publication guarantee violated";
+    if (o[0] == 1) {
+      EXPECT_EQ(o[1], 5) << "publication guarantee violated";
+    }
   }
 }
 
@@ -68,7 +70,9 @@ TEST(LockedVectorStack, ProducerConsumerIsLifoShaped) {
     for (const auto v : o) {
       EXPECT_TRUE(v == kStackEmpty || v == 10 || v == 11) << v;
     }
-    if (o[0] == 11) EXPECT_TRUE(o[1] == 10 || o[1] == kStackEmpty);
+    if (o[0] == 11) {
+      EXPECT_TRUE(o[1] == 10 || o[1] == kStackEmpty);
+    }
     if (o[0] == 10 && o[1] != kStackEmpty) {
       // Popped 10 first: only possible before 11 was pushed; then the second
       // pop may return 11.

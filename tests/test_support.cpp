@@ -31,7 +31,9 @@ TEST(SymbolTable, LookupAndNames) {
 TEST(SymbolTable, DenseIds) {
   SymbolTable t;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(t.intern("s" + std::to_string(i)), static_cast<SymbolId>(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    EXPECT_EQ(t.intern(name), static_cast<SymbolId>(i));
   }
 }
 

@@ -15,13 +15,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "catalogue.hpp"
 #include "engine/checkpoint.hpp"
+#include "engine/reach.hpp"
+#include "engine/symmetry.hpp"
 #include "explore/explorer.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
@@ -32,6 +36,7 @@
 #include "queues/queue_objects.hpp"
 #include "refinement/refinement.hpp"
 #include "stacks/stack_objects.hpp"
+#include "support/hash.hpp"
 #include "witness/witness.hpp"
 
 namespace {
@@ -40,6 +45,7 @@ using namespace rc11;
 using catalogue::final_encodings;
 using engine::StopReason;
 using explore::ExploreOptions;
+using lang::Config;
 using lang::System;
 
 /// The (what, state_dump) multiset is the thread-count- and
@@ -181,6 +187,139 @@ TEST(Symmetry, NoopOnAsymmetricPrograms) {
   EXPECT_EQ(r.stats.finals, reference.stats.finals);
   EXPECT_EQ(r.stats.blocked, reference.stats.blocked);
   EXPECT_EQ(final_encodings(r), final_encodings(reference));
+}
+
+// --- the key against its definition -----------------------------------------
+
+/// What a walk over every reachable state found about its symmetry keys.
+struct KeyCensus {
+  std::uint64_t states = 0;
+  std::uint64_t stabilised = 0;  ///< keys reporting more than one permutation
+  std::uint64_t incomplete = 0;  ///< keys with complete == false
+  /// Reported permutations p with permuted(c, p).encode() != key.encoding.
+  std::uint64_t wrong_perms = 0;
+  /// (state, group element) pairs where a complete key is not a function of
+  /// the orbit: permuted(c, pi) is unreachable or keys differently.
+  std::uint64_t orbit_splits = 0;
+};
+
+/// Checks the symmetry key of every state a plain run reaches against its
+/// definition: each reported permutation p maps the state onto the key, and
+/// a complete key is a function of the orbit — for every group element pi,
+/// permuted(c, pi) has the same key words and as many minimising
+/// permutations.  The orbit half reads the key of permuted(c, pi) from the
+/// first pass, which covers every orbit member (the plain run reaches
+/// them all, by equivariance), instead of canonicalising |G| configurations
+/// per state: |G| is 5040 on the seven-thread input.
+KeyCensus check_keys_against_definition(const System& sys) {
+  const engine::SymmetryReducer reducer(sys);
+  EXPECT_TRUE(reducer.symmetric());
+  std::vector<engine::ThreadPerm> group;
+  reducer.for_each_perm(
+      [&](const engine::ThreadPerm& pi) { group.push_back(pi); });
+  struct Summary {
+    std::uint64_t digest;  ///< hash_words of the key words
+    std::size_t perms;
+    bool complete;
+  };
+  std::map<std::vector<std::uint64_t>, Summary> keys;  // by concrete encoding
+  const auto for_each_state = [&](const auto& fn) {
+    engine::ReachOptions plain;
+    plain.num_threads = 1;
+    const auto result = engine::visit_reachable(
+        sys, plain,
+        [&](const Config& cfg, std::uint64_t, std::span<const lang::Step>) {
+          fn(cfg);
+          return true;
+        });
+    EXPECT_EQ(result.stop, StopReason::Complete);
+  };
+  KeyCensus census;
+  engine::AbstractKey key;
+  for_each_state([&](const Config& cfg) {
+    reducer.canonicalize(cfg, key);
+    census.states += 1;
+    if (key.perms.size() > 1) census.stabilised += 1;
+    if (!key.complete) census.incomplete += 1;
+    EXPECT_FALSE(key.perms.empty());
+    for (const engine::ThreadPerm& p : key.perms) {
+      if (reducer.permuted(cfg, p).encode() != key.encoding) {
+        census.wrong_perms += 1;
+      }
+    }
+    keys.emplace(cfg.encode(), Summary{support::hash_words(key.encoding),
+                                       key.perms.size(), key.complete});
+  });
+  for_each_state([&](const Config& cfg) {
+    const Summary& own = keys.at(cfg.encode());
+    if (!own.complete) return;
+    for (const engine::ThreadPerm& pi : group) {
+      const auto it = keys.find(reducer.permuted(cfg, pi).encode());
+      if (it == keys.end() || it->second.digest != own.digest ||
+          it->second.perms != own.perms) {
+        census.orbit_splits += 1;
+      }
+    }
+  });
+  return census;
+}
+
+/// `threads` copies of one thread body, named `name`0, `name`1, ...; each
+/// '$' in the body becomes the copy's index, so register names stay unique.
+std::string replicated(const std::string& name, unsigned threads,
+                       const std::string& body) {
+  std::string source;
+  for (unsigned t = 0; t < threads; ++t) {
+    const std::string index = std::to_string(t);
+    source += "thread " + name + index + " { ";
+    for (const char ch : body) {
+      if (ch == '$') {
+        source += index;
+      } else {
+        source += ch;
+      }
+    }
+    source += " }\n";
+  }
+  return source;
+}
+
+TEST(Symmetry, KeysMatchTheirDefinition) {
+  // The pinned keys (StateRepr.CanonicalEncodingPinned, the one-worker
+  // schedule, the matrix's symmetry rows) come from one-class systems with
+  // rare ties.  These inputs add a system with two classes, each ordered in
+  // its own span of the reducer's slot-order array, and one whose largest
+  // tie groups exceed the candidate cap.
+  std::string two_classes = "var x = 0;\nvar y = 0;\n";
+  two_classes += replicated("w", 2, "x := 1; y :=R 1;");
+  two_classes += replicated("r", 2, "reg a$; reg b$; a$ <-A y; b$ <- x;");
+  std::string seven_readers = "var x = 0;\n";
+  seven_readers += replicated("t", 7, "reg r$; r$ <- x;");
+  struct Case {
+    const char* what;
+    System sys;
+    std::uint64_t states, stabilised, incomplete;
+  };
+  const Case cases[] = {
+      {"ticket_worker",
+       parser::parse_file(catalogue::program_path("ticket_worker.rc11")).sys,
+       16699, 43, 0},
+      {"two writers + two readers", parser::parse_program(two_classes).sys,
+       789, 109, 0},
+      // Seven equal threads: a state where all or none have read is one tie
+      // group of 7! = 5040 candidates, past the cap of 720.
+      {"seven readers", parser::parse_program(seven_readers).sys, 128, 126,
+       2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const KeyCensus got = check_keys_against_definition(c.sys);
+    EXPECT_EQ(got.states, c.states);
+    EXPECT_EQ(got.stabilised, c.stabilised);
+    EXPECT_EQ(got.incomplete, c.incomplete);
+    EXPECT_EQ(got.wrong_perms, 0u);
+    EXPECT_EQ(got.orbit_splits, 0u);
+  }
 }
 
 TEST(Symmetry, InvariantViolationSetsExact) {
