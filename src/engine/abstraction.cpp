@@ -46,8 +46,9 @@ class ConcreteAbstraction final : public StateAbstraction {
   }
 };
 
-/// PR 7's thread-permutation orbit quotient, wrapped.  The reducer's
-/// canonicalisation scratch makes instances worker-local (see clone()).
+/// The thread-permutation orbit quotient (engine/symmetry.hpp), wrapped.
+/// The reducer's canonicalisation scratch makes instances worker-local (see
+/// clone()).
 class SymmetryAbstraction final : public StateAbstraction {
  public:
   explicit SymmetryAbstraction(const System& sys) : sys_(&sys), reducer_(sys) {}
@@ -114,16 +115,9 @@ class RfQuotientAbstraction final : public StateAbstraction {
   void key(const Config& cfg, AbstractKey& out) const override {
     out.perms.clear();
     out.complete = true;
-    auto& enc = out.encoding;
-    enc.clear();
-    // Program state first, mirroring Config::encode_into: the keep mask
-    // below is a pure function of the pcs, so any two equal keys agree on
-    // which viewfront entries the projection dropped.
-    for (const auto p : cfg.pc) enc.push_back(p);
-    for (const auto& file : cfg.regs) {
-      enc.push_back(file.size());
-      for (const auto v : file) enc.push_back(static_cast<std::uint64_t>(v));
-    }
+    // The keep mask is a pure function of the pcs, which the key carries
+    // ahead of the memory block, so any two equal keys agree on which
+    // viewfront entries the projection dropped.
     keep_.assign(static_cast<std::size_t>(num_threads_) * num_locs_, 0);
     for (lang::ThreadId t = 0; t < num_threads_; ++t) {
       const std::size_t points = exports_[t].size();
@@ -138,7 +132,8 @@ class RfQuotientAbstraction final : public StateAbstraction {
         std::memcpy(row, access_[t].data() + pc * num_locs_, num_locs_);
       }
     }
-    cfg.mem.encode_quotient(enc, keep_.data());
+    out.encoding.clear();
+    cfg.encode_into(out.encoding, {.tview_keep = keep_});
   }
 
   [[nodiscard]] std::unique_ptr<StateAbstraction> clone() const override {

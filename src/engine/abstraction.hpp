@@ -9,25 +9,28 @@
 // only decides which arrivals are folded together, never what a recorded
 // step looks like.
 //
-// Three implementations:
+// Three implementations, all written by Config::encode_into: the two
+// quotients differ from Concrete only in the memsem::EncodeView they pass.
 //
 //   * Concrete — the identity abstraction: the key is the configuration's
 //     canonical encoding (Config::encode_into).  Used by the driver's
 //     sleep-set-only reduced path, and the baseline every quotient's
 //     exactness is cross-checked against.
 //
-//   * Symmetry — the thread-permutation orbit quotient of PR 7
+//   * Symmetry — the thread-permutation orbit quotient
 //     (engine/symmetry.hpp): the key is the lexicographically minimal
-//     encoding over the interchangeable-thread permutations, with the
-//     achieving permutations reported so per-thread sleep masks can be
-//     transported into and out of canonical coordinates.
+//     encoding over the interchangeable-thread permutations, each read
+//     through a thread relabelling view, with the achieving permutations
+//     reported so per-thread sleep masks can be transported into and out
+//     of canonical coordinates.
 //
 //   * RfQuotient — the execution-graph quotient (--rf-quotient): the key is
-//     [pcs, registers, rf/mo projection] where the projection
-//     (memsem::MemState::encode_quotient) keeps the full modification
-//     order — reads-from (Update read values), mo positions, covering,
-//     releasing bits, executing threads — plus exactly the view state a
-//     continuation can still observe, and drops the rest:
+//     the canonical encoding read through a viewfront keep mask
+//     (Config::encode_into with memsem::EncodeView::tview_keep).  It keeps
+//     the program state and the full modification order — reads-from
+//     (Update read values), mo positions, covering, releasing bits,
+//     executing threads — plus exactly the view state a continuation can
+//     still observe, and drops the rest:
 //
 //       - a thread's viewfront entry for location l is kept iff the thread
 //         can still reach an instruction accessing l (its enabled reads,

@@ -46,80 +46,6 @@ bool threads_equal(const System& sys, ThreadId a, ThreadId b) {
   return true;
 }
 
-/// Appends the full permuted state encoding of `cfg` under `slot_of` to
-/// `out`.  Word-for-word the layout of Config::encode_into + MemState::encode
-/// with thread-indexed components read in slot order and op thread tags
-/// relabelled (init tags excepted — see MemState::permute_threads) — the
-/// identity permutation reproduces the concrete encoding exactly (tested),
-/// so quotiented and unquotiented runs share one encoding space.  The
-/// output is sized once up front and filled through a pointer: this runs
-/// once per key.
-void encode_permuted_into(const Config& cfg,
-                          const std::vector<ThreadId>& slot_of,
-                          const std::vector<ThreadId>& thread_of,
-                          std::vector<std::uint64_t>& out) {
-  const auto num_threads = static_cast<ThreadId>(cfg.pc.size());
-  const memsem::MemState& mem = cfg.mem;
-  const auto num_locs = static_cast<memsem::LocId>(mem.locations().size());
-  const bool canonical_ts = mem.options().canonical_timestamps;
-  // Every operation sits in one location's mo and has a modification view
-  // of one entry per location.
-  std::size_t ops = 0;
-  for (memsem::LocId loc = 0; loc < num_locs; ++loc) ops += mem.mo(loc).size();
-  std::size_t words = num_threads + num_locs +
-                      static_cast<std::size_t>(num_threads) * num_locs +
-                      ops * ((canonical_ts ? 3 : 5) + num_locs);
-  for (const auto& file : cfg.regs) words += 1 + file.size();
-  const std::size_t base = out.size();
-  out.resize(base + words);
-  std::uint64_t* w = out.data() + base;
-  for (ThreadId s = 0; s < num_threads; ++s) {
-    *w++ = cfg.pc[thread_of[s]];
-  }
-  for (ThreadId s = 0; s < num_threads; ++s) {
-    const auto& file = cfg.regs[thread_of[s]];
-    *w++ = file.size();
-    for (const auto v : file) *w++ = static_cast<std::uint64_t>(v);
-  }
-  for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
-    const auto order = mem.mo(loc);
-    *w++ = order.size();
-    for (const memsem::OpId id : order) {
-      const memsem::Op& op = mem.op(id);
-      std::uint64_t tag = static_cast<std::uint64_t>(op.kind);
-      // Init operations keep their tag, exactly as MemState::permute_threads
-      // does: they are part of the initial state, which the group action
-      // must fix (a relabelled init encodes a state no execution reaches).
-      tag |= static_cast<std::uint64_t>(op.kind == memsem::OpKind::Init
-                                            ? op.thread
-                                            : slot_of[op.thread])
-             << 8;
-      tag |= static_cast<std::uint64_t>(op.releasing) << 40;
-      tag |= static_cast<std::uint64_t>(op.covered) << 41;
-      *w++ = tag;
-      *w++ = static_cast<std::uint64_t>(op.value);
-      *w++ = static_cast<std::uint64_t>(op.read_value);
-      if (!canonical_ts) {
-        *w++ = static_cast<std::uint64_t>(op.ts.numerator());
-        *w++ = static_cast<std::uint64_t>(op.ts.denominator());
-      }
-    }
-  }
-  for (ThreadId s = 0; s < num_threads; ++s) {
-    const ThreadId t = thread_of[s];
-    for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
-      *w++ = mem.op(mem.view_front(t, loc)).mo_pos;
-    }
-  }
-  for (memsem::LocId loc = 0; loc < num_locs; ++loc) {
-    for (const memsem::OpId id : mem.mo(loc)) {
-      for (const memsem::OpId v : mem.mview(id)) {
-        *w++ = mem.op(v).mo_pos;
-      }
-    }
-  }
-}
-
 /// Writes thread `t`'s signature to `out`: 1 + registers + locations words.
 /// Everything thread-indexed in the state, in a permutation-invariant
 /// rendering: pc, register values, and the viewfront row as mo ranks (mo
@@ -273,7 +199,7 @@ void SymmetryReducer::canonicalize(const Config& cfg, AbstractKey& out) const {
     }
     for (ThreadId t = 0; t < num_threads_; ++t) thread_of_[slot_of[t]] = t;
     candidate_.clear();
-    encode_permuted_into(cfg, slot_of, thread_of_, candidate_);
+    cfg.encode_into(candidate_, {slot_of, thread_of_});
     if (found == 0 || candidate_ < out.encoding) {
       candidate_.swap(out.encoding);
       found = 0;
@@ -348,7 +274,7 @@ void SymmetryReducer::for_each_orbit(
   for_each_perm([&](const ThreadPerm& perm) {
     for (ThreadId t = 0; t < num_threads_; ++t) thread_of[perm[t]] = t;
     enc.clear();
-    encode_permuted_into(cfg, perm, thread_of, enc);
+    cfg.encode_into(enc, {perm, thread_of});
     if (!seen.insert(enc).second) return;
     // The identity comes first (for_each_perm starts from ascending images),
     // so fn(cfg, id) leads and the materialisation below is skipped for it.

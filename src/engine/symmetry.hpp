@@ -26,9 +26,12 @@
 //
 // A permutation pi acting on a configuration (P, rho, gamma):
 //   * pc and register files are reindexed: (pi.cfg).pc[pi(t)] = cfg.pc[t];
-//   * every memory operation's executing thread is relabelled pi(t);
+//   * every memory operation's executing thread is relabelled pi(t), init
+//     operations excepted (the initial state is a fixed point);
 //   * thread viewfronts are reindexed rows; per-operation modification views
 //     are per-*location* vectors and are untouched;
+//   * under race detection, the clock matrix's rows and columns, clock
+//     messages and last-access summaries are reindexed the same way;
 //   * modification order, values, covered flags and timestamps are untouched.
 // Because interchangeable threads run identical code, the successor relation
 // is equivariant: steps(pi.cfg) = pi.steps(cfg) with acting threads
@@ -42,14 +45,17 @@
 // registers, thread viewfront row — all components that transform
 // covariantly), and the usually-rare signature ties are broken by
 // enumerating the tie permutations and taking the lexicographically minimal
-// full encoding.  When the tie blow-up exceeds kMaxTieCandidates the
-// canonicaliser keeps the oversized tie groups fixed — the quotient is then
-// under-approximated (some orbits split into several representatives),
-// which only costs reduction, never soundness.  All permutations achieving
-// the chosen encoding are reported; their count > 1 exactly when the state
-// has a non-trivial (discovered) stabiliser, which callers that attach
-// per-thread metadata to canonical states (sleep masks) must intersect
-// over.
+// full encoding.  Each candidate is the canonical encoding read through a
+// thread relabelling (Config::encode_into with a memsem::EncodeView), so a
+// key has exactly the words of the permuted configuration's encoding and
+// no copy of the layout lives here.  When the tie blow-up exceeds
+// kMaxTieCandidates the canonicaliser keeps the oversized tie groups fixed —
+// the quotient is then under-approximated (some orbits split into several
+// representatives), which only costs reduction, never soundness.  All
+// permutations achieving the chosen encoding are reported; their count > 1
+// exactly when the state has a non-trivial (discovered) stabiliser, which
+// callers that attach per-thread metadata to canonical states (sleep masks)
+// must intersect over.
 //
 // --- scratch ownership -------------------------------------------------------
 //

@@ -45,11 +45,15 @@ struct Config {
   /// semantically identical iff their encodings are equal.
   [[nodiscard]] std::vector<std::uint64_t> encode() const;
 
-  /// Appends the canonical encoding to `out` without allocating a fresh
-  /// vector — the hot-path form (callers keep one scratch buffer and
-  /// `clear()` it between states).  Matches MemState::encode's out-param
-  /// convention; encode() above is a convenience wrapper.
-  void encode_into(std::vector<std::uint64_t>& out) const;
+  /// Appends the encoding read through `view` to `out`: the pcs and
+  /// register files in slot order, then MemState::encode under the same
+  /// view.  The default view is the canonical encoding; the symmetry and rf
+  /// quotient keys pass a thread relabelling or a keep mask (see
+  /// memsem::EncodeView), so every state key has this one writer.  Callers
+  /// on the hot path keep one scratch buffer and `clear()` it between
+  /// states; encode() above is a convenience wrapper.
+  void encode_into(std::vector<std::uint64_t>& out,
+                   const memsem::EncodeView& view = {}) const;
 
   [[nodiscard]] std::string to_string(const System& sys) const;
 };

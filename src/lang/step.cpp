@@ -17,18 +17,25 @@ using memsem::OpId;
 
 std::vector<std::uint64_t> Config::encode() const {
   std::vector<std::uint64_t> out;
-  out.reserve(64);
   encode_into(out);
   return out;
 }
 
-void Config::encode_into(std::vector<std::uint64_t>& out) const {
-  for (const auto p : pc) out.push_back(p);
-  for (const auto& file : regs) {
-    out.push_back(file.size());
-    for (const auto v : file) out.push_back(static_cast<std::uint64_t>(v));
+void Config::encode_into(std::vector<std::uint64_t>& out,
+                         const memsem::EncodeView& view) const {
+  const auto num_threads = static_cast<ThreadId>(pc.size());
+  std::size_t words = num_threads;
+  for (const auto& file : regs) words += 1 + file.size();
+  const std::size_t base = out.size();
+  out.resize(base + words);
+  std::uint64_t* w = out.data() + base;
+  for (ThreadId s = 0; s < num_threads; ++s) *w++ = pc[view.thread_at(s)];
+  for (ThreadId s = 0; s < num_threads; ++s) {
+    const auto& file = regs[view.thread_at(s)];
+    *w++ = file.size();
+    for (const auto v : file) *w++ = static_cast<std::uint64_t>(v);
   }
-  mem.encode(out);
+  mem.encode(out, view);
 }
 
 std::string Config::to_string(const System& sys) const {

@@ -411,111 +411,113 @@ void MemState::permute_threads(const std::vector<ThreadId>& slot_of) {
   }
 }
 
-void MemState::encode(std::vector<std::uint64_t>& out) const {
-  const auto num_locs = locs_->size();
+void MemState::encode(std::vector<std::uint64_t>& out,
+                      const EncodeView& view) const {
+  const bool relabel = !view.slot_of.empty();
+  const bool quotient = !view.tview_keep.empty();
+  if (relabel && quotient) {
+    encode_view<true, true>(out, view);
+  } else if (relabel) {
+    encode_view<true, false>(out, view);
+  } else if (quotient) {
+    encode_view<false, true>(out, view);
+  } else {
+    encode_view<false, false>(out, view);
+  }
+}
+
+template <bool kRelabel, bool kQuotient>
+void MemState::encode_view(std::vector<std::uint64_t>& out,
+                           const EncodeView& view) const {
+  const std::size_t num_locs = locs_->size();
+  const std::size_t t_count = num_threads_;
+  // The thread whose components fill slot `s`.
+  const ThreadId* const thread_of = view.thread_of.data();
+  const auto thread_at = [thread_of](ThreadId s) -> ThreadId {
+    if constexpr (kRelabel) {
+      return thread_of[s];
+    } else {
+      return s;
+    }
+  };
+  // Every operation sits in one location's mo and has one modification view
+  // entry per location.  The count is exact unless the keep mask drops
+  // words; the output is then cut back to what was written.
+  std::size_t words =
+      num_locs + t_count * num_locs +
+      ops_.size() * ((options_.canonical_timestamps ? 3 : 5) + num_locs);
+  if (race_) {
+    words += race_->vc.size() + race_->summary.size();
+    for (const auto& m : race_->msg) words += m.size();
+  }
+  const std::size_t base = out.size();
+  out.resize(base + words);
+  std::uint64_t* w = out.data() + base;
+
   for (LocId loc = 0; loc < num_locs; ++loc) {
     const auto order = mo(loc);
-    out.push_back(order.size());
+    *w++ = order.size();
     for (const OpId id : order) {
       const Op& op = ops_[id];
-      std::uint64_t tag = static_cast<std::uint64_t>(op.kind);
-      tag |= static_cast<std::uint64_t>(op.thread) << 8;
-      tag |= static_cast<std::uint64_t>(op.releasing) << 40;
-      tag |= static_cast<std::uint64_t>(op.covered) << 41;
-      out.push_back(tag);
-      out.push_back(static_cast<std::uint64_t>(op.value));
-      out.push_back(static_cast<std::uint64_t>(op.read_value));
+      // Init operations keep their tag, as permute_threads leaves them.
+      const bool keep_tag = !kRelabel || op.kind == OpKind::Init;
+      *w++ = op_tag(op, keep_tag ? op.thread : view.slot_of[op.thread]);
+      *w++ = static_cast<std::uint64_t>(op.value);
+      *w++ = static_cast<std::uint64_t>(op.read_value);
       if (!options_.canonical_timestamps) {
-        out.push_back(static_cast<std::uint64_t>(op.ts.numerator()));
-        out.push_back(static_cast<std::uint64_t>(op.ts.denominator()));
+        *w++ = static_cast<std::uint64_t>(op.ts.numerator());
+        *w++ = static_cast<std::uint64_t>(op.ts.denominator());
       }
     }
   }
-  // Thread viewfronts, thread-major (tview_ is laid out that way).
-  for (const OpId front : tview_) out.push_back(ops_[front].mo_pos);
+  for (ThreadId s = 0; s < num_threads_; ++s) {
+    const std::size_t row =
+        static_cast<std::size_t>(thread_at(s)) * num_locs;
+    for (LocId loc = 0; loc < num_locs; ++loc) {
+      if (kQuotient && view.tview_keep[row + loc] == 0) continue;
+      *w++ = ops_[tview_[row + loc]].mo_pos;
+    }
+  }
   for (LocId loc = 0; loc < num_locs; ++loc) {
+    const bool dead = kQuotient && locs_->is_var(loc);
     for (const OpId id : mo(loc)) {
-      for (const OpId v : mview(id)) out.push_back(ops_[v].mo_pos);
+      if (dead && !ops_[id].releasing) continue;
+      for (const OpId v : mview(id)) *w++ = ops_[v].mo_pos;
     }
   }
   if (race_) {
     // Clock rows, releasing-op messages (presence mirrors the releasing bit
     // encoded above) and last-access summaries are part of state identity —
     // two states that agree on views but disagree on hb must not be merged,
-    // or races reachable from only one of them would be lost.  `pending` is
-    // per-step scratch and deliberately excluded.
+    // or races reachable from only one of them would be lost.  Every key
+    // keeps them whole.  `pending` is per-step scratch and deliberately
+    // excluded.
     const auto& rc = *race_;
-    for (const auto w : rc.vc) out.push_back(w);
+    for (ThreadId s = 0; s < num_threads_; ++s) {
+      const std::size_t row =
+          static_cast<std::size_t>(thread_at(s)) * t_count;
+      for (ThreadId u = 0; u < num_threads_; ++u) {
+        *w++ = rc.vc[row + thread_at(u)];
+      }
+    }
     for (LocId loc = 0; loc < num_locs; ++loc) {
       for (const OpId id : mo(loc)) {
-        for (const auto w : rc.msg[id]) out.push_back(w);
+        const auto& m = rc.msg[id];
+        for (ThreadId s = 0; s < m.size(); ++s) *w++ = m[thread_at(s)];
       }
     }
-    for (const auto& cell : rc.summary) {
-      out.push_back((static_cast<std::uint64_t>(cell.clock) << 32) | cell.pc);
-    }
-  }
-}
-
-void MemState::encode_quotient(std::vector<std::uint64_t>& out,
-                               const std::uint8_t* tview_keep) const {
-  const auto num_locs = locs_->size();
-  // Modification-order block: identical to encode() — rf, mo, values,
-  // covered and releasing are exactly what the quotient must preserve.
-  for (LocId loc = 0; loc < num_locs; ++loc) {
-    const auto order = mo(loc);
-    out.push_back(order.size());
-    for (const OpId id : order) {
-      const Op& op = ops_[id];
-      std::uint64_t tag = static_cast<std::uint64_t>(op.kind);
-      tag |= static_cast<std::uint64_t>(op.thread) << 8;
-      tag |= static_cast<std::uint64_t>(op.releasing) << 40;
-      tag |= static_cast<std::uint64_t>(op.covered) << 41;
-      out.push_back(tag);
-      out.push_back(static_cast<std::uint64_t>(op.value));
-      out.push_back(static_cast<std::uint64_t>(op.read_value));
-      if (!options_.canonical_timestamps) {
-        out.push_back(static_cast<std::uint64_t>(op.ts.numerator()));
-        out.push_back(static_cast<std::uint64_t>(op.ts.denominator()));
-      }
-    }
-  }
-  // Thread viewfronts, filtered by the caller's keep mask.  Dropped entries
-  // are simply omitted: the mask is a function of the program counters,
-  // which the caller encodes ahead of this block, so equal keys always
-  // dropped the same entries.
-  for (ThreadId t = 0; t < num_threads_; ++t) {
-    const std::uint8_t* row =
-        tview_keep + static_cast<std::size_t>(t) * num_locs;
     for (LocId loc = 0; loc < num_locs; ++loc) {
-      if (row[loc] != 0) out.push_back(ops_[view_front(t, loc)].mo_pos);
-    }
-  }
-  // Modification views of operations that can still synchronise someone.
-  // The keep decision reads only the releasing bit and the location kind,
-  // both pinned by the modification-order block above.
-  for (LocId loc = 0; loc < num_locs; ++loc) {
-    const bool is_var = locs_->is_var(loc);
-    for (const OpId id : mo(loc)) {
-      if (is_var && !ops_[id].releasing) continue;
-      for (const OpId v : mview(id)) out.push_back(ops_[v].mo_pos);
-    }
-  }
-  if (race_) {
-    // The full clock block stays: happens-before is exactly what the race
-    // checker observes per state, so the quotient must not merge states
-    // that disagree on it (mirrors encode()).
-    const auto& rc = *race_;
-    for (const auto w : rc.vc) out.push_back(w);
-    for (LocId loc = 0; loc < num_locs; ++loc) {
-      for (const OpId id : mo(loc)) {
-        for (const auto w : rc.msg[id]) out.push_back(w);
+      for (ThreadId s = 0; s < num_threads_; ++s) {
+        const auto* cells =
+            &rc.summary[(loc * t_count + thread_at(s)) * kNumRaceCats];
+        for (std::size_t k = 0; k < kNumRaceCats; ++k) {
+          *w++ = (static_cast<std::uint64_t>(cells[k].clock) << 32) |
+                 cells[k].pc;
+        }
       }
     }
-    for (const auto& cell : rc.summary) {
-      out.push_back((static_cast<std::uint64_t>(cell.clock) << 32) | cell.pc);
-    }
   }
+  out.resize(static_cast<std::size_t>(w - out.data()));
 }
 
 std::string MemState::to_string() const {

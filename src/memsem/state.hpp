@@ -111,6 +111,50 @@ struct Op {
   support::Rational ts;      ///< faithful rational timestamp
 };
 
+/// The word that names an operation's action in an encoding: the kind in
+/// bits 0-7, the executing-thread tag `thread` from bit 8, the releasing
+/// bit at 40 and the covered bit at 41.  `thread` is op.thread, or its image
+/// under a thread relabelling (EncodeView).
+[[nodiscard]] inline std::uint64_t op_tag(const Op& op, ThreadId thread) {
+  return static_cast<std::uint64_t>(op.kind) |
+         (static_cast<std::uint64_t>(thread) << 8) |
+         (static_cast<std::uint64_t>(op.releasing) << 40) |
+         (static_cast<std::uint64_t>(op.covered) << 41);
+}
+
+/// How MemState::encode (and lang::Config::encode_into) read a state.  The
+/// default view encodes the state as it is; each field is set by the engine
+/// layer that needs it, never by a user.
+///
+///   * A thread relabelling (symmetry keys, orbit walks): slot s is filled
+///     with thread thread_of[s]'s components — pc, registers, viewfront row,
+///     clock row and column, message entry and last-access summaries — and
+///     operation thread tags t become slot_of[t], init operations excepted.
+///     thread_of is the inverse of slot_of.  The words are exactly the
+///     default encoding of the relabelled state (permute_threads(slot_of);
+///     engine::SymmetryReducer::permuted for a configuration), without
+///     copying it.
+///
+///   * An rf-quotient keep mask (--rf-quotient keys; engine/abstraction.hpp):
+///     num_threads × num_locs bytes indexed [thread * num_locs + loc].  A
+///     thread's viewfront entry is encoded only where its byte is nonzero,
+///     and the modification views of non-releasing plain-variable operations
+///     are left out: no synchronisation ever merges them (read() and
+///     update() only synchronise with releasing writes, object_op() and
+///     consume() only with object-location operations).  The caller derives
+///     the mask from the program counters, which the encoding carries ahead
+///     of the memory block, so equal keys always dropped the same entries.
+struct EncodeView {
+  std::span<const ThreadId> slot_of = {};    ///< empty: the identity
+  std::span<const ThreadId> thread_of = {};  ///< empty: the identity
+  std::span<const std::uint8_t> tview_keep = {};  ///< empty: keep everything
+
+  /// The thread whose components fill slot `s`.
+  [[nodiscard]] ThreadId thread_at(ThreadId s) const {
+    return thread_of.empty() ? s : thread_of[s];
+  }
+};
+
 /// Which memory model the transitions implement.
 enum class MemoryModel : std::uint8_t {
   /// The paper's model: per-thread views, relaxed and release/acquire
@@ -309,37 +353,14 @@ class MemState {
   // Encoding
   // ------------------------------------------------------------------
 
-  /// Appends a canonical encoding of this state to `out`.  Two states have
-  /// equal encodings iff they are equal up to order-isomorphism of
-  /// timestamps (with options().canonical_timestamps; otherwise raw rational
-  /// timestamps are embedded, distinguishing isomorphic states).
-  void encode(std::vector<std::uint64_t>& out) const;
-
-  /// Appends the reads-from/modification-order *quotient* encoding (the
-  /// engine's --rf-quotient state key; see engine/abstraction.hpp).  The
-  /// modification-order block (operation kinds, executing threads, values,
-  /// read values, covered flags, releasing bits) and — when race detection
-  /// is on — the full clock block are emitted exactly as encode() does.
-  /// What is projected away is view history that no continuation can
-  /// observe:
-  ///
-  ///   * per-operation modification views are kept only for operations that
-  ///     can still be merged into a thread view — releasing operations and
-  ///     every object-location operation.  A non-releasing plain-variable
-  ///     write's mview is dead: read-synchronisation requires the observed
-  ///     write to be releasing (read()), update-synchronisation likewise
-  ///     (update()), and object synchronisation only targets object
-  ///     locations (object_op()/consume());
-  ///
-  ///   * thread-viewfront entries are kept only where
-  ///     `tview_keep[t * num_locs + loc]` is nonzero.  The caller derives
-  ///     the keep mask from the per-thread program counters (which access
-  ///     and export reachability the thread still has), so the dropped-entry
-  ///     shape is a pure function of state components encoded *before* this
-  ///     block — equal quotient keys never conflate structurally different
-  ///     states.
-  void encode_quotient(std::vector<std::uint64_t>& out,
-                       const std::uint8_t* tview_keep) const;
+  /// Appends the canonical encoding of this state, read through `view`, to
+  /// `out` — the one writer of every state key (layout: docs/SEMANTICS.md
+  /// §5).  Two states have equal default encodings iff they are equal up to
+  /// order-isomorphism of timestamps (with options().canonical_timestamps;
+  /// otherwise raw rational timestamps are embedded, distinguishing
+  /// isomorphic states).
+  void encode(std::vector<std::uint64_t>& out,
+              const EncodeView& view = {}) const;
 
   /// Human-readable dump for diagnostics and counterexamples.
   [[nodiscard]] std::string to_string() const;
@@ -389,6 +410,12 @@ class MemState {
   [[nodiscard]] OpId* tview_row(ThreadId t) {
     return tview_.data() + static_cast<std::size_t>(t) * num_locs();
   }
+
+  /// encode()'s body, instantiated per view kind so that no view pays a
+  /// per-word test for the other's fields.
+  template <bool kRelabel, bool kQuotient>
+  void encode_view(std::vector<std::uint64_t>& out,
+                   const EncodeView& view) const;
 
   /// Pointwise-later merge: the paper's V1 ⊗ V2 (keeps the operation with the
   /// larger timestamp per location).  If `only` is set, locations of other

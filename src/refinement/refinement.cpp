@@ -37,11 +37,7 @@ ClientProjection project_client(const System& sys, const Config& cfg) {
     proj.exact.push_back(order.size());
     for (const OpId w : order) {
       const auto& op = cfg.mem.op(w);
-      std::uint64_t tag = static_cast<std::uint64_t>(op.kind);
-      tag |= static_cast<std::uint64_t>(op.thread) << 8;
-      tag |= static_cast<std::uint64_t>(op.covered) << 40;
-      tag |= static_cast<std::uint64_t>(op.releasing) << 41;
-      proj.exact.push_back(tag);
+      proj.exact.push_back(memsem::op_tag(op, op.thread));
       proj.exact.push_back(static_cast<std::uint64_t>(op.value));
     }
     for (ThreadId t = 0; t < sys.num_threads(); ++t) {
@@ -571,17 +567,25 @@ TraceInclusionResult play_trace_inclusion(const GraphPair& pair,
           }
         }
       });
-      const auto build_maps = [&perms](const engine::SymmetryReducer& red,
-                                       const StateGraph& g) {
+      const auto build_maps = [&perms](const StateGraph& g) {
         std::vector<std::vector<std::uint64_t>> encs(g.num_states());
         for (std::size_t i = 0; i < g.num_states(); ++i) {
           encs[i] = g.states[i].encode();
         }
         std::vector<std::vector<std::uint32_t>> maps(
             perms.size(), std::vector<std::uint32_t>(g.num_states()));
+        // Each image is encoded through the relabelling view instead of
+        // materialising the permuted configuration.
+        engine::ThreadPerm thread_of;
+        std::vector<std::uint64_t> enc;
         for (std::size_t p = 0; p < perms.size(); ++p) {
+          thread_of.resize(perms[p].size());
+          for (ThreadId t = 0; t < perms[p].size(); ++t) {
+            thread_of[perms[p][t]] = t;
+          }
           for (std::size_t i = 0; i < g.num_states(); ++i) {
-            const auto enc = red.permuted(g.states[i], perms[p]).encode();
+            enc.clear();
+            g.states[i].encode_into(enc, {perms[p], thread_of});
             const auto it = std::lower_bound(encs.begin(), encs.end(), enc);
             RC11_REQUIRE(it != encs.end() && *it == enc,
                          "permuted state missing from a complete state graph "
@@ -592,8 +596,8 @@ TraceInclusionResult play_trace_inclusion(const GraphPair& pair,
         }
         return maps;
       };
-      abs_maps = build_maps(abs_red, abs);
-      conc_maps = build_maps(conc_red, conc);
+      abs_maps = build_maps(abs);
+      conc_maps = build_maps(conc);
     }
   }
   const bool quotient = !perms.empty();

@@ -39,7 +39,7 @@ TEST(Race, ClassifiesTheCorpus) {
       {"Race-MP+na+rlx", 1, 13, 12, 10},
       {"Race-MP+na+rel+acq", 0, 12, 11, 9},
       {"Race-DCL+broken", 3, 79, 33, 79},
-      {"Race-DCL+cas+rel+acq", 0, 95, 22, 81},
+      {"Race-DCL+cas+rel+acq", 0, 95, 27, 81},
       {"Race-flag-spin+na", 1, 13, 12, 10},
       {"Race-disjoint+na", 0, 9, 9, 9},
       {"Race-lock+na", 0, 17, 9, 17},

@@ -102,7 +102,7 @@ const Pin kPins[] = {
     {"lock_client_seqlock.rc11", "traced rf-quotient", 113, 210, 11, 0, 0, 38, 0, 0},
     {"dcl_broken.rc11", "plain", 79, 136, 9, 0, 0, 0, 0, 14060},
     {"dcl_broken.rc11", "por", 64, 110, 8, 14, 0, 0, 0, 8782},
-    {"dcl_broken.rc11", "por+symmetry", 33, 57, 8, 8, 14, 3, 0, 4096},
+    {"dcl_broken.rc11", "por+symmetry", 33, 57, 8, 8, 14, 3, 0, 5870},
     {"dcl_broken.rc11", "rf-quotient", 69, 128, 6, 0, 0, 20, 0, 10798},
     {"dcl_broken.rc11", "traced", 79, 136, 9, 0, 0, 0, 0, 0},
     {"dcl_broken.rc11", "traced por", 64, 110, 8, 9, 0, 0, 0, 0},

@@ -249,7 +249,7 @@ void expect_pin(const EncodingPin& got, const EncodingPin& want) {
 // layout, so a representation change that alters a single word fails here.
 // The programs cover every operation kind and every semantics switch, and
 // the two quotient keys (rf quotient, symmetry orbit) are pinned the same
-// way on one program each.
+// way on two programs each, one of them race-detected.
 TEST(StateRepr, CanonicalEncodingPinned) {
   const auto file = [](const char* name) {
     return parser::parse_file(prog(name)).sys;
@@ -299,23 +299,38 @@ TEST(StateRepr, CanonicalEncodingPinned) {
     SCOPED_TRACE(c.what);
     expect_pin(pin_encodings(c.sys, {}, nullptr), c.want);
   }
-  {
-    SCOPED_TRACE("store_fan rf-quotient key");
-    const System sys = file("store_fan.rc11");
+  // The quotient keys, each explored under its own reduction.  The
+  // race-detected keys carry the clock words: relabelled under symmetry,
+  // whole under the rf quotient.
+  const auto race_detected = [&](const char* name) {
+    return with_options(file(name), [](auto& s) { s.race_detection = true; });
+  };
+  struct KeyCase {
+    const char* what;
+    System sys;
+    bool symmetry;  ///< the symmetry key; otherwise the rf-quotient key
+    EncodingPin want;
+  };
+  const KeyCase key_cases[] = {
+      {"store_fan rf-quotient key", file("store_fan.rc11"), false,
+       {4812, 229496, 0x8e195d4fb6bf1510, 0x4a2dbea34e8453e5}},
+      {"ticket_worker symmetry key", file("ticket_worker.rc11"), true,
+       {2791, 314430, 0xaa55cec85c7376ae, 0x04887992e77a65bd}},
+      {"dcl_init race-detected symmetry key", race_detected("dcl_init.rc11"),
+       true, {48, 3974, 0x5e7fddde1d161bef, 0x1ae99de13e24bc41}},
+      {"dcl_broken race-detected rf-quotient key",
+       race_detected("dcl_broken.rc11"), false,
+       {69, 3372, 0x22a357a3f45ec36b, 0x3a439c3e38756085}},
+  };
+  for (const KeyCase& c : key_cases) {
+    SCOPED_TRACE(c.what);
     engine::ReachOptions reach;
-    reach.rf_quotient = true;
-    const auto abs = engine::make_rf_quotient_abstraction(sys, {});
-    expect_pin(pin_encodings(sys, reach, abs.get()),
-               {4812, 229496, 0x8e195d4fb6bf1510, 0x4a2dbea34e8453e5});
-  }
-  {
-    SCOPED_TRACE("ticket_worker symmetry key");
-    const System sys = file("ticket_worker.rc11");
-    engine::ReachOptions reach;
-    reach.symmetry = true;
-    const auto abs = engine::make_symmetry_abstraction(sys);
-    expect_pin(pin_encodings(sys, reach, abs.get()),
-               {2791, 314430, 0xaa55cec85c7376ae, 0x04887992e77a65bd});
+    reach.symmetry = c.symmetry;
+    reach.rf_quotient = !c.symmetry;
+    const auto abs = c.symmetry
+                         ? engine::make_symmetry_abstraction(c.sys)
+                         : engine::make_rf_quotient_abstraction(c.sys, {});
+    expect_pin(pin_encodings(c.sys, reach, abs.get()), c.want);
   }
 }
 

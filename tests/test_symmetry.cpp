@@ -288,8 +288,17 @@ TEST(Symmetry, KeysMatchTheirDefinition) {
   // The pinned keys (StateRepr.CanonicalEncodingPinned, the one-worker
   // schedule, the matrix's symmetry rows) come from one-class systems with
   // rare ties.  These inputs add a system with two classes, each ordered in
-  // its own span of the reducer's slot-order array, and one whose largest
-  // tie groups exceed the candidate cap.
+  // its own span of the reducer's slot-order array, one whose largest tie
+  // groups exceed the candidate cap, and two race-detected systems, whose
+  // keys must carry the clock rows, columns, messages and summaries
+  // relabelled as MemState::permute_threads moves them.
+  const auto race_detected = [](const char* name) {
+    System sys = parser::parse_file(catalogue::program_path(name)).sys;
+    auto options = sys.options();
+    options.race_detection = true;
+    sys.set_options(options);
+    return sys;
+  };
   std::string two_classes = "var x = 0;\nvar y = 0;\n";
   two_classes += replicated("w", 2, "x := 1; y :=R 1;");
   two_classes += replicated("r", 2, "reg a$; reg b$; a$ <-A y; b$ <- x;");
@@ -310,6 +319,9 @@ TEST(Symmetry, KeysMatchTheirDefinition) {
       // group of 7! = 5040 candidates, past the cap of 720.
       {"seven readers", parser::parse_program(seven_readers).sys, 128, 126,
        2},
+      {"ticket_worker race-detected", race_detected("ticket_worker.rc11"),
+       17479, 43, 0},
+      {"dcl_init race-detected", race_detected("dcl_init.rc11"), 95, 1, 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
