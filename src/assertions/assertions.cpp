@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "objects/container.hpp"
 #include "support/diagnostics.hpp"
 
 namespace rc11::assertions {
@@ -347,13 +348,11 @@ Assertion lock_held_by(ThreadId t, LocId l) {
 
 namespace {
 
+/// The push a pop on `s` would return; none off a stack location, so that
+/// the stack assertions stay total over every location.
 std::optional<OpId> top_of(const MemState& mem, LocId s) {
-  const auto order = mem.mo(s);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const auto& op = mem.op(*it);
-    if (op.kind == OpKind::StackPush && !op.covered) return *it;
-  }
-  return std::nullopt;
+  if (mem.locations().kind(s) != memsem::LocKind::Stack) return std::nullopt;
+  return objects::container_next(mem, s);
 }
 
 }  // namespace

@@ -4,14 +4,12 @@
 #include <sstream>
 
 #include "lang/config.hpp"
+#include "objects/container.hpp"
 #include "objects/lock.hpp"
-#include "objects/queue.hpp"
-#include "objects/stack.hpp"
 #include "support/diagnostics.hpp"
 
 namespace rc11::lang {
 
-using memsem::kStackEmpty;
 using memsem::MemState;
 using memsem::OpId;
 
@@ -245,30 +243,19 @@ void append_thread_successors(const System& sys, const Config& cfg, ThreadId t,
     }
     case IKind::Push: {
       const Value v = in.e1.eval(regs);
-      const bool is_queue =
-          sys.locations().kind(in.loc) == memsem::LocKind::Queue;
       add_step(out, sys, cfg, t, in, want_labels, "", [&](Config& next) {
-        const bool releasing = in.order == memsem::MemOrder::Release;
-        if (is_queue) {
-          objects::queue_enqueue(next.mem, t, in.loc, v, releasing);
-        } else {
-          objects::stack_push(next.mem, t, in.loc, v, releasing);
-        }
+        objects::container_insert(next.mem, t, in.loc, v,
+                                  in.order == memsem::MemOrder::Release);
       });
       break;
     }
     case IKind::Pop: {
-      const bool is_queue =
-          sys.locations().kind(in.loc) == memsem::LocKind::Queue;
-      const bool empty = is_queue ? objects::queue_empty(cfg.mem, in.loc)
-                                  : objects::stack_empty(cfg.mem, in.loc);
+      const bool empty = objects::container_empty(cfg.mem, in.loc);
       add_step(out, sys, cfg, t, in, want_labels, empty ? " (empty)" : "",
                [&](Config& next) {
-                 const bool acq = in.order == memsem::MemOrder::Acquire;
-                 next.regs[t][in.dst] =
-                     is_queue
-                         ? objects::queue_dequeue(next.mem, t, in.loc, acq)
-                         : objects::stack_pop(next.mem, t, in.loc, acq);
+                 next.regs[t][in.dst] = objects::container_remove(
+                     next.mem, t, in.loc,
+                     in.order == memsem::MemOrder::Acquire);
                });
       break;
     }

@@ -282,10 +282,11 @@ ThreadBuilder& ThreadBuilder::release(LocId lock, std::string_view label) {
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::push(LocId stack, Expr e, std::string_view label) {
+ThreadBuilder& ThreadBuilder::push(LocId container, Expr e,
+                                   std::string_view label) {
   Instr in;
   in.kind = IKind::Push;
-  in.loc = stack;
+  in.loc = container;
   in.e1 = std::move(e);
   in.order = MemOrder::Relaxed;
   in.label = label;
@@ -293,49 +294,32 @@ ThreadBuilder& ThreadBuilder::push(LocId stack, Expr e, std::string_view label) 
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::push_rel(LocId stack, Expr e, std::string_view label) {
-  push(stack, std::move(e), label);
+ThreadBuilder& ThreadBuilder::push_rel(LocId container, Expr e,
+                                       std::string_view label) {
+  push(container, std::move(e), label);
   sys_->code_[thread_].back().order = MemOrder::Release;
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::pop(Reg r, LocId stack, std::string_view label) {
+ThreadBuilder& ThreadBuilder::pop(Reg r, LocId container,
+                                  std::string_view label) {
   check_reg_thread(r, thread_);
   Instr in;
   in.kind = IKind::Pop;
   in.dst = r.id;
   in.has_dst = true;
-  in.loc = stack;
+  in.loc = container;
   in.order = MemOrder::Relaxed;
   in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::pop_acq(Reg r, LocId stack, std::string_view label) {
-  pop(r, stack, label);
+ThreadBuilder& ThreadBuilder::pop_acq(Reg r, LocId container,
+                                      std::string_view label) {
+  pop(r, container, label);
   sys_->code_[thread_].back().order = MemOrder::Acquire;
   return *this;
-}
-
-ThreadBuilder& ThreadBuilder::enqueue(LocId queue, Expr e,
-                                      std::string_view label) {
-  return push(queue, std::move(e), label);
-}
-
-ThreadBuilder& ThreadBuilder::enqueue_rel(LocId queue, Expr e,
-                                          std::string_view label) {
-  return push_rel(queue, std::move(e), label);
-}
-
-ThreadBuilder& ThreadBuilder::dequeue(Reg r, LocId queue,
-                                      std::string_view label) {
-  return pop(r, queue, label);
-}
-
-ThreadBuilder& ThreadBuilder::dequeue_acq(Reg r, LocId queue,
-                                          std::string_view label) {
-  return pop_acq(r, queue, label);
 }
 
 ThreadBuilder& ThreadBuilder::if_else(Expr cond,

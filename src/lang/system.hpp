@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "lang/expr.hpp"
@@ -44,8 +45,9 @@ enum class IKind : std::uint8_t {
   Fai,          ///< r <- FAI(x)^RA — fetch-and-increment update
   LockAcquire,  ///< abstract lock method call (blocking; returns true)
   LockRelease,  ///< abstract lock method call
-  Push,         ///< abstract stack push[^R]
-  Pop,          ///< r <- stack pop[^A] (returns kStackEmpty when empty)
+  Push,         ///< container insert[^R]: stack push, queue enqueue
+  Pop,          ///< r <- container remove[^A]: stack pop, queue dequeue
+                ///< (Empty when empty)
   Branch,       ///< if e1 != 0 goto target
   Jump,         ///< goto target
 };
@@ -122,16 +124,13 @@ class ThreadBuilder {
   /// l.Acquire(v) notation; used by proof outlines such as Fig. 7's rl).
   ThreadBuilder& acquire_version(LocId lock, Reg r, std::string_view label = {});
   ThreadBuilder& release(LocId lock, std::string_view label = {});
-  ThreadBuilder& push(LocId stack, Expr e, std::string_view label = {});
-  ThreadBuilder& push_rel(LocId stack, Expr e, std::string_view label = {});
-  ThreadBuilder& pop(Reg r, LocId stack, std::string_view label = {});
-  ThreadBuilder& pop_acq(Reg r, LocId stack, std::string_view label = {});
-  /// Queue aliases: enqueue/dequeue reuse the Push/Pop instruction kinds and
-  /// dispatch on the location's kind at execution time.
-  ThreadBuilder& enqueue(LocId queue, Expr e, std::string_view label = {});
-  ThreadBuilder& enqueue_rel(LocId queue, Expr e, std::string_view label = {});
-  ThreadBuilder& dequeue(Reg r, LocId queue, std::string_view label = {});
-  ThreadBuilder& dequeue_acq(Reg r, LocId queue, std::string_view label = {});
+  /// Container methods on a stack or a queue location: the location's kind
+  /// decides at execution time whether a pop takes the newest or the oldest
+  /// element (objects/container.hpp).
+  ThreadBuilder& push(LocId container, Expr e, std::string_view label = {});
+  ThreadBuilder& push_rel(LocId container, Expr e, std::string_view label = {});
+  ThreadBuilder& pop(Reg r, LocId container, std::string_view label = {});
+  ThreadBuilder& pop_acq(Reg r, LocId container, std::string_view label = {});
 
   // --- compound statements (Com grammar) ---
   /// if cond then then_body() else else_body().
@@ -208,6 +207,56 @@ class System {
   std::vector<std::vector<RegInfo>> regs_;
   std::vector<std::vector<Instr>> code_;
   SemanticsOptions options_;
+};
+
+// --- object-registration helpers ---------------------------------------------
+//
+// Every object implementation (locks, containers) fills a client's holes the
+// same way: it registers its scratch registers the first time a thread calls
+// one of its methods, and C[O] is built by declaring the object's locations
+// before running the client.
+
+/// Per-thread lazy register registration.  `Regs` is the implementation's
+/// bundle of Library-tagged scratch registers; `get` returns the bundle for
+/// the builder's thread, calling `make(tb)` exactly once per thread to
+/// declare the registers on first use.  `reset` forgets all bundles — object
+/// instances are reusable across instantiations, and registers belong to the
+/// System being built, not to the object.
+template <typename Regs>
+class PerThreadRegs {
+ public:
+  void reset() { regs_.clear(); }
+
+  template <typename Make>
+  Regs& get(ThreadBuilder& tb, Make&& make) {
+    const auto t = tb.id();
+    auto it = regs_.find(t);
+    if (it == regs_.end()) {
+      it = regs_.emplace(t, make(tb)).first;
+    }
+    return it->second;
+  }
+
+ private:
+  std::unordered_map<ThreadId, Regs> regs_;
+};
+
+/// Builds C[O]: a fresh System on which `client` is run with `object`
+/// filling the holes.  The object declares its library locations first,
+/// before any thread exists.
+template <typename Object, typename Client>
+[[nodiscard]] System instantiate_object(const Client& client, Object& object) {
+  System sys;
+  object.declare(sys);
+  client(sys, object);
+  return sys;
+}
+
+/// Handles to the client-visible artifacts of a client program, for outcome
+/// inspection (identical across instantiations of the same client).
+struct ClientArtifacts {
+  std::vector<LocId> vars;
+  std::vector<Reg> regs;
 };
 
 }  // namespace rc11::lang

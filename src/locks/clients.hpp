@@ -7,20 +7,12 @@
 
 #pragma once
 
-#include <vector>
-
 #include "locks/lock_objects.hpp"
 
 namespace rc11::locks {
 
+using lang::ClientArtifacts;
 using lang::Value;
-
-/// Handles to the client-visible artifacts of a client program, for outcome
-/// inspection (identical across instantiations of the same client).
-struct ClientArtifacts {
-  std::vector<LocId> vars;
-  std::vector<Reg> regs;
-};
 
 /// The Fig. 7-shaped client: thread 0 acquires, writes d1 := 5 and d2 := 5
 /// (relaxed) and releases; thread 1 acquires, reads both into r1, r2 and

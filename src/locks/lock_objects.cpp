@@ -148,7 +148,7 @@ void TTASLock::emit_release(ThreadBuilder& tb) {
 // --- instantiation ---------------------------------------------------------------
 
 System instantiate(const ClientProgram& client, LockObject& object) {
-  return og::instantiate_object(client, object);
+  return lang::instantiate_object(client, object);
 }
 
 }  // namespace rc11::locks

@@ -22,7 +22,6 @@
 #include <string>
 
 #include "lang/system.hpp"
-#include "og/catalog.hpp"
 
 namespace rc11::locks {
 
@@ -93,7 +92,7 @@ class SeqLock final : public LockObject {
 
   LocId glb_ = 0;
   bool releasing_release_;
-  og::PerThreadRegs<ThreadRegs> regs_;
+  lang::PerThreadRegs<ThreadRegs> regs_;
 };
 
 /// The ticket lock of Section 6.3:
@@ -121,7 +120,7 @@ class TicketLock final : public LockObject {
   LocId nt_ = 0;  ///< next ticket
   LocId sn_ = 0;  ///< serving now
   bool releasing_release_;
-  og::PerThreadRegs<ThreadRegs> regs_;
+  lang::PerThreadRegs<ThreadRegs> regs_;
 };
 
 /// A test-and-set spinlock (extra implementation of the same specification):
@@ -141,7 +140,7 @@ class CasSpinLock final : public LockObject {
   ThreadRegs& regs_for(ThreadBuilder& tb);
 
   LocId glb_ = 0;
-  og::PerThreadRegs<ThreadRegs> regs_;
+  lang::PerThreadRegs<ThreadRegs> regs_;
 };
 
 /// A test-and-test-and-set spinlock: spins on a relaxed-free read loop and
@@ -164,7 +163,7 @@ class TTASLock final : public LockObject {
   ThreadRegs& regs_for(ThreadBuilder& tb);
 
   LocId glb_ = 0;
-  og::PerThreadRegs<ThreadRegs> regs_;
+  lang::PerThreadRegs<ThreadRegs> regs_;
 };
 
 /// A client program parameterised by the object that fills its holes

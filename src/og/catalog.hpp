@@ -18,8 +18,6 @@
 
 #pragma once
 
-#include <unordered_map>
-
 #include "og/proof_outline.hpp"
 
 namespace rc11::og {
@@ -27,51 +25,6 @@ namespace rc11::og {
 using lang::LocId;
 using lang::Reg;
 using lang::System;
-
-// --- object-registration helpers ---------------------------------------------
-//
-// Every concrete object implementation (locks, stacks, queues) repeats the
-// same two rituals: lazily registering its scratch registers the first time a
-// thread executes one of its methods, and instantiating C[O] by declaring the
-// object's locations before running the client.  Both live here, once, so the
-// object families cannot drift apart structurally.
-
-/// Per-thread lazy register registration.  `Regs` is the implementation's
-/// bundle of Library-tagged scratch registers; `get` returns the bundle for
-/// the builder's thread, calling `make(tb)` exactly once per thread to
-/// declare the registers on first use.  `reset` forgets all bundles — object
-/// instances are reusable across instantiations, and registers belong to the
-/// System being built, not to the object.
-template <typename Regs>
-class PerThreadRegs {
- public:
-  void reset() { regs_.clear(); }
-
-  template <typename Make>
-  Regs& get(lang::ThreadBuilder& tb, Make&& make) {
-    const auto t = tb.id();
-    auto it = regs_.find(t);
-    if (it == regs_.end()) {
-      it = regs_.emplace(t, make(tb)).first;
-    }
-    return it->second;
-  }
-
- private:
-  std::unordered_map<std::uint32_t, Regs> regs_;
-};
-
-/// Builds C[O]: a fresh System on which `client` is run with `object`
-/// filling the holes.  The object declares its library locations first
-/// (before any thread exists), exactly as each family's `instantiate`
-/// wrapper promises.
-template <typename Object, typename Client>
-[[nodiscard]] System instantiate_object(const Client& client, Object& object) {
-  System sys;
-  object.declare(sys);
-  client(sys, object);
-  return sys;
-}
 
 /// Figure 3: message passing via the synchronising stack.
 struct Fig3Example {

@@ -314,6 +314,13 @@ class Parser {
     return it->second;
   }
 
+  /// The container a method names: push and pop need a stack, enq and deq
+  /// a queue.
+  LocId container(const std::string& name, bool stack) {
+    return stack ? location(name, LocKind::Stack, "stack")
+                 : location(name, LocKind::Queue, "queue");
+  }
+
   /// Resolves a register named by `tok` in the code of `tb`'s thread.
   /// Registers are thread-local: only outline assertions may name another
   /// thread's registers.
@@ -439,7 +446,7 @@ class Parser {
     const auto& name = name_tok.text;
 
     // Object method call without destination: l.acquire(); l.release();
-    // s.push(e); s.pushR(e);
+    // s.push(e); s.pushR(e); q.enq(e); q.enqR(e);
     if (lex_.peek().kind == Tok::Dot) {
       lex_.take();
       const auto method = expect(Tok::Ident, "method name").text;
@@ -451,23 +458,15 @@ class Parser {
       } else if (method == "release") {
         expect(Tok::RParen, "')'");
         tb.release(location(name, LocKind::Lock, "lock"), name + ".release()");
-      } else if (method == "push" || method == "pushR") {
+      } else if (method == "push" || method == "pushR" || method == "enq" ||
+                 method == "enqR") {
         Expr value = parse_expr(tb);
         expect(Tok::RParen, "')'");
-        const auto s = location(name, LocKind::Stack, "stack");
-        if (method == "pushR") {
-          tb.push_rel(s, std::move(value), name + ".pushR");
+        const auto loc = container(name, method.rfind("push", 0) == 0);
+        if (method.back() == 'R') {
+          tb.push_rel(loc, std::move(value), name + "." + method);
         } else {
-          tb.push(s, std::move(value), name + ".push");
-        }
-      } else if (method == "enq" || method == "enqR") {
-        Expr value = parse_expr(tb);
-        expect(Tok::RParen, "')'");
-        const auto q = location(name, LocKind::Queue, "queue");
-        if (method == "enqR") {
-          tb.enqueue_rel(q, std::move(value), name + ".enqR");
-        } else {
-          tb.enqueue(q, std::move(value), name + ".enq");
+          tb.push(loc, std::move(value), name + "." + method);
         }
       } else {
         lex_.error("unknown method '" + method + "'");
@@ -507,7 +506,7 @@ class Parser {
 
     // Reads and RMW/method calls with a destination register:
     //   r <- x; r <-A x; r <-NA x; r <- CAS(...); r <- FAI(x);
-    //   r <- l.acquire(); r <- s.pop(); r <-A s.pop();
+    //   r <- l.acquire(); r <- s.pop(); r <-A s.pop(); r <-A q.deq();
     if (lex_.peek().kind == Tok::Arrow) {
       const Token op = lex_.take();
       const auto dst = reg_lookup(name_tok, tb);
@@ -525,19 +524,13 @@ class Parser {
           }
           tb.acquire(location(src, LocKind::Lock, "lock"), dst,
                      name + " <- " + src + ".acquire()");
-        } else if (method == "pop") {
-          const auto s = location(src, LocKind::Stack, "stack");
+        } else if (method == "pop" || method == "deq") {
+          const auto loc = container(src, method == "pop");
+          const auto call = src + "." + method + "()";
           if (method_acquires(op, method)) {
-            tb.pop_acq(dst, s, name + " <-A " + src + ".pop()");
+            tb.pop_acq(dst, loc, name + " <-A " + call);
           } else {
-            tb.pop(dst, s, name + " <- " + src + ".pop()");
-          }
-        } else if (method == "deq") {
-          const auto q = location(src, LocKind::Queue, "queue");
-          if (method_acquires(op, method)) {
-            tb.dequeue_acq(dst, q, name + " <-A " + src + ".deq()");
-          } else {
-            tb.dequeue(dst, q, name + " <- " + src + ".deq()");
+            tb.pop(dst, loc, name + " <- " + call);
           }
         } else {
           lex_.error("unknown method '" + method + "' in read position");

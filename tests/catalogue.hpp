@@ -153,6 +153,10 @@ inline std::vector<Race> race_tests() {
   tests.push_back(entry("Race-lock+na", "lock_na.rc11", false));
   // Relaxed MP again: weak but never racy, having no non-atomic access.
   tests.push_back(entry("Race-atomic-only", "mp_rlx.rc11", false));
+  // Two identical threads: symmetry reports the mirror-image race only
+  // through the orbit closure of the race set.
+  tests.push_back(
+      entry("Race-elected-writer+na", "fai_elected_race.rc11", true));
   return tests;
 }
 

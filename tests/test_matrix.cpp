@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "catalogue.hpp"
+#include "containers/container_objects.hpp"
 #include "litmus/case_studies.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
 #include "matrix.hpp"
 #include "small_programs.hpp"
-#include "stacks/stack_objects.hpp"
 
 namespace {
 
@@ -88,24 +88,25 @@ Instance lock_client(const std::string& client_name,
              });
 }
 
-/// Corpus files numbered after every other input.  An instance's number is
-/// part of its ctest name ("# GetParam() = N"), so new inputs join the end
-/// of the list instead of renumbering every test after the place where
-/// they sort.
-const std::set<std::string> kLaterCorpus = {"rf_export_view.rc11"};
+/// Corpus files added after the first numbering.  An instance's number is
+/// part of its ctest name ("# GetParam() = N"), so each of these is appended
+/// after every input that was there before it, in the order it was added,
+/// instead of renumbering every test after the place where it sorts.
+const std::set<std::string> kLaterCorpus = {"rf_export_view.rc11",
+                                            "fai_elected_race.rc11"};
+
+Instance corpus(const std::string& file) {
+  return {std::filesystem::path(file).stem().string(),
+          [file] { return std::vector<Input>{corpus_input(file)}; }};
+}
 
 std::vector<Instance> build_instances() {
   std::vector<Instance> out;
   // Every crosscheck_corpus() file is an input; kLaterCorpus only decides
   // where it is numbered.
-  const auto add_corpus = [&out](bool later) {
-    for (const auto& file : catalogue::crosscheck_corpus()) {
-      if ((kLaterCorpus.count(file) != 0) != later) continue;
-      out.push_back({std::filesystem::path(file).stem().string(),
-                     [file] { return std::vector<Input>{corpus_input(file)}; }});
-    }
-  };
-  add_corpus(/*later=*/false);
+  for (const auto& file : catalogue::crosscheck_corpus()) {
+    if (kLaterCorpus.count(file) == 0) out.push_back(corpus(file));
+  }
 
   out.push_back(one("peterson", matrix::kCaseStudy,
                     [] { return litmus::peterson_counter().sys; }));
@@ -145,18 +146,20 @@ std::vector<Instance> build_instances() {
   out.push_back(
       sweep("three_slot_mirrored_sweep", testgen::three_slot_mirrored_programs));
 
-  // Newer inputs, numbered last so that no other test is renumbered (see
-  // kLaterCorpus).
-  add_corpus(/*later=*/true);
+  // Newer inputs, in the order they were added, so that no other test is
+  // renumbered (see kLaterCorpus).
+  out.push_back(corpus("rf_export_view.rc11"));
   out.push_back(lock_client(
       "mgc_2_1", [] { return locks::mgc_client(2, 1); }, /*ticket lock*/ 2));
   out.push_back(one(
       catalogue::param_name("producer_consumer_2_" +
-                            stacks::LockedVectorStack{2}.name()),
+                            containers::LockedVectorStack{2}.name()),
       matrix::kLockClient, [] {
-        stacks::LockedVectorStack stack{2};
-        return stacks::instantiate(stacks::producer_consumer_client(2), stack);
+        containers::LockedVectorStack stack{2};
+        return containers::instantiate(containers::producer_consumer_client(2),
+                                       stack);
       }));
+  out.push_back(corpus("fai_elected_race.rc11"));
   return out;
 }
 

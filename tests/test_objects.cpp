@@ -1,13 +1,14 @@
 // Tests for the abstract object semantics of Section 4: the lock of Fig. 6
 // (version counters, maximal timestamps, covering, synchronisation) and our
-// synchronising stack (LIFO matching, pop_emp, push^R/pop^A synchronisation).
+// synchronising container on a stack location (LIFO matching, pop_emp,
+// push^R/pop^A synchronisation).
 
 #include <gtest/gtest.h>
 
 #include "memsem/location.hpp"
 #include "memsem/state.hpp"
+#include "objects/container.hpp"
 #include "objects/lock.hpp"
-#include "objects/stack.hpp"
 
 namespace {
 
@@ -118,37 +119,37 @@ TEST_F(ObjectFixture, LockApiRejectsWrongLocation) {
 
 TEST_F(ObjectFixture, FreshStackIsEmpty) {
   MemState m = make();
-  EXPECT_TRUE(obj::stack_empty(m, s));
-  EXPECT_EQ(obj::stack_size(m, s), 0u);
-  EXPECT_EQ(obj::stack_pop(m, 0, s, true), kStackEmpty);
+  EXPECT_TRUE(obj::container_empty(m, s));
+  EXPECT_EQ(obj::container_size(m, s), 0u);
+  EXPECT_EQ(obj::container_remove(m, 0, s, true), kStackEmpty);
 }
 
 TEST_F(ObjectFixture, PushPopIsLifo) {
   MemState m = make();
-  obj::stack_push(m, 0, s, 10, true);
-  obj::stack_push(m, 0, s, 20, true);
-  obj::stack_push(m, 1, s, 30, true);
-  EXPECT_EQ(obj::stack_size(m, s), 3u);
-  EXPECT_EQ(obj::stack_pop(m, 2, s, true), 30);
-  EXPECT_EQ(obj::stack_pop(m, 2, s, true), 20);
-  EXPECT_EQ(obj::stack_pop(m, 2, s, true), 10);
-  EXPECT_EQ(obj::stack_pop(m, 2, s, true), kStackEmpty);
+  obj::container_insert(m, 0, s, 10, true);
+  obj::container_insert(m, 0, s, 20, true);
+  obj::container_insert(m, 1, s, 30, true);
+  EXPECT_EQ(obj::container_size(m, s), 3u);
+  EXPECT_EQ(obj::container_remove(m, 2, s, true), 30);
+  EXPECT_EQ(obj::container_remove(m, 2, s, true), 20);
+  EXPECT_EQ(obj::container_remove(m, 2, s, true), 10);
+  EXPECT_EQ(obj::container_remove(m, 2, s, true), kStackEmpty);
 }
 
 TEST_F(ObjectFixture, PopCoversMatchedPush) {
   MemState m = make();
-  const OpId p = obj::stack_push(m, 0, s, 10, true);
+  const OpId p = obj::container_insert(m, 0, s, 10, true);
   EXPECT_FALSE(m.op(p).covered);
-  obj::stack_pop(m, 1, s, true);
+  obj::container_remove(m, 1, s, true);
   EXPECT_TRUE(m.op(p).covered);
-  EXPECT_TRUE(obj::stack_empty(m, s));
+  EXPECT_TRUE(obj::container_empty(m, s));
 }
 
 TEST_F(ObjectFixture, AcquiringPopOfReleasingPushSynchronises) {
   MemState m = make();
   const OpId wd = m.write(0, d, 5, MemOrder::Relaxed, m.mo(d)[0]);
-  obj::stack_push(m, 0, s, 1, /*releasing=*/true);
-  const Value v = obj::stack_pop(m, 1, s, /*acquiring=*/true);
+  obj::container_insert(m, 0, s, 1, /*releasing=*/true);
+  const Value v = obj::container_remove(m, 1, s, /*acquiring=*/true);
   EXPECT_EQ(v, 1);
   EXPECT_EQ(m.view_front(1, d), wd)
       << "Fig. 2: popping the message publishes the client write";
@@ -157,8 +158,8 @@ TEST_F(ObjectFixture, AcquiringPopOfReleasingPushSynchronises) {
 TEST_F(ObjectFixture, RelaxedPopDoesNotSynchronise) {
   MemState m = make();
   m.write(0, d, 5, MemOrder::Relaxed, m.mo(d)[0]);
-  obj::stack_push(m, 0, s, 1, /*releasing=*/true);
-  obj::stack_pop(m, 1, s, /*acquiring=*/false);
+  obj::container_insert(m, 0, s, 1, /*releasing=*/true);
+  obj::container_remove(m, 1, s, /*acquiring=*/false);
   EXPECT_EQ(m.view_front(1, d), m.mo(d)[0])
       << "Fig. 1: a relaxed pop leaves the client view stale";
 }
@@ -166,8 +167,8 @@ TEST_F(ObjectFixture, RelaxedPopDoesNotSynchronise) {
 TEST_F(ObjectFixture, AcquiringPopOfRelaxedPushDoesNotSynchronise) {
   MemState m = make();
   m.write(0, d, 5, MemOrder::Relaxed, m.mo(d)[0]);
-  obj::stack_push(m, 0, s, 1, /*releasing=*/false);
-  obj::stack_pop(m, 1, s, /*acquiring=*/true);
+  obj::container_insert(m, 0, s, 1, /*releasing=*/false);
+  obj::container_remove(m, 1, s, /*acquiring=*/true);
   EXPECT_EQ(m.view_front(1, d), m.mo(d)[0]);
 }
 
@@ -175,7 +176,7 @@ TEST_F(ObjectFixture, EmptyPopDoesNotMutate) {
   MemState m = make();
   std::vector<std::uint64_t> before;
   m.encode(before);
-  obj::stack_pop(m, 0, s, true);
+  obj::container_remove(m, 0, s, true);
   std::vector<std::uint64_t> after;
   m.encode(after);
   EXPECT_EQ(before, after);
@@ -183,19 +184,19 @@ TEST_F(ObjectFixture, EmptyPopDoesNotMutate) {
 
 TEST_F(ObjectFixture, InterleavedPushPopTracksTop) {
   MemState m = make();
-  obj::stack_push(m, 0, s, 1, true);
-  obj::stack_push(m, 0, s, 2, true);
-  EXPECT_EQ(obj::stack_pop(m, 1, s, true), 2);
-  obj::stack_push(m, 1, s, 3, true);
-  EXPECT_EQ(obj::stack_pop(m, 0, s, true), 3);
-  EXPECT_EQ(obj::stack_pop(m, 0, s, true), 1);
-  EXPECT_TRUE(obj::stack_empty(m, s));
+  obj::container_insert(m, 0, s, 1, true);
+  obj::container_insert(m, 0, s, 2, true);
+  EXPECT_EQ(obj::container_remove(m, 1, s, true), 2);
+  obj::container_insert(m, 1, s, 3, true);
+  EXPECT_EQ(obj::container_remove(m, 0, s, true), 3);
+  EXPECT_EQ(obj::container_remove(m, 0, s, true), 1);
+  EXPECT_TRUE(obj::container_empty(m, s));
 }
 
 TEST_F(ObjectFixture, StackApiRejectsWrongLocation) {
   MemState m = make();
-  EXPECT_THROW((void)obj::stack_top(m, l), rc11::support::InternalError);
-  EXPECT_THROW(obj::stack_push(m, 0, d, 1, true),
+  EXPECT_THROW((void)obj::container_next(m, l), rc11::support::InternalError);
+  EXPECT_THROW(obj::container_insert(m, 0, d, 1, true),
                rc11::support::InternalError);
 }
 

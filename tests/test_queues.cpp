@@ -5,16 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include "containers/container_objects.hpp"
 #include "explore/explorer.hpp"
 #include "memsem/location.hpp"
-#include "objects/queue.hpp"
+#include "objects/container.hpp"
 #include "parser/parser.hpp"
 #include "refinement/refinement.hpp"
-#include "queues/queue_objects.hpp"
 
 namespace {
 
 using namespace rc11;
+using containers::AbstractContainer;
+using containers::ClientArtifacts;
+using containers::instantiate;
+using containers::LockedRingQueue;
+using containers::producer_consumer_client;
+using containers::publication_client;
 using memsem::kQueueEmpty;
 namespace obj = rc11::objects;
 
@@ -35,36 +41,36 @@ struct QueueFixture : ::testing::Test {
 
 TEST_F(QueueFixture, FreshQueueIsEmpty) {
   auto m = make();
-  EXPECT_TRUE(obj::queue_empty(m, q));
-  EXPECT_EQ(obj::queue_size(m, q), 0u);
-  EXPECT_EQ(obj::queue_dequeue(m, 0, q, true), kQueueEmpty);
+  EXPECT_TRUE(obj::container_empty(m, q));
+  EXPECT_EQ(obj::container_size(m, q), 0u);
+  EXPECT_EQ(obj::container_remove(m, 0, q, true), kQueueEmpty);
 }
 
 TEST_F(QueueFixture, EnqueueDequeueIsFifo) {
   auto m = make();
-  obj::queue_enqueue(m, 0, q, 10, true);
-  obj::queue_enqueue(m, 0, q, 20, true);
-  obj::queue_enqueue(m, 1, q, 30, true);
-  EXPECT_EQ(obj::queue_size(m, q), 3u);
-  EXPECT_EQ(obj::queue_dequeue(m, 1, q, true), 10);
-  EXPECT_EQ(obj::queue_dequeue(m, 1, q, true), 20);
-  EXPECT_EQ(obj::queue_dequeue(m, 1, q, true), 30);
-  EXPECT_EQ(obj::queue_dequeue(m, 1, q, true), kQueueEmpty);
+  obj::container_insert(m, 0, q, 10, true);
+  obj::container_insert(m, 0, q, 20, true);
+  obj::container_insert(m, 1, q, 30, true);
+  EXPECT_EQ(obj::container_size(m, q), 3u);
+  EXPECT_EQ(obj::container_remove(m, 1, q, true), 10);
+  EXPECT_EQ(obj::container_remove(m, 1, q, true), 20);
+  EXPECT_EQ(obj::container_remove(m, 1, q, true), 30);
+  EXPECT_EQ(obj::container_remove(m, 1, q, true), kQueueEmpty);
 }
 
 TEST_F(QueueFixture, AcquiringDequeueOfReleasingEnqueueSynchronises) {
   auto m = make();
   const auto wd = m.write(0, d, 5, memsem::MemOrder::Relaxed, m.mo(d)[0]);
-  obj::queue_enqueue(m, 0, q, 1, /*releasing=*/true);
-  EXPECT_EQ(obj::queue_dequeue(m, 1, q, /*acquiring=*/true), 1);
+  obj::container_insert(m, 0, q, 1, /*releasing=*/true);
+  EXPECT_EQ(obj::container_remove(m, 1, q, /*acquiring=*/true), 1);
   EXPECT_EQ(m.view_front(1, d), wd);
 }
 
 TEST_F(QueueFixture, RelaxedDequeueDoesNotSynchronise) {
   auto m = make();
   m.write(0, d, 5, memsem::MemOrder::Relaxed, m.mo(d)[0]);
-  obj::queue_enqueue(m, 0, q, 1, /*releasing=*/true);
-  obj::queue_dequeue(m, 1, q, /*acquiring=*/false);
+  obj::container_insert(m, 0, q, 1, /*releasing=*/true);
+  obj::container_remove(m, 1, q, /*acquiring=*/false);
   EXPECT_EQ(m.view_front(1, d), m.mo(d)[0]);
 }
 
@@ -72,7 +78,7 @@ TEST_F(QueueFixture, EmptyDequeueDoesNotMutate) {
   auto m = make();
   std::vector<std::uint64_t> before;
   m.encode(before);
-  obj::queue_dequeue(m, 0, q, true);
+  obj::container_remove(m, 0, q, true);
   std::vector<std::uint64_t> after;
   m.encode(after);
   EXPECT_EQ(before, after);
@@ -80,16 +86,15 @@ TEST_F(QueueFixture, EmptyDequeueDoesNotMutate) {
 
 TEST_F(QueueFixture, QueueApiRejectsWrongLocation) {
   auto m = make();
-  EXPECT_THROW((void)obj::queue_front(m, d), rc11::support::InternalError);
+  EXPECT_THROW((void)obj::container_next(m, d), rc11::support::InternalError);
 }
 
 // --- behavioural agreement & refinement ------------------------------------------
 
 TEST(QueueRefinement, PublicationGuarantee) {
-  queues::QueueClientArtifacts art;
-  queues::LockedRingQueue conc;
-  const auto sys =
-      queues::instantiate(queues::publication_client(&art), conc);
+  ClientArtifacts art;
+  LockedRingQueue conc;
+  const auto sys = instantiate(publication_client(&art), conc);
   const auto result = explore::explore(sys);
   const auto outcomes = explore::final_register_values(sys, result, art.regs);
   for (const auto& o : outcomes) {
@@ -100,14 +105,13 @@ TEST(QueueRefinement, PublicationGuarantee) {
 }
 
 TEST(QueueRefinement, AgreesWithAbstractOnPipeline) {
-  queues::QueueClientArtifacts abs_art;
-  queues::AbstractQueue abs;
-  const auto abs_sys =
-      queues::instantiate(queues::pipeline_client(2, &abs_art), abs);
-  queues::QueueClientArtifacts conc_art;
-  queues::LockedRingQueue conc{2};
+  ClientArtifacts abs_art;
+  AbstractContainer abs{memsem::LocKind::Queue};
+  const auto abs_sys = instantiate(producer_consumer_client(2, &abs_art), abs);
+  ClientArtifacts conc_art;
+  LockedRingQueue conc{2};
   const auto conc_sys =
-      queues::instantiate(queues::pipeline_client(2, &conc_art), conc);
+      instantiate(producer_consumer_client(2, &conc_art), conc);
   const auto abs_out = explore::final_register_values(
       abs_sys, explore::explore(abs_sys), abs_art.regs);
   const auto conc_out = explore::final_register_values(
@@ -120,11 +124,10 @@ TEST(QueueRefinement, AgreesWithAbstractOnPipeline) {
 }
 
 TEST(QueueRefinement, ForwardSimulationHolds) {
-  queues::AbstractQueue abs;
-  const auto abs_sys = queues::instantiate(queues::publication_client(), abs);
-  queues::LockedRingQueue conc;
-  const auto conc_sys =
-      queues::instantiate(queues::publication_client(), conc);
+  AbstractContainer abs{memsem::LocKind::Queue};
+  const auto abs_sys = instantiate(publication_client(), abs);
+  LockedRingQueue conc;
+  const auto conc_sys = instantiate(publication_client(), conc);
   const auto result = refinement::check_forward_simulation(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.diagnosis;
   EXPECT_EQ(result.abstract_states, 13u);
@@ -133,11 +136,10 @@ TEST(QueueRefinement, ForwardSimulationHolds) {
 
 TEST(QueueRefinement, PipelineSimulationHoldsAcrossCapacities) {
   for (const unsigned capacity : {2u, 3u}) {
-    queues::AbstractQueue abs;
-    const auto abs_sys = queues::instantiate(queues::pipeline_client(2), abs);
-    queues::LockedRingQueue conc{capacity};
-    const auto conc_sys =
-        queues::instantiate(queues::pipeline_client(2), conc);
+    AbstractContainer abs{memsem::LocKind::Queue};
+    const auto abs_sys = instantiate(producer_consumer_client(2), abs);
+    LockedRingQueue conc{capacity};
+    const auto conc_sys = instantiate(producer_consumer_client(2), conc);
     const auto result = refinement::check_forward_simulation(abs_sys, conc_sys);
     EXPECT_TRUE(result.holds)
         << "capacity " << capacity << ": " << result.diagnosis;
@@ -145,11 +147,10 @@ TEST(QueueRefinement, PipelineSimulationHoldsAcrossCapacities) {
 }
 
 TEST(QueueRefinement, BrokenUnlockFailsSimulation) {
-  queues::AbstractQueue abs;
-  const auto abs_sys = queues::instantiate(queues::publication_client(), abs);
-  queues::LockedRingQueue broken{2, /*releasing_unlock=*/false};
-  const auto conc_sys =
-      queues::instantiate(queues::publication_client(), broken);
+  AbstractContainer abs{memsem::LocKind::Queue};
+  const auto abs_sys = instantiate(publication_client(), abs);
+  LockedRingQueue broken{2, /*releasing_unlock=*/false};
+  const auto conc_sys = instantiate(publication_client(), broken);
   const auto result = refinement::check_forward_simulation(abs_sys, conc_sys);
   EXPECT_FALSE(result.holds);
   EXPECT_FALSE(result.counterexample.empty());

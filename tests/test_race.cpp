@@ -44,6 +44,7 @@ TEST(Race, ClassifiesTheCorpus) {
       {"Race-disjoint+na", 0, 9, 9, 9},
       {"Race-lock+na", 0, 17, 9, 17},
       {"Race-atomic-only", 0, 14, 14, 14},
+      {"Race-elected-writer+na", 2, 37, 8, 37},
   };
   const auto tests = catalogue::race_tests();
   ASSERT_EQ(tests.size(), std::size(expected));

@@ -11,12 +11,11 @@
 #include <iterator>
 #include <string>
 
+#include "containers/container_objects.hpp"
 #include "explore/explorer.hpp"
 #include "locks/clients.hpp"
 #include "locks/lock_objects.hpp"
-#include "queues/queue_objects.hpp"
 #include "refinement/refinement.hpp"
-#include "stacks/stack_objects.hpp"
 #include "support/diagnostics.hpp"
 
 namespace {
@@ -353,12 +352,12 @@ TEST(Diagnostics, GraphLabelsOnDemand) {
 /// refinement systems, with and without por, and on a seeded sample.
 TEST(StateGraph, RegeneratedLabelsMatchLabelledBuild) {
   SeqLock seqlock;
-  stacks::LockedVectorStack stack;
-  queues::LockedRingQueue queue;
+  containers::LockedVectorStack stack;
+  containers::LockedRingQueue queue;
   const System systems[] = {
       instantiate(locks::fig7_client(), seqlock),
-      stacks::instantiate(stacks::publication_client(), stack),
-      queues::instantiate(queues::publication_client(), queue),
+      containers::instantiate(containers::publication_client(), stack),
+      containers::instantiate(containers::publication_client(), queue),
   };
   refinement::GraphOptions plain;
   refinement::GraphOptions por;
@@ -447,10 +446,10 @@ TEST(Counterexamples, PinnedAcrossWorkersAndPor) {
   AbstractLock abs_lock;
   SeqLock broken_seq{/*releasing_release=*/false};
   TicketLock broken_ticket{/*releasing_release=*/false};
-  stacks::AbstractStack abs_stack;
-  stacks::LockedVectorStack broken_stack{2, /*releasing_unlock=*/false};
-  queues::AbstractQueue abs_queue;
-  queues::LockedRingQueue broken_queue{2, /*releasing_unlock=*/false};
+  containers::AbstractContainer abs_stack{memsem::LocKind::Stack};
+  containers::LockedVectorStack broken_stack{2, /*releasing_unlock=*/false};
+  containers::AbstractContainer abs_queue{memsem::LocKind::Queue};
+  containers::LockedRingQueue broken_queue{2, /*releasing_unlock=*/false};
   struct Pair {
     const char* name;
     System abs, conc;
@@ -460,10 +459,12 @@ TEST(Counterexamples, PinnedAcrossWorkersAndPor) {
        instantiate(locks::fig7_client(), broken_seq)},
       {"ticket", instantiate(locks::fig7_client(), abs_lock),
        instantiate(locks::fig7_client(), broken_ticket)},
-      {"stack", stacks::instantiate(stacks::publication_client(), abs_stack),
-       stacks::instantiate(stacks::publication_client(), broken_stack)},
-      {"queue", queues::instantiate(queues::publication_client(), abs_queue),
-       queues::instantiate(queues::publication_client(), broken_queue)},
+      {"stack",
+       containers::instantiate(containers::publication_client(), abs_stack),
+       containers::instantiate(containers::publication_client(), broken_stack)},
+      {"queue",
+       containers::instantiate(containers::publication_client(), abs_queue),
+       containers::instantiate(containers::publication_client(), broken_queue)},
   };
   struct Pin {
     const char* pair;

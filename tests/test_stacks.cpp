@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "containers/container_objects.hpp"
 #include "explore/explorer.hpp"
 #include "refinement/refinement.hpp"
-#include "stacks/stack_objects.hpp"
 
 namespace {
 
@@ -17,20 +17,22 @@ using namespace rc11;
 using memsem::kStackEmpty;
 using refinement::check_forward_simulation;
 using refinement::check_trace_inclusion;
-using stacks::AbstractStack;
-using stacks::instantiate;
-using stacks::LockedVectorStack;
-using stacks::StackClientArtifacts;
+using containers::AbstractContainer;
+using containers::ClientArtifacts;
+using containers::instantiate;
+using containers::LockedVectorStack;
+using containers::producer_consumer_client;
+using containers::publication_client;
 
 // --- behaviour of the concrete implementation ---------------------------------
 
 TEST(LockedVectorStack, PublishesLikeTheAbstractStack) {
-  StackClientArtifacts abs_art;
-  AbstractStack abs;
-  const auto abs_sys = instantiate(stacks::publication_client(&abs_art), abs);
-  StackClientArtifacts conc_art;
+  ClientArtifacts abs_art;
+  AbstractContainer abs{memsem::LocKind::Stack};
+  const auto abs_sys = instantiate(publication_client(&abs_art), abs);
+  ClientArtifacts conc_art;
   LockedVectorStack conc;
-  const auto conc_sys = instantiate(stacks::publication_client(&conc_art), conc);
+  const auto conc_sys = instantiate(publication_client(&conc_art), conc);
 
   const auto abs_out = explore::final_register_values(
       abs_sys, explore::explore(abs_sys), abs_art.regs);
@@ -47,9 +49,9 @@ TEST(LockedVectorStack, PublishesLikeTheAbstractStack) {
 }
 
 TEST(LockedVectorStack, BrokenUnlockLeaksStaleReads) {
-  StackClientArtifacts art;
+  ClientArtifacts art;
   LockedVectorStack broken{2, /*releasing_unlock=*/false};
-  const auto sys = instantiate(stacks::publication_client(&art), broken);
+  const auto sys = instantiate(publication_client(&art), broken);
   const auto result = explore::explore(sys);
   EXPECT_TRUE(
       explore::outcome_reachable(sys, result, {art.regs[0], art.regs[1]}, {1, 0}))
@@ -57,12 +59,11 @@ TEST(LockedVectorStack, BrokenUnlockLeaksStaleReads) {
 }
 
 TEST(LockedVectorStack, ProducerConsumerIsLifoShaped) {
-  StackClientArtifacts art;
+  ClientArtifacts art;
   LockedVectorStack stack{2};
-  const auto sys = instantiate(stacks::producer_consumer_client(2, &art), stack);
+  const auto sys = instantiate(producer_consumer_client(2, &art), stack);
   const auto result = explore::explore(sys);
-  const auto outcomes =
-      explore::final_register_values(sys, result, art.regs);
+  const auto outcomes = explore::final_register_values(sys, result, art.regs);
   for (const auto& o : outcomes) {
     // Each pop returns Empty or a pushed value; a successful second pop after
     // a successful first pop must return the *other*, earlier value (LIFO:
@@ -82,14 +83,13 @@ TEST(LockedVectorStack, ProducerConsumerIsLifoShaped) {
 }
 
 TEST(LockedVectorStack, AgreesWithAbstractOnProducerConsumer) {
-  StackClientArtifacts abs_art;
-  AbstractStack abs;
-  const auto abs_sys =
-      instantiate(stacks::producer_consumer_client(2, &abs_art), abs);
-  StackClientArtifacts conc_art;
+  ClientArtifacts abs_art;
+  AbstractContainer abs{memsem::LocKind::Stack};
+  const auto abs_sys = instantiate(producer_consumer_client(2, &abs_art), abs);
+  ClientArtifacts conc_art;
   LockedVectorStack conc{2};
   const auto conc_sys =
-      instantiate(stacks::producer_consumer_client(2, &conc_art), conc);
+      instantiate(producer_consumer_client(2, &conc_art), conc);
   const auto abs_out = explore::final_register_values(
       abs_sys, explore::explore(abs_sys), abs_art.regs);
   const auto conc_out = explore::final_register_values(
@@ -100,10 +100,10 @@ TEST(LockedVectorStack, AgreesWithAbstractOnProducerConsumer) {
 // --- refinement ----------------------------------------------------------------
 
 TEST(StackRefinement, PublicationClientForwardSimulation) {
-  AbstractStack abs;
-  const auto abs_sys = instantiate(stacks::publication_client(), abs);
+  AbstractContainer abs{memsem::LocKind::Stack};
+  const auto abs_sys = instantiate(publication_client(), abs);
   LockedVectorStack conc;
-  const auto conc_sys = instantiate(stacks::publication_client(), conc);
+  const auto conc_sys = instantiate(publication_client(), conc);
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.diagnosis;
   EXPECT_FALSE(result.truncated);
@@ -112,19 +112,19 @@ TEST(StackRefinement, PublicationClientForwardSimulation) {
 }
 
 TEST(StackRefinement, ProducerConsumerForwardSimulation) {
-  AbstractStack abs;
-  const auto abs_sys = instantiate(stacks::producer_consumer_client(2), abs);
+  AbstractContainer abs{memsem::LocKind::Stack};
+  const auto abs_sys = instantiate(producer_consumer_client(2), abs);
   LockedVectorStack conc{2};
-  const auto conc_sys = instantiate(stacks::producer_consumer_client(2), conc);
+  const auto conc_sys = instantiate(producer_consumer_client(2), conc);
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.diagnosis;
 }
 
 TEST(StackRefinement, BrokenUnlockFailsSimulation) {
-  AbstractStack abs;
-  const auto abs_sys = instantiate(stacks::publication_client(), abs);
+  AbstractContainer abs{memsem::LocKind::Stack};
+  const auto abs_sys = instantiate(publication_client(), abs);
   LockedVectorStack broken{2, /*releasing_unlock=*/false};
-  const auto conc_sys = instantiate(stacks::publication_client(), broken);
+  const auto conc_sys = instantiate(publication_client(), broken);
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_FALSE(result.holds);
   EXPECT_EQ(result.abstract_states, 13u);
@@ -132,17 +132,17 @@ TEST(StackRefinement, BrokenUnlockFailsSimulation) {
 }
 
 TEST(StackRefinement, TraceInclusionAgreesWithSimulation) {
-  AbstractStack abs;
-  const auto abs_sys = instantiate(stacks::publication_client(), abs);
+  AbstractContainer abs{memsem::LocKind::Stack};
+  const auto abs_sys = instantiate(publication_client(), abs);
   {
     LockedVectorStack conc;
-    const auto conc_sys = instantiate(stacks::publication_client(), conc);
+    const auto conc_sys = instantiate(publication_client(), conc);
     const auto r = check_trace_inclusion(abs_sys, conc_sys);
     EXPECT_TRUE(r.holds) << r.what;
   }
   {
     LockedVectorStack broken{2, /*releasing_unlock=*/false};
-    const auto conc_sys = instantiate(stacks::publication_client(), broken);
+    const auto conc_sys = instantiate(publication_client(), broken);
     const auto r = check_trace_inclusion(abs_sys, conc_sys);
     EXPECT_FALSE(r.holds);
   }
@@ -154,10 +154,10 @@ class CapacitySweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(CapacitySweep, SimulationHolds) {
   const unsigned capacity = GetParam();
-  AbstractStack abs;
-  const auto abs_sys = instantiate(stacks::producer_consumer_client(2), abs);
+  AbstractContainer abs{memsem::LocKind::Stack};
+  const auto abs_sys = instantiate(producer_consumer_client(2), abs);
   LockedVectorStack conc{capacity};
-  const auto conc_sys = instantiate(stacks::producer_consumer_client(2), conc);
+  const auto conc_sys = instantiate(producer_consumer_client(2), conc);
   const auto result = check_forward_simulation(abs_sys, conc_sys);
   EXPECT_TRUE(result.holds) << result.diagnosis;
 }

@@ -20,10 +20,10 @@
 #include "engine/abstraction.hpp"
 #include "engine/reach.hpp"
 #include "catalogue.hpp"
+#include "containers/container_objects.hpp"
 #include "engine/sharded_visited.hpp"
 #include "lang/config.hpp"
 #include "parser/parser.hpp"
-#include "queues/queue_objects.hpp"
 #include "support/hash.hpp"
 #include "support/intern.hpp"
 #include "witness/witness.hpp"
@@ -146,9 +146,10 @@ TEST(StateRepr, PooledSuccessorsMatchVectorSuccessors) {
        {"lock_client_abstract.rc11", "mp_stack.rc11", "ticket_lock.rc11"}) {
     systems.emplace_back(name, parser::parse_file(prog(name)).sys);
   }
-  queues::AbstractQueue queue;
-  systems.emplace_back("queue pipeline(2)",
-                       queues::instantiate(queues::pipeline_client(2), queue));
+  containers::AbstractContainer queue(memsem::LocKind::Queue);
+  systems.emplace_back(
+      "queue pipeline(2)",
+      containers::instantiate(containers::producer_consumer_client(2), queue));
 
   lang::StepBuffer buf;  // deliberately reused across states and systems
   for (const auto& [name, sys] : systems) {
@@ -254,7 +255,7 @@ TEST(StateRepr, CanonicalEncodingPinned) {
   const auto file = [](const char* name) {
     return parser::parse_file(prog(name)).sys;
   };
-  queues::AbstractQueue queue;
+  containers::AbstractContainer queue(memsem::LocKind::Queue);
   struct Case {
     const char* what;
     System sys;
@@ -272,7 +273,7 @@ TEST(StateRepr, CanonicalEncodingPinned) {
       {"lock_client_abstract", file("lock_client_abstract.rc11"),
        {17, 919, 0xb4cdee9a40f5a869, 0xc5a386498db8f6e7}},
       {"queue pipeline(2)",
-       queues::instantiate(queues::pipeline_client(2), queue),
+       containers::instantiate(containers::producer_consumer_client(2), queue),
        {16, 288, 0x096d97e280a85c5f, 0x94a2ed79b70b1107}},
       {"mp_na_racy race-detected",
        with_options(file("mp_na_racy.rc11"),

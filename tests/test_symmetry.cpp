@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "catalogue.hpp"
+#include "containers/container_objects.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/reach.hpp"
 #include "engine/symmetry.hpp"
@@ -33,9 +34,7 @@
 #include "og/catalog.hpp"
 #include "og/proof_outline.hpp"
 #include "parser/parser.hpp"
-#include "queues/queue_objects.hpp"
 #include "refinement/refinement.hpp"
-#include "stacks/stack_objects.hpp"
 #include "support/hash.hpp"
 #include "witness/witness.hpp"
 
@@ -87,27 +86,15 @@ TEST(Symmetry, SymmetricWorkloadsExactAndReduced) {
   }
 }
 
-/// N identical threads, each enqueue(1) then dequeue: fully
+/// N identical threads, each insert(1) then remove: fully
 /// interchangeable, so the quotient collapses the thread orbit.
-queues::QueueClientProgram sym_queue_client(unsigned threads) {
-  return [threads](System& sys, queues::QueueObject& q) {
+containers::ClientProgram sym_container_client(unsigned threads) {
+  return [threads](System& sys, containers::ContainerObject& container) {
     for (unsigned t = 0; t < threads; ++t) {
       auto tb = sys.thread();
       auto r = tb.reg("r");
-      q.emit_enqueue(tb, lang::c(1), /*releasing=*/true);
-      q.emit_dequeue(tb, r, /*acquiring=*/true);
-    }
-  };
-}
-
-/// N identical threads, each push(1) then pop.
-stacks::StackClientProgram sym_stack_client(unsigned threads) {
-  return [threads](System& sys, stacks::StackObject& s) {
-    for (unsigned t = 0; t < threads; ++t) {
-      auto tb = sys.thread();
-      auto r = tb.reg("r");
-      s.emit_push(tb, lang::c(1), /*releasing=*/true);
-      s.emit_pop(tb, r, /*acquiring=*/true);
+      container.emit_insert(tb, lang::c(1), /*releasing=*/true);
+      container.emit_remove(tb, r, /*acquiring=*/true);
     }
   };
 }
@@ -126,9 +113,9 @@ TEST(Symmetry, ReductionHeadlineOnTargetFamilies) {
     std::uint64_t sym_states, sym_transitions, symmetry_hits, sleep_skips;
   };
   locks::TicketLock ticket;
-  queues::AbstractQueue abstract_queue;
-  queues::LockedRingQueue ring_queue(4);
-  stacks::AbstractStack abstract_stack;
+  containers::AbstractContainer abstract_queue(memsem::LocKind::Queue);
+  containers::LockedRingQueue ring_queue(4);
+  containers::AbstractContainer abstract_stack(memsem::LocKind::Stack);
   const Case cases[] = {
       {"ticket_worker_4x1w2",
        locks::instantiate(locks::worker_client(4, 1, 2), ticket), true, 5181,
@@ -137,12 +124,15 @@ TEST(Symmetry, ReductionHeadlineOnTargetFamilies) {
        locks::instantiate(locks::worker_client(3, 1, 2), ticket), false, 364,
        903, 64, 160, 111, 25},
       {"abstract_queue_4x",
-       queues::instantiate(sym_queue_client(4), abstract_queue), true, 1461,
+       containers::instantiate(sym_container_client(4), abstract_queue), true,
+       1461,
        2048, 66, 102, 34, 0},
-      {"ring_queue_3x", queues::instantiate(sym_queue_client(3), ring_queue),
+      {"ring_queue_3x",
+       containers::instantiate(sym_container_client(3), ring_queue),
        false, 10912, 35307, 1842, 5969, 3527, 1044},
       {"abstract_stack_4x",
-       stacks::instantiate(sym_stack_client(4), abstract_stack), true, 2865,
+       containers::instantiate(sym_container_client(4), abstract_stack), true,
+       2865,
        4556, 125, 208, 66, 0},
       {"mp_litmus",
        parser::parse_file(catalogue::program_path("mp_rel_acq.rc11")).sys,
