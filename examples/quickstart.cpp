@@ -22,14 +22,14 @@ int main() {
   const auto flag = sys.client_var("flag", 0);
 
   auto producer = sys.thread();
-  producer.store(data, c(42), "data := 42");          // relaxed write
-  producer.store_rel(flag, c(1), "flag :=R 1");       // releasing write
+  producer.store(data, c(42));     // relaxed write
+  producer.store_rel(flag, c(1));  // releasing write
 
   auto consumer = sys.thread();
   const auto r_flag = consumer.reg("r_flag");
   const auto r_data = consumer.reg("r_data");
-  consumer.load_acq(r_flag, flag, "r_flag <-A flag");  // acquiring read
-  consumer.load(r_data, data, "r_data <- data");       // relaxed read
+  consumer.load_acq(r_flag, flag);  // acquiring read
+  consumer.load(r_data, data);      // relaxed read
 
   std::cout << "Program:\n" << sys.disassemble() << "\n";
 

@@ -24,24 +24,19 @@ void AbstractContainer::declare(System& sys) {
 
 void AbstractContainer::emit_insert(ThreadBuilder& tb, Expr value,
                                     bool releasing) {
-  std::string label = stack() ? "s.push" : "q.enq";
   if (releasing) {
-    label += 'R';
-    tb.push_rel(loc_, std::move(value), label);
+    tb.push_rel(loc_, std::move(value));
   } else {
-    tb.push(loc_, std::move(value), label);
+    tb.push(loc_, std::move(value));
   }
 }
 
 void AbstractContainer::emit_remove(ThreadBuilder& tb, Reg dst,
                                     bool acquiring) {
-  std::string label = stack() ? "r <- s.pop" : "r <- q.deq";
   if (acquiring) {
-    label += "A()";
-    tb.pop_acq(dst, loc_, label);
+    tb.pop_acq(dst, loc_);
   } else {
-    label += "()";
-    tb.pop(dst, loc_, label);
+    tb.pop(dst, loc_);
   }
 }
 
@@ -88,20 +83,14 @@ const std::vector<Reg>& LockedContainer::regs_for(ThreadBuilder& tb) {
 
 void LockedContainer::emit_lock(ThreadBuilder& tb) {
   const Reg flag = regs_for(tb).front();
-  std::string label = "loc <- CAS(";
-  label += names_.lock;
-  label += ", 0, 1)";
-  tb.do_until([&] { tb.cas(flag, lock_, c(0), c(1), label); }, Expr{flag});
+  tb.do_until([&] { tb.cas(flag, lock_, c(0), c(1)); }, Expr{flag});
 }
 
 void LockedContainer::emit_unlock(ThreadBuilder& tb) {
-  std::string label = names_.lock;
   if (releasing_unlock_) {
-    label += " :=R 0";
-    tb.store_rel(lock_, c(0), label);
+    tb.store_rel(lock_, c(0));
   } else {
-    label += " := 0 (BROKEN: relaxed)";
-    tb.store(lock_, c(0), label);
+    tb.store(lock_, c(0));
   }
 }
 
@@ -132,11 +121,11 @@ void LockedVectorStack::emit_insert(ThreadBuilder& tb, Expr value,
                                     bool /*releasing*/) {
   const Reg cnt = regs_for(tb)[1];
   emit_lock(tb);
-  tb.load(cnt, counter(0), "c <- scnt");
+  tb.load(cnt, counter(0));
   // Overflow clobbers the top slot.
   emit_slot(tb, [&](lang::Value i) { return Expr{cnt} == c(i); },
-            [&](LocId slot) { tb.store(slot, value, "slot := v"); });
-  tb.store(counter(0), Expr{cnt} + c(1), "scnt := c + 1");
+            [&](LocId slot) { tb.store(slot, value); });
+  tb.store(counter(0), Expr{cnt} + c(1));
   emit_unlock(tb);
 }
 
@@ -144,14 +133,14 @@ void LockedVectorStack::emit_remove(ThreadBuilder& tb, Reg dst,
                                     bool /*acquiring*/) {
   const Reg cnt = regs_for(tb)[1];
   emit_lock(tb);
-  tb.load(cnt, counter(0), "c <- scnt");
+  tb.load(cnt, counter(0));
   tb.if_else(
       Expr{cnt} == c(0),
-      [&] { tb.assign(dst, c(kStackEmpty), "r := Empty"); },
+      [&] { tb.assign(dst, c(kStackEmpty)); },
       [&] {
         emit_slot(tb, [&](lang::Value i) { return Expr{cnt} == c(i + 1); },
-                  [&](LocId slot) { tb.load(dst, slot, "r <- slot"); });
-        tb.store(counter(0), Expr{cnt} - c(1), "scnt := c - 1");
+                  [&](LocId slot) { tb.load(dst, slot); });
+        tb.store(counter(0), Expr{cnt} - c(1));
       });
   emit_unlock(tb);
 }
@@ -165,11 +154,11 @@ void LockedRingQueue::emit_insert(ThreadBuilder& tb, Expr value,
                                   bool /*releasing*/) {
   const Reg tail = regs_for(tb)[2];
   emit_lock(tb);
-  tb.load(tail, counter(1), "t <- qtl");
+  tb.load(tail, counter(1));
   emit_slot(tb,
             [&](lang::Value i) { return Expr{tail} % c(capacity()) == c(i); },
-            [&](LocId slot) { tb.store(slot, value, "slot := v"); });
-  tb.store(counter(1), Expr{tail} + c(1), "qtl := t + 1");
+            [&](LocId slot) { tb.store(slot, value); });
+  tb.store(counter(1), Expr{tail} + c(1));
   emit_unlock(tb);
 }
 
@@ -179,17 +168,17 @@ void LockedRingQueue::emit_remove(ThreadBuilder& tb, Reg dst,
   const Reg head = regs[1];
   const Reg tail = regs[2];
   emit_lock(tb);
-  tb.load(head, counter(0), "h <- qhd");
-  tb.load(tail, counter(1), "t <- qtl");
+  tb.load(head, counter(0));
+  tb.load(tail, counter(1));
   tb.if_else(
       Expr{head} == Expr{tail},
-      [&] { tb.assign(dst, c(kQueueEmpty), "r := Empty"); },
+      [&] { tb.assign(dst, c(kQueueEmpty)); },
       [&] {
         emit_slot(
             tb,
             [&](lang::Value i) { return Expr{head} % c(capacity()) == c(i); },
-            [&](LocId slot) { tb.load(dst, slot, "r <- slot"); });
-        tb.store(counter(0), Expr{head} + c(1), "qhd := h + 1");
+            [&](LocId slot) { tb.load(dst, slot); });
+        tb.store(counter(0), Expr{head} + c(1));
       });
   emit_unlock(tb);
 }
@@ -204,14 +193,14 @@ ClientProgram publication_client(ClientArtifacts* artifacts) {
   return [artifacts](System& sys, ContainerObject& container) {
     const auto d = sys.client_var("d", 0);
     auto t0 = sys.thread();
-    t0.store(d, c(5), "d := 5");
+    t0.store(d, c(5));
     container.emit_insert(t0, c(1), /*releasing=*/true);
 
     auto t1 = sys.thread();
     auto r1 = t1.reg("r1");
     auto r2 = t1.reg("r2");
     container.emit_remove(t1, r1, /*acquiring=*/true);
-    t1.load(r2, d, "r2 <- d");
+    t1.load(r2, d);
 
     if (artifacts != nullptr) {
       artifacts->vars = {d};

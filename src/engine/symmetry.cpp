@@ -24,8 +24,7 @@ bool instr_equal(const lang::Instr& a, const lang::Instr& b) {
   return a.kind == b.kind && a.dst == b.dst && a.has_dst == b.has_dst &&
          a.loc == b.loc && expr_equal(a.e1, b.e1) && expr_equal(a.e2, b.e2) &&
          expr_equal(a.e3, b.e3) && a.order == b.order &&
-         a.target == b.target && a.capture_version == b.capture_version &&
-         a.label == b.label;
+         a.target == b.target && a.capture_version == b.capture_version;
 }
 
 /// Threads are interchangeable iff code and register-file shape coincide.

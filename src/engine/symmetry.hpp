@@ -14,8 +14,10 @@
 //
 // Two threads are interchangeable iff the front end can prove their program
 // text identical modulo thread id: same instruction sequence (kind, operands,
-// expressions, memory order, branch targets, labels), same register file
-// shape (count, component tags, initial values).  analyze() partitions the
+// expressions, memory order, branch targets), same register file shape
+// (count, component tags, initial values).  Register names are display-only:
+// instructions carry no text, so two threads that differ only in what they
+// call their registers are interchangeable.  analyze() partitions the
 // system's threads into maximal such classes; only classes of size >= 2
 // induce any reduction.  Programs with per-thread constants (e.g. the mgc
 // client's thread-unique written values) partition into singletons and the

@@ -100,20 +100,15 @@ Config initial_config(const System& sys) {
 
 namespace {
 
+/// A step label: `t<thread>: `, the instruction, ` [object]` after a method
+/// call, then the outcome suffix (docs/FORMAT.md).
 std::string describe(const System& sys, ThreadId t, const Instr& in,
-                     const char* suffix) {
+                     memsem::AccessKind access, const char* suffix) {
   std::ostringstream os;
   os << "t" << t << ": ";
-  if (!in.label.empty()) {
-    os << in.label;
-    if (in.kind == IKind::Load || in.kind == IKind::Store ||
-        in.kind == IKind::Cas || in.kind == IKind::Fai ||
-        in.kind == IKind::Push || in.kind == IKind::Pop ||
-        in.kind == IKind::LockAcquire || in.kind == IKind::LockRelease) {
-      os << " [" << sys.locations().name(in.loc) << "]";
-    }
-  } else {
-    os << describe_instr(sys, t, in);
+  describe_instr(os, sys, t, in);
+  if (access == memsem::AccessKind::Object) {
+    os << " [" << sys.locations().name(in.loc) << "]";
   }
   os << suffix;
   return os.str();
@@ -138,7 +133,9 @@ void add_step(StepBuffer& out, const System& sys, const Config& cfg,
   // mutate() the config reports exactly the races this step introduced.
   step.after.mem.race_begin_step();
   mutate(step.after);
-  if (want_labels) step.label = describe(sys, t, in, label_suffix);
+  if (want_labels) {
+    step.label = describe(sys, t, in, step.meta.access, label_suffix);
+  }
 }
 
 /// thread_successors without the initial clear(), so successors() can chain

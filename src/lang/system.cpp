@@ -51,27 +51,25 @@ ThreadBuilder System::thread() {
   return ThreadBuilder{*this, t};
 }
 
-std::string describe_instr(const System& sys, ThreadId t, const Instr& in) {
+void describe_instr(std::ostream& os, const System& sys, ThreadId t,
+                    const Instr& in) {
   const auto& locs = sys.locations();
   const auto reg = [&](RegId r) { return sys.reg_name(t, r); };
-  std::ostringstream os;
+  const auto queue = [&] { return locs.kind(in.loc) == LocKind::Queue; };
+  // The order annotation of a read (`<-A`, `<-NA`) or a write (`:=R`, `:=NA`).
+  const char* order = in.order == MemOrder::Acquire     ? "A"
+                      : in.order == MemOrder::Release   ? "R"
+                      : in.order == MemOrder::NonAtomic ? "NA"
+                                                        : "";
   switch (in.kind) {
     case IKind::Assign:
       os << reg(in.dst) << " := " << in.e1.to_string();
       break;
     case IKind::Load:
-      os << reg(in.dst) << " <-"
-         << (in.order == MemOrder::Acquire     ? "A "
-             : in.order == MemOrder::NonAtomic ? "NA "
-                                               : " ")
-         << locs.name(in.loc);
+      os << reg(in.dst) << " <-" << order << " " << locs.name(in.loc);
       break;
     case IKind::Store:
-      os << locs.name(in.loc) << " :="
-         << (in.order == MemOrder::Release     ? "R "
-             : in.order == MemOrder::NonAtomic ? "NA "
-                                               : " ")
-         << in.e1.to_string();
+      os << locs.name(in.loc) << " :=" << order << " " << in.e1.to_string();
       break;
     case IKind::Cas:
       os << reg(in.dst) << " <- CAS(" << locs.name(in.loc) << ", "
@@ -81,21 +79,19 @@ std::string describe_instr(const System& sys, ThreadId t, const Instr& in) {
       os << reg(in.dst) << " <- FAI(" << locs.name(in.loc) << ")";
       break;
     case IKind::LockAcquire:
-      os << locs.name(in.loc) << ".Acquire()";
+      if (in.has_dst) os << reg(in.dst) << " <- ";
+      os << locs.name(in.loc) << ".acquire()";
       break;
     case IKind::LockRelease:
-      os << locs.name(in.loc) << ".Release()";
+      os << locs.name(in.loc) << ".release()";
       break;
     case IKind::Push:
-      os << locs.name(in.loc)
-         << (locs.kind(in.loc) == LocKind::Queue ? ".enq" : ".push")
-         << (in.order == MemOrder::Release ? "R(" : "(") << in.e1.to_string()
-         << ")";
+      // The inserted value is not rendered (ROADMAP item 6.5).
+      os << locs.name(in.loc) << (queue() ? ".enq" : ".push") << order;
       break;
     case IKind::Pop:
-      os << reg(in.dst) << " <- " << locs.name(in.loc)
-         << (locs.kind(in.loc) == LocKind::Queue ? ".deq" : ".pop")
-         << (in.order == MemOrder::Acquire ? "A" : "") << "()";
+      os << reg(in.dst) << " <-" << order << " " << locs.name(in.loc)
+         << (queue() ? ".deq()" : ".pop()");
       break;
     case IKind::Branch:
       os << "if " << in.e1.to_string() << " goto " << in.target;
@@ -104,7 +100,6 @@ std::string describe_instr(const System& sys, ThreadId t, const Instr& in) {
       os << "goto " << in.target;
       break;
   }
-  return os.str();
 }
 
 std::string System::disassemble() const {
@@ -113,13 +108,8 @@ std::string System::disassemble() const {
     os << "thread " << t << ":\n";
     const auto& code = code_[t];
     for (std::size_t pc = 0; pc < code.size(); ++pc) {
-      const Instr& in = code[pc];
       os << "  " << pc << ": ";
-      if (!in.label.empty()) {
-        os << in.label;
-      } else {
-        os << describe_instr(*this, t, in);
-      }
+      describe_instr(os, *this, t, code[pc]);
       os << "\n";
     }
   }
@@ -162,19 +152,18 @@ void check_reg_thread(const Reg& r, ThreadId t) {
 
 }  // namespace
 
-ThreadBuilder& ThreadBuilder::assign(Reg r, Expr e, std::string_view label) {
+ThreadBuilder& ThreadBuilder::assign(Reg r, Expr e) {
   check_reg_thread(r, thread_);
   Instr in;
   in.kind = IKind::Assign;
   in.dst = r.id;
   in.has_dst = true;
   in.e1 = std::move(e);
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::load(Reg r, LocId x, std::string_view label) {
+ThreadBuilder& ThreadBuilder::load(Reg r, LocId x) {
   check_reg_thread(r, thread_);
   Instr in;
   in.kind = IKind::Load;
@@ -182,48 +171,45 @@ ThreadBuilder& ThreadBuilder::load(Reg r, LocId x, std::string_view label) {
   in.has_dst = true;
   in.loc = x;
   in.order = MemOrder::Relaxed;
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::load_acq(Reg r, LocId x, std::string_view label) {
-  load(r, x, label);
+ThreadBuilder& ThreadBuilder::load_acq(Reg r, LocId x) {
+  load(r, x);
   sys_->code_[thread_].back().order = MemOrder::Acquire;
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::load_na(Reg r, LocId x, std::string_view label) {
-  load(r, x, label);
+ThreadBuilder& ThreadBuilder::load_na(Reg r, LocId x) {
+  load(r, x);
   sys_->code_[thread_].back().order = MemOrder::NonAtomic;
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::store(LocId x, Expr e, std::string_view label) {
+ThreadBuilder& ThreadBuilder::store(LocId x, Expr e) {
   Instr in;
   in.kind = IKind::Store;
   in.loc = x;
   in.e1 = std::move(e);
   in.order = MemOrder::Relaxed;
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::store_rel(LocId x, Expr e, std::string_view label) {
-  store(x, std::move(e), label);
+ThreadBuilder& ThreadBuilder::store_rel(LocId x, Expr e) {
+  store(x, std::move(e));
   sys_->code_[thread_].back().order = MemOrder::Release;
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::store_na(LocId x, Expr e, std::string_view label) {
-  store(x, std::move(e), label);
+ThreadBuilder& ThreadBuilder::store_na(LocId x, Expr e) {
+  store(x, std::move(e));
   sys_->code_[thread_].back().order = MemOrder::NonAtomic;
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::cas(Reg r, LocId x, Expr expected, Expr desired,
-                                  std::string_view label) {
+ThreadBuilder& ThreadBuilder::cas(Reg r, LocId x, Expr expected, Expr desired) {
   check_reg_thread(r, thread_);
   Instr in;
   in.kind = IKind::Cas;
@@ -233,12 +219,11 @@ ThreadBuilder& ThreadBuilder::cas(Reg r, LocId x, Expr expected, Expr desired,
   in.e2 = std::move(expected);
   in.e3 = std::move(desired);
   in.order = MemOrder::AcqRel;
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::fai(Reg r, LocId x, std::string_view label) {
+ThreadBuilder& ThreadBuilder::fai(Reg r, LocId x) {
   check_reg_thread(r, thread_);
   Instr in;
   in.kind = IKind::Fai;
@@ -246,13 +231,11 @@ ThreadBuilder& ThreadBuilder::fai(Reg r, LocId x, std::string_view label) {
   in.has_dst = true;
   in.loc = x;
   in.order = MemOrder::AcqRel;
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::acquire(LocId lock, std::optional<Reg> r,
-                                      std::string_view label) {
+ThreadBuilder& ThreadBuilder::acquire(LocId lock, std::optional<Reg> r) {
   Instr in;
   in.kind = IKind::LockAcquire;
   in.loc = lock;
@@ -261,48 +244,41 @@ ThreadBuilder& ThreadBuilder::acquire(LocId lock, std::optional<Reg> r,
     in.dst = r->id;
     in.has_dst = true;
   }
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::acquire_version(LocId lock, Reg r,
-                                              std::string_view label) {
-  acquire(lock, r, label);
+ThreadBuilder& ThreadBuilder::acquire_version(LocId lock, Reg r) {
+  acquire(lock, r);
   sys_->code_[thread_].back().capture_version = true;
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::release(LocId lock, std::string_view label) {
+ThreadBuilder& ThreadBuilder::release(LocId lock) {
   Instr in;
   in.kind = IKind::LockRelease;
   in.loc = lock;
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::push(LocId container, Expr e,
-                                   std::string_view label) {
+ThreadBuilder& ThreadBuilder::push(LocId container, Expr e) {
   Instr in;
   in.kind = IKind::Push;
   in.loc = container;
   in.e1 = std::move(e);
   in.order = MemOrder::Relaxed;
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::push_rel(LocId container, Expr e,
-                                       std::string_view label) {
-  push(container, std::move(e), label);
+ThreadBuilder& ThreadBuilder::push_rel(LocId container, Expr e) {
+  push(container, std::move(e));
   sys_->code_[thread_].back().order = MemOrder::Release;
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::pop(Reg r, LocId container,
-                                  std::string_view label) {
+ThreadBuilder& ThreadBuilder::pop(Reg r, LocId container) {
   check_reg_thread(r, thread_);
   Instr in;
   in.kind = IKind::Pop;
@@ -310,14 +286,12 @@ ThreadBuilder& ThreadBuilder::pop(Reg r, LocId container,
   in.has_dst = true;
   in.loc = container;
   in.order = MemOrder::Relaxed;
-  in.label = label;
   emit(std::move(in));
   return *this;
 }
 
-ThreadBuilder& ThreadBuilder::pop_acq(Reg r, LocId container,
-                                      std::string_view label) {
-  pop(r, container, label);
+ThreadBuilder& ThreadBuilder::pop_acq(Reg r, LocId container) {
+  pop(r, container);
   sys_->code_[thread_].back().order = MemOrder::Acquire;
   return *this;
 }

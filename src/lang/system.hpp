@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -67,7 +68,6 @@ struct Instr {
   /// ghost observation, cf. the rl register of Fig. 7) into dst instead of
   /// the method's return value true.
   bool capture_version = false;
-  std::string label;  ///< diagnostic label ("d := 5", …)
 };
 
 /// Register handle; implicitly convertible to an expression.
@@ -83,12 +83,11 @@ struct Reg {
 
 class System;
 
-/// Renders one instruction the way System::disassemble does (with register
-/// names resolved through the owning thread); used for step labels,
-/// counterexample traces and DOT edges when no hand-written label was
-/// attached.
-[[nodiscard]] std::string describe_instr(const System& sys, ThreadId t,
-                                         const Instr& in);
+/// Writes one instruction to `os` in `.rc11` syntax, with register names
+/// resolved through the owning thread: the one source of every disassembly
+/// line, step label, counterexample step and DOT edge.
+void describe_instr(std::ostream& os, const System& sys, ThreadId t,
+                    const Instr& in);
 
 /// Appends instructions to one thread of a System.  Obtained from
 /// System::thread(); multiple builders for the same thread may not be
@@ -108,29 +107,28 @@ class ThreadBuilder {
           Component comp = Component::Client);
 
   // --- atomic statements (return *this for chaining) ---
-  ThreadBuilder& assign(Reg r, Expr e, std::string_view label = {});
-  ThreadBuilder& load(Reg r, LocId x, std::string_view label = {});      ///< r <- x
-  ThreadBuilder& load_acq(Reg r, LocId x, std::string_view label = {});  ///< r <-A x
-  ThreadBuilder& load_na(Reg r, LocId x, std::string_view label = {});   ///< r <-NA x
-  ThreadBuilder& store(LocId x, Expr e, std::string_view label = {});    ///< x := e
-  ThreadBuilder& store_rel(LocId x, Expr e, std::string_view label = {});///< x :=R e
-  ThreadBuilder& store_na(LocId x, Expr e, std::string_view label = {}); ///< x :=NA e
-  ThreadBuilder& cas(Reg r, LocId x, Expr expected, Expr desired,
-                     std::string_view label = {});  ///< r <- CAS(x,u,v)^RA
-  ThreadBuilder& fai(Reg r, LocId x, std::string_view label = {});  ///< r <- FAI(x)^RA
-  ThreadBuilder& acquire(LocId lock, std::optional<Reg> r = std::nullopt,
-                         std::string_view label = {});
+  ThreadBuilder& assign(Reg r, Expr e);
+  ThreadBuilder& load(Reg r, LocId x);        ///< r <- x
+  ThreadBuilder& load_acq(Reg r, LocId x);    ///< r <-A x
+  ThreadBuilder& load_na(Reg r, LocId x);     ///< r <-NA x
+  ThreadBuilder& store(LocId x, Expr e);      ///< x := e
+  ThreadBuilder& store_rel(LocId x, Expr e);  ///< x :=R e
+  ThreadBuilder& store_na(LocId x, Expr e);   ///< x :=NA e
+  /// r <- CAS(x,u,v)^RA
+  ThreadBuilder& cas(Reg r, LocId x, Expr expected, Expr desired);
+  ThreadBuilder& fai(Reg r, LocId x);  ///< r <- FAI(x)^RA
+  ThreadBuilder& acquire(LocId lock, std::optional<Reg> r = std::nullopt);
   /// Acquire that records the acquired lock *version* in r (the paper's
   /// l.Acquire(v) notation; used by proof outlines such as Fig. 7's rl).
-  ThreadBuilder& acquire_version(LocId lock, Reg r, std::string_view label = {});
-  ThreadBuilder& release(LocId lock, std::string_view label = {});
+  ThreadBuilder& acquire_version(LocId lock, Reg r);
+  ThreadBuilder& release(LocId lock);
   /// Container methods on a stack or a queue location: the location's kind
   /// decides at execution time whether a pop takes the newest or the oldest
   /// element (objects/container.hpp).
-  ThreadBuilder& push(LocId container, Expr e, std::string_view label = {});
-  ThreadBuilder& push_rel(LocId container, Expr e, std::string_view label = {});
-  ThreadBuilder& pop(Reg r, LocId container, std::string_view label = {});
-  ThreadBuilder& pop_acq(Reg r, LocId container, std::string_view label = {});
+  ThreadBuilder& push(LocId container, Expr e);
+  ThreadBuilder& push_rel(LocId container, Expr e);
+  ThreadBuilder& pop(Reg r, LocId container);
+  ThreadBuilder& pop_acq(Reg r, LocId container);
 
   // --- compound statements (Com grammar) ---
   /// if cond then then_body() else else_body().

@@ -23,17 +23,17 @@ MutexCaseStudy peterson_counter() {
     auto rf = tb.reg("rf");
     auto rt = tb.reg("rt");
     auto rx = tb.reg("rx");
-    tb.store_rel(my_flag, c(1), "flag[me] :=R 1");
-    tb.store_rel(turn, c(1 - my_id), "turn :=R other");
+    tb.store_rel(my_flag, c(1));
+    tb.store_rel(turn, c(1 - my_id));
     tb.do_until(
         [&] {
-          tb.load_acq(rf, other_flag, "rf <-A flag[other]");
-          tb.load_acq(rt, turn, "rt <-A turn");
+          tb.load_acq(rf, other_flag);
+          tb.load_acq(rt, turn);
         },
         Expr{rf} == c(0) || Expr{rt} == c(my_id));
-    tb.load(rx, study.x, "rx <- x");
-    tb.store(study.x, Expr{rx} + c(1), "x := rx + 1");
-    tb.store_rel(my_flag, c(0), "flag[me] :=R 0");
+    tb.load(rx, study.x);
+    tb.store(study.x, Expr{rx} + c(1));
+    tb.store_rel(my_flag, c(0));
   };
   build_thread(flag0, flag1, 0);
   build_thread(flag1, flag0, 1);
@@ -54,23 +54,22 @@ MutexCaseStudy dekker_counter() {
     auto rf = tb.reg("rf");
     auto rt = tb.reg("rt");
     auto rx = tb.reg("rx");
-    tb.store_rel(my_flag, c(1), "flag[me] :=R 1");
-    tb.load_acq(rf, other_flag, "rf <-A flag[other]");
+    tb.store_rel(my_flag, c(1));
+    tb.load_acq(rf, other_flag);
     tb.while_(Expr{rf} == c(1), [&] {
-      tb.load_acq(rt, turn, "rt <-A turn");
+      tb.load_acq(rt, turn);
       tb.if_else(Expr{rt} != c(my_id), [&] {
         // Not my turn: back off politely and wait for the turn.
-        tb.store_rel(my_flag, c(0), "flag[me] :=R 0");
-        tb.do_until([&] { tb.load_acq(rt, turn, "rt <-A turn"); },
-                    Expr{rt} == c(my_id));
-        tb.store_rel(my_flag, c(1), "flag[me] :=R 1");
+        tb.store_rel(my_flag, c(0));
+        tb.do_until([&] { tb.load_acq(rt, turn); }, Expr{rt} == c(my_id));
+        tb.store_rel(my_flag, c(1));
       });
-      tb.load_acq(rf, other_flag, "rf <-A flag[other]");
+      tb.load_acq(rf, other_flag);
     });
-    tb.load(rx, study.x, "rx <- x");
-    tb.store(study.x, Expr{rx} + c(1), "x := rx + 1");
-    tb.store_rel(turn, c(1 - my_id), "turn :=R other");
-    tb.store_rel(my_flag, c(0), "flag[me] :=R 0");
+    tb.load(rx, study.x);
+    tb.store(study.x, Expr{rx} + c(1));
+    tb.store_rel(turn, c(1 - my_id));
+    tb.store_rel(my_flag, c(0));
   };
   build_thread(flag0, flag1, 0);
   build_thread(flag1, flag0, 1);
@@ -90,16 +89,15 @@ BarrierCaseStudy barrier_exchange() {
     auto arrived = tb.reg("arrived");
     auto spin = tb.reg("spin");
     auto r = tb.reg("r");
-    tb.store(mine, c(1), "datum := 1");
-    tb.fai(arrived, count, "arrived <- FAI(count)");
+    tb.store(mine, c(1));
+    tb.fai(arrived, count);
     tb.if_else(
         Expr{arrived} == c(1),
-        [&] { tb.store_rel(sense, c(1), "sense :=R 1 (last arrival)"); },
+        [&] { tb.store_rel(sense, c(1)); },
         [&] {
-          tb.do_until([&] { tb.load_acq(spin, sense, "spin <-A sense"); },
-                      Expr{spin} == c(1));
+          tb.do_until([&] { tb.load_acq(spin, sense); }, Expr{spin} == c(1));
         });
-    tb.load(r, other, "r <- other datum");
+    tb.load(r, other);
     *out = r;
   };
   build_thread(a, b, &study.r0);

@@ -15,8 +15,8 @@ ClientProgram fig7_client(ClientArtifacts* artifacts) {
     auto t0 = sys.thread();
     auto ok0 = t0.reg("ok0");
     lock.emit_acquire(t0, ok0);
-    t0.store(d1, c(5), "d1 := 5");
-    t0.store(d2, c(5), "d2 := 5");
+    t0.store(d1, c(5));
+    t0.store(d2, c(5));
     lock.emit_release(t0);
 
     auto t1 = sys.thread();
@@ -24,8 +24,8 @@ ClientProgram fig7_client(ClientArtifacts* artifacts) {
     auto r1 = t1.reg("r1");
     auto r2 = t1.reg("r2");
     lock.emit_acquire(t1, ok1);
-    t1.load(r1, d1, "r1 <- d1");
-    t1.load(r2, d2, "r2 <- d2");
+    t1.load(r1, d1);
+    t1.load(r2, d2);
     lock.emit_release(t1);
 
     if (artifacts != nullptr) {
@@ -56,8 +56,8 @@ ClientProgram mgc_client(unsigned threads, unsigned rounds,
       for (unsigned k = 0; k < rounds; ++k) {
         lock.emit_acquire(tb, ok);
         const auto v = static_cast<Value>(t * 100 + k + 1);
-        tb.store(x, c(v), "x := unique");
-        tb.load(r, x, "r <- x");
+        tb.store(x, c(v));
+        tb.load(r, x);
         lock.emit_release(tb);
       }
     }
@@ -83,8 +83,8 @@ ClientProgram counter_client(unsigned threads, unsigned rounds,
       }
       for (unsigned k = 0; k < rounds; ++k) {
         lock.emit_acquire(tb, ok);
-        tb.load(r, x, "r <- x");
-        tb.store(x, Expr{r} + c(1), "x := r + 1");
+        tb.load(r, x);
+        tb.store(x, Expr{r} + c(1));
         lock.emit_release(tb);
       }
     }
@@ -111,12 +111,12 @@ ClientProgram worker_client(unsigned threads, unsigned rounds, unsigned work,
       }
       for (unsigned k = 0; k < rounds; ++k) {
         lock.emit_acquire(tb, ok);
-        tb.load(r, x, "r <- x");
-        tb.assign(v, Expr{r} + c(1), "v := r + 1");
+        tb.load(r, x);
+        tb.assign(v, Expr{r} + c(1));
         for (unsigned w = 1; w < work; ++w) {
-          tb.assign(v, Expr{v} + c(0), "v := v");
+          tb.assign(v, Expr{v} + c(0));
         }
-        tb.store(x, Expr{v}, "x := v");
+        tb.store(x, Expr{v});
         lock.emit_release(tb);
       }
     }

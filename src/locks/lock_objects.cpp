@@ -14,11 +14,11 @@ using memsem::Component;
 void AbstractLock::declare(System& sys) { l_ = sys.library_lock("l"); }
 
 void AbstractLock::emit_acquire(ThreadBuilder& tb, Reg dst) {
-  tb.acquire(l_, dst, "l.Acquire()");
+  tb.acquire(l_, dst);
 }
 
 void AbstractLock::emit_release(ThreadBuilder& tb) {
-  tb.release(l_, "l.Release()");
+  tb.release(l_);
 }
 
 // --- sequence lock -----------------------------------------------------------
@@ -39,23 +39,22 @@ void SeqLock::emit_acquire(ThreadBuilder& tb, Reg dst) {
   auto& r = regs_for(tb);
   tb.do_until(
       [&] {
-        tb.do_until([&] { tb.load_acq(r.r, glb_, "r <-A glb"); },
+        tb.do_until([&] { tb.load_acq(r.r, glb_); },
                     lang::is_even(Expr{r.r}));
-        tb.cas(r.loc, glb_, Expr{r.r}, Expr{r.r} + c(1),
-               "loc <- CAS(glb, r, r+1)");
+        tb.cas(r.loc, glb_, Expr{r.r}, Expr{r.r} + c(1));
       },
       Expr{r.loc});
   // Acquire() returns true — delivered through the client register, which is
   // the refinement-visible rval of Section 4.
-  tb.assign(dst, c(1), "return true");
+  tb.assign(dst, c(1));
 }
 
 void SeqLock::emit_release(ThreadBuilder& tb) {
   auto& r = regs_for(tb);
   if (releasing_release_) {
-    tb.store_rel(glb_, Expr{r.r} + c(2), "glb :=R r + 2");
+    tb.store_rel(glb_, Expr{r.r} + c(2));
   } else {
-    tb.store(glb_, Expr{r.r} + c(2), "glb := r + 2 (BROKEN: relaxed)");
+    tb.store(glb_, Expr{r.r} + c(2));
   }
 }
 
@@ -76,18 +75,18 @@ TicketLock::ThreadRegs& TicketLock::regs_for(ThreadBuilder& tb) {
 
 void TicketLock::emit_acquire(ThreadBuilder& tb, Reg dst) {
   auto& r = regs_for(tb);
-  tb.fai(r.my_ticket, nt_, "m_t <- FAI(nt)");
-  tb.do_until([&] { tb.load_acq(r.serving, sn_, "s_n <-A sn"); },
+  tb.fai(r.my_ticket, nt_);
+  tb.do_until([&] { tb.load_acq(r.serving, sn_); },
               Expr{r.my_ticket} == Expr{r.serving});
-  tb.assign(dst, c(1), "return true");
+  tb.assign(dst, c(1));
 }
 
 void TicketLock::emit_release(ThreadBuilder& tb) {
   auto& r = regs_for(tb);
   if (releasing_release_) {
-    tb.store_rel(sn_, Expr{r.serving} + c(1), "sn :=R s_n + 1");
+    tb.store_rel(sn_, Expr{r.serving} + c(1));
   } else {
-    tb.store(sn_, Expr{r.serving} + c(1), "sn := s_n + 1 (BROKEN: relaxed)");
+    tb.store(sn_, Expr{r.serving} + c(1));
   }
 }
 
@@ -106,13 +105,12 @@ CasSpinLock::ThreadRegs& CasSpinLock::regs_for(ThreadBuilder& tb) {
 
 void CasSpinLock::emit_acquire(ThreadBuilder& tb, Reg dst) {
   auto& r = regs_for(tb);
-  tb.do_until([&] { tb.cas(r.loc, glb_, c(0), c(1), "loc <- CAS(glb, 0, 1)"); },
-              Expr{r.loc});
-  tb.assign(dst, c(1), "return true");
+  tb.do_until([&] { tb.cas(r.loc, glb_, c(0), c(1)); }, Expr{r.loc});
+  tb.assign(dst, c(1));
 }
 
 void CasSpinLock::emit_release(ThreadBuilder& tb) {
-  tb.store_rel(glb_, c(0), "glb :=R 0");
+  tb.store_rel(glb_, c(0));
 }
 
 // --- TTAS lock --------------------------------------------------------------------
@@ -133,16 +131,15 @@ void TTASLock::emit_acquire(ThreadBuilder& tb, Reg dst) {
   auto& r = regs_for(tb);
   tb.do_until(
       [&] {
-        tb.do_until([&] { tb.load_acq(r.r, glb_, "r <-A glb"); },
-                    Expr{r.r} == c(0));
-        tb.cas(r.loc, glb_, c(0), c(1), "loc <- CAS(glb, 0, 1)");
+        tb.do_until([&] { tb.load_acq(r.r, glb_); }, Expr{r.r} == c(0));
+        tb.cas(r.loc, glb_, c(0), c(1));
       },
       Expr{r.loc});
-  tb.assign(dst, c(1), "return true");
+  tb.assign(dst, c(1));
 }
 
 void TTASLock::emit_release(ThreadBuilder& tb) {
-  tb.store_rel(glb_, c(0), "glb :=R 0");
+  tb.store_rel(glb_, c(0));
 }
 
 // --- instantiation ---------------------------------------------------------------

@@ -23,15 +23,14 @@ Fig3Example build_fig3_program() {
   ex.s = ex.sys.library_stack("s");
 
   auto t0 = ex.sys.thread();
-  t0.store(ex.d, c(5), "d := 5");
-  t0.push_rel(ex.s, c(1), "s.pushR(1)");
+  t0.store(ex.d, c(5));
+  t0.push_rel(ex.s, c(1));
 
   auto t1 = ex.sys.thread();
   ex.r1 = t1.reg("r1");
   ex.r2 = t1.reg("r2");
-  t1.do_until([&] { t1.pop_acq(ex.r1, ex.s, "r1 <- s.popA()"); },
-              Expr{ex.r1} == c(1));
-  t1.load(ex.r2, ex.d, "r2 <- d");
+  t1.do_until([&] { t1.pop_acq(ex.r1, ex.s); }, Expr{ex.r1} == c(1));
+  t1.load(ex.r2, ex.d);
 
   ex.outline = ProofOutline{ex.sys};
   return ex;
@@ -91,19 +90,19 @@ Fig7Example build_fig7_program() {
   ex.l = ex.sys.library_lock("l");
 
   auto t0 = ex.sys.thread();
-  t0.acquire(ex.l, std::nullopt, "l.Acquire()");
-  t0.store(ex.d1, c(5), "d1 := 5");
-  t0.store(ex.d2, c(5), "d2 := 5");
-  t0.release(ex.l, "l.Release()");
+  t0.acquire(ex.l);
+  t0.store(ex.d1, c(5));
+  t0.store(ex.d2, c(5));
+  t0.release(ex.l);
 
   auto t1 = ex.sys.thread();
   ex.rl = t1.reg("rl");
   ex.r1 = t1.reg("r1");
   ex.r2 = t1.reg("r2");
-  t1.acquire_version(ex.l, ex.rl, "rl <- l.Acquire()");
-  t1.load(ex.r1, ex.d1, "r1 <- d1");
-  t1.load(ex.r2, ex.d2, "r2 <- d2");
-  t1.release(ex.l, "l.Release()");
+  t1.acquire_version(ex.l, ex.rl);
+  t1.load(ex.r1, ex.d1);
+  t1.load(ex.r2, ex.d2);
+  t1.release(ex.l);
 
   ex.outline = ProofOutline{ex.sys};
   return ex;

@@ -27,15 +27,15 @@ Harness make_harness(unsigned writer_rounds) {
   h.l = h.sys.library_lock("l");
   auto t0 = h.sys.thread();
   for (unsigned k = 0; k < writer_rounds; ++k) {
-    t0.acquire(h.l, std::nullopt, "acquire");
-    t0.store(h.x, c(static_cast<lang::Value>(k + 1)), "x := k+1");
-    t0.release(h.l, "release");
+    t0.acquire(h.l);
+    t0.store(h.x, c(static_cast<lang::Value>(k + 1)));
+    t0.release(h.l);
   }
   auto t1 = h.sys.thread();
   auto r1 = t1.reg("r1");
-  t1.acquire(h.l, std::nullopt, "acquire");
-  t1.load(r1, h.x, "r1 <- x");
-  t1.release(h.l, "release");
+  t1.acquire(h.l);
+  t1.load(r1, h.x);
+  t1.release(h.l);
   return h;
 }
 

@@ -31,19 +31,19 @@ Harness make_harness() {
   h.x = h.sys.client_var("x", 0);
   h.y = h.sys.client_var("y", 0);
   auto t0 = h.sys.thread();
-  t0.store(h.y, c(5), "y := 5");
-  t0.store_rel(h.x, c(1), "x :=R 1");
-  t0.store(h.x, c(2), "x := 2");
+  t0.store(h.y, c(5));
+  t0.store_rel(h.x, c(1));
+  t0.store(h.x, c(2));
   auto t1 = h.sys.thread();
   h.ra = t1.reg("ra");
   h.rb = t1.reg("rb");
-  t1.load_acq(h.ra, h.x, "ra <-A x");
-  t1.load(h.rb, h.y, "rb <- y");
+  t1.load_acq(h.ra, h.x);
+  t1.load(h.rb, h.y);
   auto t2 = h.sys.thread();
   h.rc = t2.reg("rc");
   h.rd = t2.reg("rd");
-  t2.cas(h.rc, h.x, c(0), c(7), "rc <- CAS(x, 0, 7)");
-  t2.fai(h.rd, h.y, "rd <- FAI(y)");
+  t2.cas(h.rc, h.x, c(0), c(7));
+  t2.fai(h.rd, h.y);
   return h;
 }
 

@@ -453,20 +453,19 @@ class Parser {
       expect(Tok::LParen, "'('");
       if (method == "acquire") {
         expect(Tok::RParen, "')'");
-        tb.acquire(location(name, LocKind::Lock, "lock"), std::nullopt,
-                   name + ".acquire()");
+        tb.acquire(location(name, LocKind::Lock, "lock"));
       } else if (method == "release") {
         expect(Tok::RParen, "')'");
-        tb.release(location(name, LocKind::Lock, "lock"), name + ".release()");
+        tb.release(location(name, LocKind::Lock, "lock"));
       } else if (method == "push" || method == "pushR" || method == "enq" ||
                  method == "enqR") {
         Expr value = parse_expr(tb);
         expect(Tok::RParen, "')'");
         const auto loc = container(name, method.rfind("push", 0) == 0);
         if (method.back() == 'R') {
-          tb.push_rel(loc, std::move(value), name + "." + method);
+          tb.push_rel(loc, std::move(value));
         } else {
-          tb.push(loc, std::move(value), name + "." + method);
+          tb.push(loc, std::move(value));
         }
       } else {
         lex_.error("unknown method '" + method + "'");
@@ -522,15 +521,13 @@ class Parser {
           if (!op.suffix.empty()) {
             error_at(op, "lock methods take no <-" + op.suffix + " annotation");
           }
-          tb.acquire(location(src, LocKind::Lock, "lock"), dst,
-                     name + " <- " + src + ".acquire()");
+          tb.acquire(location(src, LocKind::Lock, "lock"), dst);
         } else if (method == "pop" || method == "deq") {
           const auto loc = container(src, method == "pop");
-          const auto call = src + "." + method + "()";
           if (method_acquires(op, method)) {
-            tb.pop_acq(dst, loc, name + " <-A " + call);
+            tb.pop_acq(dst, loc);
           } else {
-            tb.pop(dst, loc, name + " <- " + call);
+            tb.pop(dst, loc);
           }
         } else {
           lex_.error("unknown method '" + method + "' in read position");

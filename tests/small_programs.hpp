@@ -193,26 +193,26 @@ inline lang::System mp_compute(unsigned work, bool spin = false) {
 
   auto t0 = sys.thread();
   auto v = t0.reg("v");
-  t0.assign(v, c(1), "v := 1");
+  t0.assign(v, c(1));
   for (unsigned w = 1; w < work; ++w) {
-    t0.assign(v, Expr{v} + c(2), "v := v + 2");
+    t0.assign(v, Expr{v} + c(2));
   }
-  t0.store(d, Expr{v}, "d := v");
-  t0.store_rel(f, c(1), "f :=R 1");
+  t0.store(d, Expr{v});
+  t0.store_rel(f, c(1));
 
   auto t1 = sys.thread();
   auto r1 = t1.reg("r1");
   auto r2 = t1.reg("r2");
   auto s = t1.reg("s");
   if (spin) {
-    t1.do_until([&] { t1.load_acq(r1, f, "r1 <-A f"); }, Expr{r1} == c(1));
+    t1.do_until([&] { t1.load_acq(r1, f); }, Expr{r1} == c(1));
   } else {
-    t1.load_acq(r1, f, "r1 <-A f");
+    t1.load_acq(r1, f);
   }
-  t1.load(r2, d, "r2 <- d");
-  t1.assign(s, Expr{r2} * c(2), "s := r2 * 2");
+  t1.load(r2, d);
+  t1.assign(s, Expr{r2} * c(2));
   for (unsigned w = 1; w < work; ++w) {
-    t1.assign(s, Expr{s} + c(1), "s := s + 1");
+    t1.assign(s, Expr{s} + c(1));
   }
   return sys;
 }

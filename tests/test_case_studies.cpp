@@ -142,7 +142,7 @@ TEST(Barrier, BreaksWithoutTheReleasingFlip) {
     tb.fai(arrived, count);
     tb.if_else(
         lang::Expr{arrived} == lang::c(1),
-        [&] { tb.store(sense, lang::c(1), "sense := 1 (BROKEN relaxed)"); },
+        [&] { tb.store(sense, lang::c(1)); },
         [&] {
           tb.do_until([&] { tb.load_acq(spin, sense); },
                       lang::Expr{spin} == lang::c(1));

@@ -138,8 +138,8 @@ TEST(Explorer, InvariantViolationCarriesTrace) {
   System sys;
   auto x = sys.client_var("x", 0);
   auto t0 = sys.thread();
-  t0.store(x, c(1), "x := 1");
-  t0.store(x, c(2), "x := 2");
+  t0.store(x, c(1));
+  t0.store(x, c(2));
   ExploreOptions opts;
   opts.track_traces = true;
   const auto result = explore(
@@ -328,10 +328,11 @@ TEST(DotExport, ProducesWellFormedGraph) {
 }
 
 TEST(DotExport, EscapesQuotes) {
+  // Step labels name locations, so a quote in a name reaches the DOT text.
   lang::System sys;
-  const auto x = sys.client_var("x", 0);
+  const auto x = sys.client_var("say \"hi\"", 0);
   auto t0 = sys.thread();
-  t0.store(x, lang::c(1), "say \"hi\"");
+  t0.store(x, lang::c(1));
   refinement::GraphOptions opts;
   opts.max_states = 1000;
   opts.want_labels = true;
@@ -339,6 +340,8 @@ TEST(DotExport, EscapesQuotes) {
   const auto dot = explore::to_dot(sys, graph);
   EXPECT_EQ(dot.find("\"hi\""), std::string::npos)
       << "raw quotes must not appear unescaped";
+  EXPECT_NE(dot.find("say \\\"hi\\\" := 1"), std::string::npos)
+      << "the escaped name reaches the edge label";
 }
 
 
@@ -350,13 +353,13 @@ TEST(Explorer, AbbaDeadlockDetected) {
   const auto l1 = sys.library_lock("l1");
   const auto l2 = sys.library_lock("l2");
   auto t0 = sys.thread();
-  t0.acquire(l1, std::nullopt, "t0: acquire l1");
-  t0.acquire(l2, std::nullopt, "t0: acquire l2");
+  t0.acquire(l1);
+  t0.acquire(l2);
   t0.release(l2);
   t0.release(l1);
   auto t1 = sys.thread();
-  t1.acquire(l2, std::nullopt, "t1: acquire l2");
-  t1.acquire(l1, std::nullopt, "t1: acquire l1");
+  t1.acquire(l2);
+  t1.acquire(l1);
   t1.release(l1);
   t1.release(l2);
   const auto result = explore(sys);

@@ -161,7 +161,7 @@ TEST(Builder, DisassembleListsAllThreads) {
   System sys;
   auto x = sys.client_var("x", 0);
   auto t0 = sys.thread();
-  t0.store(x, c(1), "x := 1");
+  t0.store(x, c(1));
   auto t1 = sys.thread();
   auto r = t1.reg("r");
   t1.load(r, x);

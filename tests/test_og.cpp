@@ -49,11 +49,11 @@ struct AssertFixture : ::testing::Test {
     l = sys.library_lock("l");
     auto t0 = sys.thread();
     r0 = t0.reg("r0");
-    t0.store(x, c(1), "x := 1");
-    t0.store_rel(f, c(1), "f :=R 1");
+    t0.store(x, c(1));
+    t0.store_rel(f, c(1));
     auto t1 = sys.thread();
     auto rr = t1.reg("rr");
-    t1.load_acq(rr, f, "rr <-A f");
+    t1.load_acq(rr, f);
   }
 };
 
@@ -111,7 +111,7 @@ TEST_F(AssertFixture, CoveredAndHiddenVar) {
   const auto y = s2.client_var("y", 0);
   auto t0 = s2.thread();
   auto rr = t0.reg("rr");
-  t0.cas(rr, y, c(0), c(1), "CAS(y,0,1)");
+  t0.cas(rr, y, c(0), c(1));
   auto cfg = lang::initial_config(s2);
   EXPECT_FALSE(asrt::hidden_var(y, 0).eval(s2, cfg)) << "init not covered yet";
   cfg = lang::thread_successors(s2, cfg, 0)[0].after;  // successful CAS
@@ -193,10 +193,10 @@ TEST(OutlineChecker, DetectsInterferenceDistinctFromValidity) {
   System sys;
   const auto x = sys.client_var("x", 0);
   auto t0 = sys.thread();
-  t0.store(x, c(1), "x := 1");
+  t0.store(x, c(1));
   auto t1 = sys.thread();
   auto r = t1.reg("r");
-  t1.load(r, x, "r <- x");
+  t1.load(r, x);
 
   og::ProofOutline outline{sys};
   outline.annotate(1, 0, asrt::definite_obs(1, x, 0));
@@ -235,17 +235,17 @@ struct Lemma3Fixture : ::testing::Test {
     x = sys.client_var("x", 0);
     l = sys.library_lock("l");
     auto t0 = sys.thread();
-    t0.acquire(l, std::nullopt, "acquire");
-    t0.store(x, c(1), "x := 1");
-    t0.release(l, "release");
-    t0.acquire(l, std::nullopt, "acquire");
-    t0.store(x, c(2), "x := 2");
-    t0.release(l, "release");
+    t0.acquire(l);
+    t0.store(x, c(1));
+    t0.release(l);
+    t0.acquire(l);
+    t0.store(x, c(2));
+    t0.release(l);
     auto t1 = sys.thread();
     r1 = t1.reg("r1");
-    t1.acquire(l, std::nullopt, "acquire");
-    t1.load(r1, x, "r1 <- x");
-    t1.release(l, "release");
+    t1.acquire(l);
+    t1.load(r1, x);
+    t1.release(l);
   }
 
   static bool is_acquire(ThreadId t, const Instr& in, ThreadId want) {
@@ -408,10 +408,10 @@ CounterExample make_counter_outline() {
   for (int i = 0; i < 2; ++i) {
     auto tb = sys.thread();
     T t{tb.reg("rl"), tb.reg("r")};
-    tb.acquire_version(l, t.rl, "rl <- acquire");
-    tb.load(t.r, x, "r <- x");
-    tb.store(x, Expr{t.r} + c(1), "x := r + 1");
-    tb.release(l, "release");
+    tb.acquire_version(l, t.rl);
+    tb.load(t.r, x);
+    tb.store(x, Expr{t.r} + c(1));
+    tb.release(l);
     regs.push_back(t);
   }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -244,6 +245,134 @@ TEST(Parser, CommentsAreIgnored) {
     }
   )");
   EXPECT_EQ(p.sys.code(0).size(), 1u);
+}
+
+TEST(Parser, EveryStatementFormRendersPinned) {
+  // Every statement form once: step labels, disassembly, witnesses and
+  // checkpoints all come from this rendering, and traced runs count the
+  // label bytes into visited_bytes, so a parsed program's text is pinned.
+  const auto p = parse_program(R"(
+    var x = 0;
+    var y = 0;
+    lock l;
+    stack s;
+    queue q;
+    thread t {
+      reg a;
+      reg b;
+      reg ok;
+      reg i;
+      a <- s.pop();
+      b <-A q.deq();
+      x := 1;
+      x :=R 2;
+      y :=NA 3;
+      a <- x;
+      a <-A x;
+      b <-NA y;
+      ok <- CAS(x, 2, 5);
+      ok <- CAS(x, 2, 7);
+      i <- FAI(x);
+      i := i + 1;
+      if (i == 6) { a := 1; } else { a := 2; }
+      if (a == 2) { b := 0; }
+      while (i < 8) { i := i + 1; }
+      do { i := i - 1; } until (i <= 6);
+      l.acquire();
+      l.release();
+      ok <- l.acquire();
+      l.release();
+      s.push(i);
+      s.pushR(i + 1);
+      q.enq(a);
+      q.enqR(b * 2);
+      a <- s.pop();
+      b <-A s.pop();
+      a <- q.deq();
+      b <-A q.deq();
+    }
+  )");
+  EXPECT_EQ(p.sys.disassemble(), R"(thread 0:
+  0: a <- s.pop()
+  1: b <-A q.deq()
+  2: x := 1
+  3: x :=R 2
+  4: y :=NA 3
+  5: a <- x
+  6: a <-A x
+  7: b <-NA y
+  8: ok <- CAS(x, 2, 5)
+  9: ok <- CAS(x, 2, 7)
+  10: i <- FAI(x)
+  11: i := (r3 + 1)
+  12: if !(r3 == 6) goto 15
+  13: a := 1
+  14: goto 16
+  15: a := 2
+  16: if !(r0 == 2) goto 18
+  17: b := 0
+  18: if !(r3 < 8) goto 21
+  19: i := (r3 + 1)
+  20: goto 18
+  21: i := (r3 - 1)
+  22: if !(r3 <= 6) goto 21
+  23: l.acquire()
+  24: l.release()
+  25: ok <- l.acquire()
+  26: l.release()
+  27: s.push
+  28: s.pushR
+  29: q.enq
+  30: q.enqR
+  31: a <- s.pop()
+  32: b <-A s.pop()
+  33: a <- q.deq()
+  34: b <-A q.deq()
+)");
+
+  refinement::GraphOptions opts;
+  opts.want_labels = true;
+  const auto graph = refinement::build_graph(p.sys, opts);
+  std::set<std::string> labels;
+  for (const auto& edges : graph.labels) {
+    labels.insert(edges.begin(), edges.end());
+  }
+  const std::set<std::string> expected = {
+      "t0: a := 1",
+      "t0: a <- q.deq() [q]",
+      "t0: a <- s.pop() [s]",
+      "t0: a <- s.pop() [s] (empty)",
+      "t0: a <- x",
+      "t0: a <-A x",
+      "t0: b <-A q.deq() [q]",
+      "t0: b <-A q.deq() [q] (empty)",
+      "t0: b <-A s.pop() [s]",
+      "t0: b <-NA y",
+      "t0: goto 16",
+      "t0: goto 18",
+      "t0: i := (r3 + 1)",
+      "t0: i := (r3 - 1)",
+      "t0: i <- FAI(x)",
+      "t0: if !(r0 == 2) goto 18 (taken)",
+      "t0: if !(r3 < 8) goto 21",
+      "t0: if !(r3 < 8) goto 21 (taken)",
+      "t0: if !(r3 <= 6) goto 21",
+      "t0: if !(r3 <= 6) goto 21 (taken)",
+      "t0: if !(r3 == 6) goto 15",
+      "t0: l.acquire() [l]",
+      "t0: l.release() [l]",
+      "t0: ok <- CAS(x, 2, 5) (success)",
+      "t0: ok <- CAS(x, 2, 7) (fail)",
+      "t0: ok <- l.acquire() [l]",
+      "t0: q.enq [q]",
+      "t0: q.enqR [q]",
+      "t0: s.push [s]",
+      "t0: s.pushR [s]",
+      "t0: x := 1",
+      "t0: x :=R 2",
+      "t0: y :=NA 3",
+  };
+  EXPECT_EQ(labels, expected);
 }
 
 // --- error reporting ----------------------------------------------------------

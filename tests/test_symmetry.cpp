@@ -104,7 +104,8 @@ TEST(Symmetry, ReductionHeadlineOnTargetFamilies) {
   // queue and stack families.  The exact sizes pin both paths; the
   // four-thread families shrink by >= 10x in visited states, the
   // three-thread ones (orbit 3! = 6) and the asymmetric MP control need
-  // not, and every final configuration is kept.
+  // not, and every final configuration is kept.  The parsed lock workers
+  // pin that register names do not split a symmetry class.
   struct Case {
     const char* name;
     System sys;
@@ -137,6 +138,11 @@ TEST(Symmetry, ReductionHeadlineOnTargetFamilies) {
       {"mp_litmus",
        parser::parse_file(catalogue::program_path("mp_rel_acq.rc11")).sys,
        false, 13, 17, 13, 17, 0, 0},
+      // Three parsed workers that differ only in their register names.
+      {"lock_workers_named",
+       parser::parse_file(catalogue::program_path("lock_workers_named.rc11"))
+           .sys,
+       false, 61, 60, 13, 15, 2, 0},
   };
   for (const auto& c : cases) {
     ExploreOptions por;
