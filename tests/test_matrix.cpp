@@ -93,7 +93,8 @@ Instance lock_client(const std::string& client_name,
 /// after every input that was there before it, in the order it was added,
 /// instead of renumbering every test after the place where it sorts.
 const std::set<std::string> kLaterCorpus = {
-    "rf_export_view.rc11", "fai_elected_race.rc11", "lock_workers_named.rc11"};
+    "rf_export_view.rc11", "fai_elected_race.rc11", "lock_workers_named.rc11",
+    "rf_write_live.rc11"};
 
 Instance corpus(const std::string& file) {
   return {std::filesystem::path(file).stem().string(),
@@ -161,6 +162,7 @@ std::vector<Instance> build_instances() {
       }));
   out.push_back(corpus("fai_elected_race.rc11"));
   out.push_back(corpus("lock_workers_named.rc11"));
+  out.push_back(corpus("rf_write_live.rc11"));
   return out;
 }
 

@@ -28,7 +28,7 @@
 #                        at 20, rc11-verify on mp_verified capped at 5, each
 #                        with --checkpoint, then resumed to completion.
 #
-# That is 1,051 runs.  For every run it writes into OUT_DIR:
+# That is 1,079 runs.  For every run it writes into OUT_DIR:
 #
 #   NAME.json      the run's --json summary
 #   NAME.out       its stdout, with OUT_DIR replaced by "OUT"
