@@ -1,7 +1,7 @@
 // rc11lib/engine/abstraction.hpp
 //
-// The pluggable state-equivalence layer of the reachability engine: what it
-// means for two configurations to be "the same" for visited-set purposes.
+// The state-equivalence layer of the reachability engine: what it means for
+// two configurations to be "the same" for visited-set purposes.
 // The driver (engine/reach.hpp) deduplicates states by an *abstract key*
 // computed here; everything downstream of the key — frontier ownership,
 // sleep-mask storage, budget accounting — is abstraction-agnostic.  Trace
@@ -9,8 +9,9 @@
 // only decides which arrivals are folded together, never what a recorded
 // step looks like.
 //
-// Three implementations, all written by Config::encode_into: the two
-// quotients differ from Concrete only in the memsem::EncodeView they pass.
+// One value, StateAbstraction, built from the run's Reduction, computes
+// one of three keys, all written by Config::encode_into: the two quotients
+// differ from Concrete only in the memsem::EncodeView they pass.
 //
 //   * Concrete — the identity abstraction: the key is the configuration's
 //     canonical encoding (Config::encode_into).  Used by the driver's
@@ -33,13 +34,14 @@
 //     still observe, and drops the rest:
 //
 //       - a thread's viewfront entry for location l is kept iff the thread
-//         can still reach an instruction accessing l (its enabled reads,
-//         writes and RMWs on l are constrained by that entry), or the
-//         thread can still reach a *view-exporting* instruction — a
-//         releasing store, an RMW, or any object-method call — each of
-//         which snapshots the whole viewfront row into a kept modification
-//         view, or the entry is pinned by the caller (assertion
-//         footprints; see RfPins);
+//         can still reach an instruction accessing l (one whose
+//         lang::access_footprint names l: its enabled reads, writes and
+//         RMWs on l are constrained by that entry), or the thread can
+//         still reach a *view-exporting* instruction — one that writes its
+//         location and synchronises: a releasing store, an RMW, or any
+//         object-method call — each of which snapshots the whole viewfront
+//         row into a kept modification view, or the entry is pinned by the
+//         caller (assertion footprints; see RfPins);
 //
 //       - a non-releasing plain-variable operation's modification view is
 //         dropped: under RC11 RAR no synchronisation path ever merges it
@@ -65,36 +67,62 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "engine/sample.hpp"
 #include "engine/symmetry.hpp"
 #include "lang/config.hpp"
 
 namespace rc11::engine {
 
-/// A state-equivalence policy.  key() may reuse per-instance mutable
-/// scratch, so an instance must not be shared across workers — drivers keep
-/// one per worker via clone().
+/// Extra (thread, location) viewfront entries the rf quotient key must keep
+/// even where liveness analysis would drop them: the view footprints of the
+/// assertions a checker evaluates per state (assertions::Assertion::
+/// footprint()).  Checkers that evaluate footprint-less predicates under
+/// --rf-quotient must reject the combination instead.
+struct RfPins {
+  std::vector<std::pair<lang::ThreadId, lang::LocId>> entries;
+};
+
+/// The run's state-equivalence key: Concrete, Symmetry or RfQuotient (see
+/// the header comment).  A copyable value; key() reuses mutable scratch, so
+/// one value must not key on two threads at once — the driver gives each
+/// worker its own copy.
 class StateAbstraction {
  public:
-  enum class Kind : std::uint8_t { Concrete, Symmetry, RfQuotient };
+  /// Concrete: the key is the canonical encoding.
+  StateAbstraction() = default;
 
-  virtual ~StateAbstraction() = default;
+  /// The key `reduction` asks for over `sys`: Symmetry when it asks for
+  /// `symmetry` and `sys` has interchangeable threads, RfQuotient keeping
+  /// `pins` when it asks for `rf_quotient`, Concrete otherwise.
+  /// reduction_conflict rejects asking for both.
+  StateAbstraction(const System& sys, const Reduction& reduction,
+                   const RfPins& pins = {});
 
-  [[nodiscard]] virtual Kind kind() const noexcept = 0;
+  [[nodiscard]] bool symmetry() const noexcept { return symmetry_.has_value(); }
+  [[nodiscard]] bool rf_quotient() const noexcept { return rf_quotient_; }
+  /// True iff the key can differ from the concrete encoding.
+  [[nodiscard]] bool nontrivial() const noexcept {
+    return symmetry() || rf_quotient();
+  }
 
-  /// True iff the key can differ from the concrete encoding (e.g. a
-  /// symmetry abstraction over a system with no interchangeable threads is
-  /// trivial and the driver falls back to its plain path).
-  [[nodiscard]] virtual bool nontrivial() const noexcept = 0;
+  /// Computes the key of `cfg` into `out` (all fields overwritten).
+  void key(const Config& cfg, AbstractKey& out) const;
 
-  /// Computes the key of `cfg` into `out` (all fields overwritten; the key
-  /// type, AbstractKey, is declared in engine/symmetry.hpp).
-  virtual void key(const Config& cfg, AbstractKey& out) const = 0;
-
-  /// A fresh instance over the same system (for per-worker scratch).
-  [[nodiscard]] virtual std::unique_ptr<StateAbstraction> clone() const = 0;
+ private:
+  std::optional<SymmetryReducer> symmetry_;
+  bool rf_quotient_ = false;
+  lang::LocId num_locs_ = 0;
+  /// RfQuotient, per thread: (code size + 1) rows of num_locs_ bytes, the
+  /// locations the thread can still access from each pc.
+  std::vector<std::vector<std::uint8_t>> access_;
+  /// RfQuotient, per thread: (code size + 1) bytes, whether the thread can
+  /// still export its view from each pc.
+  std::vector<std::vector<std::uint8_t>> exports_;
+  mutable std::vector<std::uint8_t> keep_;  ///< per-state scratch
 };
 
 /// True iff the key's reported permutation is the identity (always true for
@@ -111,19 +139,9 @@ class StateAbstraction {
 [[nodiscard]] std::uint64_t mask_from_abstract(std::uint64_t mask,
                                                const AbstractKey& key);
 
-/// Extra (thread, location) viewfront entries the rf quotient key must keep
-/// even where liveness analysis would drop them: the view footprints of the
-/// assertions a checker evaluates per state (assertions::Assertion::
-/// footprint()).  Checkers that evaluate footprint-less predicates under
-/// --rf-quotient must reject the combination instead.
-struct RfPins {
-  std::vector<std::pair<lang::ThreadId, lang::LocId>> entries;
-};
-
+/// The Concrete and Symmetry keys on the heap, kept for perfbench/layers.cpp.
 [[nodiscard]] std::unique_ptr<StateAbstraction> make_concrete_abstraction();
 [[nodiscard]] std::unique_ptr<StateAbstraction> make_symmetry_abstraction(
     const System& sys);
-[[nodiscard]] std::unique_ptr<StateAbstraction> make_rf_quotient_abstraction(
-    const System& sys, const RfPins& pins);
 
 }  // namespace rc11::engine

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -38,21 +37,6 @@ struct Frontier {
   bool revisit = false;
 };
 
-/// Builds the run's state abstraction: the symmetry orbit quotient, the
-/// execution-graph quotient, or the concrete identity — which is also what
-/// a symmetry request gets on a system with no interchangeable threads.
-/// reduction_conflict has already rejected symmetry+rf_quotient.
-std::unique_ptr<StateAbstraction> make_abstraction(
-    const System& sys, const ReachOptions& options) {
-  if (options.symmetry) {
-    auto abs = make_symmetry_abstraction(sys);
-    if (abs->nontrivial()) return abs;
-  } else if (options.rf_quotient) {
-    return make_rf_quotient_abstraction(sys, options.rf_pins);
-  }
-  return make_concrete_abstraction();
-}
-
 /// How a run decides whether a successor is new.
 enum class Membership : std::uint8_t {
   /// Traced identity runs: the trace sink's own insert_traced.  The sink is
@@ -78,12 +62,12 @@ struct Run {
   bool sleep;     ///< sleep-set pruning (at most 64 threads)
 };
 
-/// One worker's state: its abstraction instance (key() reuses mutable
-/// scratch), pooled step buffers, and its share of the run's statistics,
-/// summed after the join.  Cache-line aligned so neighbouring workers'
-/// counters never share a line.
+/// One worker's state: its copy of the run's abstraction (key() reuses
+/// mutable scratch), pooled step buffers, and its share of the run's
+/// statistics, summed after the join.  Cache-line aligned so neighbouring
+/// workers' counters never share a line.
 struct alignas(64) Worker {
-  std::unique_ptr<StateAbstraction> abs;
+  StateAbstraction abs;
   ExploreStats stats;
   lang::StepBuffer steps;        // pooled successor storage
   lang::StepBuffer chain_steps;  // separate pool: collapse runs mid-expansion
@@ -132,34 +116,18 @@ void seed_from_checkpoint(const TransitionSystem& ts, const Checkpoint& ckpt,
 
 // --- POR chain collapse ------------------------------------------------------
 
-/// The thread whose single deterministic local step chain collapse
-/// fast-forwards at `cfg`: the ample thread, when its next instruction is
-/// local (Assign / Branch / Jump — exactly one successor, no memory effect);
-/// nullopt when no chain starts.  A pure function of `cfg`, so every worker
-/// and trace mode collapses identically.  Chains terminate because
-/// every chain step strictly increases the acting thread's pc (the ample
-/// proviso) and touches no other thread's pc.
-std::optional<lang::ThreadId> chain_thread(const TransitionSystem& ts,
-                                           const Config& cfg) {
-  const auto t = ts.ample_thread(cfg);
-  if (!t) return std::nullopt;
-  switch (ts.system().code(*t)[cfg.pc[*t]].kind) {
-    case lang::IKind::Assign:
-    case lang::IKind::Branch:
-    case lang::IKind::Jump:
-      return t;
-    default:
-      return std::nullopt;
-  }
-}
-
 /// Fast-forwards `cfg` through its deterministic local ample chain without
 /// recording the intermediate states; bumps `chained` once per skipped step.
-/// Each chain step is swapped in, not moved, so both `cfg` (usually a pooled
-/// slot) and `buf` keep their capacity.
+/// A chain step is the ample thread's step (TransitionSystem::ample_thread):
+/// its next instruction is local, so it has exactly one successor and no
+/// memory effect.  That is a pure function of `cfg`, so every worker and
+/// trace mode collapses identically.  Chains terminate because every chain
+/// step strictly increases the acting thread's pc (the ample proviso) and
+/// touches no other thread's pc.  Each chain step is swapped in, not moved,
+/// so both `cfg` (usually a pooled slot) and `buf` keep their capacity.
 void collapse_untraced(const TransitionSystem& ts, Config& cfg,
                        StepBuffer& buf, std::uint64_t& chained) {
-  while (const auto t = chain_thread(ts, cfg)) {
+  while (const auto t = ts.ample_thread(cfg)) {
     ts.thread_successors_into(cfg, *t, buf, /*want_labels=*/false);
     std::swap(cfg, buf.steps()[0].after);
     chained += 1;
@@ -194,7 +162,7 @@ std::optional<ShardedVisitedSet::TracedInsert> intern_traced(
   std::string* label = &step.label;
   for (bool chain_step = false;; chain_step = true) {
     const auto next =
-        run.collapse ? chain_thread(run.ts, after) : std::nullopt;
+        run.collapse ? run.ts.ample_thread(after) : std::nullopt;
     w.scratch.clear();
     after.encode_into(w.scratch);
     const auto ins =
@@ -244,7 +212,7 @@ template <typename Push>
 void process_steps(const Run& run, Worker& w, const Frontier& item,
                    bool count_stats, Push&& push) {
   const std::span<lang::Step> steps = w.steps.steps();
-  const StateAbstraction& abs = *w.abs;
+  const StateAbstraction& abs = w.abs;
   std::uint64_t mask = 0;
   if (run.sleep) {
     std::uint64_t enabled = 0;
@@ -316,11 +284,9 @@ void process_steps(const Run& run, Worker& w, const Frontier& item,
       }
       const auto r = run.visited.insert_masked(w.key.encoding, cmask);
       if (!r.inserted) {
-        if (abs.kind() == StateAbstraction::Kind::Symmetry &&
-            !key_is_identity(w.key)) {
+        if (abs.symmetry() && !key_is_identity(w.key)) {
           w.stats.symmetry_hits += 1;
-        } else if (abs.kind() == StateAbstraction::Kind::RfQuotient &&
-                   count_stats && concrete_new) {
+        } else if (abs.rf_quotient() && count_stats && concrete_new) {
           // A concrete state the sink had never seen folded into a visited
           // quotient class.  Only a trace sink can tell a genuinely new
           // concrete state from a re-arrival, so untraced runs report 0.
@@ -376,14 +342,11 @@ ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,
   const bool sleep =
       (options.symmetry || options.rf_quotient) && sys.num_threads() <= 64;
   // Abstract keys are a pure function of the system, so every worker's
-  // clone agrees with worker 0's instance, which also seeds the run.
+  // copy agrees with worker 0's, which also seeds the run.
   std::vector<Worker> workers(num_workers);
-  workers[0].abs = make_abstraction(sys, options);
-  for (unsigned w = 1; w < num_workers; ++w) {
-    workers[w].abs = workers[0].abs->clone();
-  }
-  const bool identity =
-      !sleep && workers[0].abs->kind() == StateAbstraction::Kind::Concrete;
+  workers[0].abs = StateAbstraction(sys, options, options.rf_pins);
+  for (unsigned w = 1; w < num_workers; ++w) workers[w].abs = workers[0].abs;
+  const bool identity = !sleep && !workers[0].abs.nontrivial();
   // A one-worker run's set is a single shard, byte for byte the interned
   // word set it wraps.
   ShardedVisitedSet visited(num_workers == 1 ? 1 : kPoolShards);
@@ -410,7 +373,7 @@ ReachResult reach(const TransitionSystem& ts, const ReachOptions& options,
   const auto seed = [&](const Config& cfg) {
     if (run.membership == Membership::Sink) return;
     Worker& w = workers[0];
-    w.abs->key(cfg, w.key);
+    w.abs.key(cfg, w.key);
     if (run.membership == Membership::Plain) {
       visited.insert(w.key.encoding);
     } else {

@@ -70,8 +70,8 @@
 // allocates nothing: the minimal candidate is swapped into the caller's
 // AbstractKey and permutations are copy-assigned into its existing inner
 // vectors.  The scratch is mutable and per instance, so an instance that
-// canonicalises must not be shared across threads — the engine keeps one per
-// worker through StateAbstraction::clone().  for_each_orbit,
+// canonicalises must not be shared across threads — each worker keys through
+// its own copy of the run's StateAbstraction.  for_each_orbit,
 // for_each_perm and permuted touch no scratch, so one reducer may serve
 // every visitor thread for those.
 

@@ -80,7 +80,8 @@ void describe_instr(std::ostream& os, const System& sys, ThreadId t,
       break;
     case IKind::LockAcquire:
       if (in.has_dst) os << reg(in.dst) << " <- ";
-      os << locs.name(in.loc) << ".acquire()";
+      os << locs.name(in.loc)
+         << (in.capture_version ? ".acquire_version()" : ".acquire()");
       break;
     case IKind::LockRelease:
       os << locs.name(in.loc) << ".release()";

@@ -146,7 +146,6 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
   graph.states.reserve(n);
   for (auto& k : collected) graph.states.push_back(std::move(k.cfg));
   graph.succ.assign(n, {});
-  graph.threads.assign(n, {});
   graph.step_index.assign(n, {});
   if (want_labels) graph.labels.assign(n, {});
 
@@ -182,7 +181,6 @@ StateGraph build_graph(const System& sys, const GraphOptions& options) {
       // was never claimed); the graph is already flagged unreliable then.
       if (!idx.has_value()) continue;
       graph.succ[i].push_back(*idx);
-      graph.threads[i].push_back(out[k].thread);
       graph.step_index[i].push_back(k);
       if (want_labels) graph.labels[i].push_back(std::move(out[k].label));
     }

@@ -76,8 +76,6 @@ struct ClientProjection {
 struct StateGraph {
   std::vector<Config> states;
   std::vector<std::vector<std::uint32_t>> succ;  ///< adjacency (state indices)
-  /// Per-edge acting thread, parallel to `succ`.
-  std::vector<std::vector<ThreadId>> threads;
   /// Per-edge position of the step in engine::expand_steps' output for the
   /// source state, parallel to `succ`: edge_label re-expands the source and
   /// takes this step, so a counterexample renders only the labels it cites.

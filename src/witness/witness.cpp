@@ -168,27 +168,17 @@ ReplayResult replay(const lang::System& sys, const Witness& w) {
 
 namespace {
 
-/// True iff thread t's next instruction is local (deterministic, no memory
-/// effect): the local-step fusion minimize() restricts its re-search with.
-bool next_instr_is_local(const lang::System& sys, const lang::Config& cfg,
-                         lang::ThreadId t) {
-  const auto& code = sys.code(t);
-  if (cfg.pc[t] >= code.size()) return false;
-  switch (code[cfg.pc[t]].kind) {
-    case lang::IKind::Assign:
-    case lang::IKind::Branch:
-    case lang::IKind::Jump:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// First thread whose next instruction is local, or nullopt.
+/// First thread whose next instruction is local (deterministic, no memory
+/// effect), or nullopt: the local-step fusion minimize() restricts its
+/// re-search with.
 std::optional<lang::ThreadId> local_step_thread(const lang::System& sys,
                                                 const lang::Config& cfg) {
   for (lang::ThreadId t = 0; t < sys.num_threads(); ++t) {
-    if (next_instr_is_local(sys, cfg, t)) return t;
+    if (!cfg.thread_done(sys, t) &&
+        lang::access_footprint(sys.code(t)[cfg.pc[t]]).access ==
+            memsem::AccessKind::Local) {
+      return t;
+    }
   }
   return std::nullopt;
 }

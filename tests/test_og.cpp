@@ -155,6 +155,12 @@ TEST(Fig7Outline, IsValidWithInterferenceFreedom) {
                                           result.failures[0].state_dump);
   EXPECT_EQ(result.stats.states, 17u);
   EXPECT_EQ(result.obligations_checked, 131u);
+  // rl receives the acquired version, so the step renders as its builder
+  // method, not as a plain acquire.
+  EXPECT_NE(ex.sys.disassemble().find(
+                "thread 1:\n  0: rl <- l.acquire_version()\n"),
+            std::string::npos)
+      << ex.sys.disassemble();
 }
 
 TEST(Fig7Outline, MutualExclusionAndAgreementHold) {

@@ -379,14 +379,15 @@ TEST(StateGraph, RegeneratedLabelsMatchLabelledBuild) {
       const auto graph = build_graph(sys, *options);
       EXPECT_TRUE(graph.labels.empty());
       ASSERT_EQ(graph.succ, labelled.succ);
-      ASSERT_EQ(graph.threads, labelled.threads);
       ASSERT_EQ(graph.step_index, labelled.step_index);
       std::size_t edges = 0;
       for (std::uint32_t i = 0; i < graph.num_states(); ++i) {
         for (std::uint32_t e = 0; e < graph.succ[i].size(); ++e) {
           const auto step = refinement::edge_label(sys, graph, i, e);
           EXPECT_EQ(step.label, labelled.labels[i][e]) << i << "/" << e;
-          EXPECT_EQ(step.thread, labelled.threads[i][e]) << i << "/" << e;
+          EXPECT_TRUE(step.label.starts_with(
+              support::concat("t", step.thread, ": ")))
+              << i << "/" << e << ": " << step.label;
           ++edges;
         }
       }

@@ -328,10 +328,8 @@ TEST(StateRepr, CanonicalEncodingPinned) {
     engine::ReachOptions reach;
     reach.symmetry = c.symmetry;
     reach.rf_quotient = !c.symmetry;
-    const auto abs = c.symmetry
-                         ? engine::make_symmetry_abstraction(c.sys)
-                         : engine::make_rf_quotient_abstraction(c.sys, {});
-    expect_pin(pin_encodings(c.sys, reach, abs.get()), c.want);
+    const engine::StateAbstraction abs(c.sys, reach);
+    expect_pin(pin_encodings(c.sys, reach, &abs), c.want);
   }
 }
 
